@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 /// A placed request: a rectangle in the time × address plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,11 +34,67 @@ impl Rect {
     }
 }
 
-/// Greedy first-fit packer over the time × address plane.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TimeSpacePacker {
+/// Rectangles per index chunk: small enough that an ordered insert is a
+/// short `memmove`, large enough that a chunk summary prunes real work.
+const CHUNK_CAP: usize = 64;
+
+/// One run of the offset-ordered index with a summary of its members.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Members in ascending `off` order: never empty, at most
+    /// [`CHUNK_CAP`].
     rects: Vec<Rect>,
+    /// Minimum `t0` over the members.
+    min_t0: u64,
+    /// Maximum `t1` over the members.
+    max_t1: u64,
+    /// Maximum `off + len` over the members.
+    max_end: u64,
+}
+
+impl Chunk {
+    fn new(rects: Vec<Rect>) -> Self {
+        let (min_t0, max_t1, max_end) = rects.iter().fold((u64::MAX, 0, 0), |(lo, hi, end), r| {
+            (lo.min(r.t0), hi.max(r.t1), end.max(r.off + r.len))
+        });
+        Chunk {
+            rects,
+            min_t0,
+            max_t1,
+            max_end,
+        }
+    }
+
+    /// Widens the summary to cover `r`.
+    fn widen(&mut self, r: &Rect) {
+        self.min_t0 = self.min_t0.min(r.t0);
+        self.max_t1 = self.max_t1.max(r.t1);
+        self.max_end = self.max_end.max(r.off + r.len);
+    }
+
+    fn first_off(&self) -> u64 {
+        self.rects[0].off
+    }
+
+    /// `true` if no member can overlap the `[t0,t1)` time window.
+    fn misses_window(&self, t0: u64, t1: u64) -> bool {
+        self.max_t1 <= t0 || t1 <= self.min_t0
+    }
+}
+
+/// Greedy first-fit packer over the time × address plane.
+///
+/// Placed rectangles live in one offset-ordered index: chunks of at most
+/// 64 rects, sorted by `off` within and across chunks.
+/// A query streams the rects overlapping its time window in ascending
+/// offset order straight out of the index, skipping every chunk whose
+/// summary rules it out. The order of equal-offset rects is unspecified
+/// and never observable: every query folds them with `max`.
+#[derive(Debug, Clone, Default)]
+pub struct TimeSpacePacker {
+    chunks: Vec<Chunk>,
     height: u64,
+    area: u64,
 }
 
 impl TimeSpacePacker {
@@ -45,57 +103,151 @@ impl TimeSpacePacker {
         Self::default()
     }
 
+    /// Bulk constructor: one sort instead of `rects.len()` ordered
+    /// inserts. The rects must be pairwise conflict-free (debug builds
+    /// assert), exactly as if each had gone through [`Self::place_at`].
+    pub fn from_rects(mut rects: Vec<Rect>) -> Self {
+        // Stable on purpose. Results never depend on the order of
+        // equal-offset rects, but the sweep's speed does: a tight plan
+        // reuses each offset many times over, and kept in the caller's
+        // (request = time) order those runs make the time-overlap test
+        // predictable. At 2k rects a full sweep takes about 3 µs against
+        // 5 µs after `sort_unstable_by_key`.
+        rects.sort_by_key(|r| r.off);
+        debug_assert!(
+            rects.iter().enumerate().all(|(i, a)| rects[i + 1..]
+                .iter()
+                .take_while(|b| b.off < a.off + a.len)
+                .all(|b| !a.conflicts(b))),
+            "bulk-seeded rects conflict"
+        );
+        TimeSpacePacker {
+            height: rects.iter().map(|r| r.off + r.len).max().unwrap_or(0),
+            area: rects.iter().map(|r| r.len * (r.t1 - r.t0)).sum(),
+            // Full chunks: the fewest allocations, for a packer that is
+            // asked a few questions; an insert splits the chunk it lands
+            // in. Each chunk owns its run, hence the one copy per run.
+            chunks: rects
+                .chunks(CHUNK_CAP)
+                .map(|run| Chunk::new(run.to_vec()))
+                .collect(),
+        }
+    }
+
     /// Current height: the maximum `off + len` over placed rectangles.
     pub fn height(&self) -> u64 {
         self.height
     }
 
-    /// Placed rectangles.
-    pub fn rects(&self) -> &[Rect] {
-        &self.rects
+    /// Placed rectangles in ascending offset order.
+    pub fn rects(&self) -> impl Iterator<Item = &Rect> {
+        self.chunks.iter().flat_map(|c| &c.rects)
     }
 
     /// Sum of `len * (t1 - t0)` over placed rectangles (the TMP numerator).
     pub fn area(&self) -> u64 {
-        self.rects.iter().map(|r| r.len * (r.t1 - r.t0)).sum()
+        self.area
+    }
+
+    /// The chunks that can hold a rect spatially overlapping `[off, end)`:
+    /// those starting below `end` whose members reach above `off`.
+    fn chunks_reaching(&self, off: u64, end: u64) -> impl Iterator<Item = &Chunk> {
+        self.chunks
+            .iter()
+            .take_while(move |c| c.first_off() < end)
+            .filter(move |c| c.max_end > off)
+    }
+
+    /// `true` if `rect` overlaps a placed rectangle in both time and space.
+    fn conflicts_with(&self, rect: &Rect) -> bool {
+        self.chunks_reaching(rect.off, rect.off + rect.len)
+            .filter(|c| !c.misses_window(rect.t0, rect.t1))
+            .any(|c| c.rects.iter().any(|r| r.conflicts(rect)))
     }
 
     /// Places a rectangle at an explicit position (no conflict checking in
-    /// release builds; debug builds assert).
+    /// release builds; debug builds assert): a binary search for its chunk
+    /// plus a shift of at most one chunk's rects.
     pub fn place_at(&mut self, rect: Rect) {
         debug_assert!(
-            !self.rects.iter().any(|r| r.conflicts(&rect)),
+            !self.conflicts_with(&rect),
             "rect {rect:?} conflicts with an existing placement"
         );
         self.height = self.height.max(rect.off + rect.len);
-        self.rects.push(rect);
+        self.area += rect.len * (rect.t1 - rect.t0);
+        if self.chunks.is_empty() {
+            self.chunks.push(Chunk::new(vec![rect]));
+            return;
+        }
+        // The last chunk starting at or below the offset (else the first).
+        let mut ci = self
+            .chunks
+            .partition_point(|c| c.first_off() <= rect.off)
+            .saturating_sub(1);
+        if self.chunks[ci].rects.len() == CHUNK_CAP {
+            let mut upper = Vec::with_capacity(CHUNK_CAP);
+            upper.extend(self.chunks[ci].rects.drain(CHUNK_CAP / 2..));
+            let lower = std::mem::take(&mut self.chunks[ci].rects);
+            self.chunks[ci] = Chunk::new(lower);
+            self.chunks.insert(ci + 1, Chunk::new(upper));
+            if self.chunks[ci + 1].first_off() <= rect.off {
+                ci += 1;
+            }
+        }
+        let chunk = &mut self.chunks[ci];
+        let at = chunk.rects.partition_point(|r| r.off <= rect.off);
+        chunk.rects.insert(at, rect);
+        chunk.widen(&rect);
+    }
+
+    /// The sweep behind every gap query. Streams the rects overlapping
+    /// `[t0,t1)` in ascending offset order and calls `on_gap(offset,
+    /// gap_len)` for each free gap of at least `len` bytes below the top
+    /// of the occupied span. Breaks as soon as `on_gap` does; otherwise
+    /// continues with the top of the occupied span — or, if the sweep
+    /// passed `limit - len` first, with the position where it stopped
+    /// (above every admissible offset already).
+    fn sweep_gaps<B>(
+        &self,
+        t0: u64,
+        t1: u64,
+        len: u64,
+        limit: u64,
+        mut on_gap: impl FnMut(u64, u64) -> ControlFlow<B>,
+    ) -> ControlFlow<B, u64> {
+        debug_assert!(t0 < t1 && len > 0);
+        let mut cursor = 0u64;
+        for chunk in &self.chunks {
+            if cursor + len > limit {
+                break;
+            }
+            // A chunk wholly at or below the cursor can neither open a gap
+            // nor raise the cursor.
+            if chunk.max_end <= cursor || chunk.misses_window(t0, t1) {
+                continue;
+            }
+            // `&`, not `&&`: in offset order time overlap is a coin flip, so
+            // test it with one branch per rect, not two.
+            for r in chunk.rects.iter().filter(|r| (r.t0 < t1) & (t0 < r.t1)) {
+                if r.off > cursor && r.off - cursor >= len {
+                    on_gap(cursor, r.off - cursor)?;
+                }
+                cursor = cursor.max(r.off + r.len);
+            }
+        }
+        ControlFlow::Continue(cursor)
     }
 
     /// Finds the lowest offset `<= limit - len` where a `[t0,t1) x len`
     /// rectangle fits without conflicts. With `limit = u64::MAX` the packer
-    /// may grow beyond its current height.
+    /// may grow beyond its current height. Returns at the first gap that
+    /// fits, without visiting the rects above it.
     pub fn find_first_fit(&self, t0: u64, t1: u64, len: u64, limit: u64) -> Option<u64> {
-        debug_assert!(t0 < t1 && len > 0);
-        // Only rectangles overlapping the time window constrain placement.
-        let mut spans: Vec<(u64, u64)> = self
-            .rects
-            .iter()
-            .filter(|r| r.t0 < t1 && t0 < r.t1)
-            .map(|r| (r.off, r.off + r.len))
-            .collect();
-        spans.sort_unstable();
-        let mut cursor = 0u64;
-        for (s, e) in spans {
-            if s > cursor && s - cursor >= len && cursor + len <= limit {
-                return Some(cursor);
-            }
-            cursor = cursor.max(e);
-        }
-        if cursor + len <= limit {
-            Some(cursor)
-        } else {
-            None
-        }
+        // The sweep only moves up: if the first gap wide enough (or, with
+        // none, the top) is above the limit, so is everything after it.
+        let (ControlFlow::Break(off) | ControlFlow::Continue(off)) =
+            self.sweep_gaps(t0, t1, len, limit, |off, _| ControlFlow::Break(off));
+        (off + len <= limit).then_some(off)
     }
 
     /// Every free gap in the `[t0,t1)` time window that can hold `len`
@@ -105,49 +257,19 @@ impl TimeSpacePacker {
     /// [`Self::find_best_fit`] and the solver crate's gap-scoring
     /// packers.
     pub fn free_gaps(&self, t0: u64, t1: u64, len: u64) -> Vec<(u64, u64)> {
-        debug_assert!(t0 < t1 && len > 0);
-        let mut spans: Vec<(u64, u64)> = self
-            .rects
-            .iter()
-            .filter(|r| r.t0 < t1 && t0 < r.t1)
-            .map(|r| (r.off, r.off + r.len))
-            .collect();
-        spans.sort_unstable();
         let mut out = Vec::new();
-        let mut cursor = 0u64;
-        for (s, e) in spans {
-            if s > cursor && s - cursor >= len {
-                out.push((cursor, s - cursor));
-            }
-            cursor = cursor.max(e);
-        }
-        out.push((cursor, u64::MAX));
+        let ControlFlow::Continue(top) = self.sweep_gaps(t0, t1, len, u64::MAX, |off, gap_len| {
+            out.push((off, gap_len));
+            ControlFlow::<Infallible>::Continue(())
+        });
+        out.push((top, u64::MAX));
         out
     }
 
     /// Finds the *tightest* gap `<= limit - len` where a `[t0,t1) x len`
-    /// rectangle fits: among all interior gaps (bounded above by another
-    /// placement in the time window) the one wasting the fewest bytes,
-    /// ties broken by the lowest offset. When no interior gap fits, falls
-    /// back to the first-fit position on top of the occupied spans —
-    /// best-fit packers should only grow the pool as a last resort.
+    /// rectangle fits: [`best_fit_gap`] over [`Self::free_gaps`].
     pub fn find_best_fit(&self, t0: u64, t1: u64, len: u64, limit: u64) -> Option<u64> {
-        let gaps = self.free_gaps(t0, t1, len);
-        let best = gaps
-            .iter()
-            // Top gap: unbounded above, so never "tight" — used only
-            // when no interior gap fits.
-            .filter(|&&(off, gap_len)| gap_len != u64::MAX && off + len <= limit)
-            .min_by_key(|&&(off, gap_len)| (gap_len - len, off));
-        if let Some(&(off, _)) = best {
-            return Some(off);
-        }
-        let (top, _) = *gaps.last().expect("top gap always present");
-        if top + len <= limit {
-            Some(top)
-        } else {
-            None
-        }
+        best_fit_gap(&self.free_gaps(t0, t1, len), len, limit)
     }
 
     /// Convenience: first-fit place, growing the height if needed. Returns
@@ -165,6 +287,47 @@ impl TimeSpacePacker {
     pub fn find_gap(&self, t0: u64, t1: u64, len: u64) -> Option<u64> {
         self.find_first_fit(t0, t1, len, self.height)
     }
+
+    /// The latest end time `<= ts` of any placement spatially overlapping
+    /// `[off, off+len)` — when the address range was last freed before
+    /// `ts` — or 0 if nothing did. Visits only the chunks that reach into
+    /// the range and can still raise the answer.
+    pub fn last_freed_by(&self, off: u64, len: u64, ts: u64) -> u64 {
+        let end = off + len;
+        let mut latest = 0u64;
+        for chunk in self.chunks_reaching(off, end) {
+            if latest == ts {
+                break;
+            }
+            if chunk.max_t1 <= latest {
+                continue;
+            }
+            latest = chunk
+                .rects
+                .iter()
+                .take_while(|r| r.off < end)
+                .filter(|r| off < r.off + r.len && r.t1 <= ts)
+                .fold(latest, |latest, r| latest.max(r.t1));
+        }
+        latest
+    }
+}
+
+/// The one best-fit selection rule, over a [`TimeSpacePacker::free_gaps`]
+/// list: among all interior gaps (bounded above by another placement in
+/// the time window) where a `len`-byte placement at the gap's offset
+/// ends `<= limit`, the one wasting the fewest bytes, ties broken by the
+/// lowest offset. When no interior gap qualifies, falls back to the top
+/// of the occupied span (under the same `limit`) — best-fit packers
+/// should only grow the pool as a last resort.
+pub fn best_fit_gap(gaps: &[(u64, u64)], len: u64, limit: u64) -> Option<u64> {
+    let (&(top, _), interior) = gaps.split_last()?;
+    interior
+        .iter()
+        .filter(|&&(off, _)| off + len <= limit)
+        .min_by_key(|&&(off, gap_len)| (gap_len - len, off))
+        .map(|&(off, _)| off)
+        .or((top + len <= limit).then_some(top))
 }
 
 /// A set of disjoint, coalesced address intervals.
@@ -352,6 +515,330 @@ impl IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The packer this module shipped before the offset-ordered index:
+    /// rects in insertion order, and every query filters all of them,
+    /// collects the survivors and sorts. Kept as the oracle the index is
+    /// property-tested against, offset for offset.
+    #[derive(Default)]
+    struct ScanPacker {
+        rects: Vec<Rect>,
+        height: u64,
+    }
+
+    impl ScanPacker {
+        fn area(&self) -> u64 {
+            self.rects.iter().map(|r| r.len * (r.t1 - r.t0)).sum()
+        }
+
+        fn conflicts_with(&self, rect: &Rect) -> bool {
+            self.rects.iter().any(|r| r.conflicts(rect))
+        }
+
+        fn place_at(&mut self, rect: Rect) {
+            assert!(!self.conflicts_with(&rect));
+            self.height = self.height.max(rect.off + rect.len);
+            self.rects.push(rect);
+        }
+
+        fn sorted_spans(&self, t0: u64, t1: u64) -> Vec<(u64, u64)> {
+            let mut spans: Vec<(u64, u64)> = self
+                .rects
+                .iter()
+                .filter(|r| r.t0 < t1 && t0 < r.t1)
+                .map(|r| (r.off, r.off + r.len))
+                .collect();
+            spans.sort_unstable();
+            spans
+        }
+
+        fn find_first_fit(&self, t0: u64, t1: u64, len: u64, limit: u64) -> Option<u64> {
+            let mut cursor = 0u64;
+            for (s, e) in self.sorted_spans(t0, t1) {
+                if s > cursor && s - cursor >= len && cursor + len <= limit {
+                    return Some(cursor);
+                }
+                cursor = cursor.max(e);
+            }
+            if cursor + len <= limit {
+                Some(cursor)
+            } else {
+                None
+            }
+        }
+
+        fn free_gaps(&self, t0: u64, t1: u64, len: u64) -> Vec<(u64, u64)> {
+            let mut out = Vec::new();
+            let mut cursor = 0u64;
+            for (s, e) in self.sorted_spans(t0, t1) {
+                if s > cursor && s - cursor >= len {
+                    out.push((cursor, s - cursor));
+                }
+                cursor = cursor.max(e);
+            }
+            out.push((cursor, u64::MAX));
+            out
+        }
+
+        fn find_best_fit(&self, t0: u64, t1: u64, len: u64, limit: u64) -> Option<u64> {
+            let gaps = self.free_gaps(t0, t1, len);
+            let best = gaps
+                .iter()
+                .filter(|&&(off, gap_len)| gap_len != u64::MAX && off + len <= limit)
+                .min_by_key(|&&(off, gap_len)| (gap_len - len, off));
+            if let Some(&(off, _)) = best {
+                return Some(off);
+            }
+            let (top, _) = *gaps.last().expect("top gap always present");
+            if top + len <= limit {
+                Some(top)
+            } else {
+                None
+            }
+        }
+
+        fn pack(&mut self, t0: u64, t1: u64, len: u64) -> u64 {
+            let off = self.find_first_fit(t0, t1, len, u64::MAX).unwrap();
+            self.place_at(Rect { t0, t1, off, len });
+            off
+        }
+
+        fn find_gap(&self, t0: u64, t1: u64, len: u64) -> Option<u64> {
+            self.find_first_fit(t0, t1, len, self.height)
+        }
+
+        /// The scan `TemporalLookahead::idle_gap` ran per candidate gap.
+        fn last_freed_by(&self, off: u64, len: u64, ts: u64) -> u64 {
+            self.rects
+                .iter()
+                .filter(|r| r.off < off + len && off < r.off + r.len && r.t1 <= ts)
+                .map(|r| r.t1)
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
+    /// Ticks the equivalence streams draw windows from.
+    const HORIZON: u64 = 40;
+
+    /// One step of an equivalence stream, as plain integers so the
+    /// vendored proptest can shrink it: `(kind, t0, dur, slot, len)`.
+    /// `dur == 0` widens the window to the whole horizon.
+    type Op = (u8, u64, u64, u64, u64);
+
+    fn window(t0: u64, dur: u64) -> (u64, u64) {
+        if dur == 0 {
+            (0, HORIZON)
+        } else {
+            (t0, t0 + dur)
+        }
+    }
+
+    /// Every limit worth asking about around `answer`: just below, at and
+    /// just above the end of the answered placement, the packer's height,
+    /// and none.
+    fn limits_around(answer: Option<u64>, len: u64, height: u64) -> Vec<u64> {
+        let mut limits = vec![0, len, height, u64::MAX];
+        if let Some(off) = answer {
+            limits.extend([off + len - 1, off + len, off + len + 1]);
+        }
+        limits
+    }
+
+    /// Applies one op to the oracle and to every packer under test and
+    /// compares all return values.
+    fn step(
+        oracle: &mut ScanPacker,
+        packers: &mut [TimeSpacePacker],
+        op: Op,
+    ) -> Result<(), String> {
+        let (kind, t0, dur, slot, len) = op;
+        let (t0, t1) = window(t0, dur);
+        let len = len * 8;
+        match kind {
+            // place_at on a coarse offset grid: duplicate offsets under
+            // disjoint windows, shared edges. Conflicting draws are skipped.
+            0 => {
+                let rect = Rect {
+                    t0,
+                    t1,
+                    off: slot * 16,
+                    len,
+                };
+                if !oracle.conflicts_with(&rect) {
+                    oracle.place_at(rect);
+                    for p in packers.iter_mut() {
+                        prop_assert!(!p.conflicts_with(&rect));
+                        p.place_at(rect);
+                    }
+                }
+            }
+            1 => {
+                let want = oracle.pack(t0, t1, len);
+                for p in packers.iter_mut() {
+                    prop_assert_eq!(p.pack(t0, t1, len), want);
+                }
+            }
+            2 => {
+                let unbounded = oracle.find_first_fit(t0, t1, len, u64::MAX);
+                for limit in limits_around(unbounded, len, oracle.height) {
+                    let want = oracle.find_first_fit(t0, t1, len, limit);
+                    for p in packers.iter() {
+                        prop_assert_eq!(p.find_first_fit(t0, t1, len, limit), want);
+                    }
+                }
+            }
+            3 => {
+                let want = oracle.free_gaps(t0, t1, len);
+                for p in packers.iter() {
+                    prop_assert_eq!(p.free_gaps(t0, t1, len), want.clone());
+                }
+            }
+            4 => {
+                let unbounded = oracle.find_best_fit(t0, t1, len, u64::MAX);
+                for limit in limits_around(unbounded, len, oracle.height) {
+                    let want = oracle.find_best_fit(t0, t1, len, limit);
+                    for p in packers.iter() {
+                        prop_assert_eq!(p.find_best_fit(t0, t1, len, limit), want);
+                    }
+                }
+            }
+            5 => {
+                let want = oracle.find_gap(t0, t1, len);
+                for p in packers.iter() {
+                    prop_assert_eq!(p.find_gap(t0, t1, len), want);
+                }
+            }
+            // The lookahead strategy's idle-gap query, at fine and coarse
+            // address ranges and at ticks before, inside and after t0.
+            _ => {
+                for (off, ts) in [(slot * 16, t0), (slot * 4, t1), (0, HORIZON + 1)] {
+                    let want = oracle.last_freed_by(off, len, ts);
+                    for p in packers.iter() {
+                        prop_assert_eq!(p.last_freed_by(off, len, ts), want);
+                    }
+                }
+            }
+        }
+        for p in packers.iter() {
+            prop_assert_eq!(p.height(), oracle.height);
+            prop_assert_eq!(p.area(), oracle.area());
+        }
+        Ok(())
+    }
+
+    /// The index holds exactly the oracle's rects, in ascending offset
+    /// order, in chunks that respect the capacity and summary invariants.
+    fn check_index(oracle: &ScanPacker, p: &TimeSpacePacker) -> Result<(), String> {
+        let held: Vec<Rect> = p.rects().copied().collect();
+        prop_assert!(held.windows(2).all(|w| w[0].off <= w[1].off));
+        let key = |r: &Rect| (r.off, r.t0, r.t1, r.len);
+        let mut held_sorted = held;
+        held_sorted.sort_unstable_by_key(key);
+        let mut want = oracle.rects.clone();
+        want.sort_unstable_by_key(key);
+        prop_assert_eq!(held_sorted, want);
+        for c in &p.chunks {
+            prop_assert!(!c.rects.is_empty() && c.rects.len() <= CHUNK_CAP);
+            let fresh = Chunk::new(c.rects.clone());
+            prop_assert_eq!(
+                (c.min_t0, c.max_t1, c.max_end),
+                (fresh.min_t0, fresh.max_t1, fresh.max_end)
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The offset-ordered index answers every query exactly as the
+        /// scan-and-sort packer did — built incrementally, and bulk-seeded
+        /// with `from_rects` and then extended by the same stream.
+        #[test]
+        fn index_matches_scan_and_sort_reference(
+            seeds in prop::collection::vec((0u64..HORIZON, 0u64..12, 1u64..9), 0..160),
+            ops in prop::collection::vec(
+                (0u8..7, 0u64..HORIZON, 0u64..12, 0u64..24, 1u64..9),
+                1..120,
+            ),
+        ) {
+            let mut oracle = ScanPacker::default();
+            let mut incremental = TimeSpacePacker::new();
+            for (t0, dur, len) in seeds {
+                let (t0, t1) = window(t0, dur);
+                let off = oracle.pack(t0, t1, len * 8);
+                prop_assert_eq!(incremental.pack(t0, t1, len * 8), off);
+            }
+            let bulk = TimeSpacePacker::from_rects(oracle.rects.clone());
+            let mut packers = [incremental, bulk];
+            for op in ops {
+                step(&mut oracle, &mut packers, op)?;
+            }
+            for p in &packers {
+                check_index(&oracle, p)?;
+            }
+        }
+
+        /// Long runs of one offset: more rects at offset 0 than a chunk
+        /// holds (unit windows never conflict), so equal offsets straddle
+        /// chunk boundaries and every insert lands in a run of ties.
+        #[test]
+        fn equal_offset_runs_split_chunks(
+            run in 65u64..200,
+            ops in prop::collection::vec(
+                (1u8..7, 0u64..HORIZON, 0u64..12, 0u64..24, 1u64..9),
+                1..60,
+            ),
+        ) {
+            let mut oracle = ScanPacker::default();
+            let mut incremental = TimeSpacePacker::new();
+            // Odd ticks descending, then even ticks ascending: disjoint unit
+            // windows, so nothing conflicts and every insert joins the run.
+            let odd_down = (0..run).filter(|i| i % 2 == 1).rev();
+            for i in odd_down.chain((0..run).filter(|i| i % 2 == 0)) {
+                let rect = Rect { t0: HORIZON + i, t1: HORIZON + i + 1, off: 0, len: 8 + i % 3 };
+                oracle.place_at(rect);
+                incremental.place_at(rect);
+            }
+            prop_assert!(incremental.chunks.len() > 1, "the run must have split");
+            let bulk = TimeSpacePacker::from_rects(oracle.rects.clone());
+            let mut packers = [incremental, bulk];
+            for op in ops {
+                step(&mut oracle, &mut packers, op)?;
+                // Queries inside the run's own ticks, where the ties live.
+                let (_, t0, _, _, len) = op;
+                step(&mut oracle, &mut packers, (2, HORIZON + t0, 3, 0, len))?;
+                step(&mut oracle, &mut packers, (6, HORIZON + t0, 3, 0, len))?;
+            }
+            for p in &packers {
+                check_index(&oracle, p)?;
+            }
+        }
+    }
+
+    #[test]
+    fn best_fit_gap_is_the_rule_all_callers_share() {
+        // Interior gaps (10, 40) and (60, 15), top at 100.
+        let gaps = [(10, 40), (60, 15), (100, u64::MAX)];
+        assert_eq!(best_fit_gap(&gaps, 12, u64::MAX), Some(60), "tightest");
+        assert_eq!(
+            best_fit_gap(&gaps, 12, 71),
+            Some(10),
+            "tightest under the limit"
+        );
+        assert_eq!(best_fit_gap(&gaps, 12, 21), None, "nothing under the limit");
+        assert_eq!(
+            best_fit_gap(&[(0, 20), (30, 20), (70, u64::MAX)], 5, u64::MAX),
+            Some(0)
+        );
+        assert_eq!(
+            best_fit_gap(&[(7, u64::MAX)], 5, u64::MAX),
+            Some(7),
+            "top only"
+        );
+        assert_eq!(best_fit_gap(&[(7, u64::MAX)], 5, 11), None);
+        assert_eq!(best_fit_gap(&[], 5, u64::MAX), None);
+    }
 
     #[test]
     fn rect_conflicts_requires_both_overlaps() {
@@ -584,7 +1071,7 @@ mod tests {
             let len = 1 + ((i as u64 * 37) % 64) * 8;
             p.pack(t0, t1, len);
         }
-        let rects = p.rects();
+        let rects: Vec<Rect> = p.rects().copied().collect();
         assert_eq!(rects.len(), windows.len());
         for i in 0..rects.len() {
             for j in (i + 1)..rects.len() {

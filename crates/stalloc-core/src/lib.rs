@@ -56,7 +56,7 @@ pub use fingerprint::{
     write_profile_body, Fingerprint, JobHasher, FINGERPRINT_VERSION, PROFILE_FLAG_DYNAMIC,
     PROFILE_FLAG_HAS_LE, PROFILE_FLAG_HAS_LS,
 };
-pub use geometry::{IntervalSet, Rect, TimeSpacePacker};
+pub use geometry::{best_fit_gap, IntervalSet, Rect, TimeSpacePacker};
 pub use plan::{
     baseline_layout, finish_plan, synthesize, DynGroup, DynamicPlan, Plan, PlanStats, PlannedAlloc,
     StaticLayout, StrategyChoice, SynthConfig, SYNTH_ALGO_VERSION,

@@ -118,6 +118,12 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
     let mut request_offsets = vec![0u64; reqs.len()];
     let mut gap_inserted = 0usize;
     let mut layer_count = 0usize;
+    // Scratch reused across members: a plan's members in start order, the
+    // ones no existing region took, and the class layers in preference
+    // order.
+    let mut ordered: Vec<(usize, u64)> = Vec::new();
+    let mut spilled: Vec<(usize, u64)> = Vec::new();
+    let mut candidates: Vec<usize> = Vec::new();
 
     for s in sizes {
         let mut members = by_size.remove(&s).expect("size exists");
@@ -155,11 +161,12 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
             // idle staircase of ANY existing region (a member is an
             // independent request; group contiguity is not a constraint).
             // Members that fit nowhere spill to the class layer below.
-            let mut spilled: Vec<(usize, u64)> = Vec::new();
+            spilled.clear();
             if opts.gap_insertion && !regions.is_empty() {
-                let mut ordered = plan.members.clone();
+                ordered.clear();
+                ordered.extend_from_slice(&plan.members);
                 ordered.sort_unstable_by_key(|&(ri_req, _)| reqs[ri_req].ts);
-                for (ri_req, rel) in ordered {
+                for &(ri_req, rel) in &ordered {
                     let r = &reqs[ri_req];
                     let t1 = r.te.max(r.ts + 1);
                     let mut placed = false;
@@ -189,7 +196,7 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
                     continue 'member;
                 }
             } else {
-                spilled = plan.members.clone();
+                spilled.extend_from_slice(&plan.members);
             }
 
             // Stage C, Algorithm 1 lines 4-10, at member granularity: the
@@ -197,12 +204,13 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
             // group's start; every placement is conflict-checked so layers
             // shared with scattered residents stay sound.
             let mut first_off: Option<u64> = None;
-            for (ri_req, _) in spilled {
+            for &(ri_req, _) in &spilled {
                 let r = &reqs[ri_req];
                 let t1 = r.te.max(r.ts + 1);
                 // Candidate order: Algorithm-1 preference (latest end <=
                 // group start) first, then remaining class layers.
-                let mut candidates: Vec<usize> = class_layers.clone();
+                candidates.clear();
+                candidates.extend_from_slice(&class_layers);
                 candidates.sort_unstable_by_key(|&ri| {
                     let end = regions[ri].end;
                     if end <= ts {
@@ -212,7 +220,7 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
                     }
                 });
                 let mut placed_at: Option<(usize, u64)> = None;
-                for ri in candidates {
+                for &ri in &candidates {
                     if let Some(off) =
                         regions[ri]
                             .packer

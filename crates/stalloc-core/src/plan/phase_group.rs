@@ -203,19 +203,27 @@ pub fn try_fuse(host: &LocalPlan, guest: &LocalPlan, reqs: &[RequestEvent]) -> O
     }
 }
 
+/// Singleton same-phase transients never fuse: global planning places
+/// them individually.
+fn is_single_transient(p: &LocalPlan) -> bool {
+    p.members.len() == 1 && p.ps == p.pe
+}
+
 /// Greedy fusion pass: repeatedly fuses phase-adjacent plan pairs (one's
 /// `pᵉ` equals the other's `pˢ`) whenever the TMP acceptance rule fires,
 /// until no fusion is accepted.
 pub fn fuse_groups(mut plans: Vec<LocalPlan>, reqs: &[RequestEvent]) -> Vec<LocalPlan> {
+    // Only the cohorts can fuse, and a profile is mostly transients: walk
+    // the cohort pairs (in plan order, as a walk over all pairs would
+    // reach them), not all P² pairs.
     loop {
-        let mut fused_any = false;
-        'outer: for a in 0..plans.len() {
-            for b in 0..plans.len() {
-                if a == b {
-                    continue;
-                }
-                if plans[a].pe != plans[b].ps {
-                    continue;
+        let cohorts: Vec<usize> = (0..plans.len())
+            .filter(|&i| !is_single_transient(&plans[i]))
+            .collect();
+        let accepted = cohorts.iter().find_map(|&a| {
+            cohorts.iter().find_map(|&b| {
+                if a == b || plans[a].pe != plans[b].ps {
+                    return None;
                 }
                 // The larger plan hosts; the smaller is inserted.
                 let (host, guest) = if plans[a].size() >= plans[b].size() {
@@ -223,40 +231,157 @@ pub fn fuse_groups(mut plans: Vec<LocalPlan>, reqs: &[RequestEvent]) -> Vec<Loca
                 } else {
                     (b, a)
                 };
-                // Pre-filters: singleton same-phase transients are placed
-                // individually by global planning; and fusion can only
-                // remove bubbles if some host space frees before the guest
-                // finishes.
-                let is_single_transient = |p: &LocalPlan| p.members.len() == 1 && p.ps == p.pe;
-                if is_single_transient(&plans[host]) || is_single_transient(&plans[guest]) {
-                    continue;
-                }
+                // Pre-filter: fusion can only remove bubbles if some host
+                // space frees before the guest finishes.
                 if plans[guest].te <= plans[host].min_te {
-                    continue;
+                    return None;
                 }
-                if let Some(fused) = try_fuse(&plans[host], &plans[guest], reqs) {
-                    let (hi, lo) = if host > guest {
-                        (host, guest)
-                    } else {
-                        (guest, host)
-                    };
-                    plans.swap_remove(hi);
-                    plans.swap_remove(lo);
-                    plans.push(fused);
-                    fused_any = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !fused_any {
+                try_fuse(&plans[host], &plans[guest], reqs).map(|fused| (a, b, fused))
+            })
+        });
+        let Some((a, b, fused)) = accepted else {
             return plans;
-        }
+        };
+        plans.swap_remove(a.max(b));
+        plans.swap_remove(a.min(b));
+        plans.push(fused);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The fusion pass as it was before it walked cohorts only: all P²
+    /// plan pairs, transients filtered per pair. The oracle for the
+    /// restart-after-fusion order.
+    fn fuse_groups_all_pairs(mut plans: Vec<LocalPlan>, reqs: &[RequestEvent]) -> Vec<LocalPlan> {
+        loop {
+            let mut fused_any = false;
+            'outer: for a in 0..plans.len() {
+                for b in 0..plans.len() {
+                    if a == b || plans[a].pe != plans[b].ps {
+                        continue;
+                    }
+                    let (host, guest) = if plans[a].size() >= plans[b].size() {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    if is_single_transient(&plans[host]) || is_single_transient(&plans[guest]) {
+                        continue;
+                    }
+                    if plans[guest].te <= plans[host].min_te {
+                        continue;
+                    }
+                    if let Some(fused) = try_fuse(&plans[host], &plans[guest], reqs) {
+                        plans.swap_remove(host.max(guest));
+                        plans.swap_remove(host.min(guest));
+                        plans.push(fused);
+                        fused_any = true;
+                        break 'outer;
+                    }
+                }
+            }
+            if !fused_any {
+                return plans;
+            }
+        }
+    }
+
+    /// Everything observable about a fusion result, in plan order.
+    type PlanShape = (Vec<(usize, u64)>, u64, u64, u64, u32, u32, u64, u64);
+
+    fn shapes(plans: &[LocalPlan]) -> Vec<PlanShape> {
+        plans
+            .iter()
+            .map(|p| {
+                let (size, area) = (p.size(), p.packer.area());
+                (
+                    p.members.clone(),
+                    p.ts,
+                    p.te,
+                    p.min_te,
+                    p.ps,
+                    p.pe,
+                    size,
+                    area,
+                )
+            })
+            .collect()
+    }
+
+    /// Staircase pairs that always fuse, plus extras. Pair `j`: a host
+    /// cohort in phases `(3j+1, 3j+2)` with a long and a short member, and
+    /// a one-member guest in `(3j+2, 3j+3)` that starts as the short one
+    /// frees and ends before the long one — it drops into the freed step,
+    /// the footprint is unchanged, TMP rises.
+    fn staircase_pairs(
+        pairs: &[(u64, u64, u64, u64)],
+        extras: &[(u64, u64, u64, u32, u32)],
+    ) -> Vec<RequestEvent> {
+        let mut reqs = Vec::new();
+        for (j, &(size, short, guest, slack)) in pairs.iter().enumerate() {
+            let (p, start) = (3 * j as u32 + 1, 7 * j as u64);
+            let long = short + guest + slack;
+            reqs.push(req(size * 512, start, start + long, p, p + 1));
+            reqs.push(req(size * 512, start, start + short, p, p + 1));
+            reqs.push(req(
+                size * 512,
+                start + short,
+                start + short + guest,
+                p + 1,
+                p + 2,
+            ));
+        }
+        for &(ts, dur, size, ps, dphase) in extras {
+            reqs.push(req(size * 512, ts, ts + dur, ps, ps + dphase));
+        }
+        reqs
+    }
+
+    /// Runs both walks; returns how many fusions were accepted.
+    fn check_walks_agree(reqs: &[RequestEvent]) -> Result<usize, String> {
+        let plans = build_phase_groups(reqs);
+        let fused = fuse_groups(plans.clone(), reqs);
+        prop_assert_eq!(
+            shapes(&fused),
+            shapes(&fuse_groups_all_pairs(plans.clone(), reqs))
+        );
+        Ok(plans.len() - fused.len())
+    }
+
+    proptest! {
+        /// The cohort walk fuses the same pairs in the same order as the
+        /// all-pairs walk on inputs where fusions *are* accepted — every
+        /// staircase pair fuses, and each acceptance restarts the walk —
+        /// among cohorts and transients of unrelated phases.
+        #[test]
+        fn cohort_walk_matches_all_pairs_walk_across_restarts(
+            pairs in prop::collection::vec((1u64..4, 1u64..6, 1u64..6, 0u64..4), 1..6),
+            strangers in prop::collection::vec(
+                (0u64..60, 1u64..30, 1u64..5, 30u32..36, 0u32..3),
+                0..40,
+            ),
+        ) {
+            let fusions = check_walks_agree(&staircase_pairs(&pairs, &strangers))?;
+            prop_assert!(fusions >= pairs.len(), "{fusions} fusions for {} pairs", pairs.len());
+        }
+
+        /// The same with extras drawn from the pairs' own phases, so they
+        /// join, widen or compete with the staircase cohorts.
+        #[test]
+        fn cohort_walk_matches_all_pairs_walk_on_mixed_cohorts(
+            pairs in prop::collection::vec((1u64..4, 1u64..6, 1u64..6, 0u64..4), 0..5),
+            mixers in prop::collection::vec(
+                (0u64..60, 1u64..30, 1u64..5, 1u32..14, 0u32..3),
+                1..60,
+            ),
+        ) {
+            check_walks_agree(&staircase_pairs(&pairs, &mixers))?;
+        }
+    }
 
     fn req(size: u64, ts: u64, te: u64, ps: u32, pe: u32) -> RequestEvent {
         RequestEvent {

@@ -158,22 +158,25 @@ pub fn patch_plan(
 
     // Seed the packer with the surviving placements. They are a subset
     // of a validated plan over identical request fields, so no two can
-    // conflict.
-    let mut packer = TimeSpacePacker::new();
-    for (i, r) in next_profile.statics.iter().enumerate() {
-        if let Some(off) = next_offsets[i] {
-            packer.place_at(Rect {
+    // conflict. Thousands of seeds for a handful of questions: build the
+    // index with one sort, not one ordered insert per survivor.
+    let survivors = next_profile
+        .statics
+        .iter()
+        .zip(&next_offsets)
+        .filter_map(|(r, &off)| {
+            Some(Rect {
                 t0: r.ts,
                 t1: r.te.max(r.ts + 1),
-                off,
+                off: off?,
                 len: r.size,
-            });
-        }
-    }
+            })
+        })
+        .collect();
+    let mut packer = TimeSpacePacker::from_rects(survivors);
 
     // Best-fit the disturbed set, largest first (the `bestfit`
-    // strategy's selection rule): tightest interior gap, lowest offset
-    // on ties, else the always-feasible top of the occupied span.
+    // strategy's order and selection rule).
     let mut disturbed: Vec<usize> = (0..next_offsets.len())
         .filter(|&i| next_offsets[i].is_none())
         .collect();
@@ -184,13 +187,8 @@ pub fn patch_plan(
     for i in disturbed {
         let r = &next_profile.statics[i];
         let t1 = r.te.max(r.ts + 1);
-        let gaps = packer.free_gaps(r.ts, t1, r.size);
-        let off = gaps
-            .iter()
-            .filter(|&&(_, gap_len)| gap_len != u64::MAX)
-            .min_by_key(|&&(off, gap_len)| (gap_len - r.size, off))
-            .or(gaps.last())
-            .map(|&(off, _)| off)
+        let off = packer
+            .find_best_fit(r.ts, t1, r.size, u64::MAX)
             .expect("top-of-stack candidate always exists");
         packer.place_at(Rect {
             t0: r.ts,

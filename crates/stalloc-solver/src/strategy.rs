@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use stalloc_core::plan::phase_group::{build_phase_groups, fuse_groups};
 use stalloc_core::{
-    baseline_layout, finish_plan, Plan, ProfiledRequests, Rect, StaticLayout, StrategyChoice,
-    SynthConfig, TimeSpacePacker,
+    baseline_layout, best_fit_gap, finish_plan, Plan, ProfiledRequests, Rect, StaticLayout,
+    StrategyChoice, SynthConfig, TimeSpacePacker,
 };
 
 use crate::profile::SolverProfile;
@@ -163,19 +163,12 @@ impl Strategy for BestFitDecreasing {
         for i in order {
             let r = &reqs[i];
             let t1 = r.te.max(r.ts + 1);
-            // The same selection `find_best_fit(.., u64::MAX)` makes, over
-            // an explicit gap list so the candidates can be counted:
-            // tightest interior gap (lowest offset on ties), else the
-            // always-feasible top of the occupied span.
+            // `find_best_fit(.., u64::MAX)` over an explicit gap list, so
+            // the candidates can be counted.
             let gaps = packer.free_gaps(r.ts, t1, r.size);
             prof.candidates_evaluated += gaps.len() as u64;
             prof.placements_rejected += gaps.len() as u64 - 1;
-            let off = gaps
-                .iter()
-                .filter(|&&(_, gap_len)| gap_len != u64::MAX)
-                .min_by_key(|&&(off, gap_len)| (gap_len - r.size, off))
-                .or(gaps.last())
-                .map(|&(off, _)| off)
+            let off = best_fit_gap(&gaps, r.size, u64::MAX)
                 .expect("top-of-stack candidate always exists");
             packer.place_at(Rect {
                 t0: r.ts,
@@ -310,14 +303,7 @@ impl TemporalLookahead {
     /// `ts`: `ts` minus the latest end time of any placement that spatially
     /// overlaps the range and freed at or before `ts`. Smaller = snugger.
     fn idle_gap(packer: &TimeSpacePacker, off: u64, len: u64, ts: u64) -> u64 {
-        let t_prev = packer
-            .rects()
-            .iter()
-            .filter(|r| r.off < off + len && off < r.off + r.len && r.t1 <= ts)
-            .map(|r| r.t1)
-            .max()
-            .unwrap_or(0);
-        ts - t_prev
+        ts - packer.last_freed_by(off, len, ts)
     }
 }
 

@@ -16,6 +16,10 @@ use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 const CLIENTS: usize = 32;
 
 fn sample_profile() -> ProfiledRequests {
+    profile_with_microbatches(2)
+}
+
+fn profile_with_microbatches(microbatches: u32) -> ProfiledRequests {
     let trace = TrainJob::new(
         ModelSpec::gpt2_345m(),
         ParallelConfig::new(1, 2, 1),
@@ -23,7 +27,7 @@ fn sample_profile() -> ProfiledRequests {
     )
     .with_mbs(1)
     .with_seq(256)
-    .with_microbatches(2)
+    .with_microbatches(microbatches)
     .with_iterations(1)
     .build_trace()
     .unwrap();
@@ -120,8 +124,9 @@ fn thirty_two_client_run_reports_consistent_metrics() {
     );
 
     // Per-tier histograms: the miss tier saw every synthesis, the hit
-    // tiers the rest, and a synthesis is orders of magnitude slower than
-    // a cache hit — the medians must reflect that.
+    // tiers the rest. (That a miss round trip is slower than a hit is
+    // asserted by the serial test below: here 32 clients share 4 workers,
+    // so both tiers' round trips are mostly the same queue.)
     let miss = metrics.tier("miss").expect("miss tier reported");
     assert_eq!(miss.total(), stats.misses);
     let hit_total: u64 = ["lru", "store", "coalesced"]
@@ -129,12 +134,6 @@ fn thirty_two_client_run_reports_consistent_metrics() {
         .map(|t| metrics.tier(t).map_or(0, |h| h.total()))
         .sum();
     assert_eq!(hit_total, stats.hits());
-    if let Some(lru) = metrics.tier("lru").filter(|h| h.total() > 0) {
-        assert!(
-            miss.quantile(0.5) > lru.quantile(0.5),
-            "a median synthesis must be slower than a median LRU hit"
-        );
-    }
 
     // Per-phase histograms: every request crossed the framed-I/O phases;
     // only the misses ran the synthesizer.
@@ -144,11 +143,60 @@ fn thirty_two_client_run_reports_consistent_metrics() {
     }
     let synthesis = metrics.phase("synthesis").expect("synthesis reported");
     assert!(synthesis.total() >= stats.misses);
+    // A synthesis is orders of magnitude slower than a cache lookup, and
+    // under any load the phase medians must reflect that.
+    let lookup = metrics.phase("lru_lookup").expect("lru_lookup reported");
+    assert!(
+        synthesis.quantile(0.5) > lookup.quantile(0.5),
+        "a median synthesis must be slower than a median LRU lookup"
+    );
 
     // The slowest-span ring retained the expensive requests, each span
     // carrying the full phase vector.
     assert!(!metrics.slowest.is_empty());
     assert!(metrics.slowest[0].total_micros >= metrics.slowest.last().unwrap().total_micros);
+
+    server.shutdown();
+}
+
+/// A synthesis is orders of magnitude slower than a cache hit, and the
+/// tier round-trip medians must reflect that. One client, one request in
+/// flight: a tier's round trip is then the work the tier names, not the
+/// queue it waited in.
+#[test]
+fn serial_miss_round_trip_is_slower_than_an_lru_hit() {
+    const JOBS: u64 = 8;
+    let server = PlanServer::start(ServeConfig {
+        workers: 4,
+        lru_capacity: 64,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let base = profile_with_microbatches(8);
+    let config = SynthConfig::default();
+
+    // Each fresh fingerprint is planned twice, back to back: a miss, then
+    // an LRU hit on the plan the miss just cached.
+    let mut client = PlanClient::connect(addr).unwrap();
+    for salt in 0..JOBS {
+        let profile = salted(&base, salt);
+        client.plan(&profile, &config).expect("cold plan");
+        client.plan(&profile, &config).expect("warm plan");
+    }
+
+    let metrics = converged_metrics(addr);
+    let miss = metrics.tier("miss").expect("miss tier reported");
+    let lru = metrics.tier("lru").expect("lru tier reported");
+    assert_eq!(miss.total(), JOBS);
+    assert_eq!(lru.total(), JOBS);
+    assert!(
+        miss.quantile(0.5) > lru.quantile(0.5),
+        "a median synthesis must be slower than a median LRU hit: \
+         miss {:?} vs lru {:?}",
+        miss.quantile(0.5),
+        lru.quantile(0.5)
+    );
 
     server.shutdown();
 }

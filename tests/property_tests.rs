@@ -69,10 +69,10 @@ proptest! {
         for (t0, dur, len) in rects {
             p.pack(t0, t0 + dur, len); // place_at debug-asserts no conflict
         }
-        let placed = p.rects();
+        let placed: Vec<_> = p.rects().collect();
         for i in 0..placed.len() {
             for j in (i + 1)..placed.len() {
-                prop_assert!(!placed[i].conflicts(&placed[j]));
+                prop_assert!(!placed[i].conflicts(placed[j]));
             }
         }
     }
