@@ -34,7 +34,7 @@ use stalloc_core::{diff_profiles, Fingerprint, Plan, ProfiledRequests, SynthConf
 use stalloc_obs::{id_gen, ClientPhase, ClientSpan, SpanSnapshot, TraceContext};
 use stalloc_store::{decode_plan, encode_profile, encode_profile_delta, profile_body};
 
-use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
+use crate::frame::{read_announced, read_frame, write_announced, FrameError, DEFAULT_MAX_FRAME};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -113,16 +113,28 @@ pub struct PlanClient {
     last_span: Option<ClientSpan>,
 }
 
+/// The server answered with a variant the verb does not expect.
+fn unexpected(want: &str, got: &PlanResponse) -> ClientError {
+    ClientError::Protocol(format!("expected {want} response, got {got:?}"))
+}
+
+/// Opens and configures a connection (for [`PlanClient::connect`] and the
+/// delta fallback's reconnect).
+fn open(addr: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    // Generous default: plan synthesis for large jobs takes a while
+    // and the server answers Busy fast when overloaded.
+    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
+    Ok(stream)
+}
+
 impl PlanClient {
     /// Connects to a daemon at `addr` (e.g. `"127.0.0.1:4547"`).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let connect_start = Instant::now();
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        // Generous default: plan synthesis for large jobs takes a while
-        // and the server answers Busy fast when overloaded.
-        stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(30)))?;
+        let stream = open(addr)?;
         let addr = stream.peer_addr()?;
         Ok(PlanClient {
             stream,
@@ -183,11 +195,16 @@ impl PlanClient {
         self.last_span
     }
 
-    /// Starts a span for one request: the span context is a child of
-    /// the connection root, and the context *sent on the wire* is the
-    /// span's own child — so server-side spans parent onto the client
-    /// span, not onto the connection.
-    fn begin_span(&mut self, verb: &'static str) -> (ClientSpan, TraceContext) {
+    /// Runs one request under its own span and publishes the span as
+    /// [`Self::last_span`], whatever the outcome. The span context is a
+    /// child of the connection root, and the context handed to `request`
+    /// to *send on the wire* is the span's own child — so server-side
+    /// spans parent onto the client span, not onto the connection.
+    fn traced<T>(
+        &mut self,
+        verb: &'static str,
+        request: impl FnOnce(&mut Self, TraceContext, &mut ClientSpan) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let span_ctx = self.root.child(id_gen());
         let wire_ctx = span_ctx.child(id_gen());
         let mut span = ClientSpan::new(verb, span_ctx);
@@ -195,27 +212,22 @@ impl PlanClient {
             span.record(ClientPhase::Connect, self.pending_connect_micros);
             self.pending_connect_micros = 0;
         }
-        (span, wire_ctx)
-    }
-
-    /// Stamps the span's total (connect time included, since the caller
-    /// paid for it on this request) and publishes it as [`Self::last_span`].
-    fn finish_span(&mut self, mut span: ClientSpan, started: Instant) {
+        let started = Instant::now();
+        let result = request(self, wire_ctx, &mut span);
+        // Connect time is part of the total: the caller paid for it on
+        // this request.
         span.total_micros = span.phase_micros(ClientPhase::Connect).unwrap_or(0)
             + started.elapsed().as_micros() as u64;
         self.last_span = Some(span);
+        result
     }
 
-    fn send(&mut self, request: &PlanRequest) -> Result<(), ClientError> {
-        let payload = serde_json::to_string(request)
-            .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
-        write_frame(&mut self.stream, payload.as_bytes())?;
-        Ok(())
-    }
-
-    fn send_span(
+    /// Sends a request: its JSON frame and, behind it, the raw frame
+    /// that request announces (if it does).
+    fn send(
         &mut self,
         request: &PlanRequest,
+        raw: Option<&[u8]>,
         span: &mut ClientSpan,
     ) -> Result<(), ClientError> {
         let encode = Instant::now();
@@ -223,30 +235,21 @@ impl PlanClient {
             .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
         span.record_since(ClientPhase::Encode, encode);
         let write = Instant::now();
-        write_frame(&mut self.stream, payload.as_bytes())?;
+        write_announced(&mut self.stream, payload.as_bytes(), raw)?;
         span.record_since(ClientPhase::Write, write);
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<PlanResponse, ClientError> {
-        let frame = read_frame(&mut self.stream, self.max_frame)?
-            .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))?;
-        let text = std::str::from_utf8(&frame)
-            .map_err(|e| ClientError::Protocol(format!("non-UTF-8 response: {e}")))?;
-        let response: PlanResponse = serde_json::from_str(text)
-            .map_err(|e| ClientError::Protocol(format!("undecodable response: {e}")))?;
-        if let PlanResponse::Error { kind, message } = response {
-            return Err(ClientError::Server { kind, message });
-        }
-        Ok(response)
-    }
-
-    fn recv_span(&mut self, span: &mut ClientSpan) -> Result<PlanResponse, ClientError> {
+    /// Receives one response; `Ok(None)` when the server closed the
+    /// connection at a frame boundary instead of answering. A typed
+    /// error response comes back as [`ClientError::Server`].
+    fn recv(&mut self, span: &mut ClientSpan) -> Result<Option<PlanResponse>, ClientError> {
         // Await covers blocking for + reading the response header frame:
         // both network legs plus the whole server-side span.
         let await_start = Instant::now();
-        let frame = read_frame(&mut self.stream, self.max_frame)?
-            .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))?;
+        let Some(frame) = read_frame(&mut self.stream, self.max_frame)? else {
+            return Ok(None);
+        };
         span.record_since(ClientPhase::Await, await_start);
         let decode = Instant::now();
         let text = std::str::from_utf8(&frame)
@@ -254,38 +257,69 @@ impl PlanClient {
         let response: PlanResponse = serde_json::from_str(text)
             .map_err(|e| ClientError::Protocol(format!("undecodable response: {e}")))?;
         span.record_since(ClientPhase::Decode, decode);
-        if let PlanResponse::Error { kind, message } = response {
-            return Err(ClientError::Server { kind, message });
+        match response {
+            PlanResponse::Error { kind, message } => Err(ClientError::Server { kind, message }),
+            response => Ok(Some(response)),
         }
-        Ok(response)
     }
 
-    fn roundtrip(&mut self, request: &PlanRequest) -> Result<PlanResponse, ClientError> {
-        self.send(request)?;
-        self.recv()
-    }
-
-    fn roundtrip_span(
+    /// One request, one response.
+    fn exchange(
         &mut self,
         request: &PlanRequest,
+        raw: Option<&[u8]>,
         span: &mut ClientSpan,
     ) -> Result<PlanResponse, ClientError> {
-        self.send_span(request, span)?;
-        self.recv_span(span)
+        self.send(request, raw, span)?;
+        self.recv(span)?
+            .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))
     }
 
-    /// Accepts a plan response, distrusting the server: the echoed
+    /// Accepts a plan-bearing response (`Ok(None)` for `NotFound`),
+    /// distrusting the server three ways: the raw frame behind a
+    /// `PlanBin` header must have the length that header declared — a
+    /// mismatch means the stream is unsynchronized; the echoed
     /// fingerprint must match the one we can compute (or asked for)
     /// locally — so a server-side mixup cannot hand this job another
-    /// job's plan — and the plan must pass the soundness check.
-    fn accept_plan(
-        &self,
+    /// job's plan; and the plan must pass the soundness check.
+    fn accept(
+        &mut self,
         expected: Fingerprint,
-        fingerprint: String,
-        source: PlanSource,
-        micros: u64,
-        plan: Plan,
-    ) -> Result<RemotePlan, ClientError> {
+        response: PlanResponse,
+        span: &mut ClientSpan,
+    ) -> Result<Option<RemotePlan>, ClientError> {
+        let (fingerprint, source, micros, plan) = match response {
+            PlanResponse::Plan {
+                fingerprint,
+                source,
+                micros,
+                plan,
+            } => (fingerprint, source, micros, plan),
+            PlanResponse::PlanBin {
+                fingerprint,
+                source,
+                micros,
+                bytes,
+            } => {
+                let read = Instant::now();
+                let frame = read_announced(&mut self.stream, self.max_frame, bytes)
+                    .map_err(|e| match e {
+                        FrameError::BadHeader(m) => ClientError::Protocol(m),
+                        e => ClientError::Frame(e),
+                    })?
+                    .ok_or_else(|| {
+                        ClientError::Protocol("server closed before plan payload".into())
+                    })?;
+                span.record_since(ClientPhase::Read, read);
+                let decode = Instant::now();
+                let plan = decode_plan(&frame)
+                    .map_err(|e| ClientError::Protocol(format!("undecodable binary plan: {e}")));
+                span.record_since(ClientPhase::Decode, decode);
+                (fingerprint, source, micros, plan?)
+            }
+            PlanResponse::NotFound { .. } => return Ok(None),
+            other => return Err(unexpected("Plan/NotFound", &other)),
+        };
         let fingerprint = Fingerprint::from_hex(&fingerprint)
             .ok_or_else(|| ClientError::Protocol(format!("bad fingerprint '{fingerprint}'")))?;
         if fingerprint != expected {
@@ -295,37 +329,12 @@ impl PlanClient {
         }
         plan.validate()
             .map_err(|e| ClientError::Protocol(format!("server sent unsound plan: {e}")))?;
-        Ok(RemotePlan {
+        Ok(Some(RemotePlan {
             plan,
             fingerprint,
             source,
             micros,
-        })
-    }
-
-    /// Reads the raw binary-codec frame a `PlanBin` header announces and
-    /// decodes it. The declared length is checked first: a mismatch means
-    /// the stream is unsynchronized and must not be trusted.
-    fn read_binary_plan(
-        &mut self,
-        declared: u64,
-        span: &mut ClientSpan,
-    ) -> Result<Plan, ClientError> {
-        let read = Instant::now();
-        let frame = read_frame(&mut self.stream, self.max_frame)?
-            .ok_or_else(|| ClientError::Protocol("server closed before plan payload".into()))?;
-        span.record_since(ClientPhase::Read, read);
-        if frame.len() as u64 != declared {
-            return Err(ClientError::Protocol(format!(
-                "binary plan frame is {} bytes, header declared {declared}",
-                frame.len()
-            )));
-        }
-        let decode = Instant::now();
-        let plan = decode_plan(&frame)
-            .map_err(|e| ClientError::Protocol(format!("undecodable binary plan: {e}")));
-        span.record_since(ClientPhase::Decode, decode);
-        plan
+        }))
     }
 
     /// Plans a job remotely: cache hit, coalesced wait, or synthesis —
@@ -340,31 +349,28 @@ impl PlanClient {
         profile: &ProfiledRequests,
         config: &SynthConfig,
     ) -> Result<RemotePlan, ClientError> {
-        let (mut span, wire) = self.begin_span("Plan");
-        let started = Instant::now();
-        let result = self.plan_traced(profile, config, wire, &mut span);
-        self.finish_span(span, started);
-        result
+        self.traced("Plan", |client, wire, span| {
+            client.plan_full(profile, config, wire, span)
+        })
     }
 
-    fn plan_traced(
+    fn plan_full(
         &mut self,
         profile: &ProfiledRequests,
         config: &SynthConfig,
         wire: TraceContext,
         span: &mut ClientSpan,
     ) -> Result<RemotePlan, ClientError> {
-        let expected = match self.profile_encoding {
+        let (expected, response) = match self.profile_encoding {
             ProfileEncoding::Json => {
-                let expected = stalloc_core::fingerprint_job(profile, config);
                 let request = PlanRequest::Plan {
                     profile: profile.clone(),
                     config: *config,
                     encoding: Some(self.encoding),
                     trace: Some(wire),
                 };
-                self.send_span(&request, span)?;
-                expected
+                let expected = stalloc_core::fingerprint_job(profile, config);
+                (expected, self.exchange(&request, None, span)?)
             }
             ProfileEncoding::Binary => {
                 // One canonical encode serves both purposes: the wire
@@ -383,33 +389,11 @@ impl PlanClient {
                     bytes: raw.len() as u64,
                     trace: Some(wire),
                 };
-                self.send_span(&header, span)?;
-                let write = Instant::now();
-                write_frame(&mut self.stream, &raw)?;
-                span.record_since(ClientPhase::Write, write);
-                expected
+                (expected, self.exchange(&header, Some(&raw), span)?)
             }
         };
-        match self.recv_span(span)? {
-            PlanResponse::Plan {
-                fingerprint,
-                source,
-                micros,
-                plan,
-            } => self.accept_plan(expected, fingerprint, source, micros, plan),
-            PlanResponse::PlanBin {
-                fingerprint,
-                source,
-                micros,
-                bytes,
-            } => {
-                let plan = self.read_binary_plan(bytes, span)?;
-                self.accept_plan(expected, fingerprint, source, micros, plan)
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected Plan response, got {other:?}"
-            ))),
-        }
+        self.accept(expected, response, span)?
+            .ok_or_else(|| ClientError::Protocol("expected Plan response, got NotFound".into()))
     }
 
     /// Plans the *next* job of a profile family by sending only its
@@ -436,152 +420,76 @@ impl PlanClient {
         next: &ProfiledRequests,
         config: &SynthConfig,
     ) -> Result<RemotePlan, ClientError> {
-        let (mut span, wire) = self.begin_span("PlanDelta");
-        let started = Instant::now();
-        let result = self.plan_delta_traced(base, next, config, wire, &mut span);
-        self.finish_span(span, started);
-        result
-    }
-
-    fn plan_delta_traced(
-        &mut self,
-        base: &ProfiledRequests,
-        next: &ProfiledRequests,
-        config: &SynthConfig,
-        wire: TraceContext,
-        span: &mut ClientSpan,
-    ) -> Result<RemotePlan, ClientError> {
-        let encode = Instant::now();
-        let delta = diff_profiles(base, next);
-        let raw = encode_profile_delta(&delta);
-        let expected = stalloc_core::fingerprint_job(next, config);
-        span.record_since(ClientPhase::Encode, encode);
-        let header = PlanRequest::PlanDelta {
-            config: *config,
-            encoding: Some(self.encoding),
-            bytes: raw.len() as u64,
-            trace: Some(wire),
-        };
-        let exchanged = self.send_span(&header, span).and_then(|()| {
-            let write = Instant::now();
-            write_frame(&mut self.stream, &raw)?;
-            span.record_since(ClientPhase::Write, write);
-            self.recv_span(span)
-        });
-        match exchanged {
-            Ok(PlanResponse::Plan {
-                fingerprint,
-                source,
-                micros,
-                plan,
-            }) => self.accept_plan(expected, fingerprint, source, micros, plan),
-            Ok(PlanResponse::PlanBin {
-                fingerprint,
-                source,
-                micros,
-                bytes,
-            }) => {
-                let plan = self.read_binary_plan(bytes, span)?;
-                self.accept_plan(expected, fingerprint, source, micros, plan)
+        self.traced("PlanDelta", |client, wire, span| {
+            let encode = Instant::now();
+            let raw = encode_profile_delta(&diff_profiles(base, next));
+            let expected = stalloc_core::fingerprint_job(next, config);
+            span.record_since(ClientPhase::Encode, encode);
+            let header = PlanRequest::PlanDelta {
+                config: *config,
+                encoding: Some(client.encoding),
+                bytes: raw.len() as u64,
+                trace: Some(wire),
+            };
+            let exchanged = client
+                .send(&header, Some(&raw), span)
+                .and_then(|()| client.recv(span));
+            match exchanged {
+                Ok(Some(response)) => match client.accept(expected, response, span)? {
+                    Some(plan) => Ok(plan),
+                    // The server no longer holds the base profile. The
+                    // stream is still synchronized (both frames were
+                    // consumed), so retry with the full profile on this
+                    // very connection.
+                    None => client.plan_full(next, config, wire, span),
+                },
+                // The server does not speak the verb: a typed `BadFrame`
+                // (old servers reject unknown verbs that way, then
+                // close), a transport error (the close races the error
+                // frame), or the clean close before any response.
+                // Reconnect — keeping the trace root: the retry is part
+                // of the same logical request — and resend in full.
+                Ok(None)
+                | Err(ClientError::Io(_))
+                | Err(ClientError::Server {
+                    kind: WireErrorKind::BadFrame,
+                    ..
+                }) => {
+                    let connect = Instant::now();
+                    client.stream = open(client.addr)?;
+                    span.record_since(ClientPhase::Connect, connect);
+                    client.plan_full(next, config, wire, span)
+                }
+                // Anything else (`Busy`, `Oversized`, an undecodable
+                // *response*) is a real failure that retrying with a
+                // full profile would only repeat or mask.
+                Err(e) => Err(e),
             }
-            // The server no longer holds the base profile. The stream is
-            // still synchronized (both frames were consumed), so retry
-            // with the full profile on this very connection.
-            Ok(PlanResponse::NotFound { .. }) => self.plan_traced(next, config, wire, span),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "expected Plan/NotFound response, got {other:?}"
-            ))),
-            // A pre-`PlanDelta` server: typed `BadFrame` then close, or
-            // just a closed/reset connection. Reconnect and retry full.
-            Err(e) if delta_needs_full_retry(&e) => {
-                let connect = Instant::now();
-                self.reconnect()?;
-                span.record_since(ClientPhase::Connect, connect);
-                self.plan_traced(next, config, wire, span)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Replaces the connection after the peer closed it (the old-server
-    /// delta fallback). Keeps the trace root: the retry is part of the
-    /// same logical request.
-    fn reconnect(&mut self) -> Result<(), ClientError> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-        self.stream = stream;
-        Ok(())
+        })
     }
 
     /// Looks up a cached plan by fingerprint; `Ok(None)` if the server
     /// has never planned that job.
     pub fn get(&mut self, fp: Fingerprint) -> Result<Option<RemotePlan>, ClientError> {
-        let (mut span, wire) = self.begin_span("Get");
-        let started = Instant::now();
-        let result = self.get_traced(fp, wire, &mut span);
-        self.finish_span(span, started);
-        result
-    }
-
-    fn get_traced(
-        &mut self,
-        fp: Fingerprint,
-        wire: TraceContext,
-        span: &mut ClientSpan,
-    ) -> Result<Option<RemotePlan>, ClientError> {
-        let request = PlanRequest::Get {
-            fingerprint: fp.to_hex(),
-            encoding: Some(self.encoding),
-            trace: Some(wire),
-        };
-        match self.roundtrip_span(&request, span)? {
-            PlanResponse::Plan {
-                fingerprint,
-                source,
-                micros,
-                plan,
-            } => Ok(Some(self.accept_plan(
-                fp,
-                fingerprint,
-                source,
-                micros,
-                plan,
-            )?)),
-            PlanResponse::PlanBin {
-                fingerprint,
-                source,
-                micros,
-                bytes,
-            } => {
-                let plan = self.read_binary_plan(bytes, span)?;
-                Ok(Some(self.accept_plan(
-                    fp,
-                    fingerprint,
-                    source,
-                    micros,
-                    plan,
-                )?))
-            }
-            PlanResponse::NotFound { .. } => Ok(None),
-            other => Err(ClientError::Protocol(format!(
-                "expected Plan/NotFound response, got {other:?}"
-            ))),
-        }
+        self.traced("Get", |client, wire, span| {
+            let request = PlanRequest::Get {
+                fingerprint: fp.to_hex(),
+                encoding: Some(client.encoding),
+                trace: Some(wire),
+            };
+            let response = client.exchange(&request, None, span)?;
+            client.accept(fp, response, span)
+        })
     }
 
     /// Fetches the server's cumulative counters.
     pub fn stats(&mut self) -> Result<ServeStats, ClientError> {
-        let (mut span, _) = self.begin_span("Stats");
-        let started = Instant::now();
-        let result = self.roundtrip_span(&PlanRequest::Stats, &mut span);
-        self.finish_span(span, started);
-        match result? {
+        let response = self.traced("Stats", |client, _, span| {
+            client.exchange(&PlanRequest::Stats, None, span)
+        })?;
+        match response {
             PlanResponse::Stats { stats } => Ok(stats),
-            other => Err(ClientError::Protocol(format!(
-                "expected Stats response, got {other:?}"
-            ))),
+            other => Err(unexpected("Stats", &other)),
         }
     }
 
@@ -595,11 +503,11 @@ impl PlanClient {
         let request = PlanRequest::TraceGet {
             trace_id: trace_id.to_string(),
         };
-        match self.roundtrip(&request)? {
+        // Recorded into a throw-away span: see [`Self::last_span`].
+        let mut unpublished = ClientSpan::new("TraceGet", TraceContext::NONE);
+        match self.exchange(&request, None, &mut unpublished)? {
             PlanResponse::Trace { spans, .. } => Ok(spans),
-            other => Err(ClientError::Protocol(format!(
-                "expected Trace response, got {other:?}"
-            ))),
+            other => Err(unexpected("Trace", &other)),
         }
     }
 
@@ -611,47 +519,23 @@ impl PlanClient {
     /// [`ClientError::Server`] — and close the connection, so this
     /// client is not reusable after that.
     pub fn metrics(&mut self) -> Result<ServeMetrics, ClientError> {
-        let (mut span, _) = self.begin_span("Metrics");
-        let started = Instant::now();
-        let result = self.roundtrip_span(&PlanRequest::Metrics, &mut span);
-        self.finish_span(span, started);
-        match result? {
+        let response = self.traced("Metrics", |client, _, span| {
+            client.exchange(&PlanRequest::Metrics, None, span)
+        })?;
+        match response {
             PlanResponse::Metrics { metrics } => Ok(metrics),
-            other => Err(ClientError::Protocol(format!(
-                "expected Metrics response, got {other:?}"
-            ))),
+            other => Err(unexpected("Metrics", &other)),
         }
     }
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let (mut span, _) = self.begin_span("Ping");
-        let started = Instant::now();
-        let result = self.roundtrip_span(&PlanRequest::Ping, &mut span);
-        self.finish_span(span, started);
-        match result? {
+        let response = self.traced("Ping", |client, _, span| {
+            client.exchange(&PlanRequest::Ping, None, span)
+        })?;
+        match response {
             PlanResponse::Pong => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected Pong response, got {other:?}"
-            ))),
+            other => Err(unexpected("Pong", &other)),
         }
-    }
-}
-
-/// Whether a failed `PlanDelta` exchange looks like "the server does not
-/// speak the verb" — a typed `BadFrame` (old servers reject unknown
-/// verbs that way, then close), a transport error (the close races the
-/// error frame), or the clean close-before-response. Anything else
-/// (`Busy`, `Oversized`, an undecodable *response*) is a real failure
-/// that retrying with a full profile would only repeat or mask.
-fn delta_needs_full_retry(e: &ClientError) -> bool {
-    match e {
-        ClientError::Server {
-            kind: WireErrorKind::BadFrame,
-            ..
-        }
-        | ClientError::Io(_) => true,
-        ClientError::Protocol(m) => m.contains("server closed before responding"),
-        _ => false,
     }
 }

@@ -32,7 +32,9 @@ const MAX_HEADER_DIGITS: usize = 20;
 pub enum FrameError {
     /// Underlying transport error (including timeouts).
     Io(std::io::Error),
-    /// The length header is not a plain decimal line.
+    /// The length header is not a plain decimal line, or an announcing
+    /// header declared another length than its raw frame has
+    /// ([`read_announced`]).
     BadHeader(String),
     /// The declared payload length exceeds the receiver's limit.
     Oversized {
@@ -198,6 +200,34 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
     }
 }
 
+/// Writes a JSON header frame and the raw binary frame it announces, if
+/// any (`ProfileBin` / `PlanDelta` requests, `PlanBin` responses).
+pub fn write_announced<W: Write>(
+    w: &mut W,
+    header: &[u8],
+    raw: Option<&[u8]>,
+) -> std::io::Result<()> {
+    write_frame(w, header)?;
+    raw.map_or(Ok(()), |raw| write_frame(w, raw))
+}
+
+/// Reads the raw frame a header announced as `declared` bytes long. Any
+/// other length means the stream is unsynchronized and must not be
+/// trusted: a typed [`FrameError::BadHeader`].
+pub fn read_announced<R: Read>(
+    r: &mut R,
+    max: usize,
+    declared: u64,
+) -> Result<Option<Vec<u8>>, FrameError> {
+    match read_frame(r, max)? {
+        Some(raw) if raw.len() as u64 != declared => Err(FrameError::BadHeader(format!(
+            "announced frame is {} bytes, header declared {declared}",
+            raw.len()
+        ))),
+        frame => Ok(frame),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +321,83 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    /// One announced exchange on the wire: `header`, then `raw` behind it.
+    fn announced(header: &[u8], raw: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_announced(&mut buf, header, Some(raw)).unwrap();
+        buf
+    }
+
+    #[test]
+    fn announced_frame_of_the_declared_length_reads_back() {
+        let mut cur = Cursor::new(announced(b"{\"bytes\":4}", b"STPL"));
+        assert_eq!(read_frame(&mut cur, 64).unwrap().unwrap(), b"{\"bytes\":4}");
+        assert_eq!(read_announced(&mut cur, 64, 4).unwrap().unwrap(), b"STPL");
+        assert!(read_frame(&mut cur, 64).unwrap().is_none(), "clean EOF");
+        // No raw frame announced: exactly one frame is written.
+        let mut bare = Vec::new();
+        write_announced(&mut bare, b"\"Ping\"", None).unwrap();
+        assert_eq!(bare, b"6\n\"Ping\"\n");
+    }
+
+    #[test]
+    fn announced_frame_one_byte_short_or_long_is_a_bad_header() {
+        for declared in [3u64, 5] {
+            let mut cur = Cursor::new(announced(b"{}", b"STPL"));
+            read_frame(&mut cur, 64).unwrap().unwrap();
+            let e = read_announced(&mut cur, 64, declared).unwrap_err();
+            assert!(matches!(e, FrameError::BadHeader(_)), "{e}");
+            let text = e.to_string();
+            assert!(
+                text.contains("4 bytes") && text.contains(&format!("declared {declared}")),
+                "both lengths are named: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn announced_frame_missing_entirely_is_clean_eof() {
+        let mut header_only = Vec::new();
+        write_frame(&mut header_only, b"{}").unwrap();
+        let mut cur = Cursor::new(header_only);
+        read_frame(&mut cur, 64).unwrap().unwrap();
+        assert!(read_announced(&mut cur, 64, 4).unwrap().is_none());
+    }
+
+    #[test]
+    fn oversized_announced_frame_is_rejected_before_its_payload() {
+        // The frame's own length line decides, before any payload byte is
+        // read — even when the announcing header told the truth.
+        let mut cur = Cursor::new(announced(b"{}", &[7u8; 100]));
+        read_frame(&mut cur, 64).unwrap().unwrap();
+        let before = cur.position();
+        let e = read_announced(&mut cur, 64, 100).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                FrameError::Oversized {
+                    declared: 100,
+                    max: 64
+                }
+            ),
+            "{e}"
+        );
+        assert_eq!(cur.position() - before, 4, "only `100\\n` was consumed");
+    }
+
+    #[test]
+    fn two_announced_exchanges_share_a_stream() {
+        let mut buf = announced(b"one", b"1111");
+        buf.extend(announced(b"two", b"22"));
+        let mut cur = Cursor::new(buf);
+        for (header, raw) in [(&b"one"[..], &b"1111"[..]), (b"two", b"22")] {
+            assert_eq!(read_frame(&mut cur, 64).unwrap().unwrap(), header);
+            let got = read_announced(&mut cur, 64, raw.len() as u64).unwrap();
+            assert_eq!(got.unwrap(), raw);
+        }
+        assert!(read_frame(&mut cur, 64).unwrap().is_none(), "clean EOF");
     }
 
     #[test]

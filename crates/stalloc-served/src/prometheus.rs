@@ -17,11 +17,7 @@ use std::fmt::Write;
 use stalloc_core::wire::ServeMetrics;
 use stalloc_obs::{bucket_range, HistogramSnapshot};
 
-/// Appends a `# TYPE` line and one sample for a counter/gauge.
-fn sample(out: &mut String, name: &str, kind: &str, labels: &str, value: u64) {
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name}{labels} {value}");
-}
+use crate::server::TIERS;
 
 /// Appends one histogram's cumulative `_bucket`/`_sum`/`_count` series.
 ///
@@ -66,52 +62,34 @@ pub fn render_prometheus(m: &ServeMetrics) -> String {
     let mut out = String::with_capacity(8192);
     let s = &m.stats;
 
-    // Flat counters.
-    sample(
-        &mut out,
-        "stalloc_requests_total",
-        "counter",
-        "",
-        s.requests,
-    );
-    sample(
-        &mut out,
-        "stalloc_plan_requests_total",
-        "counter",
-        "",
-        s.plan_requests,
-    );
-    sample(
-        &mut out,
-        "stalloc_metrics_requests_total",
-        "counter",
-        "",
-        s.metrics_requests,
-    );
-    sample(
-        &mut out,
-        "stalloc_rejected_total",
-        "counter",
-        "",
-        s.rejected,
-    );
-    sample(&mut out, "stalloc_errors_total", "counter", "", s.errors);
-
-    // Plans served, labelled by the answering cache tier.
-    let _ = writeln!(out, "# TYPE stalloc_plans_served_total counter");
-    for (tier, n) in [
-        ("lru", s.lru_hits),
-        ("store", s.store_hits),
-        ("miss", s.misses),
-        ("coalesced", s.coalesced),
+    // Flat counters and point-in-time gauges.
+    for (name, kind, value) in [
+        ("stalloc_requests_total", "counter", s.requests),
+        ("stalloc_plan_requests_total", "counter", s.plan_requests),
+        (
+            "stalloc_metrics_requests_total",
+            "counter",
+            s.metrics_requests,
+        ),
+        ("stalloc_rejected_total", "counter", s.rejected),
+        ("stalloc_errors_total", "counter", s.errors),
+        ("stalloc_delta_requests_total", "counter", s.delta_requests),
+        ("stalloc_delta_hits_total", "counter", s.delta_hits),
+        ("stalloc_in_flight", "gauge", s.in_flight),
+        ("stalloc_queue_depth", "gauge", s.queue_depth),
+        ("stalloc_workers", "gauge", s.workers),
     ] {
-        let _ = writeln!(out, "stalloc_plans_served_total{{tier=\"{tier}\"}} {n}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        let _ = writeln!(out, "{name} {value}");
     }
 
-    // Point-in-time gauges.
-    sample(&mut out, "stalloc_in_flight", "gauge", "", s.in_flight);
-    sample(&mut out, "stalloc_queue_depth", "gauge", "", s.queue_depth);
-    sample(&mut out, "stalloc_workers", "gauge", "", s.workers);
+    // Plans served, labelled by the answering tier — the server's own
+    // tier list, so the family always sums to the plans served.
+    let _ = writeln!(out, "# TYPE stalloc_plans_served_total counter");
+    for (tier, served) in TIERS {
+        let n = served(s);
+        let _ = writeln!(out, "stalloc_plans_served_total{{tier=\"{tier}\"}} {n}");
+    }
 
     // One histogram family per request phase.
     for phase in &m.phases {
@@ -301,6 +279,9 @@ mod tests {
                 coalesced: 1,
                 workers: 4,
                 metrics_requests: 2,
+                delta_requests: 3,
+                delta_hits: 1,
+                delta_patched: 2,
                 ..ServeStats::default()
             },
             phases: vec![NamedHistogram {
@@ -357,6 +338,30 @@ mod tests {
             p.value("stalloc_solver_wins_total", &[("strategy", "bestfit")]),
             Some(2.0)
         );
+    }
+
+    /// The served-plans family covers every answering tier — patched
+    /// included — so it sums to the plans served, like `ServeStats` and
+    /// the tier histograms do; the delta counters ride along.
+    #[test]
+    fn plans_served_family_sums_to_the_plans_served() {
+        let m = synthetic_metrics();
+        assert!(m.stats.delta_patched > 0);
+        let p = parse(&render_prometheus(&m));
+        let served: f64 = p
+            .samples
+            .iter()
+            .filter(|(name, _, _)| name == "stalloc_plans_served_total")
+            .map(|&(_, _, v)| v)
+            .sum();
+        assert_eq!(served, (m.stats.hits() + m.stats.misses) as f64);
+        assert_eq!(
+            p.value("stalloc_plans_served_total", &[("tier", "patched")]),
+            Some(2.0)
+        );
+        assert_eq!(p.types["stalloc_delta_requests_total"], "counter");
+        assert_eq!(p.value("stalloc_delta_requests_total", &[]), Some(3.0));
+        assert_eq!(p.value("stalloc_delta_hits_total", &[]), Some(1.0));
     }
 
     #[test]

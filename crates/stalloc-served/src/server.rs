@@ -9,11 +9,13 @@
 //! stops, workers finish the request in hand, blocked reads abort at the
 //! next poll tick.
 //!
-//! Plan requests flow through three tiers: the in-process
-//! [`ShardedLru`], the shared on-disk [`PlanStore`], and synthesis. A
-//! synthesis is *single-flight*: concurrent requests for the same job
-//! fingerprint elect one leader to run the synthesizer while followers
-//! wait on its result — N identical jobs cost one synthesis.
+//! Every planning verb is first resolved into one `Job` and then walks
+//! four tiers in order: the in-process [`ShardedLru`], the shared on-disk
+//! [`PlanStore`], an in-process patch of a cached base plan (`PlanDelta`
+//! only), and synthesis. A synthesis is *single-flight*: concurrent
+//! requests for the same job fingerprint elect one leader to run the
+//! synthesizer while followers wait on its result — N identical jobs
+//! cost one synthesis.
 //!
 //! Both directions of the hot path avoid the serde value tree: a
 //! `ProfileBin` request's profile arrives as raw `PROF` codec bytes and
@@ -36,8 +38,8 @@ use stalloc_core::wire::{
     SolverStrategyMetrics, WireErrorKind,
 };
 use stalloc_core::{
-    apply_delta, fingerprint_job, fingerprint_job_body, fingerprint_profile_body, Fingerprint,
-    Plan, StrategyChoice,
+    apply_delta, fingerprint_job_body, fingerprint_profile_body, Fingerprint, Plan,
+    ProfiledRequests, StrategyChoice, SynthConfig,
 };
 use stalloc_obs::{
     parse_trace_id, IdGen, LatencyHistogram, Phase, RequestSpan, ShardedCounter, SpanRing,
@@ -49,7 +51,9 @@ use stalloc_store::{
     ShardedLru,
 };
 
-use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
+use crate::frame::{
+    read_announced, read_frame, write_announced, write_frame, FrameError, DEFAULT_MAX_FRAME,
+};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -144,9 +148,19 @@ struct Counters {
     delta_patched: ShardedCounter,
 }
 
-/// Tier labels, indexed by [`tier_index`]; "miss" is a synthesis run,
-/// "patched" an in-process plan patch from a cached base.
-const TIER_NAMES: [&str; 5] = ["lru", "store", "miss", "coalesced", "patched"];
+/// An answering tier: its label and its [`ServeStats`] served-plans counter.
+pub(crate) type Tier = (&'static str, fn(&ServeStats) -> u64);
+
+/// The answering tiers, indexed by [`tier_index`]; "miss" is a synthesis
+/// run, "patched" an in-process plan patch from a cached base. The one
+/// list behind the tier histograms and the `/metrics` exposition.
+pub(crate) const TIERS: [Tier; 5] = [
+    ("lru", |s| s.lru_hits),
+    ("store", |s| s.store_hits),
+    ("miss", |s| s.misses),
+    ("coalesced", |s| s.coalesced),
+    ("patched", |s| s.delta_patched),
+];
 
 fn tier_index(source: PlanSource) -> usize {
     match source {
@@ -220,7 +234,7 @@ impl SolverObs {
 /// for the opt-in trace log.
 struct ServeObs {
     phases: [LatencyHistogram; PHASE_COUNT],
-    tiers: [LatencyHistogram; TIER_NAMES.len()],
+    tiers: [LatencyHistogram; TIERS.len()],
     spans: SpanRing,
     seq: AtomicU64,
     trace: Option<TraceLog>,
@@ -250,7 +264,7 @@ impl ServeObs {
     fn observe(&self, mut span: RequestSpan, tier: Option<PlanSource>) {
         span.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if let Some(source) = tier {
-            span.tier = TIER_NAMES[tier_index(source)];
+            span.tier = TIERS[tier_index(source)].0;
             self.tiers[tier_index(source)].record(span.total_micros);
         }
         for (phase, micros) in span.entered() {
@@ -285,12 +299,10 @@ impl CachedPlan {
     }
 
     fn with_bytes(plan: Plan, bytes: Vec<u8>) -> Arc<Self> {
-        let entry = CachedPlan {
+        Arc::new(CachedPlan {
             plan,
-            encoded: OnceLock::new(),
-        };
-        let _ = entry.encoded.set(bytes);
-        Arc::new(entry)
+            encoded: OnceLock::from(bytes),
+        })
     }
 
     /// The plan's binary encoding, computed at most once per cache entry.
@@ -301,6 +313,7 @@ impl CachedPlan {
 
 /// One in-flight synthesis: the leader publishes its result (or failure)
 /// here; followers wait on the condvar.
+#[derive(Default)]
 struct Flight {
     done: Mutex<Option<Result<Arc<CachedPlan>, String>>>,
     cv: Condvar,
@@ -326,6 +339,18 @@ struct Shared {
 }
 
 impl Shared {
+    /// Makes a freshly produced plan findable: into the LRU and, best
+    /// effort, the store — a store write failure must not fail the
+    /// request, the plan is already in hand. The encoding this forces is
+    /// the same one binary responses reuse (memoized), so a plan is
+    /// encoded once per synthesis or patch, total.
+    fn cache(&self, fp: Fingerprint, entry: &Arc<CachedPlan>) {
+        self.lru.insert(fp, Arc::clone(entry));
+        if let Some(store) = &self.store {
+            let _ = store.put_encoded(fp, &entry.plan, entry.encoded());
+        }
+    }
+
     fn snapshot(&self) -> ServeStats {
         let c = &self.counters;
         ServeStats {
@@ -358,12 +383,12 @@ impl Shared {
                     hist: self.obs.phases[p.index()].snapshot(),
                 })
                 .collect(),
-            tiers: TIER_NAMES
+            tiers: TIERS
                 .iter()
-                .enumerate()
-                .map(|(i, name)| NamedHistogram {
+                .zip(&self.obs.tiers)
+                .map(|((name, _), hist)| NamedHistogram {
                     name: name.to_string(),
-                    hist: self.obs.tiers[i].snapshot(),
+                    hist: hist.snapshot(),
                 })
                 .collect(),
             slowest: self
@@ -735,6 +760,16 @@ struct PatientReader<'a> {
     first_byte: Option<Instant>,
 }
 
+impl PatientReader<'_> {
+    /// Transfer time of the frame just read (zero if none was), and
+    /// re-arms the first-byte stamp for the next one.
+    fn transfer_micros(&mut self) -> u64 {
+        self.first_byte
+            .take()
+            .map_or(0, |t0| t0.elapsed().as_micros() as u64)
+    }
+}
+
 impl std::io::Read for PatientReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let mut waited = Duration::ZERO;
@@ -770,13 +805,109 @@ impl std::io::Read for PatientReader<'_> {
     }
 }
 
+/// How a request ends when it serves no plan: a small value, turned into
+/// its response (and counted) in exactly one place.
+enum Reject {
+    /// A typed failure; every one of these bumps `errors`.
+    Error(WireErrorKind, String),
+    /// No plan (`Get`) or no delta base (`PlanDelta`) under this
+    /// fingerprint — an answer, not an error.
+    NotFound(String),
+}
+
+impl Reject {
+    fn bad_request(message: String) -> Reject {
+        Reject::Error(WireErrorKind::BadRequest, message)
+    }
+
+    fn internal(message: String) -> Reject {
+        Reject::Error(WireErrorKind::Internal, message)
+    }
+
+    /// A frame the decoder refused: `Oversized` keeps its own kind,
+    /// everything else is a `BadFrame`.
+    fn frame(context: &str, e: &FrameError) -> Reject {
+        let kind = match e {
+            FrameError::Oversized { .. } => WireErrorKind::Oversized,
+            _ => WireErrorKind::BadFrame,
+        };
+        Reject::Error(kind, format!("{context}{e}"))
+    }
+
+    fn into_response(self, shared: &Shared) -> PlanResponse {
+        match self {
+            Reject::Error(kind, message) => {
+                shared.counters.errors.inc();
+                PlanResponse::Error { kind, message }
+            }
+            Reject::NotFound(fingerprint) => PlanResponse::NotFound { fingerprint },
+        }
+    }
+}
+
+/// A request off the connection: the parsed header frame, the payload of
+/// the raw frame it announced, if any (a `PROF` profile or a `PROF-DELTA`
+/// edit script), and when the header frame was in hand (handling starts).
+type Incoming = (PlanRequest, Option<Vec<u8>>, Instant);
+
+/// Reads and parses one request; `span` gets the frame-read and decode
+/// phases, verb and trace ids.
+///
+/// `Ok(None)` is a connection that is simply over (clean EOF at a frame
+/// boundary, peer gone, idle, server shutdown); an `Err` is malformed
+/// traffic, after which the stream is unsynchronized.
+fn read_request(
+    reader: &mut PatientReader<'_>,
+    shared: &Shared,
+    span: &mut RequestSpan,
+) -> Result<Option<Incoming>, Reject> {
+    let payload = match read_frame(reader, shared.config.max_frame) {
+        Ok(Some(p)) => p,
+        Ok(None) | Err(FrameError::Io(_)) => return Ok(None),
+        Err(e) => return Err(Reject::frame("", &e)),
+    };
+    // End-to-end latency starts at the header frame's first byte.
+    span.total_micros = reader.transfer_micros();
+    span.record(Phase::FrameRead, span.total_micros);
+    let started = Instant::now();
+    shared.counters.requests.inc();
+
+    let request: PlanRequest = std::str::from_utf8(&payload)
+        .map_err(|e| e.to_string())
+        .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
+        .map_err(|e| Reject::Error(WireErrorKind::BadFrame, format!("unparseable request: {e}")))?;
+    span.record_since(Phase::Decode, started);
+    span.verb = verb_name(&request);
+    // Propagated ids win; a request without a context (old client,
+    // unit verb) gets server-minted root ids so its trace line and
+    // span are still addressable.
+    span.trace = request
+        .trace_context()
+        .unwrap_or_else(|| shared.obs.ids.root());
+
+    let raw = match &request {
+        PlanRequest::ProfileBin { bytes, .. } | PlanRequest::PlanDelta { bytes, .. } => {
+            let raw = match read_announced(reader, shared.config.max_frame, *bytes) {
+                Ok(Some(r)) => r,
+                Ok(None) | Err(FrameError::Io(_)) => return Ok(None),
+                Err(e) => return Err(Reject::frame("binary request frame: ", &e)),
+            };
+            // The raw frame is frame reading too (transfer time only,
+            // same first-byte rule as the header frame).
+            span.record(Phase::FrameRead, reader.transfer_micros());
+            Some(raw)
+        }
+        _ => None,
+    };
+    Ok(Some((request, raw, started)))
+}
+
 fn handle_connection(stream: TcpStream, queued_at: Instant, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.poll_tick));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = PatientReader {
         stream: &stream,
@@ -788,169 +919,62 @@ fn handle_connection(stream: TcpStream, queued_at: Instant, shared: &Shared) {
     let mut queue_wait = Some(queued_at.elapsed());
 
     loop {
-        let payload = match read_frame(&mut reader, shared.config.max_frame) {
-            Ok(Some(p)) => p,
-            // Clean EOF at a frame boundary: keep-alive connection closed.
+        let mut span = RequestSpan::new("?");
+        let (request, raw, started) = match read_request(&mut reader, shared, &mut span) {
+            Ok(Some(request)) => request,
             Ok(None) => return,
-            Err(FrameError::Io(_)) => return, // peer gone / idle / shutdown
-            Err(e) => {
+            Err(reject) => {
                 // Malformed traffic gets a typed error, then the stream is
                 // unsynchronized, so close. The worker itself moves on to
                 // the next connection unharmed.
-                shared.counters.errors.inc();
-                let kind = match e {
-                    FrameError::Oversized { .. } => WireErrorKind::Oversized,
-                    _ => WireErrorKind::BadFrame,
-                };
-                let _ = write_response(
-                    &mut writer,
-                    &PlanResponse::Error {
-                        kind,
-                        message: e.to_string(),
-                    },
-                );
+                if let Ok(payload) = serde_json::to_string(&reject.into_response(shared)) {
+                    let _ = write_frame(&mut writer, payload.as_bytes());
+                }
                 return;
             }
         };
-
-        let started = Instant::now();
-        shared.counters.requests.inc();
-        let header_read_micros = reader
-            .first_byte
-            .take()
-            .map(|t0| started.duration_since(t0).as_micros() as u64)
-            .unwrap_or(0);
-        let mut span = RequestSpan::new("?");
-        span.record(Phase::FrameRead, header_read_micros);
         if let Some(wait) = queue_wait.take() {
             span.record(Phase::QueueWait, wait.as_micros() as u64);
         }
 
-        let decode_start = Instant::now();
-        let request: PlanRequest = match std::str::from_utf8(&payload)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
-        {
-            Ok(r) => r,
-            Err(e) => {
-                shared.counters.errors.inc();
-                let _ = write_response(
-                    &mut writer,
-                    &PlanResponse::Error {
-                        kind: WireErrorKind::BadFrame,
-                        message: format!("unparseable request: {e}"),
-                    },
-                );
-                return;
-            }
-        };
-        span.record_since(Phase::Decode, decode_start);
-        span.verb = verb_name(&request);
-        // Propagated ids win; a request without a context (old client,
-        // unit verb) gets server-minted root ids so its trace line and
-        // span are still addressable.
-        span.trace = request
-            .trace_context()
-            .unwrap_or_else(|| shared.obs.ids.root());
-
-        // A `ProfileBin` or `PlanDelta` header announces one raw binary
-        // frame (a `PROF` profile or a `PROF-DELTA` edit script); pull
-        // it off the connection before dispatch. Any irregularity here
-        // leaves the stream unsynchronized, so answer typed and close.
-        let raw_profile = match &request {
-            PlanRequest::ProfileBin { bytes, .. } | PlanRequest::PlanDelta { bytes, .. } => {
-                let raw = match read_frame(&mut reader, shared.config.max_frame) {
-                    Ok(Some(r)) => r,
-                    Ok(None) | Err(FrameError::Io(_)) => return,
-                    Err(e) => {
-                        shared.counters.errors.inc();
-                        let kind = match e {
-                            FrameError::Oversized { .. } => WireErrorKind::Oversized,
-                            _ => WireErrorKind::BadFrame,
-                        };
-                        let _ = write_response(
-                            &mut writer,
-                            &PlanResponse::Error {
-                                kind,
-                                message: format!("binary request frame: {e}"),
-                            },
-                        );
-                        return;
-                    }
-                };
-                // The raw frame is frame reading too (transfer time only,
-                // same first-byte rule as the header frame).
-                span.record(
-                    Phase::FrameRead,
-                    reader
-                        .first_byte
-                        .take()
-                        .map(|t0| t0.elapsed().as_micros() as u64)
-                        .unwrap_or(0),
-                );
-                if raw.len() as u64 != *bytes {
-                    shared.counters.errors.inc();
-                    let _ = write_response(
-                        &mut writer,
-                        &PlanResponse::Error {
-                            kind: WireErrorKind::BadFrame,
-                            message: format!(
-                                "binary request frame is {} bytes, header declared {bytes}",
-                                raw.len()
-                            ),
-                        },
-                    );
-                    return;
-                }
-                Some(raw)
-            }
-            _ => None,
-        };
-
         shared.counters.in_flight.inc();
-        let (response, raw) = handle_request(request, raw_profile, started, shared, &mut span);
-        let keep_alive = !matches!(
-            response,
-            PlanResponse::Error {
-                kind: WireErrorKind::BadFrame,
-                ..
-            }
-        );
+        let (response, raw) = handle_request(request, raw, started, shared, &mut span)
+            .unwrap_or_else(|reject| (reject.into_response(shared), None));
         // Decrement before the response write: a client that has read its
         // response must never still observe itself as in-flight.
         shared.counters.in_flight.dec();
-        let tier = match &response {
+        let (tier, keep_alive) = match &response {
             PlanResponse::Plan { source, .. } | PlanResponse::PlanBin { source, .. } => {
-                Some(*source)
+                (Some(*source), true)
             }
-            _ => None,
+            PlanResponse::Error { kind, .. } => (None, *kind != WireErrorKind::BadFrame),
+            _ => (None, true),
         };
 
         let encode_start = Instant::now();
-        let payload = match serde_json::to_string(&response) {
-            Ok(p) => p,
-            Err(_) => return,
+        let Ok(payload) = serde_json::to_string(&response) else {
+            return;
         };
         span.record_since(Phase::Encode, encode_start);
 
+        // Binary-encoded plans ride in a raw follow-up frame, skipping
+        // the JSON value-tree round trip. The encoding memo was populated
+        // when the `PlanBin` header was built, so this is a pure write.
         let write_start = Instant::now();
-        let write_ok = write_frame(&mut writer, payload.as_bytes()).is_ok()
-            && match &raw {
-                // Binary-encoded plans ride in a raw follow-up frame,
-                // skipping the JSON value-tree round trip. The encoding
-                // memo was populated when the `PlanBin` header was built,
-                // so this is a pure write.
-                Some(entry) => write_frame(&mut writer, entry.encoded()).is_ok(),
-                None => true,
-            };
+        let write_ok = write_announced(
+            &mut writer,
+            payload.as_bytes(),
+            raw.as_ref().map(|entry| entry.encoded()),
+        )
+        .is_ok();
         span.record_since(Phase::FrameWrite, write_start);
 
-        // End-to-end latency: everything since the header frame's first
-        // byte (`started.elapsed()` already covers any raw profile frame),
-        // plus the accept-queue wait that preceded it.
-        span.total_micros = span.phase_micros(Phase::QueueWait).unwrap_or(0)
-            + header_read_micros
-            + started.elapsed().as_micros() as u64;
+        // End-to-end latency: the header frame's transfer time (in
+        // `total_micros` since `read_request`), everything since
+        // (`started.elapsed()` already covers any raw profile frame), plus
+        // the accept-queue wait that preceded it.
+        span.total_micros +=
+            span.phase_micros(Phase::QueueWait).unwrap_or(0) + started.elapsed().as_micros() as u64;
         shared.obs.observe(span, tier);
 
         if !write_ok || !keep_alive {
@@ -973,11 +997,12 @@ fn verb_name(request: &PlanRequest) -> &'static str {
     }
 }
 
-fn write_response(w: &mut TcpStream, resp: &PlanResponse) -> std::io::Result<()> {
-    let payload = serde_json::to_string(resp)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(w, payload.as_bytes())
-}
+/// A response and, for a `PlanBin` header, the cache entry whose binary
+/// encoding the connection handler writes as the raw frame behind it.
+type Served = (PlanResponse, Option<Arc<CachedPlan>>);
+
+/// A plan found or made, with the tier that produced it.
+type Hit = (Arc<CachedPlan>, PlanSource);
 
 /// Packages a served plan for the requested encoding: inline JSON, or a
 /// `PlanBin` header plus the cache entry whose memoized binary encoding
@@ -985,12 +1010,11 @@ fn write_response(w: &mut TcpStream, resp: &PlanResponse) -> std::io::Result<()>
 /// computed at most once per cache entry, not once per response.
 fn plan_response(
     fingerprint: String,
-    source: PlanSource,
+    (entry, source): Hit,
     started: Instant,
-    entry: Arc<CachedPlan>,
     encoding: PlanEncoding,
     span: &mut RequestSpan,
-) -> (PlanResponse, Option<Arc<CachedPlan>>) {
+) -> Served {
     let encode_start = Instant::now();
     match encoding {
         PlanEncoding::Json => {
@@ -1024,45 +1048,30 @@ fn plan_response(
     }
 }
 
-/// Handles one parsed request (`raw_profile` is the payload of the raw
-/// frame a `ProfileBin` header announced). The second tuple element,
-/// when present, is the cache entry whose binary encoding the connection
-/// handler writes as its own frame right after the JSON response.
+/// Handles one parsed request (`raw` is the payload of the raw frame a
+/// `ProfileBin` or `PlanDelta` header announced).
 fn handle_request(
     request: PlanRequest,
-    raw_profile: Option<Vec<u8>>,
+    raw: Option<Vec<u8>>,
     started: Instant,
     shared: &Shared,
     span: &mut RequestSpan,
-) -> (PlanResponse, Option<Arc<CachedPlan>>) {
-    match request {
-        PlanRequest::Ping => (PlanResponse::Pong, None),
-        PlanRequest::Stats => (
-            PlanResponse::Stats {
-                stats: shared.snapshot(),
-            },
-            None,
-        ),
+) -> Result<Served, Reject> {
+    let response = match request {
+        PlanRequest::Ping => PlanResponse::Pong,
+        PlanRequest::Stats => PlanResponse::Stats {
+            stats: shared.snapshot(),
+        },
         PlanRequest::Metrics => {
             shared.counters.metrics_requests.inc();
-            (
-                PlanResponse::Metrics {
-                    metrics: shared.metrics(),
-                },
-                None,
-            )
+            PlanResponse::Metrics {
+                metrics: shared.metrics(),
+            }
         }
         PlanRequest::TraceGet { trace_id } => {
-            let Some(id) = parse_trace_id(&trace_id) else {
-                shared.counters.errors.inc();
-                return (
-                    PlanResponse::Error {
-                        kind: WireErrorKind::BadRequest,
-                        message: format!("'{trace_id}' is not a 32-hex-digit trace id"),
-                    },
-                    None,
-                );
-            };
+            let id = parse_trace_id(&trace_id).ok_or_else(|| {
+                Reject::bad_request(format!("'{trace_id}' is not a 32-hex-digit trace id"))
+            })?;
             let spans = shared
                 .obs
                 .spans
@@ -1070,308 +1079,190 @@ fn handle_request(
                 .iter()
                 .map(SpanSnapshot::from)
                 .collect();
-            (PlanResponse::Trace { trace_id, spans }, None)
+            PlanResponse::Trace { trace_id, spans }
         }
         PlanRequest::Get {
             fingerprint,
             encoding,
             ..
         } => {
+            let fp = Fingerprint::from_hex(&fingerprint).ok_or_else(|| {
+                Reject::bad_request(format!("'{fingerprint}' is not a 32-hex-digit fingerprint"))
+            })?;
+            let Some(hit) = lookup_counted(fp, shared, span) else {
+                return Err(Reject::NotFound(fingerprint));
+            };
             // Absent = a client from before the field existed: serve the
             // plan inline in JSON, as such clients expect.
             let encoding = encoding.unwrap_or(PlanEncoding::Json);
-            let Some(fp) = Fingerprint::from_hex(&fingerprint) else {
-                shared.counters.errors.inc();
-                return (
-                    PlanResponse::Error {
-                        kind: WireErrorKind::BadRequest,
-                        message: format!("'{fingerprint}' is not a 32-hex-digit fingerprint"),
-                    },
-                    None,
-                );
-            };
-            match lookup_cached(fp, shared, span) {
-                Some((entry, source)) => {
-                    plan_response(fingerprint, source, started, entry, encoding, span)
-                }
-                None => (PlanResponse::NotFound { fingerprint }, None),
-            }
+            return Ok(plan_response(fingerprint, hit, started, encoding, span));
         }
+        planning => {
+            let job = resolve_job(planning, raw, shared, span)?;
+            return serve_job(&job, started, shared, span);
+        }
+    };
+    Ok((response, None))
+}
+
+/// What every planning verb (`Plan`, `ProfileBin`, `PlanDelta`) resolves
+/// to before any tier is consulted.
+struct Job {
+    fp: Fingerprint,
+    config: SynthConfig,
+    encoding: PlanEncoding,
+    /// The profile's canonical `PROF` bytes, which `fp` is the hash of.
+    canonical: Arc<Vec<u8>>,
+    /// The profile itself, when the request delivered it decoded (`Plan`)
+    /// or produced it (`PlanDelta`); a `ProfileBin`'s is decoded from
+    /// `canonical` only when every cache misses.
+    profile: Option<ProfiledRequests>,
+    /// `PlanDelta` only: the decoded base profile and the *base job's*
+    /// fingerprint, under which the patched tier looks for a base plan.
+    base: Option<(ProfiledRequests, Fingerprint)>,
+}
+
+/// Resolves a planning verb into its [`Job`]: counts it, brings the
+/// profile into canonical `PROF` bytes, fingerprints the job from those
+/// bytes and registers them as a future delta base.
+fn resolve_job(
+    request: PlanRequest,
+    raw: Option<Vec<u8>>,
+    shared: &Shared,
+    span: &mut RequestSpan,
+) -> Result<Job, Reject> {
+    shared.counters.plan_requests.inc();
+    let (config, encoding, profile, base) = match request {
         PlanRequest::Plan {
             profile,
             config,
             encoding,
             ..
-        } => {
-            let encoding = encoding.unwrap_or(PlanEncoding::Json);
-            shared.counters.plan_requests.inc();
-            let fp_start = Instant::now();
-            let fp = fingerprint_job(&profile, &config);
-            // Remember the profile's canonical bytes under its
-            // config-free fingerprint, so a later `PlanDelta` against
-            // this base finds it.
-            let raw = encode_profile(&profile);
-            let pfp = fingerprint_profile_body(profile_body(&raw).expect("just encoded"));
-            shared.profiles.insert(pfp, Arc::new(raw));
-            span.record_since(Phase::Fingerprint, fp_start);
-            if let Some((entry, source)) = lookup_cached(fp, shared, span) {
-                return plan_response(fp.to_hex(), source, started, entry, encoding, span);
-            }
-            match plan_single_flight(fp, &profile, &config, shared, span) {
-                Ok((entry, source)) => {
-                    plan_response(fp.to_hex(), source, started, entry, encoding, span)
-                }
-                Err(message) => {
-                    shared.counters.errors.inc();
-                    (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::Internal,
-                            message,
-                        },
-                        None,
-                    )
-                }
-            }
-        }
+        } => (config, encoding, Some(profile), None),
         PlanRequest::ProfileBin {
             config, encoding, ..
-        } => {
-            let encoding = encoding.unwrap_or(PlanEncoding::Json);
-            shared.counters.plan_requests.inc();
-            let raw = raw_profile.expect("connection handler reads the profile frame");
-            // Fingerprint the canonical bytes directly: a cache hit never
-            // pays the profile decode (nor, with the encoding memo, a
-            // plan encode) — the whole point of the binary request path.
-            let fp_start = Instant::now();
-            let body = match profile_body(&raw) {
-                Ok(b) => b,
-                Err(e) => {
-                    shared.counters.errors.inc();
-                    return (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::BadRequest,
-                            message: format!("binary profile: {e}"),
-                        },
-                        None,
-                    );
-                }
-            };
-            let fp = fingerprint_job_body(body, &config);
-            // The bytes are already canonical: remembering them as a
-            // future delta base is one hash and one memcpy.
-            shared
-                .profiles
-                .insert(fingerprint_profile_body(body), Arc::new(raw.clone()));
-            span.record_since(Phase::Fingerprint, fp_start);
-            if let Some((entry, source)) = lookup_cached(fp, shared, span) {
-                return plan_response(fp.to_hex(), source, started, entry, encoding, span);
-            }
-            // Miss: now the profile is actually needed (decode-phase
-            // work, deferred off the hit path).
-            let decode_start = Instant::now();
-            let profile = match decode_profile(&raw) {
-                Ok(p) => p,
-                Err(e) => {
-                    shared.counters.errors.inc();
-                    return (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::BadRequest,
-                            message: format!("binary profile: {e}"),
-                        },
-                        None,
-                    );
-                }
-            };
-            span.record_since(Phase::Decode, decode_start);
-            match plan_single_flight(fp, &profile, &config, shared, span) {
-                Ok((entry, source)) => {
-                    plan_response(fp.to_hex(), source, started, entry, encoding, span)
-                }
-                Err(message) => {
-                    shared.counters.errors.inc();
-                    (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::Internal,
-                            message,
-                        },
-                        None,
-                    )
-                }
-            }
-        }
+        } => (config, encoding, None, None),
         PlanRequest::PlanDelta {
             config, encoding, ..
         } => {
-            let encoding = encoding.unwrap_or(PlanEncoding::Json);
-            shared.counters.plan_requests.inc();
             shared.counters.delta_requests.inc();
-            let raw = raw_profile.expect("connection handler reads the delta frame");
+            let raw = raw.as_deref().expect("connection handler reads the frame");
             let decode_start = Instant::now();
-            let delta = match decode_profile_delta(&raw) {
-                Ok(d) => d,
-                Err(e) => {
-                    shared.counters.errors.inc();
-                    return (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::BadRequest,
-                            message: format!("binary profile delta: {e}"),
-                        },
-                        None,
-                    );
-                }
-            };
+            let delta = decode_profile_delta(raw)
+                .map_err(|e| Reject::bad_request(format!("binary profile delta: {e}")))?;
             span.record_since(Phase::Decode, decode_start);
             // Base gone from the profile cache (or never seen): tell the
             // client which base missed so it can retry with the full
             // profile — the delta alone cannot be synthesized.
-            let Some(base_raw) = shared.profiles.get(delta.base) else {
-                return (
-                    PlanResponse::NotFound {
-                        fingerprint: delta.base.to_hex(),
-                    },
-                    None,
-                );
-            };
+            let base_raw = shared
+                .profiles
+                .get(delta.base)
+                .ok_or_else(|| Reject::NotFound(delta.base.to_hex()))?;
             // Materialize the next profile: decode the cached base and
             // apply the edit script (replan-phase work — the delta
             // path's substitute for a full profile transfer + decode).
             let replan_start = Instant::now();
-            let base_profile = match decode_profile(&base_raw) {
-                Ok(p) => p,
-                Err(e) => {
-                    shared.counters.errors.inc();
-                    return (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::Internal,
-                            message: format!("cached base profile undecodable: {e}"),
-                        },
-                        None,
-                    );
-                }
-            };
-            let next_profile = match apply_delta(&base_profile, &delta) {
-                Ok(p) => p,
-                Err(e) => {
-                    shared.counters.errors.inc();
-                    return (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::BadRequest,
-                            message: format!("profile delta does not apply: {e}"),
-                        },
-                        None,
-                    );
-                }
-            };
+            let base_profile = decode_profile(&base_raw)
+                .map_err(|e| Reject::internal(format!("cached base profile undecodable: {e}")))?;
+            let next_profile = apply_delta(&base_profile, &delta)
+                .map_err(|e| Reject::bad_request(format!("profile delta does not apply: {e}")))?;
             span.record_since(Phase::Replan, replan_start);
-
-            let fp_start = Instant::now();
-            let next_raw = encode_profile(&next_profile);
-            let next_body = profile_body(&next_raw).expect("just encoded");
-            let fp = fingerprint_job_body(next_body, &config);
-            // The applied profile becomes a delta base itself, so a
-            // family N → N+1 → N+2 can chain deltas without ever
-            // re-sending a full profile.
-            shared
-                .profiles
-                .insert(fingerprint_profile_body(next_body), Arc::new(next_raw));
-            span.record_since(Phase::Fingerprint, fp_start);
-
-            // Tier 1/2: the next job may already have a plan.
-            if let Some((entry, source)) = lookup_cached(fp, shared, span) {
-                shared.counters.delta_hits.inc();
-                return plan_response(fp.to_hex(), source, started, entry, encoding, span);
-            }
-
-            // Delta tier: patch the cached base plan in-process. The
-            // base probe is counter-free — it serves no plan by itself.
             let base_fp = fingerprint_job_body(
                 profile_body(&base_raw).expect("cache holds canonical bytes"),
                 &config,
             );
-            if let Some(base_entry) = probe_cached(base_fp, shared) {
-                let patch_start = Instant::now();
-                let patched = catch_unwind(AssertUnwindSafe(|| {
-                    patch_plan(&base_profile, &base_entry.plan, &next_profile)
-                }))
-                .ok()
-                .and_then(|r| r.ok())
-                .filter(|(plan, _)| plan.validate().is_ok());
-                span.record_since(Phase::Replan, patch_start);
-                if let Some((plan, _stats)) = patched {
-                    shared.counters.delta_patched.inc();
-                    let entry = CachedPlan::new(plan);
-                    shared.lru.insert(fp, Arc::clone(&entry));
-                    if let Some(store) = &shared.store {
-                        let _ = store.put_encoded(fp, &entry.plan, entry.encoded());
-                    }
-                    return plan_response(
-                        fp.to_hex(),
-                        PlanSource::Patched,
-                        started,
-                        entry,
-                        encoding,
-                        span,
-                    );
-                }
-            }
-
-            // No cached base plan (or the patch didn't survive
-            // validation): the applied profile goes down the ordinary
-            // synthesis path.
-            match plan_single_flight(fp, &next_profile, &config, shared, span) {
-                Ok((entry, source)) => {
-                    plan_response(fp.to_hex(), source, started, entry, encoding, span)
-                }
-                Err(message) => {
-                    shared.counters.errors.inc();
-                    (
-                        PlanResponse::Error {
-                            kind: WireErrorKind::Internal,
-                            message,
-                        },
-                        None,
-                    )
-                }
-            }
+            let base = Some((base_profile, base_fp));
+            (config, encoding, Some(next_profile), base)
         }
-    }
+        _ => unreachable!("handle_request answers every other verb itself"),
+    };
+    let fp_start = Instant::now();
+    let canonical = Arc::new(match &profile {
+        Some(profile) => encode_profile(profile),
+        // A `ProfileBin`'s bytes are canonical already, and fingerprinted
+        // as sent: a cache hit never pays the profile decode (nor, with
+        // the encoding memo, a plan encode) — the whole point of the
+        // binary request path. They move into the `Arc` once, so
+        // remembering them below is one hash and no copy.
+        None => raw.expect("connection handler reads the frame"),
+    });
+    let body = profile_body(&canonical)
+        .map_err(|e| Reject::bad_request(format!("binary profile: {e}")))?;
+    let fp = fingerprint_job_body(body, &config);
+    // Remembered under the profile's config-free fingerprint, so a later
+    // `PlanDelta` against this profile finds its base — an applied
+    // `PlanDelta` included: a family N → N+1 → N+2 can chain deltas
+    // without ever re-sending a full profile.
+    let profile_fp = fingerprint_profile_body(body);
+    shared.profiles.insert(profile_fp, Arc::clone(&canonical));
+    span.record_since(Phase::Fingerprint, fp_start);
+    Ok(Job {
+        fp,
+        config,
+        encoding: encoding.unwrap_or(PlanEncoding::Json),
+        canonical,
+        profile,
+        base,
+    })
 }
 
-/// Counter-free cache probe (LRU, then store) for plans that are
-/// *inputs* to serving — the `PlanDelta` base plan — rather than the
-/// answer itself: tier counters and lookup phases must reflect only the
-/// plan actually served.
-fn probe_cached(fp: Fingerprint, shared: &Shared) -> Option<Arc<CachedPlan>> {
-    if let Some(entry) = shared.lru.get(fp) {
-        return Some(entry);
-    }
-    let store = shared.store.as_ref()?;
-    let (plan, bytes) = store
-        .get_with_bytes(fp)
-        .ok()
-        .flatten()
-        .filter(|(p, _)| p.validate().is_ok())?;
-    let entry = CachedPlan::with_bytes(plan, bytes);
-    shared.lru.insert(fp, Arc::clone(&entry));
-    Some(entry)
-}
-
-/// Cache tiers 1 and 2: the in-process LRU, then the shared disk store
-/// (promoting disk hits into the LRU). Corrupt or unsound store entries
-/// are treated as misses, mirroring `synthesize_cached`. A disk hit
-/// seeds the entry's encoding memo with the artifact's own bytes — they
-/// are exactly `encode_plan` output, so binary responses for that entry
-/// never encode at all.
-fn lookup_cached(
-    fp: Fingerprint,
+/// Walks a resolved job down the tiers, in order, and packages whichever
+/// answers first: the caches (tiers 1 and 2 — the job may already have a
+/// plan), the patch of a cached base plan, synthesis.
+fn serve_job(
+    job: &Job,
+    started: Instant,
     shared: &Shared,
     span: &mut RequestSpan,
-) -> Option<(Arc<CachedPlan>, PlanSource)> {
+) -> Result<Served, Reject> {
+    let cached = lookup_counted(job.fp, shared, span);
+    if cached.is_some() && job.base.is_some() {
+        shared.counters.delta_hits.inc();
+    }
+    let hit = match cached.or_else(|| patched_tier(job, shared, span)) {
+        Some(hit) => hit,
+        None => synthesis_tier(job, shared, span)?,
+    };
+    let fingerprint = job.fp.to_hex();
+    Ok(plan_response(fingerprint, hit, started, job.encoding, span))
+}
+
+/// Tier 3, for a job that came with a base: patch the cached base plan
+/// in-process. `None` — no cached base plan, or a patch that panicked,
+/// failed or didn't survive validation — sends the applied profile down
+/// the ordinary synthesis path.
+fn patched_tier(job: &Job, shared: &Shared, span: &mut RequestSpan) -> Option<Hit> {
+    let ((base_profile, base_fp), next_profile) = job.base.as_ref().zip(job.profile.as_ref())?;
+    // The base plan is an *input* to serving, not the answer: tier
+    // counters and lookup phases must reflect only the plan actually
+    // served, so the probe is uncounted and times into a throw-away span.
+    let (base_entry, _) = lookup_cached(*base_fp, shared, &mut RequestSpan::new(""))?;
+    let patch_start = Instant::now();
+    let patched = catch_unwind(AssertUnwindSafe(|| {
+        patch_plan(base_profile, &base_entry.plan, next_profile)
+    }))
+    .ok()
+    .and_then(|r| r.ok())
+    .filter(|(plan, _)| plan.validate().is_ok());
+    span.record_since(Phase::Replan, patch_start);
+    let (plan, _stats) = patched?;
+    shared.counters.delta_patched.inc();
+    let entry = CachedPlan::new(plan);
+    shared.cache(job.fp, &entry);
+    Some((entry, PlanSource::Patched))
+}
+
+/// The in-process LRU, then the shared disk store (promoting disk hits
+/// into the LRU) — uncounted; [`lookup_counted`] is the serving form.
+/// Corrupt or unsound store entries are treated as misses, mirroring
+/// `synthesize_cached`. A disk hit seeds the entry's encoding memo with
+/// the artifact's own bytes — they are exactly `encode_plan` output, so
+/// binary responses for that entry never encode at all.
+fn lookup_cached(fp: Fingerprint, shared: &Shared, span: &mut RequestSpan) -> Option<Hit> {
     let lru_start = Instant::now();
     let lru_hit = shared.lru.get(fp);
     span.record_since(Phase::LruLookup, lru_start);
     if let Some(entry) = lru_hit {
-        shared.counters.lru_hits.inc();
         return Some((entry, PlanSource::Lru));
     }
     let store = shared.store.as_ref()?;
@@ -1383,54 +1274,84 @@ fn lookup_cached(
         .filter(|(p, _)| p.validate().is_ok());
     span.record_since(Phase::StoreLookup, store_start);
     let (plan, bytes) = found?;
-    shared.counters.store_hits.inc();
     let entry = CachedPlan::with_bytes(plan, bytes);
     shared.lru.insert(fp, Arc::clone(&entry));
     Some((entry, PlanSource::Store))
 }
 
-/// Cache tier 3: synthesis with single-flight deduplication. The first
-/// request for `fp` becomes the leader and synthesizes; requests landing
-/// while it runs wait on the flight and share the result.
-fn plan_single_flight(
+/// [`lookup_cached`] for a plan that *answers* a request: the hit is
+/// counted against the tier that held it.
+fn lookup_counted(fp: Fingerprint, shared: &Shared, span: &mut RequestSpan) -> Option<Hit> {
+    let hit = lookup_cached(fp, shared, span)?;
+    match hit.1 {
+        PlanSource::Lru => shared.counters.lru_hits.inc(),
+        _ => shared.counters.store_hits.inc(),
+    }
+    Some(hit)
+}
+
+/// Publishes the leader's result to its followers and retires the
+/// in-flight entry, in that order: a request arriving after the entry is
+/// gone must find the plan in the caches.
+fn land_flight(
     fp: Fingerprint,
-    profile: &stalloc_core::ProfiledRequests,
-    config: &stalloc_core::SynthConfig,
+    flight: &Flight,
+    result: Result<Arc<CachedPlan>, String>,
     shared: &Shared,
-    span: &mut RequestSpan,
-) -> Result<(Arc<CachedPlan>, PlanSource), String> {
-    let (flight, leader) = {
-        let mut map = shared.inflight.lock().expect("inflight lock");
-        match map.get(&fp) {
-            Some(f) => (Arc::clone(f), false),
-            None => {
-                let f = Arc::new(Flight {
-                    done: Mutex::new(None),
-                    cv: Condvar::new(),
-                });
-                map.insert(fp, Arc::clone(&f));
-                (f, true)
-            }
+) {
+    {
+        let mut done = flight.done.lock().expect("flight lock");
+        *done = Some(result);
+        flight.cv.notify_all();
+    }
+    shared.inflight.lock().expect("inflight lock").remove(&fp);
+}
+
+/// Tier 4: synthesis, with single-flight deduplication. The first
+/// request for a job becomes the leader and synthesizes; requests landing
+/// while it runs wait on the flight and share the result.
+fn synthesis_tier(job: &Job, shared: &Shared, span: &mut RequestSpan) -> Result<Hit, Reject> {
+    // Only now is a `ProfileBin`'s profile actually needed (decode-phase
+    // work, deferred off the hit path).
+    let decoded;
+    let profile = match &job.profile {
+        Some(profile) => profile,
+        None => {
+            let decode_start = Instant::now();
+            decoded = decode_profile(&job.canonical)
+                .map_err(|e| Reject::bad_request(format!("binary profile: {e}")))?;
+            span.record_since(Phase::Decode, decode_start);
+            &decoded
         }
     };
 
+    let mut leader = false;
+    let flight = Arc::clone(
+        shared
+            .inflight
+            .lock()
+            .expect("inflight lock")
+            .entry(job.fp)
+            .or_insert_with(|| {
+                leader = true;
+                Arc::default()
+            }),
+    );
     if !leader {
         // A follower's synthesis phase is its wait on the leader's run —
         // the time this request spent on (someone's) synthesis.
         let wait_start = Instant::now();
-        let mut done = flight.done.lock().expect("flight lock");
-        while done.is_none() {
-            done = flight.cv.wait(done).expect("flight lock");
-        }
+        let done = flight.done.lock().expect("flight lock");
+        let done = flight
+            .cv
+            .wait_while(done, |done| done.is_none())
+            .expect("flight lock");
         let result = done.clone().expect("checked some");
         span.record_since(Phase::Synthesis, wait_start);
-        return match result {
-            Ok(entry) => {
-                shared.counters.coalesced.inc();
-                Ok((entry, PlanSource::Coalesced))
-            }
-            Err(e) => Err(format!("coalesced synthesis failed: {e}")),
-        };
+        let entry =
+            result.map_err(|e| Reject::internal(format!("coalesced synthesis failed: {e}")))?;
+        shared.counters.coalesced.inc();
+        return Ok((entry, PlanSource::Coalesced));
     }
 
     // Leader re-check: this thread may have read the caches *before* a
@@ -1438,14 +1359,9 @@ fn plan_single_flight(
     // flight entry. Without this, two "one" syntheses could both run —
     // the map insert happens-after the previous leader's cache insert, so
     // a second look is conclusive.
-    if let Some((entry, source)) = lookup_cached(fp, shared, span) {
-        {
-            let mut done = flight.done.lock().expect("flight lock");
-            *done = Some(Ok(Arc::clone(&entry)));
-            flight.cv.notify_all();
-        }
-        shared.inflight.lock().expect("inflight lock").remove(&fp);
-        return Ok((entry, source));
+    if let Some(hit) = lookup_counted(job.fp, shared, span) {
+        land_flight(job.fp, &flight, Ok(Arc::clone(&hit.0)), shared);
+        return Ok(hit);
     }
 
     // Leader: synthesize behind a panic guard — a worker must survive any
@@ -1455,7 +1371,7 @@ fn plan_single_flight(
     // feed the per-strategy solver aggregates.
     let synth_start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        synthesize_strategy_reported(profile, config)
+        synthesize_strategy_reported(profile, &job.config)
     }))
     .map(|(plan, reports)| {
         shared.obs.solver.record(&reports);
@@ -1465,20 +1381,10 @@ fn plan_single_flight(
     span.record_since(Phase::Synthesis, synth_start);
     if let Ok(entry) = &outcome {
         shared.counters.misses.inc();
-        shared.lru.insert(fp, Arc::clone(entry));
-        if let Some(store) = &shared.store {
-            // Best effort: a store write failure must not fail the
-            // request — the plan is already in hand. The encoding this
-            // forces is the same one binary responses reuse (memoized),
-            // so the plan is encoded once per synthesis, total.
-            let _ = store.put_encoded(fp, &entry.plan, entry.encoded());
-        }
+        shared.cache(job.fp, entry);
     }
-    {
-        let mut done = flight.done.lock().expect("flight lock");
-        *done = Some(outcome.clone());
-        flight.cv.notify_all();
-    }
-    shared.inflight.lock().expect("inflight lock").remove(&fp);
-    outcome.map(|entry| (entry, PlanSource::Synthesized))
+    land_flight(job.fp, &flight, outcome.clone(), shared);
+    outcome
+        .map(|entry| (entry, PlanSource::Synthesized))
+        .map_err(Reject::internal)
 }

@@ -1,0 +1,130 @@
+//! The client's half of the trust boundary: "a corrupt or malicious
+//! server cannot push an unsound plan into a training run" rests on the
+//! distrust checks in `PlanClient`'s response acceptance — echoed
+//! fingerprint, `Plan::validate`, declared vs actual raw-frame length —
+//! and on a clean close being told apart from an answer. A live
+//! `PlanServer` never trips any of them, so a scripted fake server does:
+//! every script must end in `ClientError::Protocol`, never a `RemotePlan`.
+
+use std::net::{SocketAddr, TcpListener};
+use std::thread::JoinHandle;
+
+use stalloc_core::wire::{PlanRequest, PlanResponse, PlanSource};
+use stalloc_core::{fingerprint_job, profile_trace, Fingerprint, ProfiledRequests, SynthConfig};
+use stalloc_served::{read_frame, write_frame, ClientError, PlanClient, DEFAULT_MAX_FRAME};
+use stalloc_store::{decode_profile, encode_plan};
+use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+
+fn profile() -> ProfiledRequests {
+    let trace = TrainJob::new(
+        ModelSpec::gpt2_345m(),
+        ParallelConfig::new(1, 2, 1),
+        OptimConfig::naive(),
+    )
+    .with_mbs(1)
+    .with_seq(256)
+    .with_microbatches(2)
+    .with_iterations(1)
+    .build_trace()
+    .unwrap();
+    profile_trace(&trace, 1).unwrap()
+}
+
+/// How the fake server misbehaves after reading one `ProfileBin` request.
+#[derive(Clone, Copy)]
+enum Script {
+    /// A sound plan, echoed under another job's fingerprint.
+    AnotherJobsFingerprint,
+    /// The right fingerprint on a plan with two overlapping placements.
+    OverlappingPlacements,
+    /// A `PlanBin` header declaring the true `STPL` length, followed by a
+    /// well-formed raw frame that is this many bytes longer (or shorter).
+    RawFrameOffBy(i64),
+    /// Reads the request, then closes without a word.
+    CloseBeforeAnyResponse,
+}
+
+/// Serves one connection per script, in order, then exits.
+fn fake_server(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        for script in scripts {
+            let (mut conn, _) = listener.accept().unwrap();
+            let header = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap().unwrap();
+            let request: PlanRequest =
+                serde_json::from_str(std::str::from_utf8(&header).unwrap()).unwrap();
+            let PlanRequest::ProfileBin { config, bytes, .. } = request else {
+                panic!("the default client sends ProfileBin, got {request:?}");
+            };
+            let raw = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap().unwrap();
+            assert_eq!(raw.len() as u64, bytes, "the client announces truthfully");
+            let profile = decode_profile(&raw).unwrap();
+            let mut plan = stalloc_core::synthesize(&profile, &config);
+            let fingerprint = fingerprint_job(&profile, &config).to_hex();
+
+            let inline = |fingerprint: String, plan| PlanResponse::Plan {
+                fingerprint,
+                source: PlanSource::Synthesized,
+                micros: 1,
+                plan,
+            };
+            let (response, raw_frame) = match script {
+                Script::AnotherJobsFingerprint => {
+                    (inline(Fingerprint([0x5a; 16]).to_hex(), plan), None)
+                }
+                Script::OverlappingPlacements => {
+                    let twin = plan.iter_allocs[0];
+                    plan.iter_allocs.push(twin);
+                    (inline(fingerprint, plan), None)
+                }
+                Script::RawFrameOffBy(delta) => {
+                    let mut stpl = encode_plan(&plan);
+                    let header = PlanResponse::PlanBin {
+                        fingerprint,
+                        source: PlanSource::Synthesized,
+                        micros: 1,
+                        bytes: stpl.len() as u64,
+                    };
+                    stpl.resize((stpl.len() as i64 + delta) as usize, 0);
+                    (header, Some(stpl))
+                }
+                Script::CloseBeforeAnyResponse => continue,
+            };
+            let json = serde_json::to_string(&response).unwrap();
+            write_frame(&mut conn, json.as_bytes()).unwrap();
+            if let Some(stpl) = raw_frame {
+                write_frame(&mut conn, &stpl).unwrap();
+            }
+        }
+    });
+    (addr, handle)
+}
+
+#[test]
+fn every_distrust_check_ends_in_a_protocol_error() {
+    let scripts = [
+        (Script::AnotherJobsFingerprint, "answered for job"),
+        (Script::OverlappingPlacements, "sent unsound plan"),
+        (Script::RawFrameOffBy(-1), "header declared"),
+        (Script::RawFrameOffBy(1), "header declared"),
+        (Script::CloseBeforeAnyResponse, "closed before responding"),
+    ];
+    let (addr, server) = fake_server(scripts.iter().map(|&(script, _)| script).collect());
+    let (profile, config) = (profile(), SynthConfig::default());
+
+    for (_, expected) in scripts {
+        // A rejected response leaves the stream untrusted: one connection
+        // per script, as a caller would reconnect.
+        let mut client = PlanClient::connect(addr).unwrap();
+        match client.plan(&profile, &config) {
+            Err(ClientError::Protocol(message)) => assert!(
+                message.contains(expected),
+                "expected a protocol violation naming {expected:?}, got {message:?}"
+            ),
+            Ok(remote) => panic!("{expected}: an unsound exchange yielded {remote:?}"),
+            Err(other) => panic!("{expected}: expected ClientError::Protocol, got {other}"),
+        }
+    }
+    server.join().unwrap();
+}

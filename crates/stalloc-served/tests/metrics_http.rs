@@ -107,6 +107,42 @@ fn metrics_endpoint_serves_prometheus_text_after_a_plan() {
     server.shutdown();
 }
 
+/// One live patched delta shows up in the served-plans family, so the
+/// family keeps summing to the plans served; the delta counters are
+/// exported beside it.
+#[test]
+fn metrics_endpoint_counts_a_patched_delta() {
+    let server = PlanServer::start(ServeConfig {
+        workers: 1,
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let maddr = server.metrics_http_addr().expect("metrics listener bound");
+
+    let base = profile();
+    let mut next = base.clone();
+    next.statics[next.init_count].size += 4096;
+    let config = SynthConfig::default();
+    let mut client = PlanClient::connect(server.addr()).unwrap();
+    client.plan(&base, &config).unwrap();
+    let patched = client.plan_delta(&base, &next, &config).unwrap();
+    assert_eq!(patched.source, stalloc_core::PlanSource::Patched);
+
+    // Counters are bumped before the response is written, so they are
+    // already visible; only spans (not read here) can trail the reply.
+    let body = http_get(maddr, "/metrics").2;
+    assert!(
+        body.contains("stalloc_plans_served_total{tier=\"patched\"} 1"),
+        "patched tier exported:\n{body}"
+    );
+    assert!(body.contains("stalloc_plans_served_total{tier=\"miss\"} 1"));
+    assert!(body.contains("stalloc_delta_requests_total 1"));
+    assert!(body.contains("stalloc_delta_hits_total 0"));
+
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_joins_the_metrics_thread() {
     let server = PlanServer::start(ServeConfig {
