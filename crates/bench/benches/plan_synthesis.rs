@@ -1,7 +1,9 @@
 //! Criterion bench: plan-synthesis cost vs request count (paper Table 2's
-//! `T_plan` column).
+//! `T_plan` column), and the cost of the soundness check every trust
+//! boundary runs on a plan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use harness::configs;
 use stalloc_core::{profile_trace, synthesize, SynthConfig};
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -44,5 +46,41 @@ fn bench_profiling(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_plan_synthesis, bench_profiling);
+/// `Plan::validate` on the benchmark's `dense-vpp` plans: a sound plan
+/// (the check admits every decision), and the same plan with its last
+/// decision duplicated, so the only conflict is found at the very end.
+fn bench_plan_validate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("plan_validate");
+    for (label, job) in [
+        ("gpt2-345m-VR", configs::gpt2_job(OptimConfig::r(), true)),
+        ("llama2-7b-VR", configs::llama2_job(OptimConfig::r(), true)),
+        (
+            "qwen2.5-14b-V",
+            configs::h200_job(&ModelSpec::qwen25_14b(), 16, false),
+        ),
+    ] {
+        let trace = job.build_trace().unwrap();
+        let sound = synthesize(&profile_trace(&trace, 1).unwrap(), &SynthConfig::default());
+        let n = sound.init_allocs.len() + sound.iter_allocs.len();
+        let mut unsound = sound.clone();
+        let twin = *unsound.iter_allocs.last().unwrap();
+        unsound.iter_allocs.push(twin);
+        for (verdict, plan) in [("sound", &sound), ("last-conflicts", &unsound)] {
+            assert_eq!(plan.validate().is_ok(), verdict == "sound");
+            group.bench_with_input(
+                BenchmarkId::new(format!("{label}/{verdict}"), n),
+                plan,
+                |b, p| b.iter(|| p.validate()),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_plan_synthesis,
+    bench_profiling,
+    bench_plan_validate
+);
 criterion_main!(benches);

@@ -4,12 +4,17 @@
 //! a request occupying `[t0, t1)` in time and `[off, off+len)` in address
 //! space. [`TimeSpacePacker`] answers "lowest conflict-free offset" queries
 //! and is the engine behind HomoPhase packing, group fusion and gap
-//! insertion. [`IntervalSet`] tracks free address intervals at runtime.
+//! insertion. [`first_conflict`] is the one definition of "pairwise
+//! conflict-free", behind [`Plan::validate`](crate::Plan::validate) and the
+//! packer's own debug checks. [`IntervalSet`] tracks free address intervals
+//! at runtime.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
+
+pub use crate::conflict::first_conflict;
 
 /// A placed request: a rectangle in the time × address plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,7 +41,7 @@ impl Rect {
 
 /// Rectangles per index chunk: small enough that an ordered insert is a
 /// short `memmove`, large enough that a chunk summary prunes real work.
-const CHUNK_CAP: usize = 64;
+pub(crate) const CHUNK_CAP: usize = 64;
 
 /// One run of the offset-ordered index with a summary of its members.
 #[derive(Debug, Clone)]
@@ -114,11 +119,9 @@ impl TimeSpacePacker {
         // predictable. At 2k rects a full sweep takes about 3 µs against
         // 5 µs after `sort_unstable_by_key`.
         rects.sort_by_key(|r| r.off);
-        debug_assert!(
-            rects.iter().enumerate().all(|(i, a)| rects[i + 1..]
-                .iter()
-                .take_while(|b| b.off < a.off + a.len)
-                .all(|b| !a.conflicts(b))),
+        debug_assert_eq!(
+            first_conflict(rects.iter().copied()),
+            None,
             "bulk-seeded rects conflict"
         );
         TimeSpacePacker {
@@ -413,15 +416,12 @@ impl IntervalSet {
             }
         }
         // Check and merge the successor.
-        if let Some((&s, &l)) = self.map.range(start + len..).next() {
-            let _ = l;
-            debug_assert!(s >= start + len);
-            if s == start + len {
-                let l2 = self.map.remove(&s).expect("present");
-                len += l2;
-            }
-        } else if let Some((&s, _)) = self.map.range(start..).next() {
+        if let Some((&s, &l)) = self.map.range(start..).next() {
             assert!(s >= start + len, "interval overlap on insert");
+            if s == start + len {
+                self.map.remove(&s);
+                len += l;
+            }
         }
         self.map.insert(start, len);
     }
@@ -1159,5 +1159,55 @@ mod tests {
         b.insert(0, 10);
         b.insert(20, 10);
         assert_eq!(b.best_fit_within(&[(0, 10), (20, 10)], 10), Some(0));
+    }
+
+    proptest! {
+        /// `IntervalSet` against a bitmap of the same universe: every
+        /// query agrees, and an operation panics exactly when the model
+        /// says the range is (insert) partly covered or (remove) partly
+        /// uncovered.
+        #[test]
+        fn interval_set_matches_a_bitmap(
+            ops in prop::collection::vec((0u8..4, 0usize..48, 0usize..12), 1..120),
+        ) {
+            use std::panic::{catch_unwind, AssertUnwindSafe};
+            let mut model = [false; 64];
+            let mut set = IntervalSet::new();
+            for (kind, start, len) in ops {
+                let cells = start..start + len;
+                let (s, l) = (start as u64, len as u64);
+                let covered = model[cells.clone()].iter().filter(|&&c| c).count();
+                match kind {
+                    0 | 1 => {
+                        let mut next = set.clone();
+                        let legal = if kind == 0 { covered == 0 } else { covered == len };
+                        let done = catch_unwind(AssertUnwindSafe(|| {
+                            if kind == 0 { next.insert(s, l) } else { next.remove(s, l) }
+                        }));
+                        prop_assert_eq!(done.is_ok(), legal, "op {} on [{}+{})", kind, s, l);
+                        if legal {
+                            set = next;
+                            model[cells].fill(kind == 0);
+                        }
+                    }
+                    2 => prop_assert_eq!(set.overlaps(s, l), covered > 0),
+                    _ => prop_assert_eq!(set.contains(s, l), covered == len),
+                }
+                prop_assert_eq!(set.total(), model.iter().filter(|&&c| c).count() as u64);
+                // Coalesced: one interval per maximal run of set cells.
+                let edges = (0..model.len()).filter(|&i| model[i] && (i == 0 || !model[i - 1]));
+                prop_assert_eq!(set.interval_count(), edges.count());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "interval overlap")]
+    fn interval_set_rejects_an_insert_over_a_later_interval() {
+        let mut s = IntervalSet::new();
+        s.insert(5, 2);
+        s.insert(20, 10);
+        // Covers [5, 7) while a further interval lies beyond the range.
+        s.insert(0, 10);
     }
 }

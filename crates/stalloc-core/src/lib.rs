@@ -40,6 +40,7 @@
 //! assert_eq!(allocator.counters().static_fallback, 0);
 //! ```
 
+mod conflict;
 pub mod delta;
 pub mod fingerprint;
 pub mod geometry;

@@ -11,6 +11,7 @@ pub mod phase_group;
 
 use serde::{Deserialize, Serialize};
 
+use crate::geometry::{first_conflict, Rect};
 use crate::profiler::{InstanceKey, ProfiledRequests};
 pub use dynamic::{DynGroup, DynamicPlan, PlacedStatic};
 pub use global::GlobalOptions;
@@ -184,16 +185,20 @@ impl Plan {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// Validates the §5.1 soundness constraint: no two planned static
-    /// decisions overlap in both lifetime and address range, and all
-    /// decisions fit the pool.
+    /// Validates the §5.1 soundness constraint: every decision lies
+    /// inside the pool, and no two decisions overlap in both lifetime
+    /// and address range. A decision is live over `[ts, max(te, ts + 1))`
+    /// — a free at tick `t` precedes an allocation at `t` — and one of
+    /// size 0 occupies nothing.
+    ///
+    /// Total: a `Plan` can come off the wire or from a foreign file, so
+    /// any field values (unsorted ticks, wrapping offsets, a lifetime
+    /// that cannot be represented) yield `Err`, never a panic. One pass
+    /// in allocation order ([`first_conflict`]), cheap enough to run at
+    /// every trust boundary.
     pub fn validate(&self) -> Result<(), String> {
-        let all: Vec<&PlannedAlloc> = self
-            .init_allocs
-            .iter()
-            .chain(self.iter_allocs.iter())
-            .collect();
-        for d in &all {
+        let decisions = || self.init_allocs.iter().chain(&self.iter_allocs);
+        for d in decisions() {
             // Checked: plans can arrive from foreign files (the binary
             // codec's deltas wrap), so offset + size must not overflow
             // past the screen.
@@ -207,37 +212,30 @@ impl Plan {
                     d.offset, d.size, self.pool_size
                 ));
             }
-        }
-        // Event sweep over time with an occupancy interval set; at any
-        // instant, live decisions must occupy disjoint address ranges.
-        let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(all.len() * 2);
-        for (i, d) in all.iter().enumerate() {
-            let te = d.te.max(d.ts.saturating_add(1));
-            events.push((d.ts, false, i)); // false = start
-            events.push((te, true, i)); // true = end
-        }
-        // Ends sort before starts at equal ticks (te is exclusive).
-        events.sort_unstable_by_key(|&(t, is_end, _)| (t, !is_end as u8));
-        let mut occupied = crate::geometry::IntervalSet::new();
-        for (_, is_end, i) in events {
-            let d = all[i];
-            if is_end {
-                occupied.remove(d.offset, d.size);
-            } else {
-                if occupied.overlaps(d.offset, d.size) {
-                    return Err(format!(
-                        "overlap: decision [{}, {}) x ticks [{}, {}) intersects \
-                         live space",
-                        d.offset,
-                        d.offset + d.size,
-                        d.ts,
-                        d.te
-                    ));
-                }
-                occupied.insert(d.offset, d.size);
+            if d.ts == u64::MAX {
+                return Err(format!(
+                    "decision at {} (+{}) is allocated at tick {}: no lifetime can follow",
+                    d.offset, d.size, d.ts
+                ));
             }
         }
-        Ok(())
+        // Neither `ts + 1` nor `off + len` can wrap past the loop above.
+        let conflict = first_conflict(decisions().map(|d| Rect {
+            t0: d.ts,
+            t1: d.te.max(d.ts + 1),
+            off: d.offset,
+            len: d.size,
+        }));
+        match conflict {
+            Some(r) => Err(format!(
+                "overlap: decision [{}, {}) x ticks [{}, {}) intersects live space",
+                r.off,
+                r.off + r.len,
+                r.t0,
+                r.t1
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Looks up the instance sequence table as a map (runtime helper).

@@ -12,6 +12,9 @@
 //! * **Version interop** — a v1 `STPL` stream is a Baseline-tagged v2
 //!   stream minus the strategy byte; downgrading must round-trip both
 //!   directions, never silently diverge.
+//! * **Totality** — every plan that decodes gets a verdict from
+//!   `Plan::validate`: the check guards the training process against
+//!   exactly these streams, so it may reject one but never panic on it.
 //!
 //! An `Err` from a check is an **oracle violation** (a bug); a typed
 //! decode error is the expected rejection path and only feeds coverage.
@@ -153,8 +156,9 @@ pub fn check_delta(bytes: &[u8], cov: &mut CoverageLedger) -> Result<(), String>
     }
 }
 
-/// `STPL` oracle: typed rejection, or fixpoint (v2) / downgrade
-/// round-trip (v1), plus the v2→v1 differential on Baseline plans.
+/// `STPL` oracle: typed rejection, or a `validate` verdict, fixpoint
+/// (v2) / downgrade round-trip (v1), plus the v2→v1 differential on
+/// Baseline plans.
 pub fn check_stpl(bytes: &[u8], cov: &mut CoverageLedger) -> Result<(), String> {
     match decode_plan(bytes) {
         Err(e) => {
@@ -164,6 +168,9 @@ pub fn check_stpl(bytes: &[u8], cov: &mut CoverageLedger) -> Result<(), String> 
         }
         Ok(plan) => {
             cov.record_ok();
+            // Decodes ⇒ `validate` returns, sound or not; a panic here is
+            // caught by the run and counted like a decoder panic.
+            let _ = plan.validate();
             let version = u16::from_le_bytes([bytes[4], bytes[5]]);
             let v2 = encode_plan(&plan);
             match version {
@@ -317,6 +324,17 @@ mod tests {
         // And the oracle accepts the v1 form directly.
         let mut cov = CoverageLedger::new();
         check_stpl(&v1, &mut cov).unwrap();
+    }
+
+    /// A stream that decodes to a plan no lifetime can follow (allocated
+    /// at tick `u64::MAX`) is still only a plan to reject.
+    #[test]
+    fn every_decodable_plan_gets_a_soundness_verdict() {
+        let mut plan = synthesize(&sample_profile(), &SynthConfig::default());
+        plan.iter_allocs[0].ts = u64::MAX;
+        let mut cov = CoverageLedger::new();
+        check_stpl(&encode_plan(&plan), &mut cov).unwrap();
+        assert_eq!(cov.ok_decodes(), 1);
     }
 
     #[test]

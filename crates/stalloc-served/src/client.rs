@@ -327,8 +327,10 @@ impl PlanClient {
                 "server answered for job {fingerprint}, expected {expected}"
             )));
         }
-        plan.validate()
-            .map_err(|e| ClientError::Protocol(format!("server sent unsound plan: {e}")))?;
+        let check = Instant::now();
+        let verdict = plan.validate();
+        span.record_since(ClientPhase::Decode, check);
+        verdict.map_err(|e| ClientError::Protocol(format!("server sent unsound plan: {e}")))?;
         Ok(Some(RemotePlan {
             plan,
             fingerprint,

@@ -42,6 +42,14 @@ enum Script {
     RawFrameOffBy(i64),
     /// Reads the request, then closes without a word.
     CloseBeforeAnyResponse,
+    /// The overlapping twin again, but with the iteration's decisions in
+    /// reverse: a check that trusts ticks to ascend walks past it.
+    OverlapBehindUnsortedTicks,
+    /// One decision moved so that it ends one byte past the pool.
+    OneBytePastThePool,
+    /// A binary plan with one decision allocated at tick `u64::MAX`: the
+    /// codec carries it, and no lifetime can start there.
+    AllocatedAtTheEndOfTime,
 }
 
 /// Serves one connection per script, in order, then exits.
@@ -90,6 +98,28 @@ fn fake_server(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
                     (header, Some(stpl))
                 }
                 Script::CloseBeforeAnyResponse => continue,
+                Script::OverlapBehindUnsortedTicks => {
+                    let twin = plan.iter_allocs[0];
+                    plan.iter_allocs.push(twin);
+                    plan.iter_allocs.reverse();
+                    (inline(fingerprint, plan), None)
+                }
+                Script::OneBytePastThePool => {
+                    let last = plan.iter_allocs.last_mut().unwrap();
+                    last.offset = plan.pool_size - last.size + 1;
+                    (inline(fingerprint, plan), None)
+                }
+                Script::AllocatedAtTheEndOfTime => {
+                    plan.iter_allocs.last_mut().unwrap().ts = u64::MAX;
+                    let stpl = encode_plan(&plan);
+                    let header = PlanResponse::PlanBin {
+                        fingerprint,
+                        source: PlanSource::Synthesized,
+                        micros: 1,
+                        bytes: stpl.len() as u64,
+                    };
+                    (header, Some(stpl))
+                }
             };
             let json = serde_json::to_string(&response).unwrap();
             write_frame(&mut conn, json.as_bytes()).unwrap();
@@ -109,6 +139,15 @@ fn every_distrust_check_ends_in_a_protocol_error() {
         (Script::RawFrameOffBy(-1), "header declared"),
         (Script::RawFrameOffBy(1), "header declared"),
         (Script::CloseBeforeAnyResponse, "closed before responding"),
+        (
+            Script::OverlapBehindUnsortedTicks,
+            "sent unsound plan: overlap",
+        ),
+        (Script::OneBytePastThePool, "exceeds pool"),
+        (
+            Script::AllocatedAtTheEndOfTime,
+            "sent unsound plan: decision",
+        ),
     ];
     let (addr, server) = fake_server(scripts.iter().map(|&(script, _)| script).collect());
     let (profile, config) = (profile(), SynthConfig::default());

@@ -13,7 +13,7 @@ use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use stalloc_core::wire::{PlanRequest, PlanResponse, WireErrorKind};
+use stalloc_core::wire::{PlanRequest, PlanResponse, PlanSource, WireErrorKind};
 use stalloc_core::{profile_trace, SynthConfig};
 use stalloc_obs::ClientPhase;
 use stalloc_served::{
@@ -243,4 +243,57 @@ fn loopback_propagates_the_client_trace_id_end_to_end() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The client span says where a request's time went: on a binary plan
+/// response the six phases add up to (nearly) the total, the client's
+/// soundness check of the received plan included — it is billed to
+/// `Decode`, as that phase documents. Measured on LRU hits, where the
+/// server's share (`Await`) is smallest and client time nobody clocked
+/// would show most.
+#[test]
+fn client_span_phases_account_for_a_binary_plan_response() {
+    let trace = TrainJob::new(
+        ModelSpec::gpt2_345m(),
+        ParallelConfig::new(1, 4, 1).with_vpp(2),
+        OptimConfig::r(),
+    )
+    .with_mbs(2)
+    .with_seq(512)
+    .with_microbatches(8)
+    .with_iterations(1)
+    .build_trace()
+    .unwrap();
+    let profile = profile_trace(&trace, 1).unwrap();
+    let config = SynthConfig::default();
+
+    let server = PlanServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = PlanClient::connect(server.addr()).unwrap();
+    client.plan(&profile, &config).unwrap();
+
+    // Best of five: a preemption between two phases is not a hole in the
+    // accounting, a phase that never starts its clock is in all five.
+    let mut best = 0.0f64;
+    for _ in 0..5 {
+        let remote = client.plan(&profile, &config).unwrap();
+        assert_eq!(remote.source, PlanSource::Lru);
+        let span = client.last_span().expect("plan records a client span");
+        assert!(
+            span.phase_micros(ClientPhase::Read).is_some(),
+            "the plan came as a raw binary frame"
+        );
+        let clocked: u64 = span.entered().map(|(_, micros)| micros).sum();
+        best = best.max(clocked as f64 / span.total_micros as f64);
+    }
+    assert!(
+        best >= 0.9,
+        "the phases cover {:.0}% of the request, the rest is attributable to nothing",
+        best * 100.0
+    );
+
+    server.shutdown();
 }
