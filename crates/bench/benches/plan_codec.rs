@@ -6,7 +6,8 @@
 //! `PlanStore` cache hit against cold synthesis — the paper's
 //! amortize-the-planning story in one table. The profile group also
 //! times `fingerprint_job_body` over raw `PROF` bytes against the
-//! decoded-profile `fingerprint_job`, the server's cache-hit fast path.
+//! decoded-profile `fingerprint_job`, the server's cache-hit fast path
+//! — on the GPT-2 profile and on a `moe-dyn`-sized one, with bytes/s.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stalloc_core::{
@@ -86,7 +87,33 @@ fn bench_profile_codec_vs_json(c: &mut Criterion) {
     group.bench_function("fingerprint_from_profile", |b| {
         b.iter(|| fingerprint_job(&profile, &config))
     });
+
     group.finish();
+
+    // The same fast path on a `moe-dyn`-sized stream (the benchmark's
+    // Qwen1.5-MoE R job, ~260 KB of `PROF`), where the body walk is the
+    // whole cost. The criterion stub reports no throughput, so this one
+    // is a plain timed loop that prints bytes/s.
+    let moe = harness::configs::moe_job(OptimConfig::r(), false)
+        .build_trace()
+        .unwrap();
+    let moe_bytes = encode_profile(&profile_trace(&moe, 1).unwrap());
+    let moe_body = profile_body(&moe_bytes).unwrap();
+    let iters = 2000;
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(fingerprint_job_body(
+            std::hint::black_box(moe_body),
+            &config,
+        ));
+    }
+    let per_call = start.elapsed().as_secs_f64() / iters as f64;
+    println!(
+        "fingerprint_job_body (Qwen1.5-MoE R): {} B in {:.1} µs = {:.2} GB/s",
+        moe_body.len(),
+        per_call * 1e6,
+        moe_body.len() as f64 / per_call / 1e9
+    );
 }
 
 /// The incremental-re-planning path end to end: diff two near-identical

@@ -285,7 +285,10 @@ target/fuzz-failures/)",
         help: "\
 usage: stalloc version
   prints the tool version plus the planner-algorithm and profile
-  fingerprint versions that key the plan caches",
+  fingerprint versions that key the plan caches (fingerprint v4: a
+  client and the daemon it talks to must print the same one; store
+  entries keyed by an older one are never served again and only
+  `stalloc cache clear` reclaims them)",
         spec: FlagSpec {
             value_flags: &[],
             bool_flags: &[],

@@ -6,31 +6,53 @@
 //! artifacts — `stalloc-store` keys its content-addressed plan cache by the
 //! [`Fingerprint`] computed here.
 //!
-//! The hash is a self-contained 128-bit FNV-1a variant (two independent
-//! 64-bit lanes) over a *canonical byte serialization* of the profile:
+//! Identity has **two levels**. Level one is the [`BodyDigest`]: one pass
+//! over a *canonical byte serialization* of the profile —
 //! [`write_profile_body`] walks every field in a fixed order (all
 //! collections inside [`ProfiledRequests`] are `Vec`s in deterministic
 //! sorted or arrival order) and emits exactly the **body of the `PROF` v1
-//! binary profile format** specified in `stalloc-store::codec`. Because
-//! that byte stream is a pure, canonical function of the profile,
-//! hashing it is equivalent to hashing the fields — which is what makes
-//! [`fingerprint_job_body`] possible: a server holding an
-//! already-encoded binary profile can fingerprint the raw bytes and
-//! answer a cache hit *without ever decoding the profile*.
+//! binary profile format** specified in `stalloc-store::codec` — read as
+//! little-endian `u64` words, four independent multiply-rotate lanes per
+//! 32-byte block, folded into 128 bits. Level two is a short envelope
+//! over that digest, hashed by the same function:
 //!
-//! The digest is versioned on two axes: [`FINGERPRINT_VERSION`] covers
-//! the profile schema and walk order, and [`SYNTH_ALGO_VERSION`] covers
-//! the planner algorithm itself — so stale cache entries can alias a new
-//! build neither when the input shape changes nor when `synthesize`
-//! starts producing different plans for the same input.
+//! ```text
+//! PROF body bytes ──one walk──▶ BodyDigest { len, lo, hi }
+//!     ├─ job()     = H(FINGERPRINT_VERSION, SYNTH_ALGO_VERSION,
+//!     │                fusion, gap insertion, ascending, strategy,
+//!     │                len, lo, hi)                 ── plan caches
+//!     └─ profile() = H(FINGERPRINT_VERSION, "PROFONLY",
+//!                      len, lo, hi)                 ── delta-base table
+//! ```
+//!
+//! Because the byte stream is a pure, canonical function of the profile,
+//! digesting it is equivalent to digesting the fields — which is what
+//! makes [`fingerprint_job_body`] possible: a server holding an
+//! already-encoded binary profile digests the raw bytes **once**, derives
+//! both identities from that digest, and answers a cache hit *without
+//! ever decoding the profile*.
+//!
+//! The digest is content addressing for **non-adversarial** inputs: it
+//! is fast and well mixed, not collision resistant against someone
+//! crafting profiles to collide. Nothing relies on it for safety — a
+//! client re-validates every served plan and checks the echoed
+//! fingerprint against its own — so a collision costs a wrong (but
+//! sound) plan for the colliding party, never memory corruption.
+//!
+//! The fingerprint is versioned on two axes: [`FINGERPRINT_VERSION`]
+//! covers the profile schema, walk order and hash function, and
+//! [`SYNTH_ALGO_VERSION`] covers the planner algorithm itself — so stale
+//! cache entries can alias a new build neither when the input shape
+//! changes nor when `synthesize` starts producing different plans for
+//! the same input.
 
 use std::fmt;
 
 use crate::plan::{SynthConfig, SYNTH_ALGO_VERSION};
 use crate::profiler::{InstanceKey, ProfiledRequests, RequestEvent};
 
-/// Version tag mixed into every digest; bump when the canonical walk or
-/// the profile schema changes shape.
+/// Version tag mixed into every fingerprint; bump when the canonical
+/// walk, the profile schema or the hash function changes.
 ///
 /// v2: [`SynthConfig::strategy`] joined the walk — a job planned by the
 /// portfolio is a different job than the same profile planned by the
@@ -40,25 +62,36 @@ use crate::profiler::{InstanceKey, ProfiledRequests, RequestEvent};
 /// byte stream ([`write_profile_body`]) instead of a per-field `u64`
 /// feed, so that [`fingerprint_job_body`] over pre-encoded bytes and
 /// [`fingerprint_job`] over the decoded profile agree by construction.
-pub const FINGERPRINT_VERSION: u32 = 3;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-/// Second-lane offset: FNV offset basis XOR a golden-ratio constant, so
-/// the two lanes never agree on correlated inputs.
-const LANE2_OFFSET: u64 = FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15;
+///
+/// v4: the hash became the word-at-a-time [`BodyDigest`] and the two
+/// identities became envelopes over it (one body walk serves both).
+/// Client and daemon must upgrade together: a client checks the echoed
+/// fingerprint against its own, so a v3/v4 pair rejects every plan.
+/// Store entries keyed by v3 fingerprints are unreachable — never
+/// wrong; still valid artifacts, so `stalloc cache gc` keeps them and
+/// only `stalloc cache clear` reclaims the space.
+pub const FINGERPRINT_VERSION: u32 = 4;
 
 /// A 128-bit content fingerprint of a planning job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub [u8; 16]);
 
 impl Fingerprint {
+    /// The 32 lower-case hex digits, on the stack.
+    fn hex_digits(self) -> [u8; 32] {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 32];
+        for (pair, b) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = NIBBLES[(b >> 4) as usize];
+            pair[1] = NIBBLES[(b & 0xf) as usize];
+        }
+        out
+    }
+
     /// Lower-case hex rendering (the on-disk cache file stem).
     pub fn to_hex(self) -> String {
         let mut s = String::with_capacity(32);
-        for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
-        }
+        s.extend(self.hex_digits().map(char::from));
         s
     }
 
@@ -80,64 +113,168 @@ impl Fingerprint {
 
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        let digits = self.hex_digits();
+        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
     }
 }
 
-/// Incremental two-lane FNV-1a hasher behind [`fingerprint_job`].
-#[derive(Debug, Clone)]
-pub struct JobHasher {
-    lane1: u64,
-    lane2: u64,
-}
+// --- the hash ------------------------------------------------------------
+//
+// One function, `digest128`, behind everything in this file: the body
+// digest and both envelopes. Editing a constant, the round or the fold
+// changes every fingerprint: bump `FINGERPRINT_VERSION` and regenerate
+// the golden vectors in the tests below.
 
-impl Default for JobHasher {
-    fn default() -> Self {
-        Self::new()
+/// Lane seeds (fractional digits of π): the state before the first block.
+const LANE_SEED: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// One odd multiplier per lane, all different, so no two lanes treat a
+/// word alike and swapping words between lanes changes the state.
+const LANE_MUL: [u64; 4] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xFF51_AFD7_ED55_8CCD,
+];
+
+/// Absorbs one 32-byte block, read as four little-endian words. Word
+/// `i` goes through lane `i`'s xor-multiply-rotate — a bijection of the
+/// lane state, so a single changed word can never cancel — and is also
+/// added to lane `i - 1`, so a difference confined to one word column
+/// still has to collide in two unrelated 64-bit lanes at once. The four
+/// chains share no state: the CPU runs them in parallel.
+fn absorb(lanes: &mut [u64; 4], block: &[u8; 32]) {
+    let mut words = [0u64; 4];
+    for (w, bytes) in words.iter_mut().zip(block.chunks_exact(8)) {
+        *w = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    }
+    for i in 0..4 {
+        lanes[i] = (lanes[i] ^ words[i])
+            .wrapping_mul(LANE_MUL[i])
+            .rotate_left(29)
+            .wrapping_add(words[(i + 1) % 4]);
     }
 }
 
-impl JobHasher {
-    /// Fresh hasher with the version tag already mixed in.
-    pub fn new() -> Self {
-        let mut h = JobHasher {
-            lane1: FNV_OFFSET,
-            lane2: LANE2_OFFSET,
-        };
-        h.write_u64(FINGERPRINT_VERSION as u64);
-        h
-    }
-
-    /// Feeds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.lane1 = (self.lane1 ^ b as u64).wrapping_mul(FNV_PRIME);
-            self.lane2 = (self.lane2 ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Feeds one `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Finalizes into a [`Fingerprint`] (the hasher can keep absorbing).
-    pub fn finish(&self) -> Fingerprint {
-        // One avalanche round per lane so short inputs still diffuse.
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&mix(self.lane1).to_le_bytes());
-        out[8..].copy_from_slice(&mix(self.lane2).to_le_bytes());
-        Fingerprint(out)
-    }
-}
-
+/// splitmix64 finalizer: full avalanche of one 64-bit value.
 fn mix(mut x: u64) -> u64 {
-    // splitmix64 finalizer.
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The 128-bit digest of `bytes`, as two 64-bit halves.
+///
+/// Whole 32-byte blocks are absorbed in order; a trailing partial block
+/// is zero-padded to 32 bytes and absorbed the same way, and the byte
+/// length enters both final folds — so `b` and `b ‖ 0x00` (same padded
+/// block) still differ. The halves are two differently-combined folds
+/// of the four lanes, each avalanched: any single-lane difference moves
+/// both. Explicit little-endian reads, no `usize` in the state: the
+/// value is the same on every platform.
+fn digest128(bytes: &[u8]) -> (u64, u64) {
+    let mut lanes = LANE_SEED;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        absorb(&mut lanes, block.try_into().expect("32-byte chunk"));
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 32];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &last);
+    }
+    let len = bytes.len() as u64;
+    let [a, b, c, d] = lanes;
+    let lo = a
+        .rotate_left(1)
+        .wrapping_add(b.rotate_left(7))
+        .wrapping_add(c.rotate_left(12))
+        .wrapping_add(d.rotate_left(18))
+        .wrapping_add(len.wrapping_mul(LANE_MUL[0]));
+    let hi = (a ^ c.rotate_left(32))
+        .wrapping_mul(LANE_MUL[1])
+        .wrapping_add((b ^ d.rotate_left(32)).wrapping_mul(LANE_MUL[2]))
+        ^ len.wrapping_mul(LANE_MUL[3]);
+    (mix(lo), mix(hi))
+}
+
+/// [`digest128`] of a short sequence of words (an envelope), as the
+/// fingerprint bytes: `lo ‖ hi`, little-endian.
+fn fingerprint_words(words: &[u64]) -> Fingerprint {
+    // The longest envelope is the job's nine words.
+    let mut bytes = [0u8; 8 * 9];
+    let bytes = &mut bytes[..8 * words.len()];
+    for (dst, w) in bytes.chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+    let (lo, hi) = digest128(bytes);
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&lo.to_le_bytes());
+    out[8..].copy_from_slice(&hi.to_le_bytes());
+    Fingerprint(out)
+}
+
+/// Level one of the identity: the digest of one canonical `PROF` v1
+/// **body** byte stream (what [`write_profile_body`] emits), from which
+/// both public identities derive without walking the bytes again.
+///
+/// This is what lets the daemon digest a request's profile once and key
+/// both its plan caches ([`Self::job`]) and its delta-base table
+/// ([`Self::profile`]) off that one walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyDigest {
+    len: u64,
+    lo: u64,
+    hi: u64,
+}
+
+impl BodyDigest {
+    /// Digests `profile_body` in one pass.
+    pub fn of(profile_body: &[u8]) -> Self {
+        let (lo, hi) = digest128(profile_body);
+        BodyDigest {
+            len: profile_body.len() as u64,
+            lo,
+            hi,
+        }
+    }
+
+    /// The job identity — [`fingerprint_job_body`] of the digested bytes.
+    pub fn job(&self, config: &SynthConfig) -> Fingerprint {
+        fingerprint_words(&[
+            FINGERPRINT_VERSION as u64,
+            // Planner algorithm version: a cache must never serve a plan
+            // an older synthesize() computed.
+            SYNTH_ALGO_VERSION as u64,
+            config.enable_fusion as u64,
+            config.enable_gap_insertion as u64,
+            config.ascending_sizes as u64,
+            config.strategy.index() as u64,
+            self.len,
+            self.lo,
+            self.hi,
+        ])
+    }
+
+    /// The config-free profile identity — [`fingerprint_profile_body`]
+    /// of the digested bytes. The domain tag (and the shorter envelope)
+    /// keeps it apart from every job identity of the same bytes.
+    pub fn profile(&self) -> Fingerprint {
+        fingerprint_words(&[
+            FINGERPRINT_VERSION as u64,
+            u64::from_le_bytes(*b"PROFONLY"),
+            self.len,
+            self.lo,
+            self.hi,
+        ])
+    }
 }
 
 // --- canonical profile byte walk ---------------------------------------
@@ -273,8 +410,11 @@ pub fn write_profile_body(profile: &ProfiledRequests, out: &mut Vec<u8>) {
     }
 }
 
-/// Rough pre-size for the canonical body buffer.
-fn profile_body_capacity(profile: &ProfiledRequests) -> usize {
+/// Upper-ish estimate of the canonical body's length, for pre-sizing
+/// the buffer [`write_profile_body`] appends to — the one estimate both
+/// the fingerprint walk and `stalloc-store::encode_profile` use, sized
+/// so a workload profile encodes without a reallocation.
+pub fn profile_body_capacity(profile: &ProfiledRequests) -> usize {
     32 + 12 * (profile.statics.len() + profile.dynamics.len())
         + 8 * profile.instance_windows.len()
         + 4 * profile
@@ -284,28 +424,32 @@ fn profile_body_capacity(profile: &ProfiledRequests) -> usize {
             .sum::<usize>()
 }
 
+/// The canonical body of `profile` in a fresh, pre-sized buffer.
+fn canonical_body(profile: &ProfiledRequests) -> Vec<u8> {
+    let mut body = Vec::with_capacity(profile_body_capacity(profile));
+    write_profile_body(profile, &mut body);
+    body
+}
+
 /// Fingerprints one planning job: the full canonical content of `profile`
 /// plus every [`SynthConfig`] switch.
 ///
 /// Two jobs share a fingerprint iff the synthesizer would (modulo hash
-/// collisions, ~2⁻¹²⁸) produce the same plan for both.
+/// collisions, ~2⁻¹²⁸ for inputs not built to collide) produce the same
+/// plan for both.
 pub fn fingerprint_job(profile: &ProfiledRequests, config: &SynthConfig) -> Fingerprint {
-    let mut body = Vec::with_capacity(profile_body_capacity(profile));
-    write_profile_body(profile, &mut body);
-    fingerprint_job_body(&body, config)
+    fingerprint_job_body(&canonical_body(profile), config)
 }
 
 /// Fingerprints a profile *alone* — no [`SynthConfig`], no
 /// [`SYNTH_ALGO_VERSION`]. This is the **base identity** of the
 /// incremental re-planning protocol: a `PROF-DELTA` stream names the
-/// profile it edits by this digest, so one stored base profile can seed
-/// deltas planned under any synthesizer configuration (the config still
-/// travels separately in the `PlanDelta` verb and still keys the *plan*
-/// caches via [`fingerprint_job`]).
+/// profile it edits by this fingerprint, so one stored base profile can
+/// seed deltas planned under any synthesizer configuration (the config
+/// still travels separately in the `PlanDelta` verb and still keys the
+/// *plan* caches via [`fingerprint_job`]).
 pub fn fingerprint_profile(profile: &ProfiledRequests) -> Fingerprint {
-    let mut body = Vec::with_capacity(profile_body_capacity(profile));
-    write_profile_body(profile, &mut body);
-    fingerprint_profile_body(&body)
+    fingerprint_profile_body(&canonical_body(profile))
 }
 
 /// [`fingerprint_profile`] over a profile already in canonical encoded
@@ -314,14 +458,7 @@ pub fn fingerprint_profile(profile: &ProfiledRequests) -> Fingerprint {
 /// the decoded profile by construction, so a server can key its profile
 /// cache off raw received bytes without decoding them.
 pub fn fingerprint_profile_body(profile_body: &[u8]) -> Fingerprint {
-    let mut h = JobHasher::new();
-    // Length-prefixed, exactly like the profile section of the job walk,
-    // plus a domain tag so a profile fingerprint can never collide with
-    // a job fingerprint of related bytes.
-    h.write_u64(u64::from_le_bytes(*b"PROFONLY"));
-    h.write_u64(profile_body.len() as u64);
-    h.write(profile_body);
-    h.finish()
+    BodyDigest::of(profile_body).profile()
 }
 
 /// Fingerprints a job whose profile is already in canonical encoded form:
@@ -331,26 +468,11 @@ pub fn fingerprint_profile_body(profile_body: &[u8]) -> Fingerprint {
 ///
 /// Equal to [`fingerprint_job`] of the decoded profile by construction,
 /// which lets a server fingerprint a received binary profile — and
-/// answer a cache hit — without decoding it.
+/// answer a cache hit — without decoding it. A caller that needs the
+/// profile identity of the same bytes too digests them once with
+/// [`BodyDigest::of`] and derives both.
 pub fn fingerprint_job_body(profile_body: &[u8], config: &SynthConfig) -> Fingerprint {
-    let mut h = JobHasher::new();
-
-    // Planner algorithm version: a cache must never serve a plan an
-    // older synthesize() computed.
-    h.write_u64(SYNTH_ALGO_VERSION as u64);
-
-    // SynthConfig next: it is tiny and always present.
-    h.write_u64(config.enable_fusion as u64);
-    h.write_u64(config.enable_gap_insertion as u64);
-    h.write_u64(config.ascending_sizes as u64);
-    h.write_u64(config.strategy.index() as u64);
-
-    // The profile, as its canonical byte stream, length-prefixed so a
-    // config/profile boundary shift cannot collide.
-    h.write_u64(profile_body.len() as u64);
-    h.write(profile_body);
-
-    h.finish()
+    BodyDigest::of(profile_body).job(config)
 }
 
 #[cfg(test)]
@@ -381,6 +503,12 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(&hex), Some(fp));
         assert_eq!(Fingerprint::from_hex("zz"), None);
         assert_eq!(Fingerprint::from_hex(&hex[..30]), None);
+        // The nibble table renders what `{:02x}` per byte would, and
+        // `Display` is the same text.
+        let spelled: String = fp.0.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, spelled);
+        assert_eq!(fp.to_string(), hex);
+        assert_eq!(Fingerprint([0x0f; 16]).to_hex(), "0f".repeat(16));
     }
 
     #[test]
@@ -504,5 +632,223 @@ mod tests {
         let mut truncated = p.clone();
         truncated.statics.pop();
         assert_ne!(base, fingerprint_job(&truncated, &SynthConfig::default()));
+    }
+
+    // --- the digest itself -------------------------------------------
+
+    /// Deterministic filler bytes for digest tests (xorshift64*).
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn halves(fp: Fingerprint) -> (u64, u64) {
+        (
+            u64::from_le_bytes(fp.0[..8].try_into().unwrap()),
+            u64::from_le_bytes(fp.0[8..].try_into().unwrap()),
+        )
+    }
+
+    /// Pinned outputs. These are on-disk cache keys and cross-process
+    /// identities: if the byte rows have to change, the hash changed,
+    /// and `FINGERPRINT_VERSION` must be bumped in the same commit (they
+    /// were first computed by a separate transcription of the module
+    /// docs, not by this code). The zoo rows also move when `trace-gen`
+    /// or the profiler changes what that profile contains.
+    #[test]
+    fn golden_vectors() {
+        let ramp = |n: usize| (0..n).map(|i| (i * 7 + 1) as u8).collect::<Vec<u8>>();
+        let default = SynthConfig::default();
+        let golden = [
+            (
+                0,
+                "7421ecedeff552dd9468b4d464966a7a",
+                "8ef8db2b7b2fc3202f68ab021e2bf8ae",
+            ),
+            (
+                1,
+                "e9cd4d5c6270dab36b9a3ce5302faeca",
+                "ded918f0c36a62813f1820552f96ee42",
+            ),
+            (
+                31,
+                "8f8ac9f7036d833f1e0e0239062155c2",
+                "b057ea4052adf6f9e738295e0859e2b5",
+            ),
+            (
+                32,
+                "fec0afdae748235eaf511970704a3aa0",
+                "8eed79065c95613d04032b21e14e227d",
+            ),
+            (
+                33,
+                "d31bc6020bc3be37382de26276e13ced",
+                "1d2c0c5bebeb9864caf258269a42b6d9",
+            ),
+        ];
+        for (len, profile_hex, job_hex) in golden {
+            let body = ramp(len);
+            assert_eq!(
+                fingerprint_profile_body(&body).to_hex(),
+                profile_hex,
+                "{len}"
+            );
+            assert_eq!(
+                fingerprint_job_body(&body, &default).to_hex(),
+                job_hex,
+                "{len}"
+            );
+        }
+        let p = profile();
+        assert_eq!(
+            fingerprint_job(&p, &default).to_hex(),
+            "3f7c7820b67cf667d4f0375be9a95134"
+        );
+        let ascending = SynthConfig {
+            ascending_sizes: true,
+            ..default
+        };
+        assert_eq!(
+            fingerprint_job(&p, &ascending).to_hex(),
+            "43d3cd582542ecd2f8c9c37fd02b8531"
+        );
+        assert_eq!(
+            fingerprint_profile(&p).to_hex(),
+            "de0c959383992993351c2edb5994cf7d"
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_moves_both_halves() {
+        let mut body = noise(4096, 1);
+        let digest = BodyDigest::of(&body);
+        let (lo, hi) = halves(digest.profile());
+        let mut flipped_bits = 0u64;
+        for bit in 0..body.len() * 8 {
+            body[bit / 8] ^= 1 << (bit % 8);
+            let d = BodyDigest::of(&body);
+            assert!(d.lo != digest.lo && d.hi != digest.hi, "digest, bit {bit}");
+            let (l, h) = halves(d.profile());
+            assert!(l != lo && h != hi, "fingerprint, bit {bit}");
+            flipped_bits += ((l ^ lo).count_ones() + (h ^ hi).count_ones()) as u64;
+            body[bit / 8] ^= 1 << (bit % 8);
+        }
+        // An ideal 128-bit hash flips 64 on average.
+        let mean = flipped_bits as f64 / (body.len() * 8) as f64;
+        assert!(mean >= 60.0, "mean avalanche {mean:.1} of 128 bits");
+    }
+
+    #[test]
+    fn zero_padding_is_unambiguous() {
+        // All-zero bodies differ only in length — and in nothing the
+        // zero-padded tail block can see.
+        let zeros = [0u8; 128];
+        let digests: Vec<BodyDigest> = (0..=128).map(|n| BodyDigest::of(&zeros[..n])).collect();
+        for half in [|d: &BodyDigest| d.lo, |d: &BodyDigest| d.hi] {
+            let mut values: Vec<u64> = digests.iter().map(half).collect();
+            values.sort_unstable();
+            values.dedup();
+            assert_eq!(values.len(), 129, "a 64-bit half collided");
+        }
+        for len in [0, 1, 7, 8, 31, 32, 33, 63, 64, 100] {
+            let mut body = noise(len, 2);
+            let short = fingerprint_profile_body(&body);
+            body.push(0);
+            assert_ne!(short, fingerprint_profile_body(&body), "{len}");
+        }
+    }
+
+    #[test]
+    fn word_order_matters_within_and_across_blocks() {
+        // 16 distinct words = 4 blocks: every pair swap, same lane or
+        // not, same block or not, must show.
+        let body = noise(128, 3);
+        let digest = BodyDigest::of(&body);
+        for i in 0..16 {
+            for j in i + 1..16 {
+                let mut swapped = body.clone();
+                for k in 0..8 {
+                    swapped.swap(8 * i + k, 8 * j + k);
+                }
+                let d = BodyDigest::of(&swapped);
+                assert!(d.lo != digest.lo && d.hi != digest.hi, "words {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn benchmark_style_neighbours_do_not_collide_in_either_half() {
+        // The benchmark's `perturb` family: one static grown by k × 512
+        // bytes. Neighbouring bodies differ in a byte or two of one
+        // varint (sometimes its length) — the inputs a cache actually
+        // has to keep apart.
+        let mut p = profile();
+        let sites = p.statics.len().min(400);
+        let per_site = 100_000usize.div_ceil(sites) as u64;
+        // Digest lo/hi, then job-fingerprint lo/hi.
+        let mut columns: [Vec<u64>; 4] = Default::default();
+        let mut record = |body: &[u8]| {
+            let d = BodyDigest::of(body);
+            let (lo, hi) = halves(d.job(&SynthConfig::default()));
+            for (column, v) in columns.iter_mut().zip([d.lo, d.hi, lo, hi]) {
+                column.push(v);
+            }
+        };
+        let mut body = canonical_body(&p);
+        record(&body);
+        for site in 0..sites {
+            let original = p.statics[site].size;
+            for k in 1..=per_site {
+                p.statics[site].size = original + 512 * k;
+                body.clear();
+                write_profile_body(&p, &mut body);
+                record(&body);
+            }
+            p.statics[site].size = original;
+        }
+        let total = columns[0].len();
+        assert!(total > 100_000);
+        for (name, mut column) in ["digest lo", "digest hi", "job lo", "job hi"]
+            .into_iter()
+            .zip(columns)
+        {
+            column.sort_unstable();
+            column.dedup();
+            assert_eq!(column.len(), total, "{name} collided");
+        }
+    }
+
+    #[test]
+    fn job_and_profile_identities_never_coincide() {
+        use crate::plan::StrategyChoice;
+        for body in [
+            Vec::new(),
+            vec![0u8],
+            noise(33, 4),
+            canonical_body(&profile()),
+        ] {
+            let digest = BodyDigest::of(&body);
+            // One walk, both ids: exactly the public by-body functions.
+            assert_eq!(digest.profile(), fingerprint_profile_body(&body));
+            for strategy in StrategyChoice::ALL {
+                for flags in 0..8u8 {
+                    let config = SynthConfig {
+                        enable_fusion: flags & 1 != 0,
+                        enable_gap_insertion: flags & 2 != 0,
+                        ascending_sizes: flags & 4 != 0,
+                        strategy,
+                    };
+                    let job = digest.job(&config);
+                    assert_eq!(job, fingerprint_job_body(&body, &config));
+                    assert_ne!(job, digest.profile(), "{config:?}");
+                }
+            }
+        }
     }
 }

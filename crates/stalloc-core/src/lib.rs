@@ -54,8 +54,8 @@ pub mod wire;
 pub use delta::{apply_delta, diff_profiles, DeltaError, EditOp, ProfileDelta};
 pub use fingerprint::{
     fingerprint_job, fingerprint_job_body, fingerprint_profile, fingerprint_profile_body,
-    write_profile_body, Fingerprint, JobHasher, FINGERPRINT_VERSION, PROFILE_FLAG_DYNAMIC,
-    PROFILE_FLAG_HAS_LE, PROFILE_FLAG_HAS_LS,
+    profile_body_capacity, write_profile_body, BodyDigest, Fingerprint, FINGERPRINT_VERSION,
+    PROFILE_FLAG_DYNAMIC, PROFILE_FLAG_HAS_LE, PROFILE_FLAG_HAS_LS,
 };
 pub use geometry::{best_fit_gap, IntervalSet, Rect, TimeSpacePacker};
 pub use plan::{

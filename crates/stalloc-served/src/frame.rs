@@ -18,7 +18,7 @@
 //! [`FrameError`], and a clean EOF before the first header byte is the
 //! regular end-of-stream (`Ok(None)`).
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Default upper bound on a frame payload (64 MiB — a large profile is
 /// a few MB of JSON; anything bigger is a protocol violation, not data).
@@ -109,12 +109,33 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+/// Writes `parts` back to back and flushes: one vectored write when the
+/// sink takes them all (a socket does — one syscall, and under
+/// `TCP_NODELAY` no segment per part), one write per non-empty part
+/// otherwise. Nothing is copied.
+fn write_parts<W: Write>(w: &mut W, parts: [&[u8]; 3]) -> std::io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut rest = &mut slices[..];
+    // Empty parts are dropped up front and as the front advances, so a
+    // sink is never handed a zero-length write (which reads as failure).
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
+}
+
 /// Writes one frame (header, payload, terminator) and flushes.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(format!("{}\n", payload.len()).as_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(b"\n")?;
-    w.flush()
+    write_parts(
+        w,
+        [format!("{}\n", payload.len()).as_bytes(), payload, b"\n"],
+    )
 }
 
 /// Reads one frame's payload. `Ok(None)` on clean EOF (stream closed at a
@@ -201,14 +222,23 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
 }
 
 /// Writes a JSON header frame and the raw binary frame it announces, if
-/// any (`ProfileBin` / `PlanDelta` requests, `PlanBin` responses).
+/// any (`ProfileBin` / `PlanDelta` requests, `PlanBin` responses) — the
+/// bytes of two [`write_frame`] calls, in one write: everything small
+/// (both length lines, the JSON header, its terminator) is assembled
+/// into one buffer, the raw payload rides beside it uncopied.
 pub fn write_announced<W: Write>(
     w: &mut W,
     header: &[u8],
     raw: Option<&[u8]>,
 ) -> std::io::Result<()> {
-    write_frame(w, header)?;
-    raw.map_or(Ok(()), |raw| write_frame(w, raw))
+    let Some(raw) = raw else {
+        return write_frame(w, header);
+    };
+    let mut head = Vec::with_capacity(header.len() + 2 * (MAX_HEADER_DIGITS + 1) + 1);
+    writeln!(head, "{}", header.len())?;
+    head.extend_from_slice(header);
+    write!(head, "\n{}\n", raw.len())?;
+    write_parts(w, [&head, raw, b"\n"])
 }
 
 /// Reads the raw frame a header announced as `declared` bytes long. Any
@@ -320,6 +350,72 @@ mod tests {
                 assert!(got < expected);
             }
             other => panic!("wrong error: {other}"),
+        }
+    }
+
+    /// A sink that counts `write` calls, takes at most `bite` bytes per
+    /// call and, like any `Write` that does not override
+    /// `write_vectored`, one part per call.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+        bite: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            assert!(!buf.is_empty(), "zero-length write");
+            self.writes += 1;
+            let n = buf.len().min(self.bite);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The announced pair as it was written before the parts were
+    /// gathered: two frames, three `write_all`s each.
+    fn announced_by_six_writes(header: &[u8], raw: Option<&[u8]>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for payload in [Some(header), raw].into_iter().flatten() {
+            out.extend_from_slice(format!("{}\n", payload.len()).as_bytes());
+            out.extend_from_slice(payload);
+            out.push(b'\n');
+        }
+        out
+    }
+
+    #[test]
+    fn announced_pair_is_the_same_bytes_in_at_most_three_writes() {
+        let header = br#"{"PlanBin":{"bytes":65536}}"#;
+        let big = vec![0xA5u8; 64 << 10];
+        for (raw, writes) in [(None, 3), (Some(&[][..]), 2), (Some(&big[..]), 3)] {
+            let expected = announced_by_six_writes(header, raw);
+            // One write per non-empty part, even from a sink that
+            // cannot gather...
+            let mut sink = CountingSink {
+                bytes: Vec::new(),
+                writes: 0,
+                bite: usize::MAX,
+            };
+            write_announced(&mut sink, header, raw).unwrap();
+            assert_eq!(sink.bytes, expected);
+            assert_eq!(sink.writes, writes, "raw = {:?}", raw.map(<[u8]>::len));
+            // ...the loop resumes mid-part after a short write...
+            sink = CountingSink {
+                bytes: Vec::new(),
+                writes: 0,
+                bite: 7,
+            };
+            write_announced(&mut sink, header, raw).unwrap();
+            assert_eq!(sink.bytes, expected);
+            // ...and a sink that gathers gets all parts at once.
+            let mut gathered = Vec::new();
+            write_announced(&mut gathered, header, raw).unwrap();
+            assert_eq!(gathered, expected);
         }
     }
 

@@ -38,8 +38,7 @@ use stalloc_core::wire::{
     SolverStrategyMetrics, WireErrorKind,
 };
 use stalloc_core::{
-    apply_delta, fingerprint_job_body, fingerprint_profile_body, Fingerprint, Plan,
-    ProfiledRequests, StrategyChoice, SynthConfig,
+    apply_delta, BodyDigest, Fingerprint, Plan, ProfiledRequests, StrategyChoice, SynthConfig,
 };
 use stalloc_obs::{
     parse_trace_id, IdGen, LatencyHistogram, Phase, RequestSpan, ShardedCounter, SpanRing,
@@ -327,11 +326,13 @@ struct Shared {
     queue_cv: Condvar,
     lru: ShardedLru<Arc<CachedPlan>>,
     store: Option<PlanStore>,
-    /// Recently seen profiles as raw canonical `PROF` bytes, keyed by
-    /// their config-free *profile* fingerprint — the base-lookup table
-    /// of the `PlanDelta` verb. Raw bytes (not decoded profiles) so
-    /// population is a memcpy on the binary request path; decode is
-    /// paid only when a delta actually lands on the entry.
+    /// Recently *served* profiles as raw canonical `PROF` bytes, keyed
+    /// by their config-free *profile* fingerprint — the base-lookup
+    /// table of the `PlanDelta` verb. Raw bytes (not decoded profiles)
+    /// so population is an `Arc` clone on the binary request path;
+    /// decode is paid only when a delta actually lands on the entry.
+    /// Only `serve_job` inserts, once a plan answers the job, so every
+    /// entry is known to decode.
     profiles: ShardedLru<Arc<Vec<u8>>>,
     inflight: Mutex<HashMap<Fingerprint, Arc<Flight>>>,
     counters: Counters,
@@ -1109,6 +1110,9 @@ fn handle_request(
 /// to before any tier is consulted.
 struct Job {
     fp: Fingerprint,
+    /// The profile's config-free identity, from the same one walk of
+    /// `canonical` as `fp`: the key it becomes a delta base under.
+    profile_fp: Fingerprint,
     config: SynthConfig,
     encoding: PlanEncoding,
     /// The profile's canonical `PROF` bytes, which `fp` is the hash of.
@@ -1123,8 +1127,8 @@ struct Job {
 }
 
 /// Resolves a planning verb into its [`Job`]: counts it, brings the
-/// profile into canonical `PROF` bytes, fingerprints the job from those
-/// bytes and registers them as a future delta base.
+/// profile into canonical `PROF` bytes, digests those bytes once and
+/// derives both the job and the profile fingerprint from the digest.
 fn resolve_job(
     request: PlanRequest,
     raw: Option<Vec<u8>>,
@@ -1167,10 +1171,9 @@ fn resolve_job(
             let next_profile = apply_delta(&base_profile, &delta)
                 .map_err(|e| Reject::bad_request(format!("profile delta does not apply: {e}")))?;
             span.record_since(Phase::Replan, replan_start);
-            let base_fp = fingerprint_job_body(
-                profile_body(&base_raw).expect("cache holds canonical bytes"),
-                &config,
-            );
+            let base_fp =
+                BodyDigest::of(profile_body(&base_raw).expect("cache holds canonical bytes"))
+                    .job(&config);
             let base = Some((base_profile, base_fp));
             (config, encoding, Some(next_profile), base)
         }
@@ -1183,21 +1186,18 @@ fn resolve_job(
         // as sent: a cache hit never pays the profile decode (nor, with
         // the encoding memo, a plan encode) — the whole point of the
         // binary request path. They move into the `Arc` once, so
-        // remembering them below is one hash and no copy.
+        // `serve_job` remembering them as a delta base is no copy.
         None => raw.expect("connection handler reads the frame"),
     });
     let body = profile_body(&canonical)
         .map_err(|e| Reject::bad_request(format!("binary profile: {e}")))?;
-    let fp = fingerprint_job_body(body, &config);
-    // Remembered under the profile's config-free fingerprint, so a later
-    // `PlanDelta` against this profile finds its base — an applied
-    // `PlanDelta` included: a family N → N+1 → N+2 can chain deltas
-    // without ever re-sending a full profile.
-    let profile_fp = fingerprint_profile_body(body);
-    shared.profiles.insert(profile_fp, Arc::clone(&canonical));
+    // One walk of the bytes, both identities.
+    let digest = BodyDigest::of(body);
+    let (fp, profile_fp) = (digest.job(&config), digest.profile());
     span.record_since(Phase::Fingerprint, fp_start);
     Ok(Job {
         fp,
+        profile_fp,
         config,
         encoding: encoding.unwrap_or(PlanEncoding::Json),
         canonical,
@@ -1223,6 +1223,15 @@ fn serve_job(
         Some(hit) => hit,
         None => synthesis_tier(job, shared, span)?,
     };
+    // A plan answers this job, so its bytes decode (here, or wherever
+    // the cached plan was made): only now may a later `PlanDelta` find
+    // them as its base — an applied `PlanDelta`'s included, so a family
+    // N → N+1 → N+2 chains deltas without re-sending a full profile. A
+    // `ProfileBin` with a sound header over a garbage body was rejected
+    // in `synthesis_tier` and never gets here.
+    shared
+        .profiles
+        .insert(job.profile_fp, Arc::clone(&job.canonical));
     let fingerprint = job.fp.to_hex();
     Ok(plan_response(fingerprint, hit, started, job.encoding, span))
 }

@@ -270,3 +270,82 @@ fn delta_requests_patch_chain_and_fall_back() {
     );
     server.shutdown();
 }
+
+/// Bytes nothing has decoded must never become a delta base: a
+/// `ProfileBin` with a sound `PROF` header over a garbage body is the
+/// client's mistake (`BadRequest`), and so is a `PlanDelta` naming those
+/// bytes as its base — `NotFound`, the documented full-profile fallback,
+/// not an `Internal` error charged to the server.
+#[test]
+fn undecodable_profile_bytes_never_become_a_delta_base() {
+    use stalloc_core::wire::{PlanRequest, PlanResponse, WireErrorKind};
+    use stalloc_served::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+
+    let server = PlanServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut exchange = |header: PlanRequest, raw: &[u8]| -> PlanResponse {
+        write_frame(
+            &mut stream,
+            serde_json::to_string(&header).unwrap().as_bytes(),
+        )
+        .unwrap();
+        write_frame(&mut stream, raw).unwrap();
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        serde_json::from_str(std::str::from_utf8(&frame).unwrap()).unwrap()
+    };
+    let config = SynthConfig::default();
+
+    // A real header, then varints that never end.
+    let base = profile();
+    let mut garbage = stalloc_store::encode_profile(&base);
+    garbage.truncate(6);
+    garbage.extend_from_slice(&[0xff; 64]);
+    assert!(stalloc_store::decode_profile(&garbage).is_err());
+    let response = exchange(
+        PlanRequest::ProfileBin {
+            config,
+            encoding: None,
+            bytes: garbage.len() as u64,
+            trace: None,
+        },
+        &garbage,
+    );
+    assert!(
+        matches!(
+            response,
+            PlanResponse::Error {
+                kind: WireErrorKind::BadRequest,
+                ..
+            }
+        ),
+        "{response:?}"
+    );
+    let errors = server.stats().errors;
+    assert_eq!(errors, 1);
+
+    // A well-formed edit script against exactly those bytes.
+    let garbage_fp =
+        stalloc_core::fingerprint_profile_body(stalloc_store::profile_body(&garbage).unwrap());
+    let mut delta = stalloc_core::diff_profiles(&base, &base);
+    delta.base = garbage_fp;
+    let script = stalloc_store::encode_profile_delta(&delta);
+    let response = exchange(
+        PlanRequest::PlanDelta {
+            config,
+            encoding: None,
+            bytes: script.len() as u64,
+            trace: None,
+        },
+        &script,
+    );
+    match response {
+        PlanResponse::NotFound { fingerprint } => assert_eq!(fingerprint, garbage_fp.to_hex()),
+        other => panic!("expected NotFound, got {other:?}"),
+    }
+    assert_eq!(server.stats().errors, errors, "not the server's failure");
+    server.shutdown();
+}

@@ -653,9 +653,9 @@ pub fn decode_plan(bytes: &[u8]) -> Result<Plan, CodecError> {
 /// the job fingerprint hashes, so the encoding doubles as the
 /// fingerprintable form of the profile (see [`profile_body`]).
 pub fn encode_profile(profile: &ProfiledRequests) -> Vec<u8> {
-    // Rough pre-size: header + ~10 bytes per request record.
-    let guess = 32 + 10 * (profile.statics.len() + profile.dynamics.len());
-    let mut buf = Vec::with_capacity(guess);
+    // Magic + version, then the body at the walk's own size estimate.
+    let header = PROFILE_MAGIC.len() + 2;
+    let mut buf = Vec::with_capacity(header + stalloc_core::profile_body_capacity(profile));
     buf.extend_from_slice(&PROFILE_MAGIC);
     buf.extend_from_slice(&PROFILE_FORMAT_VERSION.to_le_bytes());
     stalloc_core::write_profile_body(profile, &mut buf);
@@ -1333,6 +1333,41 @@ mod tests {
         let bytes = encode_profile(&profile);
         let back = decode_profile(&bytes).unwrap();
         assert_eq!(back, profile);
+    }
+
+    #[test]
+    fn workload_sized_profiles_encode_without_regrowing() {
+        // The benchmark's `moe-dyn` job (a 260 KB stream, dynamics and
+        // instance tables included) and a dense one: the stream must fit
+        // the buffer `encode_profile` pre-sized, or every request pays a
+        // reallocation and a copy of most of it.
+        use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+        let moe = TrainJob::new(
+            ModelSpec::qwen15_moe_a27b(),
+            ParallelConfig::new(2, 2, 2).with_ep(4),
+            OptimConfig::r(),
+        )
+        .with_mbs(8)
+        .with_seq(2048)
+        .with_microbatches(8);
+        let dense = TrainJob::new(
+            ModelSpec::gpt2_345m(),
+            ParallelConfig::new(1, 4, 1),
+            OptimConfig::naive(),
+        )
+        .with_microbatches(8);
+        for job in [moe, dense] {
+            let profile = stalloc_core::profile_trace(&job.build_trace().unwrap(), 1).unwrap();
+            let bytes = encode_profile(&profile);
+            let (body, estimate) = (
+                profile_body(&bytes).unwrap().len(),
+                stalloc_core::profile_body_capacity(&profile),
+            );
+            assert!(
+                body <= estimate,
+                "{body} B body outgrew its {estimate} B estimate"
+            );
+        }
     }
 
     #[test]
