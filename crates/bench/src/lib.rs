@@ -1,7 +1,6 @@
-//! Benchmark and reproduction-binary crate.
+//! The paper's tables and figures as binaries:
+//! `cargo run -p bench --release --bin <figN|tableN|all_experiments>`
+//! regenerates the corresponding table/figure from `harness::experiments`.
 //!
-//! * `cargo bench -p bench` runs the Criterion microbenchmarks
-//!   (plan synthesis, runtime allocation, caching baseline, end-to-end
-//!   replay).
-//! * `cargo run -p bench --release --bin <figN|tableN|all_experiments>`
-//!   regenerates the corresponding paper table/figure.
+//! Timings live elsewhere: the repository's one measuring system is the
+//! standalone `benchmark/` package (see its README and `BENCHMARK.json`).

@@ -5,8 +5,8 @@
 //! parallel layout; layouts here follow standard Megatron practice for the
 //! given model/hardware combination, and microbatch/sequence settings are
 //! calibrated so peak memory lands in the regime the paper reports (tens of
-//! GB on 80 GB devices). EXPERIMENTS.md records the chosen values next to
-//! each reproduced number.
+//! GB on 80 GB devices). The chosen values are the arguments of the
+//! functions below.
 
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob, ZeroStage};
 

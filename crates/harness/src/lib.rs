@@ -10,9 +10,8 @@
 //!   iteration time and TFLOPS;
 //! * [`configs`] — the training jobs behind every table/figure;
 //! * [`experiments`] — one function per paper table/figure;
-//! * [`plan_cache`] — fingerprint-keyed plan reuse across runs (in-memory
-//!   memo, an optional `STALLOC_PLAN_SERVER` remote planning daemon, and
-//!   an optional `STALLOC_PLAN_CACHE` disk store);
+//! * [`plan_cache`] — a process-wide, fingerprint-keyed memo of
+//!   synthesized plans;
 //! * [`table`] — plain-text table rendering.
 
 pub mod configs;
@@ -23,9 +22,7 @@ pub mod runner;
 pub mod table;
 pub mod throughput;
 
-pub use plan_cache::{
-    latency_summary, remote_planned, PlanCacheStats, PLAN_CACHE_ENV, PLAN_SERVER_ENV,
-};
+pub use plan_cache::PlanCacheStats;
 pub use replay::{replay, ReplayOptions, ReplayReport};
 pub use runner::{build_allocator, run, run_lineup, AllocatorKind, RunResult};
 pub use table::{gib, pct, Table};

@@ -1,55 +1,27 @@
-//! Cache-aware plan synthesis for experiment runs.
+//! A process-wide memo of synthesized plans.
 //!
 //! Most experiment binaries replay the same trace through several
 //! allocator kinds (e.g. `Stalloc` and `StallocNoReuse` in every lineup),
 //! and plan synthesis is the expensive offline step of each STAlloc run.
 //! [`planned`] keys synthesis by the job's [`Fingerprint`] and serves
-//! repeats from:
-//!
-//! 1. a process-wide in-memory memo (always on),
-//! 2. an optional `stalloc serve` daemon, enabled by pointing the
-//!    `STALLOC_PLAN_SERVER` environment variable at its address — so
-//!    concurrent experiment lineups across *machines* share one
-//!    synthesis, and
-//! 3. an optional on-disk [`PlanStore`], enabled by pointing the
-//!    `STALLOC_PLAN_CACHE` environment variable at a directory — so plans
-//!    survive across experiment *processes* (`all_experiments`, the
-//!    figure binaries, repeated bench runs).
-//!
-//! Remote and disk failures are deliberately non-fatal: the experiment
-//! falls back to plain synthesis. [`stats`] exposes hit counters so runs
-//! can report cache effectiveness.
+//! repeats from memory. [`stats`] counts both outcomes.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use stalloc_core::{fingerprint_job, Fingerprint, Plan, ProfiledRequests, SynthConfig};
-use stalloc_obs::{HistogramSnapshot, LatencyHistogram};
-use stalloc_served::PlanClient;
 use stalloc_solver::synthesize_strategy;
-use stalloc_store::PlanStore;
 
-/// Environment variable naming the on-disk plan cache directory.
-pub const PLAN_CACHE_ENV: &str = "STALLOC_PLAN_CACHE";
-
-/// Environment variable naming a `stalloc serve` daemon address.
-pub const PLAN_SERVER_ENV: &str = "STALLOC_PLAN_SERVER";
-
-/// Cumulative cache counters for this process.
+/// Cumulative memo counters for this process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Plans served from the in-memory memo.
+    /// Plans served from the memo.
     pub memo_hits: u64,
-    /// Plans served by a remote plan server (whether the server itself
-    /// hit its cache or synthesized is the server's business).
-    pub remote: u64,
-    /// Plans decoded from the on-disk store.
-    pub store_hits: u64,
     /// Plans synthesized from scratch.
     pub synthesized: u64,
 }
 
+#[derive(Default)]
 struct CacheState {
     memo: HashMap<Fingerprint, Plan>,
     stats: PlanCacheStats,
@@ -57,177 +29,33 @@ struct CacheState {
 
 fn state() -> &'static Mutex<CacheState> {
     static STATE: OnceLock<Mutex<CacheState>> = OnceLock::new();
-    STATE.get_or_init(|| {
-        Mutex::new(CacheState {
-            memo: HashMap::new(),
-            stats: PlanCacheStats::default(),
-        })
-    })
+    STATE.get_or_init(Mutex::default)
 }
 
-/// Tier names for [`latency`], in its output order.
-const LATENCY_TIERS: [&str; 4] = ["memo", "remote", "store", "synthesized"];
-
-/// Per-tier `planned` latency histograms (microseconds), indexed to
-/// match [`LATENCY_TIERS`].
-fn latency_hists() -> &'static [LatencyHistogram; 4] {
-    static HISTS: OnceLock<[LatencyHistogram; 4]> = OnceLock::new();
-    HISTS.get_or_init(|| std::array::from_fn(|_| LatencyHistogram::new()))
-}
-
-fn disk_store() -> Option<&'static PlanStore> {
-    static STORE: OnceLock<Option<PlanStore>> = OnceLock::new();
-    STORE
-        .get_or_init(|| {
-            let dir = std::env::var(PLAN_CACHE_ENV).ok()?;
-            if dir.is_empty() {
-                return None;
-            }
-            PlanStore::open(dir).ok()
-        })
-        .as_ref()
-}
-
-/// Which tier ultimately produced a plan (for stats accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Remote,
-    Store,
-    Synthesized,
-}
-
-/// The trace id every remote plan request from this process carries —
-/// minted once per experiment process, so a whole lineup's requests
-/// (across connections) group under one trace in the server's span ring
-/// and trace log. `{:032x}` renders the wire form.
-pub fn experiment_trace_id() -> u128 {
-    static ID: OnceLock<u128> = OnceLock::new();
-    *ID.get_or_init(|| stalloc_obs::id_gen().next_trace_id())
-}
-
-/// Plans `(profile, config)` against a `stalloc serve` daemon at `addr`.
-/// The received plan is validated by the client; errors surface so the
-/// caller can decide between failing and falling back.
-///
-/// Both payloads travel in the binary codecs (the `PlanClient`
-/// defaults): the profile as a `ProfileBin` + raw `PROF` frame pair, the
-/// plan back as a `PlanBin` + raw `STPL` frame pair — so a lineup's
-/// repeat jobs cost the server an LRU lookup, not a serde round trip.
-pub fn remote_planned(
-    addr: &str,
-    profile: &ProfiledRequests,
-    config: &SynthConfig,
-) -> Result<Plan, String> {
-    let mut client = PlanClient::connect(addr)
-        .map_err(|e| e.to_string())?
-        .with_trace_id(experiment_trace_id());
-    let remote = client.plan(profile, config).map_err(|e| e.to_string())?;
-    Ok(remote.plan)
-}
-
-/// Returns the plan for `(profile, config)`, consulting the memo, the
-/// optional remote plan server, and the optional disk store — in that
-/// order — before synthesizing.
+/// Returns the plan for `(profile, config)`: the memoized one, or a fresh
+/// synthesis that is memoized for the next caller.
 pub fn planned(profile: &ProfiledRequests, config: &SynthConfig) -> Plan {
-    let started = Instant::now();
     let fp = fingerprint_job(profile, config);
     {
         let mut s = state().lock().expect("plan cache lock");
         if let Some(plan) = s.memo.get(&fp) {
             let plan = plan.clone();
             s.stats.memo_hits += 1;
-            latency_hists()[0].record(started.elapsed().as_micros() as u64);
             return plan;
         }
     }
-
-    // Remote tier: a shared daemon amortizes synthesis across processes
-    // and machines; any failure degrades to the local tiers.
-    let remote_plan = std::env::var(PLAN_SERVER_ENV)
-        .ok()
-        .filter(|addr| !addr.is_empty())
-        .and_then(|addr| remote_planned(&addr, profile, config).ok());
-
-    // A disk artifact that decodes but fails the soundness check (e.g. a
-    // bit flip past the codec header) must not reach the allocator.
-    let (plan, tier) = match remote_plan {
-        Some(plan) => (plan, Tier::Remote),
-        None => {
-            let disk_plan = disk_store()
-                .and_then(|store| store.get(fp).ok().flatten())
-                .filter(|plan| plan.validate().is_ok());
-            match disk_plan {
-                Some(plan) => (plan, Tier::Store),
-                None => {
-                    // Strategy-aware: a lineup asking for the portfolio
-                    // gets the raced winner, keyed by its own fingerprint.
-                    let plan = synthesize_strategy(profile, config);
-                    if let Some(store) = disk_store() {
-                        let _ = store.put(fp, &plan); // best effort
-                    }
-                    (plan, Tier::Synthesized)
-                }
-            }
-        }
-    };
-
-    // A remotely served plan still lands in the local disk store, so the
-    // configured cross-process cache keeps working if the server later
-    // becomes unreachable.
-    if tier == Tier::Remote {
-        if let Some(store) = disk_store() {
-            let _ = store.put(fp, &plan); // best effort
-        }
-    }
-
+    // Strategy-aware: a lineup asking for the portfolio gets the raced
+    // winner, keyed by its own fingerprint.
+    let plan = synthesize_strategy(profile, config);
     let mut s = state().lock().expect("plan cache lock");
-    match tier {
-        Tier::Remote => s.stats.remote += 1,
-        Tier::Store => s.stats.store_hits += 1,
-        Tier::Synthesized => s.stats.synthesized += 1,
-    }
-    let hist_index = match tier {
-        Tier::Remote => 1,
-        Tier::Store => 2,
-        Tier::Synthesized => 3,
-    };
-    latency_hists()[hist_index].record(started.elapsed().as_micros() as u64);
+    s.stats.synthesized += 1;
     s.memo.insert(fp, plan.clone());
     plan
 }
 
-/// This process's cumulative cache counters.
+/// This process's cumulative memo counters.
 pub fn stats() -> PlanCacheStats {
     state().lock().expect("plan cache lock").stats
-}
-
-/// Per-tier `planned` latency distributions (microseconds), in
-/// memo/remote/store/synthesized order. Tiers never exercised report an
-/// empty histogram.
-pub fn latency() -> Vec<(&'static str, HistogramSnapshot)> {
-    LATENCY_TIERS
-        .iter()
-        .zip(latency_hists().iter())
-        .map(|(name, h)| (*name, h.snapshot()))
-        .collect()
-}
-
-/// One `tier n p50/p90/p99` line per exercised tier — for experiment
-/// binaries that report cache effectiveness.
-pub fn latency_summary() -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for (name, h) in latency() {
-        let n = h.total();
-        let Some((p50, p90, p99)) = h.percentiles() else {
-            continue; // tier never exercised
-        };
-        let _ = writeln!(
-            out,
-            "plan cache tier {name:<11} n {n:>6}  p50 {p50:>9} µs  p90 {p90:>9} µs  p99 {p99:>9} µs"
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -258,82 +86,13 @@ mod tests {
         let after = stats();
 
         assert_eq!(a, b);
+        assert_eq!(a, synthesize_strategy(&profile, &config));
         // First call either synthesized or (if another test populated the
         // memo already) hit; the second call must be a memo hit.
-        assert!(
-            mid.synthesized + mid.memo_hits + mid.store_hits + mid.remote
-                > before.synthesized + before.memo_hits + before.store_hits + before.remote
-        );
+        assert!(mid.synthesized + mid.memo_hits > before.synthesized + before.memo_hits);
         // Strict inequality, not an exact delta: other tests in this
         // process share the global counters and may interleave their own
         // memo hits between the two reads.
         assert!(after.memo_hits > mid.memo_hits);
-
-        // Every planned() call landed in exactly one latency histogram,
-        // so the per-tier sample counts mirror the counters.
-        let lat = latency();
-        assert_eq!(
-            lat.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
-            vec!["memo", "remote", "store", "synthesized"]
-        );
-        let samples: u64 = lat.iter().map(|(_, h)| h.total()).sum();
-        let calls = after.memo_hits + after.remote + after.store_hits + after.synthesized;
-        // ≥, not ==: tests in this binary run concurrently, and another
-        // planned() call may land between the two global reads above.
-        assert!(
-            samples >= calls,
-            "one latency sample per planned() call ({samples} < {calls})"
-        );
-        // The summary renders a line per exercised tier, µs-scaled.
-        let summary = latency_summary();
-        assert!(summary.contains("memo"), "{summary}");
-        assert!(summary.contains("µs"), "{summary}");
-    }
-
-    #[test]
-    fn remote_planned_round_trips_through_a_server() {
-        use stalloc_served::{PlanServer, ServeConfig};
-
-        let trace = TrainJob::new(
-            ModelSpec::gpt2_345m(),
-            ParallelConfig::new(1, 2, 1),
-            OptimConfig::naive(),
-        )
-        .with_mbs(1)
-        .with_seq(256)
-        .with_microbatches(2)
-        .with_iterations(2)
-        .build_trace()
-        .unwrap();
-        let profile = stalloc_core::profile_trace(&trace, 1).unwrap();
-        let config = SynthConfig::default();
-
-        let server = PlanServer::start(ServeConfig::default()).unwrap();
-        let addr = server.addr().to_string();
-        let remote = remote_planned(&addr, &profile, &config).unwrap();
-        assert_eq!(remote, stalloc_core::synthesize(&profile, &config));
-        assert_eq!(server.stats().plan_requests, 1);
-
-        // The request was tagged with this process's experiment trace
-        // id: the server's span ring must hold it under that id.
-        let hex = format!("{:032x}", experiment_trace_id());
-        let mut probe = PlanClient::connect(&addr).unwrap();
-        // The worker records its span just after writing the response;
-        // retry briefly rather than racing it.
-        let mut spans = Vec::new();
-        for _ in 0..50 {
-            spans = probe.trace_get(&hex).unwrap();
-            if !spans.is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(!spans.is_empty(), "server retained no span for trace {hex}");
-        assert!(spans.iter().all(|s| s.trace_id == hex));
-        server.shutdown();
-
-        // With the server gone, the remote tier reports (not panics) and
-        // `planned` would fall back to local synthesis.
-        assert!(remote_planned(&addr, &profile, &config).is_err());
     }
 }

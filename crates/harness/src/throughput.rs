@@ -4,8 +4,8 @@
 //! into iteration time and the TFLOPS-per-GPU figure training frameworks
 //! report. The paper's throughput *differences* come from (a) configuration
 //! feasibility (OOM or not) and (b) allocator-induced latency; both enter
-//! this model directly. Absolute numbers are analytic estimates and are
-//! labelled as such in EXPERIMENTS.md.
+//! this model directly. Absolute numbers are analytic estimates, not
+//! measurements of a real cluster.
 
 use gpu_sim::DeviceSpec;
 use trace_gen::WorkloadMeta;

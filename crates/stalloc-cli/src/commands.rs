@@ -338,8 +338,8 @@ usage: stalloc cache <ls|gc|clear> --dir DIR
   ls     list cached plans (fingerprint, size, pool, created)
          --long  also decode each artifact: strategy, codec version,
                  encoded plan size
-  gc     drop dangling index rows, orphan artifacts, stale temp files
-  clear  remove every cached plan and the index";
+  gc     remove corrupt or misnamed artifacts and stale temp files
+  clear  remove every cached plan";
 
 const CACHE_SPEC: FlagSpec = FlagSpec {
     value_flags: &["dir"],
@@ -522,8 +522,8 @@ fn dispatch_cache(rest: &[String]) -> Result<(), String> {
                     e.created_unix
                 );
                 if long {
-                    // Decode the artifact itself: the index row knows the
-                    // summary, the bytes know the strategy and codec.
+                    // The entry is the summary; the artifact's own bytes
+                    // know the strategy and the codec version.
                     let detail = stalloc_core::Fingerprint::from_hex(&e.fingerprint)
                         .map(|fp| store.plan_path(fp))
                         .and_then(|p| fs::read(p).ok())
@@ -551,15 +551,8 @@ fn dispatch_cache(rest: &[String]) -> Result<(), String> {
             let store = PlanStore::open(args.require("dir")?).map_err(|e| e.to_string())?;
             let r = store.gc().map_err(|e| e.to_string())?;
             println!(
-                "gc: dropped {} dangling index entr{}, adopted {} orphan \
-                 plan(s), removed {} corrupt file(s) + {} stale temp \
-                 file(s); reclaimed {} bytes",
-                r.dangling_entries,
-                if r.dangling_entries == 1 { "y" } else { "ies" },
-                r.adopted_entries,
-                r.orphan_files,
-                r.temp_files,
-                r.reclaimed_bytes
+                "gc: removed {} corrupt file(s) + {} stale temp file(s); reclaimed {} bytes",
+                r.orphan_files, r.temp_files, r.reclaimed_bytes
             );
             Ok(())
         }

@@ -28,8 +28,8 @@ use crate::profiler::ProfiledRequests;
 /// `Json` embeds the plan inside the JSON response document (simple,
 /// `nc`-debuggable). `Binary` answers with a [`PlanResponse::PlanBin`]
 /// header frame followed by one *raw* frame holding the plan in the
-/// `stalloc-store` binary codec — skipping the JSON value-tree round
-/// trip that dominates big-plan responses.
+/// `stalloc-store` binary codec — about a sixth of the JSON bytes, and
+/// a server's memoized encoding goes out as is.
 ///
 /// The request field is optional on the wire: frames from clients that
 /// predate it carry no `encoding` key and are served `Json`, exactly as
@@ -52,9 +52,9 @@ pub enum PlanEncoding {
 /// [`PlanRequest::ProfileBin`] header, so they keep working unchanged.
 /// `Binary` sends a [`PlanRequest::ProfileBin`] header frame followed by
 /// one *raw* frame holding the profile in the `stalloc-store` `PROF`
-/// binary codec — skipping the serde value-tree round trip that
-/// dominates per-request cost even on cache hits (the profile is by far
-/// the largest recurring payload of the protocol).
+/// binary codec — a tenth of the JSON bytes, and a server fingerprints
+/// them as they arrive, so a cache hit decodes no profile at all (the
+/// profile is by far the largest recurring payload of the protocol).
 ///
 /// The default is `Binary`: that is what new clients (`PlanClient`,
 /// `stalloc plan --remote`) send unless told otherwise.

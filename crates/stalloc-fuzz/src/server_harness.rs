@@ -252,30 +252,46 @@ fn garbage_then_recover(
         .map_err(|e| format!("worker did not recover after a malformed stream: {e}"))
 }
 
+/// Well-formed frames that are not requests: plain garbage, and the two
+/// shapes that are hostile to the JSON parser itself — nesting deep enough
+/// to overflow a parser that recurses per bracket (which aborts the
+/// daemon; no `catch_unwind` stops that), and one string long enough to
+/// stall a parser that is not linear in it.
+fn not_a_request_payloads() -> [Vec<u8>; 3] {
+    [
+        b"this is not a request".to_vec(),
+        vec![b'['; 100_000],
+        format!("\"{}\"", "x".repeat(256 << 10)).into_bytes(),
+    ]
+}
+
 /// Scenario: a well-formed frame whose payload is not a request. The
 /// server consumes the whole frame, so the typed `BadFrame` answer is
 /// deterministic; the connection then closes (stream unsynchronized).
 fn bad_payload_is_typed(addr: SocketAddr, seen: &mut BTreeSet<String>) -> Result<(), String> {
-    let mut s = connect(addr)?;
-    write_frame(&mut s, b"this is not a request").map_err(|e| e.to_string())?;
-    match read_response(&mut s)? {
-        Some(
-            resp @ PlanResponse::Error {
-                kind: WireErrorKind::BadFrame,
-                ..
-            },
-        ) => {
-            record(seen, &resp);
+    for payload in not_a_request_payloads() {
+        let mut s = connect(addr)?;
+        write_frame(&mut s, &payload).map_err(|e| e.to_string())?;
+        match read_response(&mut s)? {
+            Some(
+                resp @ PlanResponse::Error {
+                    kind: WireErrorKind::BadFrame,
+                    ..
+                },
+            ) => {
+                record(seen, &resp);
+            }
+            other => return Err(format!("expected BadFrame error, got {other:?}")),
         }
-        other => return Err(format!("expected BadFrame error, got {other:?}")),
+        // The stream must be closed now.
+        match read_response(&mut s) {
+            Ok(None) | Err(_) => {}
+            Ok(Some(r)) => return Err(format!("connection stayed open after BadFrame: {r:?}")),
+        }
+        let mut fresh = connect(addr)?;
+        ping(&mut fresh, seen)?;
     }
-    // The stream must be closed now.
-    match read_response(&mut s) {
-        Ok(None) | Err(_) => {}
-        Ok(Some(r)) => return Err(format!("connection stayed open after BadFrame: {r:?}")),
-    }
-    let mut fresh = connect(addr)?;
-    ping(&mut fresh, seen)
+    Ok(())
 }
 
 /// Scenario: a header declaring more than the server's frame cap. The
@@ -636,5 +652,27 @@ mod tests {
         assert_eq!(outcome.violations, Vec::<String>::new());
         assert_eq!(outcome.missing, Vec::<String>::new());
         assert_eq!(outcome.executed, 48);
+    }
+
+    #[test]
+    fn the_not_a_request_scenario_sends_both_hostile_shapes() {
+        let payloads = not_a_request_payloads();
+        assert!(payloads
+            .iter()
+            .any(|p| p.len() >= 100_000 && p.iter().all(|&b| b == b'[')));
+        assert!(payloads
+            .iter()
+            .any(|p| p.len() >= 256 << 10 && p.starts_with(b"\"x") && p.ends_with(b"x\"")));
+
+        let server = PlanServer::start(ServeConfig {
+            max_frame: HARNESS_MAX_FRAME,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut seen = BTreeSet::new();
+        bad_payload_is_typed(server.addr(), &mut seen).unwrap();
+        assert_eq!(server.stats().errors, payloads.len() as u64);
+        assert!(seen.contains("Error:BadFrame") && seen.contains("Pong"));
+        server.shutdown();
     }
 }

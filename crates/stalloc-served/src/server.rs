@@ -17,7 +17,7 @@
 //! synthesizer while followers wait on its result — N identical jobs
 //! cost one synthesis.
 //!
-//! Both directions of the hot path avoid the serde value tree: a
+//! Neither direction of the hot path parses or builds a payload: a
 //! `ProfileBin` request's profile arrives as raw `PROF` codec bytes and
 //! is fingerprinted *without decoding* (the `PROF` body is the canonical
 //! fingerprint walk), and every cache entry memoizes the plan's `STPL`
@@ -958,8 +958,8 @@ fn handle_connection(stream: TcpStream, queued_at: Instant, shared: &Shared) {
         };
         span.record_since(Phase::Encode, encode_start);
 
-        // Binary-encoded plans ride in a raw follow-up frame, skipping
-        // the JSON value-tree round trip. The encoding memo was populated
+        // Binary-encoded plans ride in a raw follow-up frame, outside
+        // the JSON header. The encoding memo was populated
         // when the `PlanBin` header was built, so this is a pure write.
         let write_start = Instant::now();
         let write_ok = write_announced(

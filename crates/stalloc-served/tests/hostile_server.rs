@@ -42,6 +42,10 @@ enum Script {
     RawFrameOffBy(i64),
     /// Reads the request, then closes without a word.
     CloseBeforeAnyResponse,
+    /// A well-formed header frame of 100,000 `[`: a parser that recurses
+    /// per bracket overflows the stack of the training-side caller, which
+    /// aborts its process instead of returning an error.
+    DeeplyNestedHeader,
     /// The overlapping twin again, but with the iteration's decisions in
     /// reverse: a check that trusts ticks to ascend walks past it.
     OverlapBehindUnsortedTicks,
@@ -98,6 +102,10 @@ fn fake_server(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
                     (header, Some(stpl))
                 }
                 Script::CloseBeforeAnyResponse => continue,
+                Script::DeeplyNestedHeader => {
+                    write_frame(&mut conn, "[".repeat(100_000).as_bytes()).unwrap();
+                    continue;
+                }
                 Script::OverlapBehindUnsortedTicks => {
                     let twin = plan.iter_allocs[0];
                     plan.iter_allocs.push(twin);
@@ -139,6 +147,10 @@ fn every_distrust_check_ends_in_a_protocol_error() {
         (Script::RawFrameOffBy(-1), "header declared"),
         (Script::RawFrameOffBy(1), "header declared"),
         (Script::CloseBeforeAnyResponse, "closed before responding"),
+        (
+            Script::DeeplyNestedHeader,
+            "undecodable response: recursion",
+        ),
         (
             Script::OverlapBehindUnsortedTicks,
             "sent unsound plan: overlap",

@@ -105,6 +105,36 @@ fn bad_json_payload_gets_typed_error() {
 }
 
 #[test]
+fn hostile_json_frames_get_bad_frame_and_the_daemon_survives() {
+    // Both frames are well-formed and far under `max_frame`. The first
+    // used to overflow the worker's stack in the JSON parser, which
+    // aborts the whole process (no `catch_unwind` stops that); the second
+    // used to pin the worker for hours re-validating the string per
+    // character.
+    let server = PlanServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+
+    let hostile = ["[".repeat(100_000), format!("\"{}\"", "x".repeat(1 << 20))];
+    for (i, payload) in hostile.iter().enumerate() {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        stalloc_served::write_frame(&mut raw, payload.as_bytes()).unwrap();
+        // The error text quotes the value that is not a request, so the
+        // answer to the string frame is as long as the frame.
+        let resp = read_frame(&mut raw, stalloc_served::DEFAULT_MAX_FRAME)
+            .expect("server answers with a frame")
+            .expect("server answers before closing");
+        let resp = String::from_utf8_lossy(&resp[..resp.len().min(256)]).into_owned();
+        assert!(resp.contains("BadFrame"), "typed error, got: {resp}");
+        assert_eq!(server.stats().errors, i as u64 + 1);
+        assert_still_serving(server.addr());
+    }
+    server.shutdown();
+}
+
+#[test]
 fn midstream_disconnect_does_not_poison_worker() {
     let server = PlanServer::start(ServeConfig {
         workers: 1,

@@ -18,11 +18,12 @@
 //!   from its encoded profile without decoding ([`profile_body`] +
 //!   `stalloc_core::fingerprint_job_body`).
 //! * [`store`] — a [`PlanStore`] directory of `<fingerprint>.stplan`
-//!   artifacts with a JSON index and atomic writes. Lookup is by the
-//!   [`Fingerprint`](stalloc_core::Fingerprint) of the profiled job, so
-//!   [`synthesize_cached`] makes repeat planning O(1). Index mutations
-//!   serialize on an advisory lock file and re-read-merge, so concurrent
-//!   writers (threads or processes) never lose each other's entries.
+//!   artifacts, each written atomically; the directory is its own index.
+//!   Lookup is by the [`Fingerprint`](stalloc_core::Fingerprint) of the
+//!   profiled job, so [`synthesize_cached`] makes repeat planning O(1).
+//!   Content addressing is what makes concurrent writers (threads or
+//!   processes) safe without a lock: two writers of one fingerprint
+//!   write the same bytes, and nobody else touches that file.
 //! * [`lru`] — a [`ShardedLru`] of decoded plans to put in front of the
 //!   disk store when many requests share one process (the
 //!   `stalloc-served` daemon), skipping the read + decode on hot jobs.

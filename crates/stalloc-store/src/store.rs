@@ -1,18 +1,21 @@
 //! Content-addressed on-disk plan cache.
 //!
 //! A [`PlanStore`] is a directory of binary plan artifacts named by the
-//! [`Fingerprint`] of the job that produced them (`<hex>.stplan`), plus a
-//! JSON index (`index.json`) with per-entry metadata for `stalloc cache
-//! ls`. All writes are atomic (unique temp file, fsync, rename), so a
-//! crashed or concurrent writer can never leave a torn plan behind; at
-//! worst the index lags the data files, which [`PlanStore::gc`] repairs.
+//! [`Fingerprint`] of the job that produced them (`<32 hex>.stplan`) and
+//! nothing else: the directory is the index. [`PlanStore::entries`]
+//! (`stalloc cache ls`) lists it and decodes each artifact for its
+//! summary; [`PlanStore::get`] and [`PlanStore::put`] touch exactly one
+//! file.
 //!
-//! The store is safe for concurrent writers — threads in one process and
-//! separate processes alike (the `stalloc-served` daemon shares one store
-//! across its whole worker pool, possibly alongside ad-hoc `stalloc plan
-//! --cache` runs). Index mutations serialize on an advisory `index.lock`
-//! file and re-read the index inside the critical section, so a
-//! merge never drops a concurrent writer's entry.
+//! Every write is atomic (unique temp file, fsync, rename, directory
+//! sync), so a crashed or concurrent writer can never leave a torn plan
+//! behind — at worst a `.tmp-*` file that [`PlanStore::gc`] removes once
+//! it has aged. The store is content-addressed, so racing writers of one
+//! fingerprint rename identical bytes over each other, and writers of
+//! different fingerprints never touch the same file: threads in one
+//! process and separate processes (the `stalloc-served` daemon's worker
+//! pool beside ad-hoc `stalloc plan --cache` runs) share a directory
+//! without a lock.
 //!
 //! [`synthesize_cached`] is the integration point: look the job up by
 //! fingerprint, and only on a miss run the (comparatively expensive) plan
@@ -23,9 +26,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, UNIX_EPOCH};
 
-use serde::{Deserialize, Serialize};
 use stalloc_core::plan::{Plan, SynthConfig};
 use stalloc_core::{fingerprint_job, Fingerprint, ProfiledRequests};
 
@@ -34,9 +36,12 @@ use crate::codec::{decode_plan, encode_plan, CodecError};
 /// Extension of plan artifacts inside the store directory.
 pub const PLAN_EXT: &str = "stplan";
 
-const INDEX_FILE: &str = "index.json";
-const LOCK_FILE: &str = "index.lock";
-const INDEX_VERSION: u32 = 1;
+/// Prefix of an in-flight writer's temp file.
+const TEMP_PREFIX: &str = ".tmp-";
+
+/// Files an index-keeping release of this store left in its directory.
+/// Nothing reads them; [`PlanStore::clear`] removes them by name.
+const LEGACY_FILES: [&str; 2] = ["index.json", "index.lock"];
 
 /// Store operation failures.
 #[derive(Debug)]
@@ -50,8 +55,6 @@ pub enum StoreError {
     },
     /// A cached artifact failed to decode.
     Codec(CodecError),
-    /// The index file exists but cannot be parsed.
-    CorruptIndex(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -59,7 +62,6 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io { path, source } => write!(f, "{}: {source}", path.display()),
             StoreError::Codec(e) => write!(f, "cached plan: {e}"),
-            StoreError::CorruptIndex(e) => write!(f, "corrupt index: {e}"),
         }
     }
 }
@@ -69,7 +71,6 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Codec(e) => Some(e),
-            StoreError::CorruptIndex(_) => None,
         }
     }
 }
@@ -87,33 +88,30 @@ fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     }
 }
 
-/// One index row: metadata of a cached plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Metadata of one cached plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreEntry {
     /// Hex fingerprint (also the artifact file stem).
     pub fingerprint: String,
     /// Artifact size in bytes.
     pub bytes: u64,
-    /// Creation time, seconds since the Unix epoch.
+    /// The artifact file's modification time, seconds since the Unix
+    /// epoch: when the plan was last `put`.
     pub created_unix: u64,
-    /// Cached plan's pool size (so `cache ls` can summarize without
-    /// decoding artifacts).
+    /// Cached plan's pool size.
     pub pool_size: u64,
     /// Cached plan's static request count.
     pub static_requests: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Index {
-    version: u32,
-    entries: Vec<StoreEntry>,
-}
-
-impl Index {
-    fn empty() -> Self {
-        Index {
-            version: INDEX_VERSION,
-            entries: Vec::new(),
+impl StoreEntry {
+    fn new(fp: Fingerprint, bytes: usize, created_unix: u64, plan: &Plan) -> Self {
+        StoreEntry {
+            fingerprint: fp.to_hex(),
+            bytes: bytes as u64,
+            created_unix,
+            pool_size: plan.pool_size,
+            static_requests: plan.stats.static_requests as u64,
         }
     }
 }
@@ -121,12 +119,8 @@ impl Index {
 /// Result of a [`PlanStore::gc`] sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Index entries dropped because their artifact was missing.
-    pub dangling_entries: usize,
-    /// Valid un-indexed artifacts adopted back into the index (e.g. after
-    /// a lost index write).
-    pub adopted_entries: usize,
-    /// Artifact files removed because they were undecodable or unsound.
+    /// `*.stplan` files removed because they were misnamed, undecodable
+    /// or unsound.
     pub orphan_files: usize,
     /// Stale temp files removed.
     pub temp_files: usize,
@@ -145,6 +139,25 @@ pub struct PlanStore {
 }
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// The stem of a file name that claims to be a plan artifact
+/// (`<stem>.stplan`).
+fn artifact_stem(name: &str) -> Option<&str> {
+    name.strip_suffix(PLAN_EXT)?.strip_suffix('.')
+}
+
+/// The fingerprint an artifact's stem spells, if it is exactly what
+/// [`PlanStore::plan_path`] produces (32 lowercase hex digits).
+fn stem_fingerprint(stem: &str) -> Option<Fingerprint> {
+    Fingerprint::from_hex(stem).filter(|fp| fp.to_hex() == stem)
+}
+
+fn mtime_unix(meta: &fs::Metadata) -> u64 {
+    meta.modified()
+        .ok()
+        .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
+        .map_or(0, |d| d.as_secs())
+}
 
 impl PlanStore {
     /// Opens (creating if necessary) a store at `dir`.
@@ -188,13 +201,13 @@ impl PlanStore {
         Ok(Some((plan, bytes)))
     }
 
-    /// Stores `plan` under `fp`, atomically, and updates the index.
-    /// Returns the new index row.
+    /// Stores `plan` under `fp` in one atomic artifact write and returns
+    /// its metadata.
     ///
-    /// Safe against concurrent writers: the artifact write is atomic and
-    /// content-addressed (racing writers produce identical bytes), and
-    /// the index update re-reads the index under the store lock, so a
-    /// concurrent `put` of a *different* job is merged, not overwritten.
+    /// Safe against concurrent writers without a lock: the store is
+    /// content-addressed, so racing writers of `fp` rename identical
+    /// bytes over each other and a `put` of a different job touches a
+    /// different file.
     pub fn put(&self, fp: Fingerprint, plan: &Plan) -> Result<StoreEntry, StoreError> {
         self.put_encoded(fp, plan, &encode_plan(plan))
     }
@@ -212,41 +225,44 @@ impl PlanStore {
     ) -> Result<StoreEntry, StoreError> {
         let path = self.plan_path(fp);
         self.write_atomic(&path, bytes)?;
-        let entry = StoreEntry {
-            fingerprint: fp.to_hex(),
-            bytes: bytes.len() as u64,
-            created_unix: unix_now(),
-            pool_size: plan.pool_size,
-            static_requests: plan.stats.static_requests as u64,
-        };
-        let _lock = self.lock_exclusive()?;
-        // The blob was written outside the lock; a concurrent `clear`
-        // may have swept it in between. Re-write it under the lock
-        // rather than indexing a file that no longer exists.
-        if !path.exists() {
-            self.write_atomic(&path, bytes)?;
-        }
-        let mut index = self.load_index()?;
-        index.entries.retain(|e| e.fingerprint != entry.fingerprint);
-        index.entries.push(entry.clone());
-        index
-            .entries
-            .sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
-        self.save_index(&index)?;
-        Ok(entry)
+        // The rename carried the temp file's mtime over; a `clear` racing
+        // this call may already have removed the artifact again.
+        let created_unix = fs::metadata(&path).map_or(0, |m| mtime_unix(&m));
+        Ok(StoreEntry::new(fp, bytes.len(), created_unix, plan))
     }
 
-    /// All index rows, sorted by fingerprint.
+    /// Metadata of every cached plan, sorted by fingerprint: one
+    /// directory listing and one decode per artifact. Files that are not
+    /// named like an artifact, or do not decode, are not listed
+    /// ([`Self::gc`] removes the ones that claim to be artifacts).
     pub fn entries(&self) -> Result<Vec<StoreEntry>, StoreError> {
-        Ok(self.load_index()?.entries)
+        let mut entries = Vec::new();
+        for dirent in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
+            let dirent = dirent.map_err(|e| io_err(&self.dir, e))?;
+            let name = dirent.file_name();
+            let Some(fp) = name
+                .to_str()
+                .and_then(artifact_stem)
+                .and_then(stem_fingerprint)
+            else {
+                continue;
+            };
+            // Raced away or unreadable is the same as undecodable here.
+            let Ok(Some((plan, bytes))) = self.get_with_bytes(fp) else {
+                continue;
+            };
+            let created_unix = dirent.metadata().map_or(0, |m| mtime_unix(&m));
+            entries.push(StoreEntry::new(fp, bytes.len(), created_unix, &plan));
+        }
+        entries.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
+        Ok(entries)
     }
 
-    /// Repairs index/data divergence after crashes or racing writers:
-    /// drops dangling index rows, *adopts* valid un-indexed artifacts back
-    /// into the index (an index write lost to a race must not cost the
-    /// data), removes undecodable/unsound artifacts, and removes temp
-    /// files older than [`GC_TEMP_TTL`] (younger ones may belong to an
-    /// in-flight writer).
+    /// Sweeps what crashes and corruption leave behind: removes
+    /// `*.stplan` files that are misnamed, undecodable or unsound, and
+    /// temp files older than [`GC_TEMP_TTL`] (younger ones may belong to
+    /// an in-flight writer). Sound artifacts and foreign files are never
+    /// touched.
     pub fn gc(&self) -> Result<GcReport, StoreError> {
         self.gc_with_temp_ttl(GC_TEMP_TTL)
     }
@@ -254,167 +270,62 @@ impl PlanStore {
     /// [`Self::gc`] with an explicit temp-file age cutoff.
     pub fn gc_with_temp_ttl(&self, temp_ttl: Duration) -> Result<GcReport, StoreError> {
         let mut report = GcReport::default();
-        let _lock = self.lock_exclusive()?;
-        let mut index = self.load_index()?;
-        index.entries.retain(|e| {
-            let keep = Fingerprint::from_hex(&e.fingerprint)
-                .map(|fp| self.plan_path(fp).exists())
-                .unwrap_or(false);
-            if !keep {
-                report.dangling_entries += 1;
-            }
-            keep
-        });
-
-        let referenced: Vec<String> = index
-            .entries
-            .iter()
-            .map(|e| format!("{}.{PLAN_EXT}", e.fingerprint))
-            .collect();
-        // A file that vanished between listing and removal (a racing gc or
-        // writer got there first) is already the outcome we wanted; only
-        // real I/O failures surface as errors.
-        let mut remove = |path: &Path| -> Result<bool, StoreError> {
-            let len = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            match fs::remove_file(path) {
-                Ok(()) => {
-                    report.reclaimed_bytes += len;
-                    Ok(true)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-                Err(e) => Err(io_err(path, e)),
-            }
-        };
-        let listing = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
-        for dirent in listing {
+        for dirent in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
             let dirent = dirent.map_err(|e| io_err(&self.dir, e))?;
             let name = dirent.file_name().to_string_lossy().into_owned();
-            let path = dirent.path();
-            if name.starts_with(".tmp-") {
-                // Unknown age (metadata error, clock skew putting the
-                // mtime in the future) defaults to *keep*: deleting an
-                // in-flight writer's temp file breaks its rename.
-                let expired = fs::metadata(&path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age >= temp_ttl);
-                if expired && remove(&path)? {
-                    report.temp_files += 1;
-                }
+            let (stale, count) = if name.starts_with(TEMP_PREFIX) {
+                (temp_expired(&dirent, temp_ttl), &mut report.temp_files)
+            } else if let Some(stem) = artifact_stem(&name) {
+                // A sound plan under a well-formed name stays; so does
+                // one a racing `clear` removed before it could be read.
+                let keep = stem_fingerprint(stem).is_some_and(|fp| match self.get(fp) {
+                    Ok(Some(plan)) => plan.validate().is_ok(),
+                    Ok(None) => true,
+                    Err(_) => false,
+                });
+                (!keep, &mut report.orphan_files)
+            } else {
                 continue;
-            }
-            let stem = name.strip_suffix(&format!(".{PLAN_EXT}"));
-            if name == INDEX_FILE || stem.is_none() || referenced.contains(&name) {
-                continue;
-            }
-            // Un-indexed artifact: adopt it if it holds a sound plan
-            // under its claimed fingerprint, drop it otherwise.
-            let adopted = Fingerprint::from_hex(stem.expect("checked")).and_then(|fp| {
-                let plan = self.get(fp).ok().flatten()?;
-                plan.validate().ok()?;
-                Some(StoreEntry {
-                    fingerprint: fp.to_hex(),
-                    bytes: fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
-                    created_unix: unix_now(),
-                    pool_size: plan.pool_size,
-                    static_requests: plan.stats.static_requests as u64,
-                })
-            });
-            match adopted {
-                Some(entry) => {
-                    index.entries.push(entry);
-                    report.adopted_entries += 1;
-                }
-                None => {
-                    if remove(&path)? {
-                        report.orphan_files += 1;
-                    }
+            };
+            if stale {
+                let len = dirent.metadata().map_or(0, |m| m.len());
+                if remove_if_present(&dirent.path())? {
+                    *count += 1;
+                    report.reclaimed_bytes += len;
                 }
             }
         }
-        index
-            .entries
-            .sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
-        self.save_index(&index)?;
         Ok(report)
     }
 
-    /// Removes every artifact and the index. Returns the number of plans
-    /// removed. The lock file itself survives (removing it would let a
-    /// concurrent writer lock a deleted inode).
+    /// Removes every artifact (and the index files an older release left
+    /// behind). Returns the number of plans removed. Temp files go by
+    /// [`Self::gc`]'s age rule: a young one may be an in-flight writer's,
+    /// whose `put` would fail if it vanished before the rename.
     pub fn clear(&self) -> Result<usize, StoreError> {
-        let _lock = self.lock_exclusive()?;
         let mut removed = 0;
-        let listing = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
-        for dirent in listing {
+        for dirent in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
             let dirent = dirent.map_err(|e| io_err(&self.dir, e))?;
             let name = dirent.file_name().to_string_lossy().into_owned();
-            let path = dirent.path();
-            let gone = |r: std::io::Result<()>| match r {
-                Ok(()) => Ok(true),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-                Err(e) => Err(io_err(&path, e)),
-            };
-            if name.ends_with(&format!(".{PLAN_EXT}")) {
-                if gone(fs::remove_file(&path))? {
-                    removed += 1;
-                }
-            } else if name == INDEX_FILE || name.starts_with(".tmp-") {
-                gone(fs::remove_file(&path))?;
+            if artifact_stem(&name).is_some() {
+                removed += usize::from(remove_if_present(&dirent.path())?);
+            } else if LEGACY_FILES.contains(&name.as_str())
+                || (name.starts_with(TEMP_PREFIX) && temp_expired(&dirent, GC_TEMP_TTL))
+            {
+                remove_if_present(&dirent.path())?;
             }
         }
         Ok(removed)
     }
 
-    /// Takes the store's advisory write lock; dropping the returned file
-    /// releases it. Serializes index mutations across threads *and*
-    /// processes sharing the directory.
-    fn lock_exclusive(&self) -> Result<fs::File, StoreError> {
-        let path = self.dir.join(LOCK_FILE);
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
-        file.lock().map_err(|e| io_err(&path, e))?;
-        Ok(file)
-    }
-
-    fn load_index(&self) -> Result<Index, StoreError> {
-        let path = self.dir.join(INDEX_FILE);
-        let data = match fs::read_to_string(&path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Index::empty()),
-            Err(e) => return Err(io_err(&path, e)),
-        };
-        let index: Index =
-            serde_json::from_str(&data).map_err(|e| StoreError::CorruptIndex(e.to_string()))?;
-        if index.version != INDEX_VERSION {
-            return Err(StoreError::CorruptIndex(format!(
-                "index version {} (expected {INDEX_VERSION})",
-                index.version
-            )));
-        }
-        Ok(index)
-    }
-
-    fn save_index(&self, index: &Index) -> Result<(), StoreError> {
-        let data =
-            serde_json::to_string(index).map_err(|e| StoreError::CorruptIndex(e.to_string()))?;
-        self.write_atomic(&self.dir.join(INDEX_FILE), data.as_bytes())
-    }
-
     fn write_atomic(&self, dest: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
+            "{TEMP_PREFIX}{}-{}",
             std::process::id(),
             TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         // fsync before the rename: otherwise a crash can promote a
-        // zero-length or partial temp file to the destination name, and
-        // the index in particular must never come back torn.
+        // zero-length or partial temp file to the destination name.
         let write_synced = || -> std::io::Result<()> {
             use std::io::Write as _;
             let mut f = fs::File::create(&tmp)?;
@@ -438,11 +349,28 @@ impl PlanStore {
     }
 }
 
-fn unix_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
+/// Whether a temp file is at least `ttl` old. Unknown age (metadata
+/// error, clock skew putting the mtime in the future) is *not* expired:
+/// deleting an in-flight writer's temp file breaks its rename.
+fn temp_expired(dirent: &fs::DirEntry, ttl: Duration) -> bool {
+    dirent
+        .metadata()
+        .and_then(|m| m.modified())
+        .ok()
+        .and_then(|t| t.elapsed().ok())
+        .is_some_and(|age| age >= ttl)
+}
+
+/// Removes `path`; `Ok(false)` when it was already gone. A file that
+/// vanished between listing and removal (a racing `gc`, `clear` or writer
+/// got there first) is the outcome the caller wanted, so only real I/O
+/// failures surface as errors.
+fn remove_if_present(path: &Path) -> Result<bool, StoreError> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(io_err(path, e)),
+    }
 }
 
 /// Outcome of a [`synthesize_cached`] call.
@@ -674,35 +602,133 @@ mod tests {
         let config = SynthConfig::default();
         let (_, fp, _) = synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
 
-        // A valid un-indexed artifact (as left by a lost index write), a
-        // garbage artifact, a dangling index entry (file gone), and a
-        // temp file.
+        // A valid artifact nobody `put` (say, copied in from another
+        // store), a garbage artifact, and a temp file.
         let good_orphan = store.dir().join(format!("{}.{PLAN_EXT}", "0".repeat(32)));
         fs::write(&good_orphan, encode_plan(&Plan::default())).unwrap();
         let bad_orphan = store.dir().join(format!("{}.{PLAN_EXT}", "f".repeat(32)));
         fs::write(&bad_orphan, b"garbage").unwrap();
         let temp = store.dir().join(".tmp-999-0");
         fs::write(&temp, b"stale").unwrap();
-        fs::remove_file(store.plan_path(fp)).unwrap();
 
         // Default TTL: a freshly written temp file is presumed in-flight.
         let report = store.gc().unwrap();
-        assert_eq!(report.dangling_entries, 1);
-        assert_eq!(report.adopted_entries, 1, "valid orphan is re-indexed");
         assert_eq!(report.orphan_files, 1, "garbage orphan is removed");
         assert_eq!(report.temp_files, 0, "fresh temp file survives");
-        assert!(report.reclaimed_bytes > 0);
+        assert_eq!(report.reclaimed_bytes, 7);
         assert!(good_orphan.exists());
         assert!(!bad_orphan.exists());
         assert!(temp.exists());
         let entries = store.entries().unwrap();
-        assert_eq!(entries.len(), 1);
+        assert_eq!(entries.len(), 2, "a sound artifact is an entry");
         assert_eq!(entries[0].fingerprint, "0".repeat(32));
+        assert_eq!(entries[1].fingerprint, fp.to_hex());
 
         // Zero TTL: the temp file is now fair game.
         let report = store.gc_with_temp_ttl(Duration::ZERO).unwrap();
         assert_eq!(report.temp_files, 1);
         assert!(!temp.exists());
+        assert_eq!(store.gc().unwrap(), GcReport::default(), "nothing left");
+
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// The names in a store's directory, sorted.
+    fn dir_names(store: &PlanStore) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(store.dir())
+            .unwrap()
+            .map(|d| d.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn the_directory_is_the_index() {
+        let store = temp_store("dir-index");
+        let p = profile();
+        let plans: Vec<(Fingerprint, Plan)> = [false, true]
+            .into_iter()
+            .map(|ascending_sizes| {
+                let config = SynthConfig {
+                    ascending_sizes,
+                    ..SynthConfig::default()
+                };
+                (
+                    fingerprint_job(&p, &config),
+                    stalloc_core::synthesize(&p, &config),
+                )
+            })
+            .collect();
+        let mut put: Vec<StoreEntry> = Vec::new();
+        for (fp, plan) in plans.iter().chain(&plans) {
+            put.retain(|e| e.fingerprint != fp.to_hex());
+            put.push(store.put(*fp, plan).unwrap());
+        }
+        put.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
+        let artifacts: Vec<String> = put
+            .iter()
+            .map(|e| format!("{}.{PLAN_EXT}", e.fingerprint))
+            .collect();
+        assert_eq!(dir_names(&store), artifacts, "N jobs put, exactly N files");
+        assert_eq!(store.entries().unwrap(), put);
+
+        // Nothing but `<32 lowercase hex>.stplan` holding a plan is an
+        // entry, and `gc` removes only what claims to be an artifact.
+        let sound = encode_plan(&plans[0].1);
+        let kept = ["notes.txt", ".tmp-1-2", "plans"];
+        let swept = [
+            format!("{}.{PLAN_EXT}", "a".repeat(31)),
+            format!("{}.{PLAN_EXT}", "g".repeat(32)),
+            format!("{}.{PLAN_EXT}", "A".repeat(32)),
+            format!("{}.{PLAN_EXT}", "b".repeat(32)),
+        ];
+        fs::write(store.dir().join(kept[0]), b"foreign").unwrap();
+        fs::write(store.dir().join(kept[1]), &sound).unwrap();
+        fs::create_dir(store.dir().join(kept[2])).unwrap();
+        for name in &swept[..3] {
+            fs::write(store.dir().join(name), &sound).unwrap();
+        }
+        fs::write(store.dir().join(&swept[3]), b"STPLgarbage").unwrap();
+        assert_eq!(store.entries().unwrap(), put);
+
+        let report = store.gc().unwrap();
+        assert_eq!((report.orphan_files, report.temp_files), (4, 0));
+        let mut want: Vec<String> = artifacts.clone();
+        want.extend(kept.iter().map(|n| n.to_string()));
+        want.sort();
+        assert_eq!(dir_names(&store), want);
+        assert_eq!(store.entries().unwrap(), put);
+        for (fp, plan) in &plans {
+            assert_eq!(store.get(*fp).unwrap().as_ref(), Some(plan));
+        }
+
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn an_older_stores_index_files_are_inert() {
+        let store = temp_store("legacy-index");
+        let index = store.dir().join("index.json");
+        let lock_path = store.dir().join("index.lock");
+        fs::write(&index, b"{ not json").unwrap();
+        let lock = fs::File::create(&lock_path).unwrap();
+        lock.lock().unwrap();
+
+        let store = PlanStore::open(store.dir()).unwrap();
+        let p = profile();
+        let config = SynthConfig::default();
+        let plan = stalloc_core::synthesize(&p, &config);
+        let fp = fingerprint_job(&p, &config);
+        let entry = store.put(fp, &plan).unwrap();
+        assert_eq!(store.get(fp).unwrap(), Some(plan));
+        assert_eq!(store.entries().unwrap(), vec![entry]);
+        assert_eq!(store.gc().unwrap(), GcReport::default());
+        assert_eq!(fs::read(&index).unwrap(), b"{ not json", "never rewritten");
+
+        assert_eq!(store.clear().unwrap(), 1);
+        assert!(dir_names(&store).is_empty(), "{:?}", dir_names(&store));
+        drop(lock);
 
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -728,8 +754,11 @@ mod tests {
             stalloc_core::synthesize,
         )
         .unwrap();
+        let in_flight = store.dir().join(".tmp-1-0");
+        fs::write(&in_flight, b"half a plan").unwrap();
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.entries().unwrap().is_empty());
+        assert!(in_flight.exists(), "a young temp file may be a writer's");
 
         let _ = fs::remove_dir_all(store.dir());
     }

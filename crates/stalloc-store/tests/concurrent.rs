@@ -1,11 +1,14 @@
 //! Concurrency guarantees of the on-disk `PlanStore`.
 //!
 //! Eight writer threads hammer one store directory with overlapping
-//! `put`s and interleaved `gc`s over a shared job set. The index must end
+//! `put`s and interleaved `gc`s over a shared job set. The store must end
 //! consistent: every job present exactly once, every blob decodable, no
-//! torn reads at any point in between.
+//! torn reads at any point in between. A second run adds a thread that
+//! `clear`s the directory under the writers: a reader then sees a plan
+//! whole or not at all.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use stalloc_core::{fingerprint_job, profile_trace, synthesize, Fingerprint, Plan, SynthConfig};
@@ -71,8 +74,8 @@ fn eight_writers_converge_to_a_consistent_index() {
                     if round % 3 == w % 3 {
                         store.gc().unwrap();
                     }
-                    // Torn-read check: an index read racing the writers
-                    // must always parse and only ever contain known jobs.
+                    // Torn-read check: a listing racing the writers must
+                    // always succeed and only ever contain known jobs.
                     let entries = store.entries().unwrap();
                     assert!(entries.len() <= jobs.len());
                     for e in &entries {
@@ -90,9 +93,9 @@ fn eight_writers_converge_to_a_consistent_index() {
         h.join().expect("writer thread panicked");
     }
 
-    // Converged: every job indexed exactly once, every blob sound.
+    // Converged: every job listed exactly once, every blob sound.
     let entries = store.entries().unwrap();
-    assert_eq!(entries.len(), jobs.len(), "no lost index entries");
+    assert_eq!(entries.len(), jobs.len(), "no lost entries");
     for (fp, plan) in jobs.iter() {
         assert!(
             entries.iter().any(|e| e.fingerprint == fp.to_hex()),
@@ -103,9 +106,70 @@ fn eight_writers_converge_to_a_consistent_index() {
     }
     // A final gc on the converged store is a no-op.
     let report = store.gc().unwrap();
-    assert_eq!(report.dangling_entries, 0);
-    assert_eq!(report.adopted_entries, 0);
     assert_eq!(report.orphan_files, 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_racing_clear_never_tears_a_read() {
+    let dir = std::env::temp_dir().join(format!("stalloc-store-clearer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = PlanStore::open(&dir).unwrap();
+    let jobs = Arc::new(job_set());
+
+    const WRITERS: usize = 8;
+    const ROUNDS: usize = 12;
+
+    let start = Arc::new(Barrier::new(WRITERS + 1));
+    let writers_done = Arc::new(AtomicBool::new(false));
+    let clearer = {
+        let (store, start, done) = (store.clone(), start.clone(), writers_done.clone());
+        thread::spawn(move || {
+            start.wait();
+            let mut sweeps = 0usize;
+            while !done.load(Ordering::SeqCst) {
+                store.clear().unwrap();
+                sweeps += 1;
+            }
+            sweeps
+        })
+    };
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (store, jobs, start) = (store.clone(), jobs.clone(), start.clone());
+            thread::spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    let (fp, plan) = &jobs[(w + round) % jobs.len()];
+                    store.put(*fp, plan).unwrap();
+                    if round % 3 == w % 3 {
+                        store.gc().unwrap();
+                    }
+                    // Whatever the clearer and the other writers are
+                    // doing, a read is the exact plan or a clean miss.
+                    for (fp, plan) in jobs.iter() {
+                        if let Some(cached) = store.get(*fp).unwrap() {
+                            assert_eq!(&cached, plan);
+                        }
+                    }
+                    store.entries().unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in writers {
+        h.join().expect("writer thread panicked");
+    }
+    writers_done.store(true, Ordering::SeqCst);
+    assert!(clearer.join().expect("clearer thread panicked") > 0);
+
+    // With the clearer gone, one more put of each job is the whole store.
+    for (fp, plan) in jobs.iter() {
+        store.put(*fp, plan).unwrap();
+    }
+    assert_eq!(store.entries().unwrap().len(), jobs.len());
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), jobs.len());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
