@@ -2,25 +2,18 @@
 //! plan synthesizer as a standalone tool; this binary wraps the whole
 //! offline pipeline plus replay-based evaluation).
 //!
-//! ```text
-//! stalloc trace   --model llama2-7b --tp 4 --pp 2 --optim R --output trace.json
-//! stalloc profile --input trace.json --output profile.json [--iteration 1]
-//! stalloc plan    --input profile.json --output plan.stplan [--format bin|json]
-//!                 [--cache DIR | --remote ADDR] [--no-fusion] [--no-gaps]
-//! stalloc show    --input plan.stplan [--rows 16] [--cols 72]
-//! stalloc replay  --input trace.json --allocator stalloc --device a800
-//! stalloc serve   [--addr 127.0.0.1:4547] [--workers 4] [--cache DIR]
-//!                 [--trace-log FILE]
-//! stalloc stats   ADDR [--slowest N]
-//! stalloc cache   {ls|gc|clear} --dir DIR
-//! stalloc version
-//! ```
-//!
-//! `--help`/`-h` works at the top level and per subcommand; `serve` runs
-//! the plan-synthesis daemon that `plan --remote` talks to.
+//! `stalloc --help` lists the commands and `stalloc <command> --help`
+//! each one's arguments — both rendered from the one table in
+//! [`commands`], so this header keeps no synopsis of its own to go
+//! stale. Flags and positionals go in any order; `serve` runs the
+//! plan-synthesis daemon that `plan --remote` talks to.
+
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
 mod args;
 mod commands;
+mod files;
+mod render;
 
 use std::process::ExitCode;
 
@@ -31,7 +24,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprintln!("{}", commands::usage());
             ExitCode::FAILURE
         }
     }

@@ -115,10 +115,7 @@ pub enum PlanRequest {
     /// base patches the cached base plan in-process (the `patched` tier)
     /// instead of synthesizing; one that does not answers
     /// `NotFound { fingerprint: <base profile hex> }`, and the client
-    /// transparently retries with the full profile. Added after
-    /// `TraceGet`; servers that predate it answer a typed `BadFrame`
-    /// error (an unknown verb) and close, which clients also treat as
-    /// "retry full" — old clients never send it.
+    /// sends the full profile on the same connection.
     PlanDelta {
         /// Synthesizer switches; part of the cache key (tiny, stays
         /// JSON).

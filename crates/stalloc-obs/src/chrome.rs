@@ -13,8 +13,7 @@
 //! leftover (`client await − server total`, i.e. two network legs plus
 //! accept-queue residency) as `net_queue_micros`.
 
-use crate::client::{ClientPhase, ClientSpanSnapshot};
-use crate::span::{Phase, SpanSnapshot};
+use crate::span::{Phase, PhaseSet, Span, SpanSnapshot};
 use serde::Value;
 
 /// The `pid` lane merged timelines put the client on.
@@ -37,47 +36,17 @@ pub struct SpanView {
     pub args: Vec<(String, String)>,
 }
 
+/// A server span as it arrives in a `Metrics` or `TraceGet` response.
 impl From<&SpanSnapshot> for SpanView {
     fn from(s: &SpanSnapshot) -> Self {
-        let phases = Phase::ALL
-            .into_iter()
-            .zip(s.phase_micros.iter().copied())
-            .filter(|&(_, us)| us > 0)
-            .map(|(p, us)| (p.name().to_string(), us))
-            .collect();
-        let mut args = vec![
-            ("verb".to_string(), s.verb.clone()),
-            ("seq".to_string(), s.seq.to_string()),
-        ];
-        if !s.tier.is_empty() {
-            args.push(("tier".to_string(), s.tier.clone()));
-        }
-        push_id_args(&mut args, &s.trace_id, &s.span_id, &s.parent_span_id);
-        SpanView {
-            name: s.verb.clone(),
-            total_micros: s.total_micros,
-            phases,
-            args,
-        }
+        SpanView::of::<Phase>(s, Some(s.seq))
     }
 }
 
-impl From<&ClientSpanSnapshot> for SpanView {
-    fn from(s: &ClientSpanSnapshot) -> Self {
-        let phases = ClientPhase::ALL
-            .into_iter()
-            .zip(s.phase_micros.iter().copied())
-            .filter(|&(_, us)| us > 0)
-            .map(|(p, us)| (p.name().to_string(), us))
-            .collect();
-        let mut args = vec![("verb".to_string(), s.verb.clone())];
-        push_id_args(&mut args, &s.trace_id, &s.span_id, &s.parent_span_id);
-        SpanView {
-            name: s.verb.clone(),
-            total_micros: s.total_micros,
-            phases,
-            args,
-        }
+/// A span still in the process that recorded it (the client's own).
+impl<P: PhaseSet> From<&Span<P>> for SpanView {
+    fn from(s: &Span<P>) -> Self {
+        SpanView::of::<P>(&SpanSnapshot::from(s), None)
     }
 }
 
@@ -105,6 +74,31 @@ const LINE_META_KEYS: &[&str] = &[
 ];
 
 impl SpanView {
+    /// The view of a snapshot whose `phase_micros` is parallel to `P`'s
+    /// phases, with the server's completion number when it has one.
+    fn of<P: PhaseSet>(s: &SpanSnapshot, seq: Option<u64>) -> SpanView {
+        let phases = P::PHASES
+            .iter()
+            .zip(s.phase_micros.iter().copied())
+            .filter(|&(_, us)| us > 0)
+            .map(|(p, us)| (p.name().to_string(), us))
+            .collect();
+        let mut args = vec![("verb".to_string(), s.verb.clone())];
+        if let Some(seq) = seq {
+            args.push(("seq".to_string(), seq.to_string()));
+        }
+        if !s.tier.is_empty() {
+            args.push(("tier".to_string(), s.tier.clone()));
+        }
+        push_id_args(&mut args, &s.trace_id, &s.span_id, &s.parent_span_id);
+        SpanView {
+            name: s.verb.clone(),
+            total_micros: s.total_micros,
+            phases,
+            args,
+        }
+    }
+
     /// Parses one line of a [`crate::TraceLog`] JSONL file (already
     /// JSON-decoded). Phase keys keep the order they appear in — the
     /// log writes them in wall-clock order. Returns `None` if the value
@@ -404,7 +398,7 @@ pub fn merged_request_timeline(client: &SpanView, server: Option<&SpanView>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientSpan;
+    use crate::client::{ClientPhase, ClientSpan};
     use crate::context::IdGen;
     use crate::span::RequestSpan;
 
@@ -476,7 +470,8 @@ mod tests {
     fn merged_timeline_nests_server_inside_client_await() {
         let ids = IdGen::seeded(8);
         let root = ids.root();
-        let mut cspan = ClientSpan::new("Plan", root);
+        let mut cspan = ClientSpan::new("Plan");
+        cspan.trace = root;
         cspan.record(ClientPhase::Connect, 120);
         cspan.record(ClientPhase::Encode, 30);
         cspan.record(ClientPhase::Write, 10);
@@ -484,7 +479,7 @@ mod tests {
         cspan.record(ClientPhase::Read, 20);
         cspan.record(ClientPhase::Decode, 40);
         cspan.total_micros = 820;
-        let client = SpanView::from(&ClientSpanSnapshot::from(&cspan));
+        let client = SpanView::from(&cspan);
         let server = server_view(&ids);
 
         let trace = merged_request_timeline(&client, Some(&server));
@@ -533,11 +528,12 @@ mod tests {
     #[test]
     fn oversized_server_span_ends_at_the_await_end() {
         let ids = IdGen::seeded(21);
-        let mut cspan = ClientSpan::new("Plan", ids.root());
+        let mut cspan = ClientSpan::new("Plan");
+        cspan.trace = ids.root();
         cspan.record(ClientPhase::Write, 300);
         cspan.record(ClientPhase::Await, 400);
         cspan.total_micros = 700;
-        let client = SpanView::from(&ClientSpanSnapshot::from(&cspan));
+        let client = SpanView::from(&cspan);
         // 450 µs of server work > the 400 µs await window: the request
         // frame was still in flight when the server started reading it.
         let server = server_view(&ids);
@@ -580,10 +576,11 @@ mod tests {
     #[test]
     fn merged_timeline_without_server_is_still_valid() {
         let ids = IdGen::seeded(13);
-        let mut cspan = ClientSpan::new("Plan", ids.root());
+        let mut cspan = ClientSpan::new("Plan");
+        cspan.trace = ids.root();
         cspan.record(ClientPhase::Await, 100);
         cspan.total_micros = 100;
-        let client = SpanView::from(&ClientSpanSnapshot::from(&cspan));
+        let client = SpanView::from(&cspan);
         let trace = merged_request_timeline(&client, None);
         let events = parse(&trace.to_json());
         assert!(events.len() >= 2);

@@ -2,168 +2,35 @@
 //! sees — connect, encode, socket writes, the await for the response,
 //! reads, and decode.
 //!
-//! [`ClientSpan`] mirrors [`crate::RequestSpan`]: a `Copy` value with a
-//! fixed-size phase array, so recording allocates nothing. The
-//! serializable [`ClientSpanSnapshot`] exists only on the read side,
-//! when a timeline is being exported.
+//! [`ClientSpan`] is [`crate::RequestSpan`]'s sibling: the same
+//! [`Span`] over the client's phase set.
 
-use crate::context::TraceContext;
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use crate::span::{phase_set, Span};
 
-/// The phases of one client-side request, in wall-clock order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientPhase {
-    /// TCP connect + socket option setup (first request on a connection
-    /// only; keep-alive requests never reconnect).
-    Connect,
-    /// Request serialization: JSON document, profile/plan binary
-    /// encoding, and fingerprinting.
-    Encode,
-    /// Request frame(s) → socket.
-    Write,
-    /// Last request byte written → response header frame fully read.
-    /// This window covers both network legs plus everything the server
-    /// did; the server's span nests inside it on a merged timeline.
-    Await,
-    /// Follow-up response frames (a binary plan payload) → memory.
-    Read,
-    /// Response JSON parse, binary plan decode, and plan validation.
-    Decode,
-}
-
-/// Number of [`ClientPhase`] variants.
-pub const CLIENT_PHASE_COUNT: usize = 6;
-
-impl ClientPhase {
-    /// Every phase, in declaration (= wall-clock) order.
-    pub const ALL: [ClientPhase; CLIENT_PHASE_COUNT] = [
-        ClientPhase::Connect,
-        ClientPhase::Encode,
-        ClientPhase::Write,
-        ClientPhase::Await,
-        ClientPhase::Read,
-        ClientPhase::Decode,
-    ];
-
-    /// Stable wire/report name (snake_case).
-    pub fn name(self) -> &'static str {
-        match self {
-            ClientPhase::Connect => "connect",
-            ClientPhase::Encode => "encode",
-            ClientPhase::Write => "write",
-            ClientPhase::Await => "await",
-            ClientPhase::Read => "read",
-            ClientPhase::Decode => "decode",
-        }
-    }
-
-    /// Index into per-phase arrays (= position in [`ClientPhase::ALL`]).
-    pub fn index(self) -> usize {
-        self as usize
+phase_set! {
+    /// The phases of one client-side request, in wall-clock order.
+    ClientPhase, CLIENT_PHASE_COUNT {
+        /// TCP connect + socket option setup (first request on a connection
+        /// only; keep-alive requests never reconnect).
+        Connect => "connect",
+        /// Request serialization: JSON document, profile/plan binary
+        /// encoding, and fingerprinting.
+        Encode => "encode",
+        /// Request frame(s) → socket.
+        Write => "write",
+        /// Last request byte written → response header frame fully read.
+        /// This window covers both network legs plus everything the server
+        /// did; the server's span nests inside it on a merged timeline.
+        Await => "await",
+        /// Follow-up response frames (a binary plan payload) → memory.
+        Read => "read",
+        /// Response JSON parse, binary plan decode, and plan validation.
+        Decode => "decode",
     }
 }
 
-/// One client request's phase timings, in microseconds. `Copy`,
-/// fixed-size, allocation-free.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClientSpan {
-    /// The ids this request travels under. `span_id` is the client
-    /// span itself; the context *sent* to the server is its child.
-    pub trace: TraceContext,
-    /// Request verb name (`"Plan"`, `"Get"`, ...).
-    pub verb: &'static str,
-    /// End-to-end latency as the caller experienced it.
-    pub total_micros: u64,
-    phase_micros: [u64; CLIENT_PHASE_COUNT],
-    touched: u8,
-}
-
-impl ClientSpan {
-    pub fn new(verb: &'static str, trace: TraceContext) -> Self {
-        ClientSpan {
-            trace,
-            verb,
-            ..ClientSpan::default()
-        }
-    }
-
-    /// Adds `micros` to a phase (phases accumulate: a two-frame write
-    /// folds into the same slot).
-    pub fn record(&mut self, phase: ClientPhase, micros: u64) {
-        self.phase_micros[phase.index()] += micros;
-        self.touched |= 1 << phase.index();
-    }
-
-    /// Records the elapsed time since `start` into a phase.
-    pub fn record_since(&mut self, phase: ClientPhase, start: Instant) {
-        self.record(phase, start.elapsed().as_micros() as u64);
-    }
-
-    /// A phase's accumulated time; `None` if the request never entered
-    /// it (distinct from "entered and took 0µs").
-    pub fn phase_micros(&self, phase: ClientPhase) -> Option<u64> {
-        if self.touched & (1 << phase.index()) != 0 {
-            Some(self.phase_micros[phase.index()])
-        } else {
-            None
-        }
-    }
-
-    /// The phases this request actually entered, with their timings.
-    pub fn entered(&self) -> impl Iterator<Item = (ClientPhase, u64)> + '_ {
-        ClientPhase::ALL
-            .into_iter()
-            .filter_map(|p| self.phase_micros(p).map(|us| (p, us)))
-    }
-}
-
-/// The serializable form of a client span. `phase_micros` is parallel
-/// to [`ClientPhase::ALL`] (a phase the request never entered reports
-/// 0); ids are fixed-width lowercase hex, empty when untraced.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClientSpanSnapshot {
-    /// 32-hex-digit trace id, `""` when untraced.
-    #[serde(default)]
-    pub trace_id: String,
-    /// 16-hex-digit span id of the client span itself.
-    #[serde(default)]
-    pub span_id: String,
-    /// 16-hex-digit parent span id (`0000…` for a root span).
-    #[serde(default)]
-    pub parent_span_id: String,
-    /// Request verb name.
-    pub verb: String,
-    /// End-to-end latency, microseconds.
-    pub total_micros: u64,
-    /// Per-phase microseconds, parallel to [`ClientPhase::ALL`].
-    pub phase_micros: Vec<u64>,
-}
-
-impl From<&ClientSpan> for ClientSpanSnapshot {
-    fn from(s: &ClientSpan) -> Self {
-        ClientSpanSnapshot {
-            trace_id: if s.trace.is_set() {
-                s.trace.trace_hex()
-            } else {
-                String::new()
-            },
-            span_id: if s.trace.is_set() {
-                s.trace.span_hex()
-            } else {
-                String::new()
-            },
-            parent_span_id: if s.trace.is_set() {
-                s.trace.parent_hex()
-            } else {
-                String::new()
-            },
-            verb: s.verb.to_string(),
-            total_micros: s.total_micros,
-            phase_micros: s.phase_micros.to_vec(),
-        }
-    }
-}
+/// The client's span of one request.
+pub type ClientSpan = Span<ClientPhase>;
 
 #[cfg(test)]
 mod tests {
@@ -183,7 +50,8 @@ mod tests {
     #[test]
     fn spans_accumulate_and_distinguish_untouched_from_zero() {
         let ids = IdGen::seeded(3);
-        let mut s = ClientSpan::new("Plan", ids.root());
+        let mut s = ClientSpan::new("Plan");
+        s.trace = ids.root();
         s.record(ClientPhase::Write, 0);
         assert_eq!(s.phase_micros(ClientPhase::Write), Some(0));
         assert_eq!(s.phase_micros(ClientPhase::Await), None);
@@ -191,29 +59,5 @@ mod tests {
         assert_eq!(s.phase_micros(ClientPhase::Write), Some(4));
         let entered: Vec<_> = s.entered().collect();
         assert_eq!(entered, vec![(ClientPhase::Write, 4)]);
-    }
-
-    #[test]
-    fn snapshot_carries_hex_ids_and_roundtrips() {
-        let ids = IdGen::seeded(11);
-        let mut s = ClientSpan::new("Plan", ids.root());
-        s.total_micros = 900;
-        s.record(ClientPhase::Connect, 100);
-        s.record(ClientPhase::Await, 700);
-        let snap = ClientSpanSnapshot::from(&s);
-        assert_eq!(snap.trace_id, s.trace.trace_hex());
-        assert_eq!(snap.phase_micros.len(), CLIENT_PHASE_COUNT);
-        assert_eq!(snap.phase_micros[ClientPhase::Await.index()], 700);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ClientSpanSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn untraced_snapshot_has_empty_ids() {
-        let s = ClientSpan::new("Ping", TraceContext::NONE);
-        let snap = ClientSpanSnapshot::from(&s);
-        assert_eq!(snap.trace_id, "");
-        assert_eq!(snap.span_id, "");
     }
 }

@@ -10,17 +10,17 @@
 //! * [`LatencyHistogram`] — 65 log2 buckets of atomic counts. Recording
 //!   a sample is two relaxed `fetch_add`s; p50/p90/p99 are derived from
 //!   the buckets at read time, so no per-sample state is ever kept.
-//! * [`RequestSpan`] / [`SpanRing`] — a `Copy` per-request phase-timing
-//!   record and a pre-allocated ring that retains both the most recent
-//!   spans and the slowest-N ever seen.
+//! * [`Span`] — a `Copy` per-request phase-timing record over a
+//!   [`PhaseSet`]: [`RequestSpan`] times the server's phases,
+//!   [`ClientSpan`] the client's half (connect, encode, write, await,
+//!   read, decode).
+//! * [`SpanRing`] — a pre-allocated ring that retains both the most
+//!   recent server spans and the slowest-N ever seen.
 //! * [`TraceLog`] — an opt-in JSONL sink writing one structured record
 //!   per request, for offline replay of a loaded server.
 //! * [`TraceContext`] / [`IdGen`] — wire-propagable trace identity
 //!   (128-bit trace id, 64-bit span ids) minted without ever reading a
 //!   clock.
-//! * [`ClientSpan`] — the client half of a request (connect, encode,
-//!   write, await, read, decode), same `Copy` design as
-//!   [`RequestSpan`].
 //! * [`chrome`] — an exporter laying client and/or server spans out as
 //!   Chrome trace-event JSON for `chrome://tracing` / Perfetto.
 //!
@@ -37,9 +37,9 @@ mod histogram;
 mod span;
 mod trace;
 
-pub use client::{ClientPhase, ClientSpan, ClientSpanSnapshot, CLIENT_PHASE_COUNT};
+pub use client::{ClientPhase, ClientSpan, CLIENT_PHASE_COUNT};
 pub use context::{id_gen, parse_span_id, parse_trace_id, IdGen, TraceContext};
 pub use counter::ShardedCounter;
 pub use histogram::{bucket_index, bucket_range, HistogramSnapshot, LatencyHistogram, NUM_BUCKETS};
-pub use span::{Phase, RequestSpan, SpanRing, SpanSnapshot, PHASE_COUNT};
+pub use span::{Phase, PhaseSet, RequestSpan, Span, SpanRing, SpanSnapshot, PHASE_COUNT};
 pub use trace::{rotated_path, TraceLog};

@@ -1,8 +1,10 @@
 //! Per-request phase spans and their retention ring.
 //!
-//! A [`RequestSpan`] is a `Copy` value with a fixed-size phase array —
-//! recording into it, and pushing it into the pre-allocated
-//! [`SpanRing`], allocates nothing. The serializable [`SpanSnapshot`]
+//! A [`Span`] is a `Copy` value with a fixed-size phase array — recording
+//! into it, and pushing a [`RequestSpan`] into the pre-allocated
+//! [`SpanRing`], allocates nothing. It is generic over the [`PhaseSet`]
+//! it times: the server's [`Phase`]s here, the client's
+//! [`crate::ClientPhase`]s next door. The serializable [`SpanSnapshot`]
 //! (heap-backed strings/vectors) exists only on the read side, when a
 //! `Metrics` response or trace line is being built.
 
@@ -11,145 +13,179 @@ use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The phases of one served request, in wall-clock order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// First byte of the request frame → complete frame (keep-alive idle
-    /// time between requests is *not* counted).
-    FrameRead,
-    /// JSON request payload → typed `PlanRequest`.
-    Decode,
-    /// Job fingerprint computation (profile walk or raw-byte hash).
-    Fingerprint,
-    /// Accept-queue residency before a worker picked the connection up
-    /// (first request on a connection only; later ones never queued).
-    QueueWait,
-    /// In-process LRU probe.
-    LruLookup,
-    /// On-disk plan-store probe (only on an LRU miss).
-    StoreLookup,
-    /// Plan synthesis — the leader's run, or a follower's coalesced wait
-    /// on it.
-    Synthesis,
-    /// Response serialization (JSON document, and the plan's binary
-    /// encoding when it is computed for this response).
-    Encode,
-    /// Response frame(s) → socket.
-    FrameWrite,
-    /// Delta application + plan patching on a `PlanDelta` request whose
-    /// base was cached. Declared *after* `FrameWrite` even though it
-    /// runs between lookup and encode: `SpanSnapshot.phase_micros` is
-    /// positional, so new phases must append to keep old peers'
-    /// decoders aligned on the shared prefix.
-    Replan,
+/// A closed set of request phases, declared in wall-clock order: what a
+/// [`Span`] keeps one accumulator each for. Implemented by
+/// the `phase_set!` macro only.
+pub trait PhaseSet: Copy + std::fmt::Debug + 'static {
+    /// `[u64; N]`, one slot per phase.
+    type Micros: Copy + Default + std::fmt::Debug + AsRef<[u64]> + AsMut<[u64]>;
+    /// Every phase, in declaration (= wall-clock) order.
+    const PHASES: &'static [Self];
+    /// Stable wire/report name (snake_case).
+    fn name(self) -> &'static str;
+    /// Index into per-phase arrays (= position in [`Self::PHASES`]).
+    fn index(self) -> usize;
 }
 
-/// Number of [`Phase`] variants.
-pub const PHASE_COUNT: usize = 10;
-
-impl Phase {
-    /// Every phase, in declaration order (= wall-clock order, except
-    /// the appended `Replan` — see its doc comment).
-    pub const ALL: [Phase; PHASE_COUNT] = [
-        Phase::FrameRead,
-        Phase::Decode,
-        Phase::Fingerprint,
-        Phase::QueueWait,
-        Phase::LruLookup,
-        Phase::StoreLookup,
-        Phase::Synthesis,
-        Phase::Encode,
-        Phase::FrameWrite,
-        Phase::Replan,
-    ];
-
-    /// Stable wire/report name (snake_case).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::FrameRead => "frame_read",
-            Phase::Decode => "decode",
-            Phase::Fingerprint => "fingerprint",
-            Phase::QueueWait => "queue_wait",
-            Phase::LruLookup => "lru_lookup",
-            Phase::StoreLookup => "store_lookup",
-            Phase::Synthesis => "synthesis",
-            Phase::Encode => "encode",
-            Phase::FrameWrite => "frame_write",
-            Phase::Replan => "replan",
+/// Declares a phase enum — variants in wall-clock order, each with its
+/// report name — plus its variant count, its inherent `ALL` / `name` /
+/// `index`, and its [`PhaseSet`] impl, so order, names and count are
+/// written once.
+macro_rules! phase_set {
+    (
+        $(#[$meta:meta])*
+        $name:ident, $count:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $label:literal,)+
         }
-    }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
 
-    /// Index into per-phase arrays (= position in [`Phase::ALL`]).
-    pub fn index(self) -> usize {
-        self as usize
+        #[doc = concat!("Number of [`", stringify!($name), "`] variants.")]
+        pub const $count: usize = [$($label),+].len();
+
+        impl $name {
+            /// Every phase, in declaration (= wall-clock) order.
+            pub const ALL: [$name; $count] = [$($name::$variant),+];
+
+            /// Stable wire/report name (snake_case).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+
+            /// Index into per-phase arrays (= position in `ALL`).
+            pub fn index(self) -> usize {
+                self as usize
+            }
+        }
+
+        impl $crate::span::PhaseSet for $name {
+            type Micros = [u64; $count];
+            const PHASES: &'static [Self] = &Self::ALL;
+            fn name(self) -> &'static str {
+                $name::name(self)
+            }
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+pub(crate) use phase_set;
+
+phase_set! {
+    /// The phases of one served request, in wall-clock order.
+    Phase, PHASE_COUNT {
+        /// Accept-queue residency before a worker picked the connection up
+        /// (first request on a connection only; later ones never queued).
+        QueueWait => "queue_wait",
+        /// First byte of the request frame → complete frame (keep-alive idle
+        /// time between requests is *not* counted).
+        FrameRead => "frame_read",
+        /// JSON request payload → typed `PlanRequest`.
+        Decode => "decode",
+        /// Job fingerprint computation (profile walk or raw-byte hash).
+        Fingerprint => "fingerprint",
+        /// In-process LRU probe.
+        LruLookup => "lru_lookup",
+        /// On-disk plan-store probe (only on an LRU miss).
+        StoreLookup => "store_lookup",
+        /// Delta application + plan patching on a `PlanDelta` request whose
+        /// base was cached.
+        Replan => "replan",
+        /// Plan synthesis — the leader's run, or a follower's coalesced wait
+        /// on it.
+        Synthesis => "synthesis",
+        /// Response serialization (JSON document, and the plan's binary
+        /// encoding when it is computed for this response).
+        Encode => "encode",
+        /// Response frame(s) → socket.
+        FrameWrite => "frame_write",
     }
 }
 
 /// One request's phase timings, in microseconds. `Copy`, fixed-size,
-/// allocation-free — built on the worker's stack and copied into the
-/// ring.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RequestSpan {
-    /// Server-assigned sequence number (order of completion).
+/// allocation-free — built on the caller's stack (and, server-side,
+/// copied into the ring).
+#[derive(Debug, Clone, Copy)]
+pub struct Span<P: PhaseSet> {
+    /// Server-assigned sequence number (order of completion); 0 on a
+    /// span no server numbered.
     pub seq: u64,
-    /// The ids this request ran under: propagated from the client when
-    /// the request carried a context, minted by the server otherwise.
-    /// All-zero (`TraceContext::NONE`) only in unit tests that never
-    /// went through a server.
+    /// The ids this request ran under. Server-side: propagated from the
+    /// client when the request carried a context, minted otherwise.
+    /// Client-side: `span_id` is the client span itself; the context
+    /// *sent* to the server is its child. All-zero
+    /// (`TraceContext::NONE`) only in unit tests and throw-away spans.
     pub trace: TraceContext,
     /// Request verb name (`"Plan"`, `"Get"`, ...).
     pub verb: &'static str,
     /// Cache tier that answered (`"lru"`, `"store"`, `"miss"`,
-    /// `"coalesced"`), or `""` for verbs that serve no plan.
+    /// `"coalesced"`), or `""` for verbs that serve no plan and for
+    /// client spans.
     pub tier: &'static str,
-    /// End-to-end latency: queue wait + frame read + handling + write.
+    /// End-to-end latency. Server-side: queue wait + frame read +
+    /// handling + write; client-side: as the caller experienced it.
     pub total_micros: u64,
-    phase_micros: [u64; PHASE_COUNT],
+    phase_micros: P::Micros,
     touched: u16,
 }
 
-impl RequestSpan {
+/// The server's span of one request.
+pub type RequestSpan = Span<Phase>;
+
+impl<P: PhaseSet> Span<P> {
     pub fn new(verb: &'static str) -> Self {
-        RequestSpan {
+        Span {
+            seq: 0,
+            trace: TraceContext::NONE,
             verb,
             tier: "",
-            ..RequestSpan::default()
+            total_micros: 0,
+            phase_micros: P::Micros::default(),
+            touched: 0,
         }
     }
 
     /// Adds `micros` to a phase (phases accumulate: a retried lookup or
-    /// a second frame read folds into the same slot).
-    pub fn record(&mut self, phase: Phase, micros: u64) {
-        self.phase_micros[phase.index()] += micros;
+    /// a second frame read or write folds into the same slot).
+    pub fn record(&mut self, phase: P, micros: u64) {
+        self.phase_micros.as_mut()[phase.index()] += micros;
         self.touched |= 1 << phase.index();
     }
 
     /// Records the elapsed time since `start` into a phase.
-    pub fn record_since(&mut self, phase: Phase, start: Instant) {
+    pub fn record_since(&mut self, phase: P, start: Instant) {
         self.record(phase, start.elapsed().as_micros() as u64);
     }
 
     /// A phase's accumulated time; `None` if the request never entered
     /// it (distinct from "entered and took 0µs").
-    pub fn phase_micros(&self, phase: Phase) -> Option<u64> {
+    pub fn phase_micros(&self, phase: P) -> Option<u64> {
         if self.touched & (1 << phase.index()) != 0 {
-            Some(self.phase_micros[phase.index()])
+            Some(self.phase_micros.as_ref()[phase.index()])
         } else {
             None
         }
     }
 
     /// The phases this request actually entered, with their timings.
-    pub fn entered(&self) -> impl Iterator<Item = (Phase, u64)> + '_ {
-        Phase::ALL
-            .into_iter()
-            .filter_map(|p| self.phase_micros(p).map(|us| (p, us)))
+    pub fn entered(&self) -> impl Iterator<Item = (P, u64)> + '_ {
+        P::PHASES
+            .iter()
+            .filter_map(|&p| self.phase_micros(p).map(|us| (p, us)))
     }
 }
 
 /// The serializable form of a span, for `Metrics` responses and trace
-/// lines. `phase_micros` is parallel to [`Phase::ALL`] (a phase the
-/// request never entered reports 0).
+/// lines. `phase_micros` is parallel to the span's phase set —
+/// [`Phase::ALL`] on everything a server sends (a phase the request
+/// never entered reports 0).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpanSnapshot {
     /// Server-assigned completion sequence number.
@@ -171,33 +207,30 @@ pub struct SpanSnapshot {
     pub tier: String,
     /// End-to-end latency, microseconds.
     pub total_micros: u64,
-    /// Per-phase microseconds, parallel to [`Phase::ALL`].
+    /// Per-phase microseconds, parallel to the phase set.
     pub phase_micros: Vec<u64>,
 }
 
-impl From<&RequestSpan> for SpanSnapshot {
-    fn from(s: &RequestSpan) -> Self {
+impl<P: PhaseSet> From<&Span<P>> for SpanSnapshot {
+    fn from(s: &Span<P>) -> Self {
+        let [trace_id, span_id, parent_span_id] = if s.trace.is_set() {
+            [
+                s.trace.trace_hex(),
+                s.trace.span_hex(),
+                s.trace.parent_hex(),
+            ]
+        } else {
+            Default::default()
+        };
         SpanSnapshot {
             seq: s.seq,
-            trace_id: if s.trace.is_set() {
-                s.trace.trace_hex()
-            } else {
-                String::new()
-            },
-            span_id: if s.trace.is_set() {
-                s.trace.span_hex()
-            } else {
-                String::new()
-            },
-            parent_span_id: if s.trace.is_set() {
-                s.trace.parent_hex()
-            } else {
-                String::new()
-            },
+            trace_id,
+            span_id,
+            parent_span_id,
             verb: s.verb.to_string(),
             tier: s.tier.to_string(),
             total_micros: s.total_micros,
-            phase_micros: s.phase_micros.to_vec(),
+            phase_micros: s.phase_micros.as_ref().to_vec(),
         }
     }
 }

@@ -20,10 +20,9 @@
 //! connection ([`PlanClient::with_trace_id`] overrides it), records a
 //! [`ClientSpan`] per request (readable via [`PlanClient::last_span`]),
 //! and sends each planning verb a child [`TraceContext`] so the
-//! server's span links back to the client's. Old servers skip the
-//! unknown field; the client span is complete either way.
+//! server's span links back to the client's.
 
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use stalloc_core::wire::{
@@ -98,9 +97,6 @@ pub struct RemotePlan {
 /// One connection to a `stalloc-served` daemon.
 pub struct PlanClient {
     stream: TcpStream,
-    /// Resolved peer address, kept for the delta fallback's reconnect
-    /// (an old server closes the connection on the unknown verb).
-    addr: SocketAddr,
     max_frame: usize,
     encoding: PlanEncoding,
     profile_encoding: ProfileEncoding,
@@ -118,27 +114,18 @@ fn unexpected(want: &str, got: &PlanResponse) -> ClientError {
     ClientError::Protocol(format!("expected {want} response, got {got:?}"))
 }
 
-/// Opens and configures a connection (for [`PlanClient::connect`] and the
-/// delta fallback's reconnect).
-fn open(addr: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    // Generous default: plan synthesis for large jobs takes a while
-    // and the server answers Busy fast when overloaded.
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    Ok(stream)
-}
-
 impl PlanClient {
     /// Connects to a daemon at `addr` (e.g. `"127.0.0.1:4547"`).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let connect_start = Instant::now();
-        let stream = open(addr)?;
-        let addr = stream.peer_addr()?;
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        // Generous default: plan synthesis for large jobs takes a while
+        // and the server answers Busy fast when overloaded.
+        stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+        stream.set_write_timeout(Some(Duration::from_secs(30)))?;
         Ok(PlanClient {
             stream,
-            addr,
             max_frame: DEFAULT_MAX_FRAME,
             encoding: PlanEncoding::default(),
             profile_encoding: ProfileEncoding::default(),
@@ -207,7 +194,8 @@ impl PlanClient {
     ) -> Result<T, ClientError> {
         let span_ctx = self.root.child(id_gen());
         let wire_ctx = span_ctx.child(id_gen());
-        let mut span = ClientSpan::new(verb, span_ctx);
+        let mut span = ClientSpan::new(verb);
+        span.trace = span_ctx;
         if self.pending_connect_micros > 0 {
             span.record(ClientPhase::Connect, self.pending_connect_micros);
             self.pending_connect_micros = 0;
@@ -222,14 +210,17 @@ impl PlanClient {
         result
     }
 
-    /// Sends a request: its JSON frame and, behind it, the raw frame
-    /// that request announces (if it does).
-    fn send(
+    /// One request — its JSON frame and, behind it, the raw frame that
+    /// request announces (if it does) — and one response. A typed error
+    /// response comes back as [`ClientError::Server`]; a server that
+    /// closes the connection at a frame boundary instead of answering
+    /// broke the protocol.
+    fn exchange(
         &mut self,
         request: &PlanRequest,
         raw: Option<&[u8]>,
         span: &mut ClientSpan,
-    ) -> Result<(), ClientError> {
+    ) -> Result<PlanResponse, ClientError> {
         let encode = Instant::now();
         let payload = serde_json::to_string(request)
             .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
@@ -237,19 +228,11 @@ impl PlanClient {
         let write = Instant::now();
         write_announced(&mut self.stream, payload.as_bytes(), raw)?;
         span.record_since(ClientPhase::Write, write);
-        Ok(())
-    }
-
-    /// Receives one response; `Ok(None)` when the server closed the
-    /// connection at a frame boundary instead of answering. A typed
-    /// error response comes back as [`ClientError::Server`].
-    fn recv(&mut self, span: &mut ClientSpan) -> Result<Option<PlanResponse>, ClientError> {
         // Await covers blocking for + reading the response header frame:
         // both network legs plus the whole server-side span.
         let await_start = Instant::now();
-        let Some(frame) = read_frame(&mut self.stream, self.max_frame)? else {
-            return Ok(None);
-        };
+        let frame = read_frame(&mut self.stream, self.max_frame)?
+            .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))?;
         span.record_since(ClientPhase::Await, await_start);
         let decode = Instant::now();
         let text = std::str::from_utf8(&frame)
@@ -259,20 +242,8 @@ impl PlanClient {
         span.record_since(ClientPhase::Decode, decode);
         match response {
             PlanResponse::Error { kind, message } => Err(ClientError::Server { kind, message }),
-            response => Ok(Some(response)),
+            response => Ok(response),
         }
-    }
-
-    /// One request, one response.
-    fn exchange(
-        &mut self,
-        request: &PlanRequest,
-        raw: Option<&[u8]>,
-        span: &mut ClientSpan,
-    ) -> Result<PlanResponse, ClientError> {
-        self.send(request, raw, span)?;
-        self.recv(span)?
-            .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))
     }
 
     /// Accepts a plan-bearing response (`Ok(None)` for `NotFound`),
@@ -402,20 +373,14 @@ impl PlanClient {
     /// edit script against `base` (a profile the server has already
     /// seen, e.g. via a previous [`Self::plan`] call on this server).
     ///
-    /// Two transparent fallbacks make this safe to call
-    /// unconditionally:
-    ///
-    /// * a server that knows the verb but has evicted the base answers
-    ///   `NotFound`, and the full profile is retried on the same
-    ///   connection;
-    /// * a server that predates the verb answers a typed `BadFrame`
-    ///   error (or just closes), and the full profile is retried on a
-    ///   fresh connection.
-    ///
-    /// Either way the caller gets the same validated plan a
-    /// [`Self::plan`] call for `next` would produce; only
+    /// A server that has evicted the base answers `NotFound`, and the
+    /// full profile is sent on the same connection — so this is safe to
+    /// call unconditionally: the caller gets the same validated plan a
+    /// [`Self::plan`] call for `next` would produce, and only
     /// [`RemotePlan::source`] tells the paths apart
     /// ([`PlanSource::Patched`] when the server patched in-process).
+    /// Every other failure is the caller's to see: a transport error or
+    /// a typed rejection is never retried behind its back.
     pub fn plan_delta(
         &mut self,
         base: &ProfiledRequests,
@@ -433,39 +398,14 @@ impl PlanClient {
                 bytes: raw.len() as u64,
                 trace: Some(wire),
             };
-            let exchanged = client
-                .send(&header, Some(&raw), span)
-                .and_then(|()| client.recv(span));
-            match exchanged {
-                Ok(Some(response)) => match client.accept(expected, response, span)? {
-                    Some(plan) => Ok(plan),
-                    // The server no longer holds the base profile. The
-                    // stream is still synchronized (both frames were
-                    // consumed), so retry with the full profile on this
-                    // very connection.
-                    None => client.plan_full(next, config, wire, span),
-                },
-                // The server does not speak the verb: a typed `BadFrame`
-                // (old servers reject unknown verbs that way, then
-                // close), a transport error (the close races the error
-                // frame), or the clean close before any response.
-                // Reconnect — keeping the trace root: the retry is part
-                // of the same logical request — and resend in full.
-                Ok(None)
-                | Err(ClientError::Io(_))
-                | Err(ClientError::Server {
-                    kind: WireErrorKind::BadFrame,
-                    ..
-                }) => {
-                    let connect = Instant::now();
-                    client.stream = open(client.addr)?;
-                    span.record_since(ClientPhase::Connect, connect);
-                    client.plan_full(next, config, wire, span)
-                }
-                // Anything else (`Busy`, `Oversized`, an undecodable
-                // *response*) is a real failure that retrying with a
-                // full profile would only repeat or mask.
-                Err(e) => Err(e),
+            let response = client.exchange(&header, Some(&raw), span)?;
+            match client.accept(expected, response, span)? {
+                Some(plan) => Ok(plan),
+                // The server no longer holds the base profile. The
+                // stream is still synchronized (both frames were
+                // consumed), so send the full profile on this very
+                // connection.
+                None => client.plan_full(next, config, wire, span),
             }
         })
     }
@@ -497,16 +437,12 @@ impl PlanClient {
 
     /// Fetches the server-side spans the recent ring holds for a trace
     /// id (32 hex digits, e.g. [`TraceContext::trace_hex`]).
-    ///
-    /// Servers that predate the `TraceGet` verb reject it as a typed
-    /// `BadFrame` error ([`ClientError::Server`]) and close the
-    /// connection — same fallback contract as [`Self::metrics`].
     pub fn trace_get(&mut self, trace_id: &str) -> Result<Vec<SpanSnapshot>, ClientError> {
         let request = PlanRequest::TraceGet {
             trace_id: trace_id.to_string(),
         };
         // Recorded into a throw-away span: see [`Self::last_span`].
-        let mut unpublished = ClientSpan::new("TraceGet", TraceContext::NONE);
+        let mut unpublished = ClientSpan::new("TraceGet");
         match self.exchange(&request, None, &mut unpublished)? {
             PlanResponse::Trace { spans, .. } => Ok(spans),
             other => Err(unexpected("Trace", &other)),
@@ -515,11 +451,6 @@ impl PlanClient {
 
     /// Fetches the server's latency metrics (per-phase and per-tier
     /// histograms, slowest spans, plus the `Stats` counters).
-    ///
-    /// Servers that predate the `Metrics` verb reject the unknown
-    /// request as a typed `BadFrame` error, surfaced here as
-    /// [`ClientError::Server`] — and close the connection, so this
-    /// client is not reusable after that.
     pub fn metrics(&mut self) -> Result<ServeMetrics, ClientError> {
         let response = self.traced("Metrics", |client, _, span| {
             client.exchange(&PlanRequest::Metrics, None, span)

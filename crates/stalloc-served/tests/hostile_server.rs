@@ -5,11 +5,13 @@
 //! and on a clean close being told apart from an answer. A live
 //! `PlanServer` never trips any of them, so a scripted fake server does:
 //! every script must end in `ClientError::Protocol`, never a `RemotePlan`.
+//! The same goes for a `PlanDelta` the peer drops or rejects: the caller
+//! sees that failure, on the one connection it opened.
 
 use std::net::{SocketAddr, TcpListener};
 use std::thread::JoinHandle;
 
-use stalloc_core::wire::{PlanRequest, PlanResponse, PlanSource};
+use stalloc_core::wire::{PlanRequest, PlanResponse, PlanSource, WireErrorKind};
 use stalloc_core::{fingerprint_job, profile_trace, Fingerprint, ProfiledRequests, SynthConfig};
 use stalloc_served::{read_frame, write_frame, ClientError, PlanClient, DEFAULT_MAX_FRAME};
 use stalloc_store::{decode_profile, encode_plan};
@@ -178,4 +180,68 @@ fn every_distrust_check_ends_in_a_protocol_error() {
         }
     }
     server.join().unwrap();
+}
+
+/// A delta that fails is the caller's failure to see. The client used to
+/// answer a close, a transport error or a `BadFrame` on a `PlanDelta` by
+/// opening a second connection and resending the full profile — which
+/// turned a dead or overloaded daemon into a silent retry with a ~10×
+/// larger request, reported as an ordinary plan.
+#[test]
+fn a_dropped_or_rejected_delta_is_a_typed_error_on_one_connection() {
+    let (base, config) = (profile(), SynthConfig::default());
+    let mut next = base.clone();
+    next.statics.last_mut().unwrap().size += 4096;
+
+    for answer_bad_frame in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            // Both announced frames are consumed first, so the close is a
+            // clean end of stream at a frame boundary rather than a reset
+            // racing the client's write.
+            let header = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap().unwrap();
+            let request: PlanRequest =
+                serde_json::from_str(std::str::from_utf8(&header).unwrap()).unwrap();
+            assert!(
+                matches!(request, PlanRequest::PlanDelta { .. }),
+                "expected the delta header, got {request:?}"
+            );
+            read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap().unwrap();
+            if answer_bad_frame {
+                let reply = serde_json::to_string(&PlanResponse::Error {
+                    kind: WireErrorKind::BadFrame,
+                    message: "unknown request".into(),
+                })
+                .unwrap();
+                write_frame(&mut conn, reply.as_bytes()).unwrap();
+            }
+            drop(conn);
+            listener
+        });
+
+        let mut client = PlanClient::connect(addr).unwrap();
+        let error = client.plan_delta(&base, &next, &config).unwrap_err();
+        match (answer_bad_frame, &error) {
+            (
+                true,
+                ClientError::Server {
+                    kind: WireErrorKind::BadFrame,
+                    ..
+                },
+            ) => {}
+            (false, ClientError::Protocol(m)) if m.contains("closed before responding") => {}
+            _ => panic!("bad_frame={answer_bad_frame}: unexpected error {error}"),
+        }
+        // Exactly one accepted connection: a reconnect would have
+        // completed its handshake into the backlog before `plan_delta`
+        // returned.
+        let listener = peer.join().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        match listener.accept() {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            other => panic!("the client opened a second connection: {other:?}"),
+        }
+    }
 }

@@ -263,104 +263,6 @@ fn stats_and_metrics_are_compatible_across_versions() {
     server.shutdown();
 }
 
-/// The `PlanDelta` axis, new client → old server: a server that
-/// predates the verb answers a typed `BadFrame` and closes (the same
-/// mechanism `stats_and_metrics_are_compatible_across_versions`
-/// demonstrates for `Metrics`), and the client must transparently
-/// reconnect and retry with the full profile — the caller sees one
-/// successful plan, never the rejection.
-///
-/// Impersonating the old server directly (a listener thread that speaks
-/// only the pre-delta protocol) pins down the *client's* half of the
-/// contract, which the live-server tests cannot: a modern server knows
-/// the verb, so the `BadFrame` path would otherwise go untested.
-#[test]
-fn new_client_delta_against_old_server_falls_back_to_full_profile() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
-
-    let profile = sample_profile();
-    let next = {
-        let mut p = profile.clone();
-        if let Some(r) = p.statics.last_mut() {
-            r.size += 4096;
-        }
-        p
-    };
-    let config = SynthConfig::default();
-    let expected_fp = fingerprint_job(&next, &config);
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let delta_headers_seen = Arc::new(AtomicU32::new(0));
-    let plans_served = Arc::new(AtomicU32::new(0));
-    let (deltas, plans) = (Arc::clone(&delta_headers_seen), Arc::clone(&plans_served));
-
-    let old_server = std::thread::spawn(move || {
-        // Connection 1: the client's PlanDelta attempt. An old server
-        // reads the header frame, does not know the verb, answers a
-        // typed BadFrame, and closes — without reading the PRFD frame.
-        {
-            let (mut s, _) = listener.accept().unwrap();
-            let header = read_frame(&mut s, DEFAULT_MAX_FRAME).unwrap().unwrap();
-            let text = std::str::from_utf8(&header).unwrap();
-            assert!(
-                text.contains("PlanDelta"),
-                "expected the delta header first, got {text}"
-            );
-            deltas.fetch_add(1, Ordering::SeqCst);
-            let reply = serde_json::to_string(&PlanResponse::Error {
-                kind: WireErrorKind::BadFrame,
-                message: "unknown request".into(),
-            })
-            .unwrap();
-            write_frame(&mut s, reply.as_bytes()).unwrap();
-            // drop(s): the old server closes the unsynchronized stream.
-        }
-        // Connection 2: the client's transparent retry — a plain
-        // old-shape Plan verb the old server has always understood.
-        let (mut s, _) = listener.accept().unwrap();
-        let payload = read_frame(&mut s, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        let request: PlanRequest =
-            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
-        let PlanRequest::Plan {
-            profile: full,
-            config,
-            ..
-        } = request
-        else {
-            panic!("the retry must be a full Plan request, got {request:?}");
-        };
-        let plan = stalloc_core::synthesize(&full, &config);
-        plans.fetch_add(1, Ordering::SeqCst);
-        let reply = serde_json::to_string(&PlanResponse::Plan {
-            fingerprint: fingerprint_job(&full, &config).to_hex(),
-            source: stalloc_core::PlanSource::Synthesized,
-            micros: 1,
-            plan,
-        })
-        .unwrap();
-        write_frame(&mut s, reply.as_bytes()).unwrap();
-    });
-
-    let mut client = PlanClient::connect(addr)
-        .unwrap()
-        .with_profile_encoding(ProfileEncoding::Json);
-    let remote = client
-        .plan_delta(&profile, &next, &config)
-        .expect("the fallback must hand the caller a plan, not the rejection");
-    assert_eq!(remote.fingerprint, expected_fp);
-    assert_eq!(remote.source, stalloc_core::PlanSource::Synthesized);
-    remote.plan.validate().unwrap();
-
-    old_server.join().unwrap();
-    assert_eq!(
-        delta_headers_seen.load(std::sync::atomic::Ordering::SeqCst),
-        1
-    );
-    assert_eq!(plans_served.load(std::sync::atomic::Ordering::SeqCst), 1);
-}
-
 /// The `PlanDelta` axis, old client → new server: a pre-delta client's
 /// exchange is untouched by the feature. The minimal old-shape `Plan`
 /// document (no `encoding`, no `trace` keys) still decodes and serves,
