@@ -162,11 +162,6 @@ impl CachingAllocator {
         &self.config
     }
 
-    /// Bytes currently cached (free inside reserved segments).
-    pub fn cached_bytes(&self) -> u64 {
-        self.small_pool.free_bytes() + self.large_pool.free_bytes()
-    }
-
     fn pool(&mut self, small: bool) -> &mut BlockPool {
         if small {
             &mut self.small_pool

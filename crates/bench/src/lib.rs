@@ -1,6 +1,7 @@
-//! The paper's tables and figures as binaries:
-//! `cargo run -p bench --release --bin <figN|tableN|all_experiments>`
-//! regenerates the corresponding table/figure from `harness::experiments`.
+//! The paper's tables and figures behind one table-driven binary:
+//! `cargo run -p bench --release -- <figN|tableN|…|all>` regenerates the
+//! named table/figure of `harness::experiments::ALL` (no argument lists
+//! the names).
 //!
 //! Timings live elsewhere: the repository's one measuring system is the
 //! standalone `benchmark/` package (see its README and `BENCHMARK.json`).

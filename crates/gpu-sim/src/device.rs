@@ -263,11 +263,6 @@ impl Device {
         self.spec.supports_vmm
     }
 
-    /// The VMM physical granularity.
-    pub fn vmm_granularity(&self) -> u64 {
-        self.vmm.granularity()
-    }
-
     /// `cuMemCreate`: allocates a physical handle.
     pub fn vmm_create(&mut self, size: u64) -> DeviceResult<PhysHandle> {
         self.require_vmm()?;
@@ -284,13 +279,6 @@ impl Device {
         self.require_vmm()?;
         self.charge(self.latency.vmm_reserve_ns);
         Ok(self.vmm.address_reserve(size))
-    }
-
-    /// `cuMemAddressFree`: releases a reservation (must be unmapped).
-    pub fn vmm_address_free(&mut self, range: VirtualRange) -> DeviceResult<()> {
-        self.require_vmm()?;
-        self.charge(self.latency.vmm_reserve_ns);
-        self.vmm.address_free(range)
     }
 
     /// `cuMemMap` + `cuMemSetAccess`.
@@ -312,11 +300,6 @@ impl Device {
         self.require_vmm()?;
         self.charge(self.latency.vmm_release_ns);
         self.vmm.mem_release(handle)
-    }
-
-    /// Size of a live VMM handle.
-    pub fn vmm_handle_size(&self, h: PhysHandle) -> Option<u64> {
-        self.vmm.handle_size(h)
     }
 
     /// Modeling hook: charges the latency and op-counts of address-remapping

@@ -101,11 +101,6 @@ impl PhysMemory {
         self.free_by_size.iter().next_back().map_or(0, |&(l, _)| l)
     }
 
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.live.len()
-    }
-
     /// Number of discontiguous free blocks (external-fragmentation proxy).
     pub fn free_block_count(&self) -> usize {
         self.free_by_addr.len()

@@ -1,6 +1,7 @@
 //! Experiment registry: one function per table/figure of the paper's
-//! evaluation (§2 motivation + §9). Each returns renderable [`Table`]s; the
-//! `bench` crate exposes them as binaries.
+//! evaluation (§2 motivation + §9). Each returns renderable [`Table`]s;
+//! [`ALL`] names them, and the `bench` crate's one binary runs them by
+//! name.
 
 use gpu_sim::DeviceSpec;
 use trace_gen::{OptimConfig, TensorCategory, Trace, TraceEvent};
@@ -12,6 +13,29 @@ use crate::table::{gib, pct, Table};
 fn a800() -> DeviceSpec {
     DeviceSpec::a800_80g()
 }
+
+type Experiment = fn() -> Vec<Table>;
+
+/// Every experiment by the name `cargo run -p bench -- NAME` takes, in
+/// the order `-- all` prints them.
+pub const ALL: [(&str, Experiment); 16] = [
+    ("fig1b", || vec![fig1b()]),
+    ("fig2", || vec![fig2()]),
+    ("fig3", || vec![fig3()]),
+    ("fig4", || vec![fig4()]),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", || vec![fig10()]),
+    ("fig11", || vec![fig11()]),
+    ("fig12", || vec![fig12()]),
+    ("fig13", || vec![fig13()]),
+    ("table1", || vec![table1()]),
+    ("table2", || vec![table2()]),
+    ("table3", || vec![table3()]),
+    ("ablations", || vec![ablations()]),
+    ("strategies", || vec![strategy_comparison()]),
+    ("delta_replan", || vec![delta_replan()]),
+];
 
 /// Figure 1(b): memory vs throughput of Llama2-7B configurations on 8 GPUs;
 /// the best configurations are feasible only with STAlloc.
@@ -565,7 +589,7 @@ pub fn strategy_comparison() -> Table {
         // column come from the same `CandidateReport`s the portfolio
         // itself produced, so the table can never disagree with what
         // `--strategy portfolio` would actually pick.
-        let outcome = stalloc_solver::synthesize_portfolio(&profile, &config);
+        let outcome = stalloc_solver::Portfolio::standard().run(&profile, &config);
         let mut row = vec![label.to_string()];
         for c in &outcome.candidates {
             row.push(if c.valid {

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use allocators::{AllocError, AllocRequest, GpuAllocator};
+use allocators::{AllocRequest, GpuAllocator};
 use gpu_sim::{Device, DeviceSpec, LatencyModel};
 use trace_gen::{Trace, TraceEvent};
 
@@ -70,11 +70,6 @@ impl ReplayReport {
         } else {
             (self.peak_requested as f64 / self.peak_reserved as f64).min(1.0)
         }
-    }
-
-    /// Fragmentation ratio `1 - E`.
-    pub fn frag_ratio(&self) -> f64 {
-        1.0 - self.efficiency()
     }
 
     /// Fragmentation bytes `M_r - M_a` (clamped at zero).
@@ -211,25 +206,5 @@ fn check_overlap(
     }
     if let Some((&s, &(e, other))) = ranges.range(addr..end).next() {
         panic!("STOMP: tensor {id:?} [{addr:#x}, {end:#x}) overlaps {other:?} [{s:#x}, {e:#x})");
-    }
-}
-
-/// Convenience wrapper: OOM-tolerant `AllocError` propagation for callers
-/// that want a `Result` instead of a report flag.
-pub fn replay_expect_ok(
-    trace: &Trace,
-    spec: &DeviceSpec,
-    alloc: &mut dyn GpuAllocator,
-    opts: &ReplayOptions,
-) -> Result<ReplayReport, AllocError> {
-    let report = replay(trace, spec, alloc, opts);
-    if report.oom {
-        Err(AllocError::OutOfMemory {
-            requested: 0,
-            reserved: report.peak_reserved,
-            device_free: 0,
-        })
-    } else {
-        Ok(report)
     }
 }

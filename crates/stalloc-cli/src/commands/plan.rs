@@ -8,7 +8,7 @@ use stalloc_core::{
 };
 use stalloc_obs::chrome::{merged_request_timeline, SpanView};
 use stalloc_served::PlanClient;
-use stalloc_solver::{registry, synthesize_portfolio, synthesize_strategy, PortfolioOutcome};
+use stalloc_solver::{registry, synthesize_strategy, Portfolio, PortfolioOutcome};
 use stalloc_store::{encode_plan, synthesize_cached, CacheOutcome, PlanStore};
 
 use super::Command;
@@ -91,7 +91,7 @@ fn strategies(_args: &Args) -> Result<(), String> {
     let mut text =
         String::from("registered plan-synthesis strategies (stalloc plan --strategy NAME):\n");
     for s in registry() {
-        text.push_str(&format!("  {:<10} {}\n", s.name(), s.description()));
+        text.push_str(&format!("  {:<10} {}\n", s.name(), s.description));
     }
     text.push_str(&format!(
         "  {:<10} race all of the above on parallel workers; the valid\n  {:<10} \
@@ -261,7 +261,7 @@ fn plan_local(
         }
         Ok(plan)
     } else if config.strategy == StrategyChoice::Portfolio {
-        let outcome = synthesize_portfolio(profile, config);
+        let outcome = Portfolio::standard().run(profile, config);
         report_portfolio(&outcome);
         Ok(outcome.winner)
     } else {

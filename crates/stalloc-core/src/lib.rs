@@ -119,6 +119,21 @@ mod tests {
         );
     }
 
+    /// The pairing guard is an `assert!`, so `cargo test --release`
+    /// reaches it too: a baseline plan must never be returned (and then
+    /// cached) under another strategy's job fingerprint.
+    #[test]
+    #[should_panic(expected = "always runs the baseline pipeline")]
+    fn synthesize_refuses_a_non_baseline_config() {
+        let trace = job().build_trace().unwrap();
+        let profile = profile_trace(&trace, 1).unwrap();
+        let config = SynthConfig {
+            strategy: StrategyChoice::Portfolio,
+            ..SynthConfig::default()
+        };
+        synthesize(&profile, &config);
+    }
+
     #[test]
     fn plan_serialization_roundtrip() {
         let trace = job().build_trace().unwrap();

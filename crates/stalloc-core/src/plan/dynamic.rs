@@ -39,16 +39,6 @@ pub struct DynamicPlan {
     pub instance_seq: Vec<(InstanceKey, Vec<u32>)>,
 }
 
-impl DynamicPlan {
-    /// Total reusable bytes across groups (diagnostic).
-    pub fn total_reusable(&self) -> u64 {
-        self.groups
-            .iter()
-            .map(|g| g.intervals.iter().map(|&(_, l)| l).sum::<u64>())
-            .sum()
-    }
-}
-
 /// A planned static decision in its final absolute position, the input to
 /// the occupancy interrogation of Eq. 4.
 #[derive(Debug, Clone, Copy)]

@@ -300,6 +300,21 @@ pub struct StaticLayout {
     pub gap_inserted: usize,
 }
 
+impl StaticLayout {
+    /// The layout of a plain packer sweep: offsets and the pool they
+    /// reach, with the grouping pipeline's four diagnostics at 0.
+    pub fn placed(request_offsets: Vec<u64>, pool_size: u64) -> Self {
+        StaticLayout {
+            request_offsets,
+            pool_size,
+            phase_groups: 0,
+            fused_groups: 0,
+            layers: 0,
+            gap_inserted: 0,
+        }
+    }
+}
+
 /// Runs the baseline (paper §5.1) static pipeline: HomoPhase grouping →
 /// TMP fusion → HomoSize layering with gap insertion, then the global
 /// first-fit refinement sweep (kept when it packs tighter).
@@ -412,15 +427,19 @@ pub fn finish_plan(
     }
 }
 
-/// Runs the full plan synthesis on a profile — always with the baseline
-/// pipeline, whatever [`SynthConfig::strategy`] says. Strategy dispatch
-/// (and the portfolio race) lives in `stalloc_solver::synthesize_strategy`,
-/// which every cache/server/CLI path routes through.
+/// Runs the full plan synthesis on a profile with the baseline pipeline.
+/// Strategy dispatch (and the portfolio race) lives in
+/// `stalloc_solver::synthesize_strategy`, which every cache/server/CLI
+/// path routes through.
+///
+/// # Panics
+///
+/// In every build profile, if [`SynthConfig::strategy`] is not
+/// `Baseline`: the job fingerprint hashes the strategy, so a baseline
+/// plan returned for another strategy's config would be cached under
+/// the wrong identity.
 pub fn synthesize(profile: &ProfiledRequests, config: &SynthConfig) -> Plan {
-    // Guard the pairing trap: fingerprint_job() hashes config.strategy,
-    // so calling synthesize() (baseline-only) with a non-baseline config
-    // would cache a baseline plan under another strategy's fingerprint.
-    debug_assert_eq!(
+    assert_eq!(
         config.strategy,
         StrategyChoice::Baseline,
         "synthesize() always runs the baseline pipeline; dispatch other \

@@ -97,7 +97,6 @@ pub struct RemotePlan {
 /// One connection to a `stalloc-served` daemon.
 pub struct PlanClient {
     stream: TcpStream,
-    max_frame: usize,
     encoding: PlanEncoding,
     profile_encoding: ProfileEncoding,
     /// This connection's root context: every request span is its child,
@@ -126,19 +125,12 @@ impl PlanClient {
         stream.set_write_timeout(Some(Duration::from_secs(30)))?;
         Ok(PlanClient {
             stream,
-            max_frame: DEFAULT_MAX_FRAME,
             encoding: PlanEncoding::default(),
             profile_encoding: ProfileEncoding::default(),
             root: id_gen().root(),
             pending_connect_micros: connect_start.elapsed().as_micros() as u64,
             last_span: None,
         })
-    }
-
-    /// Caps the response frames this client will accept.
-    pub fn with_max_frame(mut self, max_frame: usize) -> Self {
-        self.max_frame = max_frame;
-        self
     }
 
     /// Chooses how served plans travel (default: [`PlanEncoding::Binary`]).
@@ -231,7 +223,7 @@ impl PlanClient {
         // Await covers blocking for + reading the response header frame:
         // both network legs plus the whole server-side span.
         let await_start = Instant::now();
-        let frame = read_frame(&mut self.stream, self.max_frame)?
+        let frame = read_frame(&mut self.stream, DEFAULT_MAX_FRAME)?
             .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))?;
         span.record_since(ClientPhase::Await, await_start);
         let decode = Instant::now();
@@ -273,7 +265,7 @@ impl PlanClient {
                 bytes,
             } => {
                 let read = Instant::now();
-                let frame = read_announced(&mut self.stream, self.max_frame, bytes)
+                let frame = read_announced(&mut self.stream, DEFAULT_MAX_FRAME, bytes)
                     .map_err(|e| match e {
                         FrameError::BadHeader(m) => ClientError::Protocol(m),
                         e => ClientError::Frame(e),

@@ -1,18 +1,13 @@
-//! The [`Portfolio`] runner: race strategies in parallel, keep the best.
+//! The [`Portfolio`] runner: race the strategy table, keep the best.
 //!
-//! Each registered strategy synthesizes on its own `std::thread` worker;
-//! candidates are validated as they arrive and the winner is selected
-//! **deterministically** by `(pool size, fragmentation, strategy name)` —
-//! thread finishing order never influences the result. An optional
-//! wall-clock budget bounds how long the runner waits: candidates that
-//! miss the deadline are ignored (their threads finish in the background
-//! and their results are dropped), but the runner always waits for at
-//! least one usable candidate, so a budget can degrade quality, never
-//! correctness.
+//! Each row of the table synthesizes on its own scoped `std::thread`
+//! worker, borrowing the caller's profile; every candidate is validated
+//! and the winner is selected **deterministically** by `(pool size,
+//! fragmentation, strategy name)` — thread finishing order never
+//! influences the result. A race of one row (a concrete
+//! `SynthConfig::strategy`) runs inline on the caller's thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stalloc_core::{Plan, ProfiledRequests, StrategyChoice, SynthConfig};
@@ -46,87 +41,17 @@ pub struct PortfolioOutcome {
     /// The best valid plan (its `stats.strategy` names the winning
     /// concrete strategy).
     pub winner: Plan,
-    /// One report per candidate that was considered, in registry order.
-    /// Strategies cut off by the time budget are absent.
+    /// One report per candidate, in registry order.
     pub candidates: Vec<CandidateReport>,
 }
 
-/// Races a set of strategies over one planning job.
-pub struct Portfolio {
-    /// `Arc` so each race worker can hold the *caller's* instance — a
-    /// custom [`Strategy`] passed to [`Portfolio::new`] is raced as-is,
-    /// never swapped for a registry lookalike.
-    strategies: Vec<Arc<dyn Strategy>>,
-    time_budget: Option<Duration>,
-}
-
-impl Default for Portfolio {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-/// What one worker sends back: its registry slot, the (validated-later)
-/// plan if synthesis survived, how long it took, and the strategy's own
-/// phase accounting.
-struct RaceResult {
-    slot: usize,
-    plan: Option<Plan>,
-    elapsed: Duration,
-    profile: SolverProfile,
-}
-
-/// Runs one strategy under a panic guard, splitting the result into the
-/// shape a [`RaceResult`] carries.
-fn run_guarded(
-    strategy: &dyn Strategy,
-    profile: &ProfiledRequests,
-    config: &SynthConfig,
-) -> (Option<Plan>, SolverProfile) {
-    match catch_unwind(AssertUnwindSafe(|| strategy.plan_profiled(profile, config))) {
-        Ok((plan, prof)) => (Some(plan), prof),
-        Err(_) => (None, SolverProfile::default()),
-    }
-}
+/// Races the whole strategy table over one planning job.
+pub struct Portfolio;
 
 impl Portfolio {
-    /// The standard portfolio: every strategy in [`registry`], no budget.
+    /// The standard portfolio: every row of [`registry`].
     pub fn standard() -> Self {
-        Self::new(registry())
-    }
-
-    /// Builds a portfolio over an explicit strategy set (custom
-    /// [`Strategy`] implementations welcome — they are raced as given).
-    pub fn new(strategies: Vec<Box<dyn Strategy>>) -> Self {
-        assert!(!strategies.is_empty(), "a portfolio needs ≥ 1 strategy");
-        Portfolio {
-            strategies: strategies.into_iter().map(Arc::from).collect(),
-            time_budget: None,
-        }
-    }
-
-    /// Caps how long [`Self::run`] waits for candidates. The runner still
-    /// waits for at least one usable result past the deadline, so the
-    /// budget trades quality (fewer candidates compared), never
-    /// soundness. Note that with a budget the candidate *set* depends on
-    /// machine speed — run without one when byte-stable winners across
-    /// machines matter (caches always may, so `synthesize_strategy` uses
-    /// the unbudgeted standard portfolio).
-    ///
-    /// Stragglers past the deadline are abandoned, not joined: each
-    /// keeps its thread and its clone of the profile alive until its
-    /// strategy finishes, so tightly-budgeted runs over large profiles
-    /// retain that memory in the background. Repeated budgeted runs can
-    /// stack such stragglers; callers that care should size the budget
-    /// so only pathological strategies miss it.
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
-
-    /// The names of the competing strategies, in registry order.
-    pub fn strategy_names(&self) -> Vec<&'static str> {
-        self.strategies.iter().map(|s| s.name()).collect()
+        Portfolio
     }
 
     /// Runs the race and returns the winner plus per-candidate reports.
@@ -136,204 +61,113 @@ impl Portfolio {
     /// name)` triple wins. Fragmentation is `pool − peak static demand`;
     /// since every candidate plans the same profile, the peak is shared
     /// and the name is the only true tiebreaker for equal pools.
-    ///
-    /// Without a budget the race runs on **scoped** threads that borrow
-    /// the caller's profile directly — no clone, however large the job.
-    /// Only a budgeted run clones (once, behind an `Arc`): abandoned
-    /// stragglers may outlive this call, so they cannot borrow from it.
     pub fn run(&self, profile: &ProfiledRequests, config: &SynthConfig) -> PortfolioOutcome {
-        let results = match self.time_budget {
-            None => self.race_borrowed(profile, config),
-            Some(budget) => self.race_budgeted(profile, config, budget),
-        };
-        self.select(profile, config, results)
+        race(registry(), profile, config)
     }
+}
 
-    /// The unbudgeted race: every worker borrows `profile` from the
-    /// caller's stack frame; the scope joins them all before returning,
-    /// which is exactly the "wait for every candidate" semantics.
-    fn race_borrowed(&self, profile: &ProfiledRequests, config: &SynthConfig) -> Vec<RaceResult> {
+/// What one row brings back: the (validated-later) plan if synthesis
+/// survived, how long it took, and the row's own phase accounting.
+type RaceResult = (Option<Plan>, Duration, SolverProfile);
+
+/// Runs one row on the current thread. A panicking strategy must
+/// neither poison the race nor take the caller down.
+fn run_guarded(row: &Strategy, profile: &ProfiledRequests, config: &SynthConfig) -> RaceResult {
+    let started = Instant::now();
+    match catch_unwind(AssertUnwindSafe(|| row.plan_profiled(profile, config))) {
+        Ok((plan, prof)) => (Some(plan), started.elapsed(), prof),
+        Err(_) => (None, started.elapsed(), SolverProfile::default()),
+    }
+}
+
+/// Races `rows` over one job, validates every candidate and picks the
+/// winner. One row runs inline; more run on scoped threads that borrow
+/// `profile` from the caller's stack frame — no clone, however large the
+/// job — and the scope joins them all before selection.
+pub(crate) fn race(
+    rows: &[Strategy],
+    profile: &ProfiledRequests,
+    config: &SynthConfig,
+) -> PortfolioOutcome {
+    let mut results: Vec<RaceResult> = if let [solo] = rows {
+        vec![run_guarded(solo, profile, config)]
+    } else {
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<RaceResult>();
-            for (slot, strategy) in self.strategies.iter().enumerate() {
-                let worker_tx = tx.clone();
-                let spawned = std::thread::Builder::new()
-                    .name(format!("stalloc-solve-{}", strategy.name()))
-                    .spawn_scoped(scope, move || {
-                        let started = Instant::now();
-                        // A panicking strategy must neither poison the
-                        // race nor leave the collector waiting.
-                        let (plan, prof) = run_guarded(&**strategy, profile, config);
-                        let _ = worker_tx.send(RaceResult {
-                            slot,
-                            plan,
-                            elapsed: started.elapsed(),
-                            profile: prof,
-                        });
-                    });
-                if spawned.is_err() {
+            let workers: Vec<_> = rows
+                .iter()
+                .map(|row| {
+                    std::thread::Builder::new()
+                        .name(format!("stalloc-solve-{}", row.name()))
+                        .spawn_scoped(scope, move || run_guarded(row, profile, config))
+                })
+                .collect();
+            rows.iter()
+                .zip(workers)
+                .map(|(row, worker)| match worker {
+                    Ok(handle) => handle.join().expect("run_guarded catches the panic"),
                     // Spawn failure (thread exhaustion): run inline so
                     // the race still sees this candidate.
-                    let started = Instant::now();
-                    let (plan, prof) = run_guarded(&**strategy, profile, config);
-                    let _ = tx.send(RaceResult {
-                        slot,
-                        plan,
-                        elapsed: started.elapsed(),
-                        profile: prof,
-                    });
-                }
-            }
-            drop(tx);
-            let mut out = Vec::with_capacity(self.strategies.len());
-            while let Ok(r) = rx.recv() {
-                out.push(r);
-            }
-            out
+                    Err(_) => run_guarded(row, profile, config),
+                })
+                .collect()
         })
-    }
+    };
 
-    /// The budgeted race: workers get an `Arc` of a one-time clone so
-    /// stragglers abandoned at the deadline stay memory-safe; their
-    /// sends land in a closed channel and the clone dies with the last
-    /// straggler.
-    fn race_budgeted(
-        &self,
-        profile: &ProfiledRequests,
-        config: &SynthConfig,
-        budget: Duration,
-    ) -> Vec<RaceResult> {
-        let profile = Arc::new(profile.clone());
-        let (tx, rx) = mpsc::channel::<RaceResult>();
-        for (slot, strategy) in self.strategies.iter().enumerate() {
-            let worker = Arc::clone(strategy);
-            let worker_profile = Arc::clone(&profile);
-            let worker_config = *config;
-            let worker_tx = tx.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("stalloc-solve-{}", worker.name()))
-                .spawn(move || {
-                    let started = Instant::now();
-                    let (plan, prof) = run_guarded(&*worker, &worker_profile, &worker_config);
-                    let _ = worker_tx.send(RaceResult {
-                        slot,
-                        plan,
-                        elapsed: started.elapsed(),
-                        profile: prof,
-                    });
-                });
-            if spawned.is_err() {
-                let started = Instant::now();
-                let (plan, prof) = run_guarded(&**strategy, &profile, config);
-                let _ = tx.send(RaceResult {
-                    slot,
-                    plan,
-                    elapsed: started.elapsed(),
-                    profile: prof,
-                });
+    // Deterministic selection over the rows in table order. The winner
+    // is remembered by index, so two rows reporting the same
+    // `StrategyChoice` can never both be flagged.
+    let mut candidates = Vec::with_capacity(rows.len());
+    let mut best: Option<((u64, u64, &'static str), usize)> = None;
+    for (ci, (row, (plan, elapsed, prof))) in rows.iter().zip(&results).enumerate() {
+        let sound = plan
+            .as_ref()
+            .filter(|p| p.validate().is_ok() && p.pool_size >= p.stats.peak_static_demand);
+        candidates.push(CandidateReport {
+            strategy: row.choice,
+            pool_size: sound.map_or(u64::MAX, |p| p.pool_size),
+            packing_efficiency: sound.map_or(0.0, |p| p.stats.packing_efficiency()),
+            elapsed: *elapsed,
+            valid: sound.is_some(),
+            winner: false,
+            profile: *prof,
+        });
+        if let Some(p) = sound {
+            let key = (
+                p.pool_size,
+                p.pool_size - p.stats.peak_static_demand,
+                row.name(),
+            );
+            if best.as_ref().is_none_or(|(held, _)| key < *held) {
+                best = Some((key, ci));
             }
         }
-        drop(tx);
-        self.collect(rx, budget)
     }
 
-    /// Validates candidates and picks the winner.
-    fn select(
-        &self,
-        profile: &ProfiledRequests,
-        config: &SynthConfig,
-        mut results: Vec<RaceResult>,
-    ) -> PortfolioOutcome {
-        // Deterministic selection, independent of arrival order. The
-        // winner is remembered by candidate index, so two strategies
-        // reporting the same `StrategyChoice` can never both be flagged.
-        results.sort_unstable_by_key(|r| r.slot);
-        let mut candidates = Vec::with_capacity(results.len());
-        let mut winner: Option<(u64, u64, &'static str, usize, Plan)> = None;
-        for (ci, r) in results.iter().enumerate() {
-            let name = self.strategies[r.slot].name();
-            let valid = r
-                .plan
-                .as_ref()
-                .is_some_and(|p| p.validate().is_ok() && p.pool_size >= p.stats.peak_static_demand);
-            let (pool, eff) = match (&r.plan, valid) {
-                (Some(p), true) => (p.pool_size, p.stats.packing_efficiency()),
-                _ => (u64::MAX, 0.0),
-            };
-            candidates.push(CandidateReport {
-                strategy: self.strategies[r.slot].choice(),
-                pool_size: pool,
-                packing_efficiency: eff,
-                elapsed: r.elapsed,
-                valid,
-                winner: false,
-                profile: r.profile,
-            });
-            if valid {
-                let plan = r.plan.as_ref().expect("valid implies present");
-                let frag = pool - plan.stats.peak_static_demand;
-                let key = (pool, frag, name);
-                if winner
-                    .as_ref()
-                    .is_none_or(|(wp, wf, wn, ..)| key < (*wp, *wf, *wn))
-                {
-                    winner = Some((pool, frag, name, ci, plan.clone()));
-                }
-            }
+    let winner = match best {
+        Some((_, ci)) => {
+            candidates[ci].winner = true;
+            results[ci].0.take().expect("a sound candidate has a plan")
         }
-
-        let winner = match winner {
-            Some((.., ci, plan)) => {
-                candidates[ci].winner = true;
-                plan
-            }
-            // Every candidate failed or missed the deadline — fall back
-            // to the baseline pipeline inline; it is the reference
-            // implementation and must not be racy. Normalized to the
-            // baseline strategy: synthesize() asserts the pairing.
-            None => stalloc_core::synthesize(
-                profile,
-                &SynthConfig {
-                    strategy: StrategyChoice::Baseline,
-                    ..*config
-                },
-            ),
-        };
-        PortfolioOutcome { winner, candidates }
-    }
-
-    /// Collects whatever arrives before the deadline (but always ≥ 1
-    /// result, so a budget can degrade quality, never soundness).
-    fn collect(&self, rx: mpsc::Receiver<RaceResult>, budget: Duration) -> Vec<RaceResult> {
-        let expected = self.strategies.len();
-        let mut out = Vec::with_capacity(expected);
-        let deadline = Instant::now() + budget;
-        while out.len() < expected {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(left) {
-                Ok(r) => out.push(r),
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if out.is_empty() {
-            // Never return empty-handed while a worker is still
-            // coming: one synthesis is the price of soundness.
-            if let Ok(r) = rx.recv() {
-                out.push(r);
-            }
-        }
-        out
-    }
+        // Every candidate failed — fall back to the baseline pipeline
+        // inline; it is the reference implementation. Normalized to the
+        // baseline strategy: synthesize() asserts the pairing.
+        None => stalloc_core::synthesize(
+            profile,
+            &SynthConfig {
+                strategy: StrategyChoice::Baseline,
+                ..*config
+            },
+        ),
+    };
+    PortfolioOutcome { winner, candidates }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::strategy_for;
+    use stalloc_core::StaticLayout;
+    use std::cell::Cell;
     use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
     fn profile() -> ProfiledRequests {
@@ -390,118 +224,60 @@ mod tests {
         assert_eq!(a.winner.to_json(), b.winner.to_json());
     }
 
+    /// The one test that reaches the race's `catch_unwind`: a row whose
+    /// layout function panics is reported invalid with nothing counted,
+    /// and the real row beside it wins.
     #[test]
-    fn single_strategy_portfolio_degenerates() {
+    fn a_panicking_row_is_dropped_and_the_real_row_wins() {
+        fn boom(_: &ProfiledRequests, _: &SynthConfig, _: &mut SolverProfile) -> StaticLayout {
+            panic!("a strategy bug must not take the race down")
+        }
         let p = profile();
-        let config = SynthConfig::default();
-        let solo = Portfolio::new(vec![strategy_for(StrategyChoice::BestFit).unwrap()]);
-        let outcome = solo.run(&p, &config);
-        assert_eq!(outcome.winner.stats.strategy, StrategyChoice::BestFit);
-        assert_eq!(outcome.candidates.len(), 1);
-        assert!(outcome.candidates[0].winner);
-    }
-
-    /// Claims to be Baseline but panics: if the runner ever swapped
-    /// caller instances for registry lookups again, this candidate would
-    /// come back valid.
-    struct PanickingImpostor;
-
-    impl Strategy for PanickingImpostor {
-        fn choice(&self) -> StrategyChoice {
-            StrategyChoice::Baseline
-        }
-
-        fn description(&self) -> &'static str {
-            "always panics (test double)"
-        }
-
-        fn plan(&self, _: &ProfiledRequests, _: &SynthConfig) -> Plan {
-            panic!("the caller's instance must actually run")
-        }
-    }
-
-    #[test]
-    fn custom_strategies_are_raced_as_given() {
-        let p = profile();
-        let config = SynthConfig::default();
-        let portfolio = Portfolio::new(vec![
-            Box::new(PanickingImpostor),
-            strategy_for(StrategyChoice::BestFit).unwrap(),
-        ]);
-        let outcome = portfolio.run(&p, &config);
-        assert_eq!(outcome.candidates.len(), 2);
-        assert!(
-            !outcome.candidates[0].valid,
-            "the impostor itself must run (and panic), not a registry stand-in"
-        );
-        assert!(outcome.candidates[1].winner);
+        let rows = [
+            Strategy {
+                choice: StrategyChoice::Baseline,
+                description: "always panics (test double)",
+                layout: boom,
+            },
+            *strategy_for(StrategyChoice::BestFit).unwrap(),
+        ];
+        let outcome = race(&rows, &p, &SynthConfig::default());
+        let [bad, good] = &outcome.candidates[..] else {
+            panic!("one report per row: {:?}", outcome.candidates);
+        };
+        assert_eq!(bad.strategy, StrategyChoice::Baseline);
+        assert!(!bad.valid && !bad.winner);
+        assert_eq!((bad.pool_size, bad.packing_efficiency), (u64::MAX, 0.0));
+        assert_eq!(bad.profile, SolverProfile::default());
+        assert!(good.valid && good.winner);
         assert_eq!(outcome.winner.stats.strategy, StrategyChoice::BestFit);
         outcome.winner.validate().unwrap();
     }
 
-    /// Remembers the address of the profile it was handed.
-    struct PointerProbe {
-        seen: Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl Strategy for PointerProbe {
-        fn choice(&self) -> StrategyChoice {
-            StrategyChoice::BestFit
-        }
-
-        fn description(&self) -> &'static str {
-            "records its profile's address (test double)"
-        }
-
-        fn plan(&self, p: &ProfiledRequests, c: &SynthConfig) -> Plan {
-            self.seen
-                .store(p as *const _ as usize, std::sync::atomic::Ordering::SeqCst);
-            strategy_for(StrategyChoice::BestFit).unwrap().plan(p, c)
-        }
-    }
-
+    /// A concrete `SynthConfig::strategy` is a race of one, and a race of
+    /// one spawns nothing: the row sees the caller's thread-local.
     #[test]
-    fn unbudgeted_run_borrows_the_callers_profile() {
-        let p = profile();
-        let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let probe = Portfolio::new(vec![Box::new(PointerProbe {
-            seen: Arc::clone(&seen),
-        })]);
-        let outcome = probe.run(&p, &SynthConfig::default());
-        outcome.winner.validate().unwrap();
-        assert_eq!(
-            seen.load(std::sync::atomic::Ordering::SeqCst),
-            &p as *const _ as usize,
-            "unbudgeted race must borrow the caller's profile, not plan a clone"
-        );
-    }
-
-    #[test]
-    fn budgeted_run_plans_a_clone_so_stragglers_stay_safe() {
-        let p = profile();
-        let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let probe = Portfolio::new(vec![Box::new(PointerProbe {
-            seen: Arc::clone(&seen),
-        })])
-        .with_time_budget(Duration::from_secs(120));
-        let outcome = probe.run(&p, &SynthConfig::default());
-        outcome.winner.validate().unwrap();
-        let addr = seen.load(std::sync::atomic::Ordering::SeqCst);
-        assert_ne!(addr, 0, "the probe must have run");
-        assert_ne!(
-            addr, &p as *const _ as usize,
-            "budgeted race must hand workers an owned clone, never a stack borrow"
-        );
-    }
-
-    #[test]
-    fn generous_budget_sees_every_candidate() {
+    fn a_race_of_one_runs_on_the_callers_thread() {
+        thread_local!(static RAN_HERE: Cell<bool> = const { Cell::new(false) });
+        fn probe(p: &ProfiledRequests, c: &SynthConfig, prof: &mut SolverProfile) -> StaticLayout {
+            RAN_HERE.with(|ran| ran.set(true));
+            (strategy_for(StrategyChoice::BestFit).unwrap().layout)(p, c, prof)
+        }
+        let row = Strategy {
+            choice: StrategyChoice::BestFit,
+            description: "marks the thread it runs on (test double)",
+            layout: probe,
+        };
         let p = profile();
         let config = SynthConfig::default();
-        let outcome = Portfolio::standard()
-            .with_time_budget(Duration::from_secs(120))
-            .run(&p, &config);
-        assert_eq!(outcome.candidates.len(), StrategyChoice::CONCRETE.len());
-        outcome.winner.validate().unwrap();
+
+        let both = race(&[row, row], &p, &config);
+        assert_eq!(both.candidates.len(), 2);
+        assert!(!RAN_HERE.with(Cell::get), "two rows race on workers");
+
+        let solo = race(&[row], &p, &config);
+        assert!(RAN_HERE.with(Cell::get), "one row runs inline");
+        assert!(solo.candidates[0].winner && solo.candidates[0].valid);
+        assert_eq!(solo.winner, both.winner);
     }
 }

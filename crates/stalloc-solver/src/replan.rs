@@ -19,8 +19,10 @@
 //! is a first-class [`Plan`], not a special case.
 
 use stalloc_core::{
-    diff_profiles, finish_plan, EditOp, Plan, ProfiledRequests, Rect, StaticLayout, TimeSpacePacker,
+    diff_profiles, finish_plan, EditOp, Plan, ProfiledRequests, Rect, TimeSpacePacker,
 };
+
+use crate::strategy::{place_in_order, sort_largest_first};
 
 /// What a [`patch_plan`] run did, for observability and regression
 /// bounds: how much of the base layout survived and how the footprint
@@ -119,9 +121,12 @@ pub fn patch_plan(
     // delta came off the wire from an untrusted peer.
     let delta = diff_profiles(base_profile, next_profile);
 
-    // Walk the edit script once: carry offsets across Copy runs, mark
-    // everything else disturbed.
-    let mut next_offsets: Vec<Option<u64>> = vec![None; next_profile.statics.len()];
+    // Walk the edit script once: Copy runs carry their base offsets
+    // across as survivors, everything else in `next` is disturbed.
+    let next = &next_profile.statics;
+    let mut offsets = vec![0u64; next.len()];
+    let mut survivors = Vec::with_capacity(next.len());
+    let mut disturbed = Vec::new();
     let mut stats = ReplanStats {
         base_pool: base_plan.pool_size,
         ..ReplanStats::default()
@@ -132,85 +137,55 @@ pub fn patch_plan(
         match op {
             EditOp::Copy { count } => {
                 for _ in 0..*count {
-                    next_offsets[next_i] = Some(base_offsets[base_i]);
+                    let r = &next[next_i];
+                    offsets[next_i] = base_offsets[base_i];
+                    survivors.push(Rect {
+                        t0: r.ts,
+                        t1: r.te.max(r.ts + 1),
+                        off: base_offsets[base_i],
+                        len: r.size,
+                    });
                     base_i += 1;
                     next_i += 1;
                 }
-                stats.reused += count;
             }
             EditOp::Insert { .. } => {
+                disturbed.push(next_i);
                 next_i += 1;
-                stats.repacked += 1;
             }
             EditOp::Remove { count } => {
                 base_i += count;
                 stats.removed += count;
             }
             EditOp::Retime { .. } | EditOp::Resize { .. } => {
+                disturbed.push(next_i);
                 base_i += 1;
                 next_i += 1;
-                stats.repacked += 1;
             }
         }
     }
     debug_assert_eq!(base_i, base_profile.statics.len());
-    debug_assert_eq!(next_i, next_profile.statics.len());
+    debug_assert_eq!(next_i, next.len());
+    stats.reused = survivors.len();
+    stats.repacked = disturbed.len();
 
-    // Seed the packer with the surviving placements. They are a subset
-    // of a validated plan over identical request fields, so no two can
-    // conflict. Thousands of seeds for a handful of questions: build the
-    // index with one sort, not one ordered insert per survivor.
-    let survivors = next_profile
-        .statics
-        .iter()
-        .zip(&next_offsets)
-        .filter_map(|(r, &off)| {
-            Some(Rect {
-                t0: r.ts,
-                t1: r.te.max(r.ts + 1),
-                off: off?,
-                len: r.size,
-            })
-        })
-        .collect();
-    let mut packer = TimeSpacePacker::from_rects(survivors);
-
-    // Best-fit the disturbed set, largest first (the `bestfit`
-    // strategy's order and selection rule).
-    let mut disturbed: Vec<usize> = (0..next_offsets.len())
-        .filter(|&i| next_offsets[i].is_none())
-        .collect();
-    disturbed.sort_unstable_by_key(|&i| {
-        let r = &next_profile.statics[i];
-        (u64::MAX - r.size, r.ts, i)
-    });
-    for i in disturbed {
-        let r = &next_profile.statics[i];
-        let t1 = r.te.max(r.ts + 1);
-        let off = packer
-            .find_best_fit(r.ts, t1, r.size, u64::MAX)
-            .expect("top-of-stack candidate always exists");
-        packer.place_at(Rect {
-            t0: r.ts,
-            t1,
-            off,
-            len: r.size,
-        });
-        next_offsets[i] = Some(off);
-    }
-
-    let request_offsets: Vec<u64> = next_offsets
-        .into_iter()
-        .map(|o| o.expect("every request placed"))
-        .collect();
-    let layout = StaticLayout {
-        request_offsets,
-        pool_size: packer.height(),
-        phase_groups: 0,
-        fused_groups: 0,
-        layers: 0,
-        gap_inserted: 0,
-    };
+    // Best-fit the disturbed set, largest first, into a packer seeded
+    // with the survivors. Those are a subset of a validated plan over
+    // identical request fields, so no two can conflict. Thousands of
+    // seeds for a handful of questions: `from_rects` builds the index
+    // with one sort, not one ordered insert per survivor.
+    sort_largest_first(next, &mut disturbed);
+    let layout = place_in_order(
+        next,
+        &disturbed,
+        TimeSpacePacker::from_rects(survivors),
+        offsets,
+        |packer, r, t1| {
+            packer
+                .find_best_fit(r.ts, t1, r.size, u64::MAX)
+                .expect("top-of-stack candidate always exists")
+        },
+    );
     let plan = finish_plan(next_profile, base_plan.stats.strategy, layout);
     stats.patched_pool = plan.pool_size;
     stats.peak_delta =

@@ -44,18 +44,6 @@ pub enum PhaseKind {
     OptimizerStep,
 }
 
-impl PhaseKind {
-    /// Returns `true` for forward phases.
-    pub fn is_forward(self) -> bool {
-        matches!(self, PhaseKind::Forward { .. })
-    }
-
-    /// Returns `true` for backward phases.
-    pub fn is_backward(self) -> bool {
-        matches!(self, PhaseKind::Backward { .. })
-    }
-}
-
 /// Temporal classification of a tensor (paper §2.3, Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TensorCategory {

@@ -11,7 +11,7 @@ use gpu_sim::DeviceSpec;
 use harness::{run, AllocatorKind};
 use proptest::prelude::*;
 use stalloc_core::{profile_trace, StrategyChoice, SynthConfig};
-use stalloc_solver::{registry, synthesize_portfolio, synthesize_strategy};
+use stalloc_solver::{registry, synthesize_strategy, Portfolio};
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
 /// The four-model test zoo (dense small, dense + virtual pipeline +
@@ -116,13 +116,13 @@ proptest! {
         let profile = profile_trace(&trace, 1).map_err(|e| e.to_string())?;
         let config = SynthConfig::default();
         for s in registry() {
-            let plan = s.plan(&profile, &config);
+            let plan = s.plan_profiled(&profile, &config).0;
             prop_assert!(plan.validate().is_ok(), "{}: unsound", s.name());
             prop_assert!(
                 plan.pool_size >= plan.stats.peak_static_demand,
                 "{}: pool below peak", s.name()
             );
-            prop_assert_eq!(plan.stats.strategy, s.choice());
+            prop_assert_eq!(plan.stats.strategy, s.choice);
         }
     }
 }
@@ -142,7 +142,7 @@ fn strategy_pools_stay_near_native_peak() {
             .peak_requested;
         let config = SynthConfig::default();
         for s in registry() {
-            let plan = s.plan(&profile, &config);
+            let plan = s.plan_profiled(&profile, &config).0;
             assert!(
                 plan.stats.peak_static_demand <= native_peak,
                 "{label}/{}: plan peak {} exceeds native peak {native_peak}",
@@ -156,7 +156,7 @@ fn strategy_pools_stay_near_native_peak() {
                 plan.pool_size
             );
         }
-        let winner = synthesize_portfolio(&profile, &config).winner;
+        let winner = Portfolio::standard().run(&profile, &config).winner;
         assert!(
             winner.pool_size as f64 <= native_peak as f64 * 1.02,
             "{label}/portfolio: pool {} vs native peak {native_peak}",
