@@ -13,9 +13,10 @@
 //! holds the individual request rectangles, so the idle staircase left as a
 //! cohort's tensors free one by one is visible to later gap insertions.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
-use crate::geometry::{Rect, TimeSpacePacker};
+use crate::geometry::{IntervalSet, Rect, TimeSpacePacker};
 use crate::plan::phase_group::LocalPlan;
 use crate::profiler::RequestEvent;
 
@@ -39,7 +40,53 @@ impl Default for GlobalOptions {
     }
 }
 
+/// The profile's distinct start ticks, ascending: the time axis of every
+/// region's occupancy index. Occupancy is kept per *rank* on this axis,
+/// never per tick: a probe only ever starts at one of these ticks, and
+/// tick values come off the wire unvalidated — they must not size an
+/// allocation.
+struct TimeAxis {
+    starts: Vec<u64>,
+}
+
+/// A lifetime `[t0, t1)` with both ends ranked on the [`TimeAxis`]:
+/// `k0..k1` are the ranks of the start ticks inside it. Ranked once per
+/// request, not once per probe.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    t0: u64,
+    t1: u64,
+    k0: usize,
+    k1: usize,
+}
+
+impl TimeAxis {
+    fn new(reqs: &[RequestEvent]) -> Self {
+        let mut starts: Vec<u64> = reqs.iter().map(|r| r.ts).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        TimeAxis { starts }
+    }
+
+    fn window(&self, t0: u64, t1: u64) -> Window {
+        // How many start ticks precede `t`: the rank of `t` if it is one.
+        let rank = |t| self.starts.partition_point(|&s| s < t);
+        Window {
+            t0,
+            t1,
+            k0: rank(t0),
+            k1: rank(t1),
+        }
+    }
+}
+
 /// A placed region of the pool: one memory-layer.
+///
+/// The packer answers *where* a rectangle fits. Most probes of a layer,
+/// though, fail, and nearly all of those for the plain reason that the
+/// layer is full: at some tick of the window it has fewer than `len` free
+/// bytes. So the layer also keeps its occupied bytes over time, and
+/// [`Region::fit`] asks that first.
 #[derive(Debug)]
 struct Region {
     base: u64,
@@ -47,14 +94,82 @@ struct Region {
     packer: TimeSpacePacker,
     /// Free tick of the last Algorithm-1 appended member.
     end: u64,
+    /// Fenwick tree (range add, point query; 1-based) over the ranks of
+    /// the [`TimeAxis`]: the prefix sum up to rank `k` is the bytes
+    /// occupied at the `k`-th start tick.
+    occupied: Vec<u64>,
+}
+
+impl Region {
+    fn new(base: u64, size: u64, axis: &TimeAxis) -> Self {
+        Region {
+            base,
+            size,
+            packer: TimeSpacePacker::new(),
+            end: 0,
+            occupied: vec![0; axis.starts.len() + 1],
+        }
+    }
+
+    /// Adds `delta` (wrapping: a negative delta is its two's complement)
+    /// to the occupancy of every rank from `k` up.
+    fn add_from(&mut self, k: usize, delta: u64) {
+        let mut i = k + 1;
+        while i < self.occupied.len() {
+            self.occupied[i] = self.occupied[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Bytes occupied at the `k`-th start tick.
+    fn occupied_at(&self, k: usize) -> u64 {
+        let mut sum = 0u64;
+        let mut i = k + 1;
+        while i > 0 {
+            sum = sum.wrapping_add(self.occupied[i]);
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// Records `len` bytes at `off` (relative to the region's base) as
+    /// occupied over `w`. With [`Self::fit`], the only site that touches
+    /// the packer.
+    fn place(&mut self, w: Window, off: u64, len: u64) {
+        self.add_from(w.k0, len);
+        self.add_from(w.k1, len.wrapping_neg());
+        self.packer.place_at(Rect {
+            t0: w.t0,
+            t1: w.t1,
+            off,
+            len,
+        });
+    }
+
+    /// The lowest offset in the region where `len` bytes fit over `w`, if
+    /// any. A fit needs `len` free bytes at every tick of the window, so a
+    /// region with fewer than that at the window's first start tick says
+    /// no in O(log n), without a scan. The test is only a necessary
+    /// condition: it skips nothing but probes the packer would have
+    /// failed, which debug builds re-prove on every rejection. (`k0 < k1`
+    /// holds for every request and every plan built from requests; it
+    /// keeps a hand-made window without a start tick off the test.)
+    fn fit(&self, w: Window, len: u64) -> Option<u64> {
+        if w.k0 < w.k1 && self.size - self.occupied_at(w.k0) < len {
+            debug_assert_eq!(
+                self.packer.find_first_fit(w.t0, w.t1, len, self.size),
+                None,
+                "occupancy test rejected a probe the packer can place"
+            );
+            return None;
+        }
+        self.packer.find_first_fit(w.t0, w.t1, len, self.size)
+    }
 }
 
 /// Result of global planning.
 #[derive(Debug, Clone)]
 pub struct GlobalLayout {
-    /// Absolute base offset of each local plan, indexed like the input
-    /// (for scattered plans: the first member's offset).
-    pub plan_bases: Vec<u64>,
     /// Absolute offset of every static request, indexed by request.
     pub request_offsets: Vec<u64>,
     /// Total pool size in bytes.
@@ -66,36 +181,44 @@ pub struct GlobalLayout {
 }
 
 /// Final address-assignment refinement: a global first-fit sweep over all
-/// requests in allocation order. The group machinery above decides
+/// requests in allocation order. The group machinery below decides
 /// *structure* (which requests share layers, what reuses what); this pass
 /// squeezes the remaining inter-cohort bubbles that group-at-a-time
 /// placement cannot see (it is kept only when it produces a smaller pool).
 /// Returns `(request_offsets, pool_size)`.
+///
+/// In allocation order every request already placed started at or before
+/// the one being placed, so it is in the way iff it is still live at that
+/// tick: the sweep keeps the free address space of the *live* set only,
+/// returning a request's bytes when the sweep reaches its free tick, and
+/// first-fit is the lowest free interval that is long enough.
 pub fn refine_first_fit(reqs: &[RequestEvent]) -> (Vec<u64>, u64) {
     let mut order: Vec<usize> = (0..reqs.len()).collect();
     // Allocation order; larger first among simultaneous arrivals.
     order.sort_unstable_by_key(|&i| (reqs[i].ts, u64::MAX - reqs[i].size));
-    let mut packer = TimeSpacePacker::new();
+    let mut free = IntervalSet::full(u64::MAX);
+    // Live requests as `(free tick, offset, size)`, earliest free first.
+    let mut live: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
     let mut offsets = vec![0u64; reqs.len()];
+    let mut height = 0u64;
     for i in order {
         let r = &reqs[i];
-        let t1 = r.te.max(r.ts + 1);
-        offsets[i] = packer.pack(r.ts, t1, r.size);
+        while let Some(&Reverse((t1, off, len))) = live.peek() {
+            if t1 > r.ts {
+                break;
+            }
+            live.pop();
+            free.insert(off, len);
+        }
+        let off = free
+            .first_fit(r.size)
+            .expect("live requests exceed the address space");
+        free.remove(off, r.size);
+        live.push(Reverse((r.te.max(r.ts + 1), off, r.size)));
+        offsets[i] = off;
+        height = height.max(off + r.size);
     }
-    (offsets, packer.height())
-}
-
-/// Records a plan's member rectangles into a region at `base_off`.
-fn record_members(region: &mut Region, plan: &LocalPlan, reqs: &[RequestEvent], base_off: u64) {
-    for &(ri, rel) in &plan.members {
-        let r = &reqs[ri];
-        region.packer.place_at(Rect {
-            t0: r.ts,
-            t1: r.te.max(r.ts + 1),
-            off: base_off + rel,
-            len: r.size,
-        });
-    }
+    (offsets, height)
 }
 
 /// Assigns absolute offsets to every local plan.
@@ -112,9 +235,15 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
         sizes.sort_unstable_by(|a, b| b.cmp(a));
     }
 
+    let axis = TimeAxis::new(reqs);
+    // Every request's lifetime, ranked once instead of per probe.
+    let windows: Vec<Window> = reqs
+        .iter()
+        .map(|r| axis.window(r.ts, r.te.max(r.ts + 1)))
+        .collect();
+
     let mut regions: Vec<Region> = Vec::new();
     let mut stack_top = 0u64;
-    let mut plan_bases = vec![0u64; plans.len()];
     let mut request_offsets = vec![0u64; reqs.len()];
     let mut gap_inserted = 0usize;
     let mut layer_count = 0usize;
@@ -134,23 +263,23 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
 
         'member: for i in members {
             let plan = &plans[i];
-            let (ts, te) = (plan.ts, plan.te.max(plan.ts + 1));
+            let ts = plan.ts;
 
             // Stage A: whole-group gap insertion into previously placed
             // strictly-larger regions (same-size reuse is Algorithm 1's job
             // below). Thanks to member-granular recording, the query sees
             // intra-cohort idle space, not just whole-group gaps.
             if opts.gap_insertion {
+                let lifespan = axis.window(ts, plan.te.max(ts + 1));
                 for region in regions.iter_mut() {
                     if region.size <= s {
                         continue;
                     }
-                    if let Some(off) = region.packer.find_first_fit(ts, te, s, region.size) {
-                        plan_bases[i] = region.base + off;
+                    if let Some(off) = region.fit(lifespan, s) {
                         for &(ri_req, rel) in &plan.members {
+                            region.place(windows[ri_req], off + rel, reqs[ri_req].size);
                             request_offsets[ri_req] = region.base + off + rel;
                         }
-                        record_members(region, plan, reqs, off);
                         gap_inserted += 1;
                         continue 'member;
                     }
@@ -167,19 +296,11 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
                 ordered.extend_from_slice(&plan.members);
                 ordered.sort_unstable_by_key(|&(ri_req, _)| reqs[ri_req].ts);
                 for &(ri_req, rel) in &ordered {
-                    let r = &reqs[ri_req];
-                    let t1 = r.te.max(r.ts + 1);
+                    let (w, size) = (windows[ri_req], reqs[ri_req].size);
                     let mut placed = false;
                     for region in regions.iter_mut() {
-                        if let Some(off) =
-                            region.packer.find_first_fit(r.ts, t1, r.size, region.size)
-                        {
-                            region.packer.place_at(Rect {
-                                t0: r.ts,
-                                t1,
-                                off,
-                                len: r.size,
-                            });
+                        if let Some(off) = region.fit(w, size) {
+                            region.place(w, off, size);
                             request_offsets[ri_req] = region.base + off;
                             placed = true;
                             break;
@@ -192,7 +313,6 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
                     }
                 }
                 if spilled.is_empty() {
-                    plan_bases[i] = request_offsets[plan.members[0].0];
                     continue 'member;
                 }
             } else {
@@ -203,10 +323,8 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
             // preferred layer is the one whose end is closest below the
             // group's start; every placement is conflict-checked so layers
             // shared with scattered residents stay sound.
-            let mut first_off: Option<u64> = None;
             for &(ri_req, _) in &spilled {
-                let r = &reqs[ri_req];
-                let t1 = r.te.max(r.ts + 1);
+                let (w, size) = (windows[ri_req], reqs[ri_req].size);
                 // Candidate order: Algorithm-1 preference (latest end <=
                 // group start) first, then remaining class layers.
                 candidates.clear();
@@ -219,49 +337,26 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
                         (1u8, end)
                     }
                 });
-                let mut placed_at: Option<(usize, u64)> = None;
-                for &ri in &candidates {
-                    if let Some(off) =
-                        regions[ri]
-                            .packer
-                            .find_first_fit(r.ts, t1, r.size, regions[ri].size)
-                    {
-                        placed_at = Some((ri, off));
-                        break;
-                    }
-                }
+                let placed_at = candidates
+                    .iter()
+                    .find_map(|&ri| Some((ri, regions[ri].fit(w, size)?)));
                 let (ri, off) = placed_at.unwrap_or_else(|| {
                     let ri = regions.len();
-                    regions.push(Region {
-                        base: stack_top,
-                        size: s,
-                        packer: TimeSpacePacker::new(),
-                        end: 0,
-                    });
+                    regions.push(Region::new(stack_top, s, &axis));
                     stack_top += s;
                     class_layers.push(ri);
                     layer_count += 1;
                     (ri, 0)
                 });
                 let region = &mut regions[ri];
-                region.packer.place_at(Rect {
-                    t0: r.ts,
-                    t1,
-                    off,
-                    len: r.size,
-                });
-                region.end = region.end.max(t1);
+                region.place(w, off, size);
+                region.end = region.end.max(w.t1);
                 request_offsets[ri_req] = region.base + off;
-                first_off.get_or_insert(region.base + off);
-            }
-            if let Some(base) = first_off {
-                plan_bases[i] = base;
             }
         }
     }
 
     GlobalLayout {
-        plan_bases,
         request_offsets,
         pool_size: stack_top,
         layer_count,
@@ -272,7 +367,256 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::TimeSpacePacker;
+    use crate::geometry::first_conflict;
+    use crate::plan::phase_group::{build_phase_groups, fuse_groups};
+    use crate::profiler::{profile_trace, ProfiledRequests};
+    use proptest::prelude::*;
+    use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+
+    /// The refinement sweep this module shipped before the live-set
+    /// sweep: every request through one `TimeSpacePacker`, whose first-fit
+    /// walks all placed rects. Kept as the oracle [`refine_first_fit`] is
+    /// tested against, offset for offset.
+    fn refine_by_packer(reqs: &[RequestEvent]) -> (Vec<u64>, u64) {
+        let mut order: Vec<usize> = (0..reqs.len()).collect();
+        order.sort_unstable_by_key(|&i| (reqs[i].ts, u64::MAX - reqs[i].size));
+        let mut packer = TimeSpacePacker::new();
+        let mut offsets = vec![0u64; reqs.len()];
+        for i in order {
+            let r = &reqs[i];
+            let t1 = r.te.max(r.ts + 1);
+            offsets[i] = packer.pack(r.ts, t1, r.size);
+        }
+        (offsets, packer.height())
+    }
+
+    fn req(size: u64, ts: u64, te: u64, ps: u32, pe: u32) -> RequestEvent {
+        RequestEvent {
+            size,
+            ts,
+            te,
+            ps,
+            pe,
+            dynamic: false,
+            ls: None,
+            le: None,
+        }
+    }
+
+    /// A random profile as plain integers, so the vendored proptest can
+    /// shrink it: free-form requests `(slot, dur, size, phase, span)`, a
+    /// virtual-pipeline family `(microbatches, chunks)` and the tick
+    /// mapping `(scale, shift)`.
+    type Spec = (Vec<(u64, u64, u64, u32, u32)>, (u64, u64), (u8, u8));
+
+    fn spec() -> impl Strategy<Value = Spec> {
+        (
+            prop::collection::vec((0u64..48, 0u64..40, 1u64..9, 1u32..5, 0u32..3), 0..90),
+            (0u64..5, 1u64..4),
+            (0u8..2, 0u8..2),
+        )
+    }
+
+    /// Requests of a [`Spec`]. Sizes run from 1 byte up; slots collide, so
+    /// start ticks repeat; a `dur` below 3 gives `te <= ts`; the pipeline
+    /// family allocates a microbatch's chunks in order and frees them in
+    /// reverse, so a phase's tensors do not die together; `scale`/`shift`
+    /// stretch the ticks and lift them past 2^40 without changing their
+    /// order.
+    fn requests((free_form, (microbatches, chunks), (scale, shift)): &Spec) -> Vec<RequestEvent> {
+        let tick = |t: u64| (t << (33 * u32::from(*scale))) + (u64::from(*shift) << 40);
+        let mut reqs: Vec<RequestEvent> = free_form
+            .iter()
+            .map(|&(slot, dur, size, ps, span)| {
+                req(
+                    1 + (size - 1) * 512,
+                    tick(slot + 3),
+                    tick(slot + dur),
+                    ps,
+                    ps + span,
+                )
+            })
+            .collect();
+        for m in 0..*microbatches {
+            for c in 0..*chunks {
+                let (ts, te) = (2 * (m * chunks + c), 60 + 2 * (m * chunks + chunks - 1 - c));
+                reqs.push(req(4096, tick(ts), tick(te), 1 + c as u32, 8 - c as u32));
+            }
+        }
+        reqs
+    }
+
+    /// The benchmark's five big profiles: GPT-2 345M VR, Llama2-7B VR,
+    /// Qwen2.5-14B V, Qwen1.5-MoE R and VR (`harness::configs` shapes).
+    fn zoo() -> Vec<(&'static str, Vec<RequestEvent>)> {
+        let r = OptimConfig::r;
+        let moe = |parallel: ParallelConfig| {
+            TrainJob::new(ModelSpec::qwen15_moe_a27b(), parallel.with_ep(4), r())
+                .with_mbs(8)
+                .with_seq(2048)
+                .with_microbatches(8)
+        };
+        let jobs = vec![
+            (
+                "gpt2-345m-VR",
+                TrainJob::new(
+                    ModelSpec::gpt2_345m(),
+                    ParallelConfig::new(1, 4, 2).with_vpp(2),
+                    r(),
+                )
+                .with_mbs(32)
+                .with_seq(1024)
+                .with_microbatches(16),
+            ),
+            (
+                "llama2-7b-VR",
+                TrainJob::new(
+                    ModelSpec::llama2_7b(),
+                    ParallelConfig::new(4, 2, 1).with_vpp(2),
+                    r(),
+                )
+                .with_mbs(4)
+                .with_seq(4096)
+                .with_microbatches(8),
+            ),
+            (
+                "qwen2.5-14b-V",
+                TrainJob::new(
+                    ModelSpec::qwen25_14b(),
+                    ParallelConfig::new(2, 2, 4).with_vpp(3),
+                    OptimConfig::naive(),
+                )
+                .with_mbs(2)
+                .with_seq(4096)
+                .with_microbatches(12),
+            ),
+            ("qwen1.5-moe-R", moe(ParallelConfig::new(2, 2, 2))),
+            (
+                "qwen1.5-moe-VR",
+                moe(ParallelConfig::new(2, 2, 2).with_vpp(2)),
+            ),
+        ];
+        jobs.into_iter()
+            .map(|(name, job)| {
+                let trace = job
+                    .with_iterations(2)
+                    .build_trace()
+                    .expect("zoo job builds");
+                (name, profile_trace(&trace, 1).expect("profiles").statics)
+            })
+            .collect()
+    }
+
+    /// Every combination of the two ablation switches.
+    fn all_options() -> [GlobalOptions; 4] {
+        [(true, false), (false, false), (true, true), (false, true)].map(
+            |(gap_insertion, ascending_sizes)| GlobalOptions {
+                gap_insertion,
+                ascending_sizes,
+            },
+        )
+    }
+
+    proptest! {
+        /// The live-set sweep places every request exactly where the
+        /// packer-based sweep did.
+        #[test]
+        fn live_set_sweep_matches_packer_sweep(spec in spec()) {
+            let reqs = requests(&spec);
+            prop_assert_eq!(refine_first_fit(&reqs), refine_by_packer(&reqs));
+        }
+
+        /// `assemble` over adversarial profiles under all four option
+        /// combinations: sound, inside the pool, never below the peak —
+        /// and, this being a debug build, every probe the occupancy test
+        /// rejects is re-proved a failure by `Region::fit`'s assertion.
+        #[test]
+        fn assemble_is_sound_under_every_option(spec in spec(), fuse in 0u8..2) {
+            let reqs = requests(&spec);
+            let plans = build_phase_groups(&reqs);
+            let plans = if fuse == 1 { fuse_groups(plans, &reqs) } else { plans };
+            let peak = ProfiledRequests {
+                statics: reqs.clone(),
+                init_count: 0,
+                dynamics: Vec::new(),
+                num_phases: 10,
+                window_len: 0,
+                instance_windows: Vec::new(),
+                instance_arrivals: Vec::new(),
+            }
+            .peak_static_demand();
+            for opts in all_options() {
+                let layout = assemble(&plans, &reqs, opts);
+                let placed = reqs.iter().zip(&layout.request_offsets).map(|(r, &off)| Rect {
+                    t0: r.ts,
+                    t1: r.te.max(r.ts + 1),
+                    off,
+                    len: r.size,
+                });
+                prop_assert!(placed.clone().all(|r| r.off + r.len <= layout.pool_size));
+                prop_assert_eq!(first_conflict(placed), None, "{:?}", opts);
+                prop_assert!(layout.pool_size >= peak, "{:?}", opts);
+            }
+        }
+    }
+
+    #[test]
+    fn live_set_sweep_matches_packer_sweep_on_the_zoo() {
+        for (name, reqs) in zoo() {
+            assert!(reqs.len() > 3_800, "{name}: {} statics", reqs.len());
+            assert_eq!(refine_first_fit(&reqs), refine_by_packer(&reqs), "{name}");
+        }
+    }
+
+    /// Relies on `Region::fit`'s debug assertion (so it proves nothing
+    /// under `--release`): every probe the occupancy test rejects on the
+    /// benchmark's profiles is one the packer fails too, so `assemble`
+    /// lays them out as it did without the test.
+    #[test]
+    fn occupancy_test_only_rejects_failing_probes_on_the_zoo() {
+        for (name, reqs) in zoo() {
+            let plans = fuse_groups(build_phase_groups(&reqs), &reqs);
+            for opts in all_options() {
+                let layout = assemble(&plans, &reqs, opts);
+                assert!(layout.layer_count > 1, "{name}: layers were probed");
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_index_is_sized_by_start_ticks_not_tick_values() {
+        // 2,000 requests whose ticks reach past 2^40.
+        let reqs: Vec<RequestEvent> = (0..2000u64)
+            .map(|i| req(512, (1 << 40) + (i << 20), (1 << 41) + i, 1, 2))
+            .collect();
+        let axis = TimeAxis::new(&reqs);
+        let region = Region::new(0, 4096, &axis);
+        assert_eq!(region.occupied.len(), 2001);
+        let w = axis.window(reqs[7].ts, reqs[7].te);
+        assert_eq!((w.k0, w.k1), (7, 2000));
+        let layout = assemble(&build_phase_groups(&reqs), &reqs, GlobalOptions::default());
+        assert_eq!(layout.pool_size, 2000 * 512, "all live together");
+    }
+
+    #[test]
+    fn a_full_layer_rejects_without_a_scan_and_frees_with_time() {
+        let reqs = vec![
+            req(512, 0, 10, 1, 1),
+            req(512, 4, 20, 1, 1),
+            req(512, 10, 12, 1, 1),
+        ];
+        let axis = TimeAxis::new(&reqs);
+        let window = |i: usize| axis.window(reqs[i].ts, reqs[i].te);
+        let mut region = Region::new(0, 1024, &axis);
+        region.place(window(0), 0, 512);
+        region.place(window(1), 512, 512);
+        assert_eq!(region.occupied_at(0), 512);
+        assert_eq!(region.occupied_at(1), 1024);
+        assert_eq!(region.occupied_at(2), 512, "request 0 freed at tick 10");
+        assert_eq!(region.fit(window(1), 512), None, "full at tick 4");
+        assert_eq!(region.fit(window(2), 512), Some(0));
+        assert_eq!(region.fit(window(2), 513), None);
+    }
 
     /// Builds (plans, reqs) where each plan is a singleton of the given
     /// (size, ts, te).
@@ -281,16 +625,7 @@ mod tests {
         let mut plans = Vec::new();
         for &(size, ts, te) in specs {
             let i = reqs.len();
-            reqs.push(RequestEvent {
-                size,
-                ts,
-                te,
-                ps: 1,
-                pe: 2,
-                dynamic: false,
-                ls: None,
-                le: None,
-            });
+            reqs.push(req(size, ts, te, 1, 2));
             let mut packer = TimeSpacePacker::new();
             packer.pack(ts, te, size);
             plans.push(LocalPlan {
@@ -313,8 +648,8 @@ mod tests {
         let layout = assemble(&plans, &reqs, GlobalOptions::default());
         assert_eq!(layout.layer_count, 2, "two layers suffice");
         assert_eq!(layout.pool_size, 2048);
-        assert_eq!(layout.plan_bases[0], layout.plan_bases[2]);
-        assert_eq!(layout.plan_bases[1], layout.plan_bases[3]);
+        assert_eq!(layout.request_offsets[0], layout.request_offsets[2]);
+        assert_eq!(layout.request_offsets[1], layout.request_offsets[3]);
     }
 
     #[test]
@@ -327,7 +662,7 @@ mod tests {
         let layout = assemble(&plans, &reqs, opts);
         assert_eq!(layout.layer_count, 2);
         assert_eq!(
-            layout.plan_bases[2], layout.plan_bases[1],
+            layout.request_offsets[2], layout.request_offsets[1],
             "tightest layer (end 9) chosen over end 4"
         );
     }
@@ -348,28 +683,7 @@ mod tests {
         // A two-member cohort: one member frees early, the other late. A
         // later small request that starts after the early free can reuse
         // the freed part even though the cohort as a whole is still alive.
-        let mut reqs = vec![
-            RequestEvent {
-                size: 1024,
-                ts: 0,
-                te: 20,
-                ps: 1,
-                pe: 2,
-                dynamic: false,
-                ls: None,
-                le: None,
-            },
-            RequestEvent {
-                size: 1024,
-                ts: 0,
-                te: 5,
-                ps: 1,
-                pe: 2,
-                dynamic: false,
-                ls: None,
-                le: None,
-            },
-        ];
+        let mut reqs = vec![req(1024, 0, 20, 1, 2), req(1024, 0, 5, 1, 2)];
         let mut packer = TimeSpacePacker::new();
         packer.pack(0, 20, 1024);
         packer.pack(0, 5, 1024);
@@ -383,16 +697,7 @@ mod tests {
             pe: 2,
         };
         // Small transient active [6, 15): fits where member 1 freed.
-        reqs.push(RequestEvent {
-            size: 512,
-            ts: 6,
-            te: 15,
-            ps: 3,
-            pe: 3,
-            dynamic: false,
-            ls: None,
-            le: None,
-        });
+        reqs.push(req(512, 6, 15, 3, 3));
         let mut small_packer = TimeSpacePacker::new();
         small_packer.pack(6, 15, 512);
         let small = LocalPlan {
@@ -407,7 +712,7 @@ mod tests {
         let layout = assemble(&[cohort, small], &reqs, GlobalOptions::default());
         assert_eq!(layout.pool_size, 2048, "no extra layer for the transient");
         assert_eq!(layout.gap_inserted, 1);
-        assert_eq!(layout.plan_bases[1], 1024, "placed in the freed step");
+        assert_eq!(layout.request_offsets[2], 1024, "placed in the freed step");
     }
 
     #[test]
@@ -446,6 +751,6 @@ mod tests {
         let (plans, reqs) = singleton_plans(&[(2048, 0, 10), (2048, 5, 15)]);
         let layout = assemble(&plans, &reqs, GlobalOptions::default());
         assert_eq!(layout.pool_size, 4096);
-        assert_ne!(layout.plan_bases[0], layout.plan_bases[1]);
+        assert_ne!(layout.request_offsets[0], layout.request_offsets[1]);
     }
 }

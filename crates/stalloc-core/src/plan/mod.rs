@@ -344,7 +344,7 @@ pub fn baseline_layout(profile: &ProfiledRequests, config: &SynthConfig) -> Stat
         if refined_pool < layout.pool_size {
             (refined, refined_pool)
         } else {
-            (layout.request_offsets.clone(), layout.pool_size)
+            (layout.request_offsets, layout.pool_size)
         }
     };
 

@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -318,6 +318,9 @@ struct Flight {
     cv: Condvar,
 }
 
+/// The syntheses in flight, by job.
+type Inflight = Mutex<HashMap<Fingerprint, Arc<Flight>>>;
+
 struct Shared {
     config: ServeConfig,
     shutdown: AtomicBool,
@@ -334,7 +337,7 @@ struct Shared {
     /// Only `serve_job` inserts, once a plan answers the job, so every
     /// entry is known to decode.
     profiles: ShardedLru<Arc<Vec<u8>>>,
-    inflight: Mutex<HashMap<Fingerprint, Arc<Flight>>>,
+    inflight: Inflight,
     counters: Counters,
     obs: ServeObs,
 }
@@ -1299,21 +1302,66 @@ fn lookup_counted(fp: Fingerprint, shared: &Shared, span: &mut RequestSpan) -> O
     Some(hit)
 }
 
-/// Publishes the leader's result to its followers and retires the
-/// in-flight entry, in that order: a request arriving after the entry is
-/// gone must find the plan in the caches.
-fn land_flight(
+/// A leader's hold on its in-flight entry. Dropping it lands the flight:
+/// publishes the result to the followers and retires the entry, in that
+/// order — a request arriving after the entry is gone must find the plan
+/// in the caches. A leader that unwinds before [`Self::land`] publishes
+/// an error instead, so neither its followers nor a later request
+/// joining the stale entry wait forever.
+struct Leader<'a> {
+    inflight: &'a Inflight,
     fp: Fingerprint,
-    flight: &Flight,
+    flight: Arc<Flight>,
     result: Result<Arc<CachedPlan>, String>,
-    shared: &Shared,
-) {
-    {
-        let mut done = flight.done.lock().expect("flight lock");
-        *done = Some(result);
-        flight.cv.notify_all();
+}
+
+impl Leader<'_> {
+    fn land(mut self, result: Result<Arc<CachedPlan>, String>) {
+        self.result = result;
     }
-    shared.inflight.lock().expect("inflight lock").remove(&fp);
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        // May run while unwinding: a poisoned lock must not turn one
+        // panic into an abort.
+        let result = std::mem::replace(&mut self.result, Err(String::new()));
+        *self
+            .flight
+            .done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.flight.cv.notify_all();
+        self.inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.fp);
+    }
+}
+
+/// Joins the flight for `fp`: the first request in becomes its leader,
+/// the ones landing while it runs get the flight to wait on.
+fn join_flight(inflight: &Inflight, fp: Fingerprint) -> Result<Leader<'_>, Arc<Flight>> {
+    let mut leader = false;
+    let flight = Arc::clone(
+        inflight
+            .lock()
+            .expect("inflight lock")
+            .entry(fp)
+            .or_insert_with(|| {
+                leader = true;
+                Arc::default()
+            }),
+    );
+    if !leader {
+        return Err(flight);
+    }
+    Ok(Leader {
+        inflight,
+        fp,
+        flight,
+        result: Err("leader unwound".to_string()),
+    })
 }
 
 /// Tier 4: synthesis, with single-flight deduplication. The first
@@ -1334,34 +1382,25 @@ fn synthesis_tier(job: &Job, shared: &Shared, span: &mut RequestSpan) -> Result<
         }
     };
 
-    let mut leader = false;
-    let flight = Arc::clone(
-        shared
-            .inflight
-            .lock()
-            .expect("inflight lock")
-            .entry(job.fp)
-            .or_insert_with(|| {
-                leader = true;
-                Arc::default()
-            }),
-    );
-    if !leader {
-        // A follower's synthesis phase is its wait on the leader's run —
-        // the time this request spent on (someone's) synthesis.
-        let wait_start = Instant::now();
-        let done = flight.done.lock().expect("flight lock");
-        let done = flight
-            .cv
-            .wait_while(done, |done| done.is_none())
-            .expect("flight lock");
-        let result = done.clone().expect("checked some");
-        span.record_since(Phase::Synthesis, wait_start);
-        let entry =
-            result.map_err(|e| Reject::internal(format!("coalesced synthesis failed: {e}")))?;
-        shared.counters.coalesced.inc();
-        return Ok((entry, PlanSource::Coalesced));
-    }
+    let leader = match join_flight(&shared.inflight, job.fp) {
+        Ok(leader) => leader,
+        Err(flight) => {
+            // A follower's synthesis phase is its wait on the leader's
+            // run — the time this request spent on (someone's) synthesis.
+            let wait_start = Instant::now();
+            let done = flight.done.lock().expect("flight lock");
+            let done = flight
+                .cv
+                .wait_while(done, |done| done.is_none())
+                .expect("flight lock");
+            let result = done.clone().expect("checked some");
+            span.record_since(Phase::Synthesis, wait_start);
+            let entry =
+                result.map_err(|e| Reject::internal(format!("coalesced synthesis failed: {e}")))?;
+            shared.counters.coalesced.inc();
+            return Ok((entry, PlanSource::Coalesced));
+        }
+    };
 
     // Leader re-check: this thread may have read the caches *before* a
     // previous leader for the same job published its plan and retired its
@@ -1369,12 +1408,13 @@ fn synthesis_tier(job: &Job, shared: &Shared, span: &mut RequestSpan) -> Result<
     // the map insert happens-after the previous leader's cache insert, so
     // a second look is conclusive.
     if let Some(hit) = lookup_counted(job.fp, shared, span) {
-        land_flight(job.fp, &flight, Ok(Arc::clone(&hit.0)), shared);
+        leader.land(Ok(Arc::clone(&hit.0)));
         return Ok(hit);
     }
 
     // Leader: synthesize behind a panic guard — a worker must survive any
-    // pathological profile, and followers must never wait forever.
+    // pathological profile. (Followers are safe either way: whatever
+    // unwinds from here on, `leader` lands the flight as it drops.)
     // `synthesize_strategy_reported` honours the request's strategy
     // choice, including the portfolio race, and its candidate reports
     // feed the per-strategy solver aggregates.
@@ -1392,8 +1432,58 @@ fn synthesis_tier(job: &Job, shared: &Shared, span: &mut RequestSpan) -> Result<
         shared.counters.misses.inc();
         shared.cache(job.fp, entry);
     }
-    land_flight(job.fp, &flight, outcome.clone(), shared);
+    leader.land(outcome.clone());
     outcome
         .map(|entry| (entry, PlanSource::Synthesized))
         .map_err(Reject::internal)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A leader that panics after taking the flight — past the synthesis
+    /// guard, where store I/O and the cache re-check run — must not strand
+    /// anyone: the follower wakes with an error (it waits with a timeout
+    /// here, so a regression fails instead of hanging) and the entry is
+    /// retired, so the next request for the fingerprint leads afresh.
+    #[test]
+    fn an_unwinding_leader_lands_an_error_and_retires_its_flight() {
+        let inflight = Inflight::default();
+        let fp = Fingerprint([7; 16]);
+        let leader = join_flight(&inflight, fp).ok().expect("first in leads");
+        let flight = join_flight(&inflight, fp).err().expect("second in follows");
+        let woke_with = std::thread::scope(|s| {
+            let follower = s.spawn(|| {
+                let done = flight.done.lock().unwrap();
+                let (done, wait) = flight
+                    .cv
+                    .wait_timeout_while(done, Duration::from_secs(10), |d| d.is_none())
+                    .unwrap();
+                assert!(!wait.timed_out(), "the follower was never woken");
+                done.clone().expect("woken with a result")
+            });
+            let unwound = s.spawn(move || {
+                let _leader = leader;
+                panic!("injected: the leader dies holding the flight");
+            });
+            assert!(unwound.join().is_err());
+            follower.join().expect("follower thread")
+        });
+        assert_eq!(woke_with.err().as_deref(), Some("leader unwound"));
+        assert!(inflight.lock().unwrap().is_empty(), "stale entry left");
+        assert!(join_flight(&inflight, fp).is_ok(), "a fresh request leads");
+    }
+
+    #[test]
+    fn a_landed_result_is_what_followers_see() {
+        let inflight = Inflight::default();
+        let fp = Fingerprint([9; 16]);
+        let leader = join_flight(&inflight, fp).ok().expect("first in leads");
+        let flight = join_flight(&inflight, fp).err().expect("second in follows");
+        leader.land(Err("synthesis panicked".to_string()));
+        let done = flight.done.lock().unwrap().clone().expect("landed");
+        assert_eq!(done.err().as_deref(), Some("synthesis panicked"));
+        assert!(inflight.lock().unwrap().is_empty());
+    }
 }

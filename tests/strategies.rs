@@ -165,6 +165,49 @@ fn strategy_pools_stay_near_native_peak() {
     }
 }
 
+/// Ticks come off the wire unvalidated, so nothing in a planner may be
+/// sized by a tick's *value*: a profile whose ticks reach past 2^40 plans
+/// — in every strategy, without an allocation that scales with 2^40 —
+/// to the plan of its twin with the ticks rank-compressed.
+#[test]
+fn huge_ticks_plan_like_their_rank_compressed_twin() {
+    let (_, job) = zoo().swap_remove(1);
+    let profile = profile_trace(&job.build_trace().unwrap(), 1).unwrap();
+    assert!(profile.dynamics.is_empty(), "gpt2-vpp-r is all static");
+    let retimed = |f: &dyn Fn(u64) -> u64| {
+        let mut p = profile.clone();
+        for r in &mut p.statics {
+            (r.ts, r.te) = (f(r.ts), f(r.te));
+        }
+        p.window_len = f(p.window_len);
+        p
+    };
+    let huge = retimed(&|t| (1 << 40) + (t << 20));
+    let mut ticks: Vec<u64> = huge.statics.iter().flat_map(|r| [r.ts, r.te]).collect();
+    ticks.sort_unstable();
+    ticks.dedup();
+    let compressed = retimed(&|t| {
+        let t = (1 << 40) + (t << 20);
+        ticks.partition_point(|&x| x < t) as u64
+    });
+    for strategy in StrategyChoice::CONCRETE {
+        let config = SynthConfig {
+            strategy,
+            ..SynthConfig::default()
+        };
+        let plan = synthesize_strategy(&huge, &config);
+        let twin = synthesize_strategy(&compressed, &config);
+        plan.validate().unwrap();
+        assert!(plan.iter_allocs.iter().all(|d| d.ts >= 1 << 40));
+        assert_eq!(plan.pool_size, twin.pool_size, "{strategy}");
+        let offsets = |p: &stalloc_core::Plan| -> Vec<u64> {
+            let decisions = p.init_allocs.iter().chain(&p.iter_allocs);
+            decisions.map(|d| d.offset).collect()
+        };
+        assert_eq!(offsets(&plan), offsets(&twin), "{strategy}");
+    }
+}
+
 /// The acceptance bar: `--strategy portfolio` beats or matches baseline
 /// packing efficiency on every zoo model and strictly improves on at
 /// least one, with a deterministic winner across repeated runs.
