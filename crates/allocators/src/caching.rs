@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use gpu_sim::{Device, DevicePtr};
-use trace_gen::TensorId;
+use trace_gen::{TensorId, TensorMap};
 
 use crate::blockpool::BlockPool;
 use crate::{AllocError, AllocRequest, Allocation, AllocatorStats, GpuAllocator};
@@ -140,7 +140,7 @@ pub struct CachingAllocator {
     /// Segment registry, keyed by region id (== base address).
     segments: HashMap<u64, Segment>,
     /// Live tensors: tensor -> (block addr, granted, small pool?).
-    live: HashMap<TensorId, (u64, u64, bool)>,
+    live: TensorMap<(u64, u64, bool)>,
     stats: AllocatorStats,
 }
 
@@ -152,7 +152,7 @@ impl CachingAllocator {
             small_pool: BlockPool::new(),
             large_pool: BlockPool::new(),
             segments: HashMap::new(),
-            live: HashMap::new(),
+            live: TensorMap::default(),
             stats: AllocatorStats::default(),
         }
     }

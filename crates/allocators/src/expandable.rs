@@ -17,10 +17,10 @@
 //! that pressure-driven release at a fixed grain so that reserved memory
 //! tracks demand the way the paper observes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use gpu_sim::{Device, PhysHandle, VirtAddr, VirtualRange, VMM_GRANULARITY};
-use trace_gen::TensorId;
+use trace_gen::{TensorId, TensorMap};
 
 use crate::blockpool::BlockPool;
 use crate::caching::{round_size, K_MIN_BLOCK_SIZE, K_SMALL_SIZE};
@@ -143,7 +143,7 @@ pub struct ExpandableAllocator {
     pub trim_threshold: u64,
     small: Arena,
     large: Arena,
-    live: HashMap<TensorId, (u64, u64, bool)>,
+    live: TensorMap<(u64, u64, bool)>,
     mapped_bytes: u64,
     stats: AllocatorStats,
 }
@@ -166,7 +166,7 @@ impl ExpandableAllocator {
             trim_threshold,
             small: Arena::new(),
             large: Arena::new(),
-            live: HashMap::new(),
+            live: TensorMap::default(),
             mapped_bytes: 0,
             stats: AllocatorStats::default(),
         }

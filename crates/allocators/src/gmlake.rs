@@ -12,10 +12,8 @@
 //! 1500 VMM ops per iteration), reproducing GMLake's 56 % slowdown at
 //! `fragLimit = 64 MiB` (§9.2).
 
-use std::collections::HashMap;
-
 use gpu_sim::Device;
-use trace_gen::TensorId;
+use trace_gen::{TensorId, TensorMap};
 
 use crate::caching::{round_size, CachingAllocator, CachingConfig, K_ROUND_LARGE, K_SMALL_SIZE};
 use crate::{AllocError, AllocRequest, Allocation, AllocatorStats, GpuAllocator};
@@ -65,9 +63,9 @@ struct StitchedAlloc {
 pub struct GmLakeAllocator {
     config: GmLakeConfig,
     base: CachingAllocator,
-    stitched: HashMap<TensorId, StitchedAlloc>,
+    stitched: TensorMap<StitchedAlloc>,
     /// Plain allocations: tensor -> (addr, granted, small).
-    plain: HashMap<TensorId, (u64, u64, bool)>,
+    plain: TensorMap<(u64, u64, bool)>,
     va_cursor: u64,
     stats: AllocatorStats,
 }
@@ -78,8 +76,8 @@ impl GmLakeAllocator {
         Self {
             config,
             base: CachingAllocator::new(config.base),
-            stitched: HashMap::new(),
-            plain: HashMap::new(),
+            stitched: TensorMap::default(),
+            plain: TensorMap::default(),
             va_cursor: STITCH_VA_BASE,
             stats: AllocatorStats::default(),
         }

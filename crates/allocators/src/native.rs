@@ -8,17 +8,15 @@
 //! paper's observation that profiling runs at 10–30 % of cached-allocator
 //! speed (Table 2).
 
-use std::collections::HashMap;
-
 use gpu_sim::{Device, DevicePtr};
-use trace_gen::TensorId;
+use trace_gen::{TensorId, TensorMap};
 
 use crate::{AllocError, AllocRequest, Allocation, AllocatorStats, GpuAllocator};
 
 /// Pass-through allocator over `cudaMalloc`/`cudaFree`.
 #[derive(Debug, Default)]
 pub struct NativeAllocator {
-    live: HashMap<TensorId, (DevicePtr, u64)>,
+    live: TensorMap<(DevicePtr, u64)>,
     stats: AllocatorStats,
 }
 

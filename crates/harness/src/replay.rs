@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use allocators::{AllocRequest, GpuAllocator};
 use gpu_sim::{Device, DeviceSpec, LatencyModel};
-use trace_gen::{Trace, TraceEvent};
+use trace_gen::{TensorMap, Trace, TraceEvent};
 
 /// Replay options.
 #[derive(Debug, Clone)]
@@ -99,8 +99,7 @@ pub fn replay(
     let mut live_ranges: BTreeMap<u64, (u64, trace_gen::TensorId)> = BTreeMap::new();
     // Requested (512 B-rounded) size and granted address of each live
     // tensor.
-    let mut live_sizes: std::collections::HashMap<trace_gen::TensorId, (u64, u64)> =
-        std::collections::HashMap::new();
+    let mut live_sizes: TensorMap<(u64, u64)> = TensorMap::default();
     let mut requested_live = 0u64;
     let mut peak_requested = 0u64;
     let mut alloc_ops = 0u64;

@@ -7,11 +7,12 @@
 //! insertion. [`first_conflict`] is the one definition of "pairwise
 //! conflict-free", behind [`Plan::validate`](crate::Plan::validate) and the
 //! packer's own debug checks. [`IntervalSet`] tracks free address
-//! intervals: at runtime, and for the planner's first-fit refinement
-//! sweep.
+//! intervals — one sorted run of `(start, len)`, edited in place — at
+//! runtime, where it is the whole cost of the stomp guard and of a claim
+//! (ARCHITECTURE.md, "Cost of a `malloc`/`free`"), and for the planner's
+//! first-fit refinement sweep.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
@@ -112,7 +113,21 @@ impl TimeSpacePacker {
     /// Bulk constructor: one sort instead of `rects.len()` ordered
     /// inserts. The rects must be pairwise conflict-free (debug builds
     /// assert), exactly as if each had gone through [`Self::place_at`].
-    pub fn from_rects(mut rects: Vec<Rect>) -> Self {
+    pub fn from_rects(rects: Vec<Rect>) -> Self {
+        let packer = Self::index_of(rects);
+        debug_assert_eq!(
+            first_conflict(packer.rects().copied()),
+            None,
+            "bulk-seeded rects conflict"
+        );
+        packer
+    }
+
+    /// [`Self::from_rects`] without its contract, for an index that is
+    /// only asked gap queries: a sweep folds overlapping rects with `max`,
+    /// so the rects may conflict, and one with `t1 <= t0` is simply in
+    /// the way of the windows `(t0', t1')` with `t0' < t1 && t0 < t1'`.
+    pub(crate) fn index_of(mut rects: Vec<Rect>) -> Self {
         // Stable on purpose. Results never depend on the order of
         // equal-offset rects, but the sweep's speed does: a tight plan
         // reuses each offset many times over, and kept in the caller's
@@ -120,14 +135,12 @@ impl TimeSpacePacker {
         // predictable. At 2k rects a full sweep takes about 3 µs against
         // 5 µs after `sort_unstable_by_key`.
         rects.sort_by_key(|r| r.off);
-        debug_assert_eq!(
-            first_conflict(rects.iter().copied()),
-            None,
-            "bulk-seeded rects conflict"
-        );
         TimeSpacePacker {
             height: rects.iter().map(|r| r.off + r.len).max().unwrap_or(0),
-            area: rects.iter().map(|r| r.len * (r.t1 - r.t0)).sum(),
+            area: rects
+                .iter()
+                .map(|r| r.len * r.t1.saturating_sub(r.t0))
+                .sum(),
             // Full chunks: the fewest allocations, for a packer that is
             // asked a few questions; an insert splits the chunk it lands
             // in. Each chunk owns its run, hence the one copy per run.
@@ -334,10 +347,19 @@ pub fn best_fit_gap(gaps: &[(u64, u64)], len: u64, limit: u64) -> Option<u64> {
 /// `A_a` inside the static pool (paper §6.2), and by
 /// [`refine_first_fit`](crate::plan::global::refine_first_fit) for the
 /// free space of the requests live at the sweep's tick.
+///
+/// One sorted run, edited in place. A tight plan leaves few holes — on
+/// the benchmark's five jobs the runtime's free set never holds more
+/// than 96 intervals (5 to 76 on average) while 114 to 1,295 tensors
+/// are live — so every operation is one binary search, and the common
+/// edits (a claim trims an interval's head or tail, a free extends a
+/// neighbour) rewrite one element; only an interval that appears or
+/// disappears shifts the run's tail.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalSet {
-    /// start -> len, disjoint and non-adjacent.
-    map: BTreeMap<u64, u64>,
+    /// `(start, len)` in ascending `start` order: disjoint, non-adjacent,
+    /// `len > 0`, and `start + len` representable.
+    runs: Vec<(u64, u64)>,
 }
 
 impl IntervalSet {
@@ -349,35 +371,46 @@ impl IntervalSet {
     /// Creates a set holding one interval `[0, len)`.
     pub fn full(len: u64) -> Self {
         let mut s = Self::new();
-        if len > 0 {
-            s.map.insert(0, len);
-        }
+        s.insert(0, len);
         s
     }
 
     /// Total bytes covered.
     pub fn total(&self) -> u64 {
-        self.map.values().sum()
+        self.runs.iter().map(|&(_, l)| l).sum()
     }
 
     /// Number of disjoint intervals.
     pub fn interval_count(&self) -> usize {
-        self.map.len()
+        self.runs.len()
     }
 
     /// Iterates `(start, len)` in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter().map(|(&s, &l)| (s, l))
+        self.runs.iter().copied()
     }
 
-    /// Returns `true` if `[start, start+len)` is fully contained.
+    /// Index of the first interval starting above `start`: the interval
+    /// before it, if any, is the only one that can hold `start`.
+    fn above(&self, start: u64) -> usize {
+        self.runs.partition_point(|&(s, _)| s <= start)
+    }
+
+    /// Returns `true` if `[start, start+len)` is fully contained. A range
+    /// reaching past the end of the address space never is.
     pub fn contains(&self, start: u64, len: u64) -> bool {
         if len == 0 {
             return true;
         }
-        match self.map.range(..=start).next_back() {
-            Some((&s, &l)) => start >= s && start + len <= s + l,
-            None => false,
+        let Some(end) = start.checked_add(len) else {
+            return false;
+        };
+        match self.above(start) {
+            0 => false,
+            i => {
+                let (s, l) = self.runs[i - 1];
+                end <= s + l
+            }
         }
     }
 
@@ -386,41 +419,49 @@ impl IntervalSet {
         if len == 0 {
             return false;
         }
-        if let Some((&s, &l)) = self.map.range(..=start).next_back() {
-            if s + l > start {
-                return true;
-            }
-        }
-        self.map.range(start..start + len).next().is_some()
+        // No interval holds the last address, so clamping a range that
+        // reaches past it changes no answer.
+        let end = start.saturating_add(len);
+        let i = self.above(start);
+        let below = i > 0 && {
+            let (s, l) = self.runs[i - 1];
+            s + l > start
+        };
+        below || self.runs.get(i).is_some_and(|&(s, _)| s < end)
     }
 
     /// Inserts `[start, start+len)`, coalescing with neighbours.
     ///
     /// # Panics
     ///
-    /// Panics if the range overlaps an existing interval (double free).
-    pub fn insert(&mut self, mut start: u64, mut len: u64) {
+    /// Panics if the range overlaps an existing interval (double free) or
+    /// reaches past the end of the address space.
+    pub fn insert(&mut self, start: u64, len: u64) {
         if len == 0 {
             return;
         }
-        // Check and merge the predecessor.
-        if let Some((&s, &l)) = self.map.range(..=start).next_back() {
+        let Some(end) = start.checked_add(len) else {
+            panic!("interval overlap on insert: [{start}+{len}) wraps the address space");
+        };
+        let i = self.above(start);
+        let joins_below = i > 0 && {
+            let (s, l) = self.runs[i - 1];
             assert!(s + l <= start, "interval overlap on insert");
-            if s + l == start {
-                self.map.remove(&s);
-                start = s;
-                len += l;
+            s + l == start
+        };
+        let joins_above = self.runs.get(i).is_some_and(|&(s, _)| {
+            assert!(s >= end, "interval overlap on insert");
+            s == end
+        });
+        match (joins_below, joins_above) {
+            (true, true) => {
+                self.runs[i - 1].1 += len + self.runs[i].1;
+                self.runs.remove(i);
             }
+            (true, false) => self.runs[i - 1].1 += len,
+            (false, true) => self.runs[i] = (start, len + self.runs[i].1),
+            (false, false) => self.runs.insert(i, (start, len)),
         }
-        // Check and merge the successor.
-        if let Some((&s, &l)) = self.map.range(start..).next() {
-            assert!(s >= start + len, "interval overlap on insert");
-            if s == start + len {
-                self.map.remove(&s);
-                len += l;
-            }
-        }
-        self.map.insert(start, len);
     }
 
     /// Removes `[start, start+len)`, which must be fully contained.
@@ -432,27 +473,26 @@ impl IntervalSet {
         if len == 0 {
             return;
         }
-        let (&s, &l) = self
-            .map
-            .range(..=start)
-            .next_back()
+        let i = self
+            .above(start)
+            .checked_sub(1)
             .expect("remove from empty region");
-        assert!(
-            start >= s && start + len <= s + l,
-            "removed range [{}+{}) not contained in [{}+{})",
-            start,
-            len,
-            s,
-            l
-        );
-        self.map.remove(&s);
-        if start > s {
-            self.map.insert(s, start - s);
-        }
-        let tail_start = start + len;
-        let tail_len = (s + l) - tail_start;
-        if tail_len > 0 {
-            self.map.insert(tail_start, tail_len);
+        let (s, l) = self.runs[i];
+        let end = start.checked_add(len).filter(|&end| end <= s + l);
+        let Some(end) = end else {
+            panic!("removed range [{start}+{len}) not contained in [{s}+{l})");
+        };
+        let tail = (end, s + l - end);
+        match (start > s, tail.1 > 0) {
+            (true, true) => {
+                self.runs[i].1 = start - s;
+                self.runs.insert(i + 1, tail);
+            }
+            (true, false) => self.runs[i].1 = start - s,
+            (false, true) => self.runs[i] = tail,
+            (false, false) => {
+                self.runs.remove(i);
+            }
         }
     }
 
@@ -462,56 +502,36 @@ impl IntervalSet {
         self.iter().find(|&(_, l)| l >= len).map(|(s, _)| s)
     }
 
-    /// Best-fit search within the set: the smallest interval of length
-    /// `>= len`. Returns its start.
-    pub fn best_fit(&self, len: u64) -> Option<u64> {
-        self.map
-            .iter()
-            .filter(|(_, &l)| l >= len)
-            .min_by_key(|(_, &l)| l)
-            .map(|(&s, _)| s)
-    }
-
     /// Best-fit search over the intersection of this set with a sorted list
-    /// of candidate intervals (the paper's `A_c = A_a ∩ A_i`, Eq. 7).
-    /// Returns the start of the chosen sub-interval.
+    /// of candidate intervals (the paper's `A_c = A_a ∩ A_i`, Eq. 7): the
+    /// smallest piece of at least `len` bytes, the earliest candidate and
+    /// then the lowest address among equals. Returns the piece's start.
     pub fn best_fit_within(&self, candidates: &[(u64, u64)], len: u64) -> Option<u64> {
-        let mut best: Option<(u64, u64)> = None; // (piece_len, start)
-        for &(cs, cl) in candidates {
-            let cend = cs + cl;
-            // Intervals overlapping [cs, cend).
-            for (&s, &l) in self.map.range(..cend) {
-                let e = s + l;
-                if e <= cs {
-                    continue;
-                }
-                let ps = s.max(cs);
-                let pe = e.min(cend);
-                if pe > ps && pe - ps >= len {
-                    let piece = pe - ps;
-                    if best.is_none_or(|(bl, _)| piece < bl) {
-                        best = Some((piece, ps));
-                    }
-                }
-            }
-        }
-        best.map(|(_, s)| s)
+        self.best_fit_within_counted(candidates, len).0
     }
 
-    /// Complement of this set within `[0, universe)`.
-    pub fn complement(&self, universe: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cursor = 0;
-        for (&s, &l) in &self.map {
-            if s > cursor {
-                out.push((cursor, s - cursor));
+    /// [`Self::best_fit_within`], also returning how many intervals of
+    /// the run it looked at: per candidate, those reaching into it and at
+    /// most one below.
+    fn best_fit_within_counted(&self, candidates: &[(u64, u64)], len: u64) -> (Option<u64>, usize) {
+        let mut best: Option<(u64, u64)> = None; // (piece_len, start)
+        let mut visited = 0;
+        for &(cs, cl) in candidates {
+            // Clamped like `overlaps`: no interval holds the last address.
+            let cend = cs.saturating_add(cl);
+            // From the last interval starting at or below `cs` — the only
+            // one below that can reach in — up to `cend`.
+            let from = self.above(cs).saturating_sub(1);
+            for &(s, l) in self.runs[from..].iter().take_while(|&&(s, _)| s < cend) {
+                visited += 1;
+                let ps = s.max(cs);
+                let pe = (s + l).min(cend);
+                if pe > ps && pe - ps >= len && best.is_none_or(|(bl, _)| pe - ps < bl) {
+                    best = Some((pe - ps, ps));
+                }
             }
-            cursor = s + l;
         }
-        if cursor < universe {
-            out.push((cursor, universe - cursor));
-        }
-        out
+        (best.map(|(_, s)| s), visited)
     }
 }
 
@@ -973,17 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_picks_tightest() {
-        let mut s = IntervalSet::new();
-        s.insert(0, 100);
-        s.insert(200, 30);
-        s.insert(300, 55);
-        assert_eq!(s.best_fit(40), Some(300));
-        assert_eq!(s.best_fit(20), Some(200));
-        assert_eq!(s.best_fit(101), None);
-    }
-
-    #[test]
     fn first_fit_picks_lowest() {
         let mut s = IntervalSet::new();
         s.insert(0, 10);
@@ -1009,15 +1018,6 @@ mod tests {
         assert_eq!(a.best_fit_within(&cands, 5), Some(40));
         assert_eq!(a.best_fit_within(&cands, 20), Some(100));
         assert_eq!(a.best_fit_within(&cands, 61), None);
-    }
-
-    #[test]
-    fn complement_covers_gaps() {
-        let mut s = IntervalSet::new();
-        s.insert(10, 10);
-        s.insert(50, 10);
-        assert_eq!(s.complement(100), vec![(0, 10), (20, 30), (60, 40)]);
-        assert_eq!(IntervalSet::new().complement(5), vec![(0, 5)]);
     }
 
     #[test]
@@ -1124,7 +1124,6 @@ mod tests {
         assert_eq!(s.interval_count(), 1);
         assert_eq!(IntervalSet::full(0).total(), 0);
         assert_eq!(IntervalSet::full(0).interval_count(), 0);
-        assert_eq!(IntervalSet::full(0).complement(10), vec![(0, 10)]);
     }
 
     #[test]
@@ -1197,8 +1196,142 @@ mod tests {
                 // Coalesced: one interval per maximal run of set cells.
                 let edges = (0..model.len()).filter(|&i| model[i] && (i == 0 || !model[i - 1]));
                 prop_assert_eq!(set.interval_count(), edges.count());
+                // The two searches: the lowest run that fits, and the
+                // smallest piece of two candidates (the second may reach
+                // past the universe) — the earlier candidate, then the
+                // lower address, among equals.
+                let candidates = [(s, l + 4), (s + l + 4 + kind as u64, 9)];
+                for want in [0, 1, 3, l] {
+                    let fits = |&&(_, run): &&(u64, u64)| run >= want;
+                    let lowest = model_runs(&model, 0, 64).iter().find(fits).map(|r| r.0);
+                    prop_assert_eq!(set.first_fit(want), lowest, "first_fit({})", want);
+                    let pieces: Vec<(u64, u64)> = candidates
+                        .iter()
+                        .flat_map(|&(cs, cl)| model_runs(&model, cs, cs + cl))
+                        .collect();
+                    // `min_by_key` keeps the first of equal minima.
+                    let tightest = pieces.iter().filter(fits).min_by_key(|r| r.1).map(|r| r.0);
+                    prop_assert_eq!(
+                        set.best_fit_within(&candidates, want),
+                        tightest,
+                        "best_fit_within({:?}, {})", candidates, want
+                    );
+                }
+            }
+            // A range reaching past the end of the address space is in no
+            // set, and neither goes in nor comes out.
+            let (s, l) = (u64::MAX - 100, 512);
+            prop_assert!(!set.contains(s, l) && !set.overlaps(s, l));
+            for insert in [true, false] {
+                let mut next = set.clone();
+                let done = catch_unwind(AssertUnwindSafe(|| {
+                    if insert { next.insert(s, l) } else { next.remove(s, l) }
+                }));
+                prop_assert!(done.is_err(), "insert={} of a wrapping range", insert);
             }
         }
+    }
+
+    /// The maximal runs of set cells within `[lo, hi)` of a bitmap model,
+    /// as `(start, len)` in address order.
+    fn model_runs(model: &[bool], lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for cell in lo..hi.min(model.len() as u64) {
+            if !model[cell as usize] {
+                continue;
+            }
+            match runs.last_mut() {
+                Some((s, l)) if *s + *l == cell => *l += 1,
+                _ => runs.push((cell, 1)),
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn ranges_past_the_address_space_are_handled_not_wrapped() {
+        // The release-mode wrap: 2^64 - 101 + 512 is 411 modulo 2^64.
+        let s = IntervalSet::full(8192);
+        assert!(!s.contains(u64::MAX - 100, 512));
+        assert!(!s.overlaps(u64::MAX - 100, 512));
+        // The largest set there is holds everything but the last address.
+        let all = IntervalSet::full(u64::MAX);
+        assert!(all.contains(u64::MAX - 100, 100));
+        assert!(!all.contains(u64::MAX - 100, 101));
+        assert!(all.overlaps(u64::MAX - 100, 512));
+        assert!(!all.overlaps(u64::MAX, 512));
+        // A candidate reaching past the end is clamped, not wrapped.
+        assert_eq!(
+            all.best_fit_within(&[(u64::MAX - 100, 512)], 100),
+            Some(u64::MAX - 100)
+        );
+        assert_eq!(all.best_fit_within(&[(u64::MAX - 100, 512)], 101), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "not contained")]
+    fn interval_set_rejects_a_remove_past_the_address_space() {
+        IntervalSet::full(8192).remove(u64::MAX - 100, 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "interval overlap on insert")]
+    fn interval_set_rejects_an_insert_past_the_address_space() {
+        IntervalSet::new().insert(u64::MAX - 100, 512);
+    }
+
+    /// The two costs the runtime's `malloc`/`free` rests on, counted
+    /// rather than timed, on a free set a hundred times the largest one
+    /// the benchmark's jobs produce.
+    #[test]
+    fn searches_stay_inside_their_candidate_and_trims_move_nothing() {
+        const N: u64 = 10_000;
+        // Intervals [100 i, 100 i + 50).
+        let mut set = IntervalSet::new();
+        for i in 0..N {
+            set.insert(100 * i, 50);
+        }
+        assert_eq!(set.interval_count(), N as usize);
+
+        // One candidate near the top, over five intervals and reaching
+        // into a sixth: the search sees those six, not the 9,990 below.
+        let candidate = [(100 * (N - 10) + 20, 520)];
+        let (found, visited) = set.best_fit_within_counted(&candidate, 25);
+        assert_eq!(found, Some(100 * (N - 10) + 20), "the 30-byte head piece");
+        assert_eq!(visited, 6);
+        // A candidate between two intervals looks at the one below it.
+        let (found, visited) = set.best_fit_within_counted(&[(100 * (N - 10) + 60, 30)], 1);
+        assert_eq!((found, visited), (None, 1));
+        // Work is per candidate: the same candidate twice costs twice.
+        let twice = [candidate[0], candidate[0]];
+        assert_eq!(set.best_fit_within_counted(&twice, 25).1, 12);
+
+        // How many elements of the run an edit left somewhere else or
+        // with another value.
+        let mut rewritten = |edit: &dyn Fn(&mut IntervalSet)| {
+            let before = set.runs.clone();
+            edit(&mut set);
+            let kept = before.iter().zip(&set.runs).filter(|(a, b)| a == b).count();
+            before.len().max(set.runs.len()) - kept
+        };
+        // A claim at the head or the tail of the lowest interval — the
+        // worst place to shift from — trims it; the free re-extends it.
+        for (start, len) in [(0, 20), (30, 20)] {
+            assert_eq!(rewritten(&|s| s.remove(start, len)), 1);
+            assert_eq!(rewritten(&|s| s.insert(start, len)), 1);
+        }
+        // Extending a neighbour across a hole edits in place as well.
+        for start in [50, 90] {
+            assert_eq!(rewritten(&|s| s.insert(start, 10)), 1);
+            assert_eq!(rewritten(&|s| s.remove(start, 10)), 1);
+        }
+        // Only an interval that appears or disappears shifts the tail.
+        assert_eq!(rewritten(&|s| s.remove(10, 20)), N as usize + 1, "split");
+        assert_eq!(rewritten(&|s| s.insert(10, 20)), N as usize + 1, "bridged");
+        assert_eq!(rewritten(&|s| s.remove(0, 50)), N as usize, "emptied");
+        assert_eq!(rewritten(&|s| s.insert(0, 50)), N as usize, "appeared");
+        assert_eq!(set.interval_count(), N as usize);
+        assert_eq!(set.total(), 50 * N);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::geometry::{Rect, TimeSpacePacker};
 use crate::profiler::{InstanceKey, ProfiledRequests};
 
 /// One HomoLayer group with its reusable space.
@@ -90,36 +91,14 @@ pub fn locate_reusable_space(
     }
 
     // Eq. 4-6: for each group, occupied = union of static extents whose
-    // lifetime intersects T; reusable = complement within the pool.
-    for g in &mut groups {
-        let (t0, t1) = g.t_range;
-        // Merge occupied extents via sort-and-sweep (extents may overlap).
-        let mut spans: Vec<(u64, u64)> = placed
-            .iter()
-            .filter(|p| p.ts < t1.max(t0 + 1) && t0 < p.te && p.size > 0)
-            .map(|p| (p.offset, p.offset + p.size))
-            .collect();
-        spans.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        for (s, e) in spans {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
+    // lifetime intersects T; reusable = complement within the pool. One
+    // offset-ordered index of the statics answers every group (and a
+    // profile without dynamics never builds it).
+    if !groups.is_empty() {
+        let occupied = occupancy(placed);
+        for g in &mut groups {
+            g.intervals = idle_intervals(&occupied, g.t_range, pool_size);
         }
-        // Complement within [0, pool_size).
-        let mut intervals = Vec::new();
-        let mut cursor = 0;
-        for (s, e) in merged {
-            if s > cursor {
-                intervals.push((cursor, s - cursor));
-            }
-            cursor = cursor.max(e);
-        }
-        if cursor < pool_size {
-            intervals.push((cursor, pool_size - cursor));
-        }
-        g.intervals = intervals;
     }
 
     // Arrival sequences: map profiled arrival order per instance to groups.
@@ -138,10 +117,41 @@ pub fn locate_reusable_space(
     }
 }
 
+/// The placed statics as a gap-query index. Extents may overlap, so this
+/// is not [`TimeSpacePacker::from_rects`]; an extent of no bytes occupies
+/// nothing and stays out (in the index it would cut a gap in two).
+fn occupancy(placed: &[PlacedStatic]) -> TimeSpacePacker {
+    let extents = placed.iter().filter(|p| p.size > 0).map(|p| Rect {
+        t0: p.ts,
+        t1: p.te,
+        off: p.offset,
+        len: p.size,
+    });
+    TimeSpacePacker::index_of(extents.collect())
+}
+
+/// The address intervals of `[0, pool_size)` no extent of `occupied`
+/// touches during `[t0, max(t1, t0 + 1))`, in address order.
+fn idle_intervals(
+    occupied: &TimeSpacePacker,
+    (t0, t1): (u64, u64),
+    pool_size: u64,
+) -> Vec<(u64, u64)> {
+    let mut gaps = occupied.free_gaps(t0, t1.max(t0 + 1), 1);
+    // The last gap is the top of the occupied span, unbounded above: it
+    // ends where the pool does.
+    let (top, _) = gaps.pop().expect("free_gaps ends with the top");
+    if top < pool_size {
+        gaps.push((top, pool_size - top));
+    }
+    gaps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiler::RequestEvent;
+    use proptest::prelude::*;
     use trace_gen::ModuleId;
 
     fn key(m: u32, p: u32) -> InstanceKey {
@@ -270,5 +280,71 @@ mod tests {
         assert_eq!(seq.len(), 3);
         assert_eq!(seq[0], seq[2], "requests 0 and 2 share a group");
         assert_ne!(seq[0], seq[1]);
+    }
+    /// What `locate_reusable_space` did per group before it asked the
+    /// packer's index: filter every static, collect, sort, merge,
+    /// complement. Kept as the oracle.
+    fn idle_intervals_by_scan(
+        placed: &[PlacedStatic],
+        (t0, t1): (u64, u64),
+        pool_size: u64,
+    ) -> Vec<(u64, u64)> {
+        // Merge occupied extents via sort-and-sweep (extents may overlap).
+        let mut spans: Vec<(u64, u64)> = placed
+            .iter()
+            .filter(|p| p.ts < t1.max(t0 + 1) && t0 < p.te && p.size > 0)
+            .map(|p| (p.offset, p.offset + p.size))
+            .collect();
+        spans.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        for (s, e) in spans {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        // Complement within [0, pool_size).
+        let mut intervals = Vec::new();
+        let mut cursor = 0;
+        for (s, e) in merged {
+            if s > cursor {
+                intervals.push((cursor, s - cursor));
+            }
+            cursor = cursor.max(e);
+        }
+        if cursor < pool_size {
+            intervals.push((cursor, pool_size - cursor));
+        }
+        intervals
+    }
+
+    proptest! {
+        /// The index gives every group the intervals the scan gave it, on
+        /// inputs no sound layout produces too: extents that overlap while
+        /// both live, extents of no bytes, `te <= ts`, a group whose `T`
+        /// is empty or backwards, and pools that end below, inside and
+        /// above the occupied span. More extents than one index chunk
+        /// holds.
+        #[test]
+        fn the_index_finds_the_intervals_the_scan_found(
+            extents in prop::collection::vec((0u64..60, 0u64..9, 0u64..24, 0u64..24), 0..150),
+            ranges in prop::collection::vec((0u64..26, 0u64..26), 1..12),
+            pool in 0u64..80,
+        ) {
+            let placed: Vec<PlacedStatic> = extents
+                .into_iter()
+                .map(|(offset, size, ts, te)| PlacedStatic { offset: offset * 4, size: size * 4, ts, te })
+                .collect();
+            let occupied = occupancy(&placed);
+            for t_range in ranges {
+                for pool_size in [pool * 4, 0, u64::MAX] {
+                    prop_assert_eq!(
+                        idle_intervals(&occupied, t_range, pool_size),
+                        idle_intervals_by_scan(&placed, t_range, pool_size),
+                        "T = {:?}, pool {}", t_range, pool_size
+                    );
+                }
+            }
+        }
     }
 }

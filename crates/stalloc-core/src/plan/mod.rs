@@ -12,7 +12,7 @@ pub mod phase_group;
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{first_conflict, Rect};
-use crate::profiler::{InstanceKey, ProfiledRequests};
+use crate::profiler::ProfiledRequests;
 pub use dynamic::{DynGroup, DynamicPlan, PlacedStatic};
 pub use global::GlobalOptions;
 
@@ -236,11 +236,6 @@ impl Plan {
             )),
             None => Ok(()),
         }
-    }
-
-    /// Looks up the instance sequence table as a map (runtime helper).
-    pub fn instance_seq_map(&self) -> std::collections::HashMap<InstanceKey, Vec<u32>> {
-        self.dynamic.instance_seq.iter().cloned().collect()
     }
 }
 

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use trace_gen::{ModuleId, Trace, TraceEvent};
+use trace_gen::{ModuleId, TensorMap, Trace, TraceEvent};
 
 /// Rounding granularity for planned offsets (matches the driver alignment).
 pub const PLAN_ALIGN: u64 = 512;
@@ -150,7 +150,7 @@ pub fn profile_trace(trace: &Trace, iter: u32) -> Result<ProfiledRequests, Profi
         order: u64,
         in_window: bool,
     }
-    let mut live: HashMap<trace_gen::TensorId, LiveInfo> = HashMap::new();
+    let mut live: TensorMap<LiveInfo> = TensorMap::default();
     let mut statics_iter: Vec<RequestEvent> = Vec::new();
     let mut persistents: Vec<(u64, RequestEvent)> = Vec::new();
     let mut dynamics: Vec<RequestEvent> = Vec::new();

@@ -4,7 +4,10 @@
 //!
 //! * **Static allocator** (§6.1): reserves one static memory pool of the
 //!   planned size before training and hands out pre-planned addresses in
-//!   O(1) by sequence matching.
+//!   O(1) by sequence matching. Not in the paper: every planned range is
+//!   first checked against the free set (O(log free intervals), and the
+//!   free set of a tight plan is small), so a run that diverged from its
+//!   profile is served by the fallback instead of stomping a live tensor.
 //! * **Dynamic allocator** (§6.2): tracks the pool's free intervals `A_a`;
 //!   a dynamic request in HomoLayer group `g` is placed best-fit inside
 //!   `A_c = A_a ∩ A_i(g)` (Eq. 7).
@@ -20,7 +23,7 @@ use allocators::{
     GpuAllocator,
 };
 use gpu_sim::{Device, DevicePtr};
-use trace_gen::{ModuleId, PhaseId, PhaseInfo, TensorId};
+use trace_gen::{ModuleId, PhaseId, PhaseInfo, TensorId, TensorMap};
 
 use crate::geometry::IntervalSet;
 use crate::plan::Plan;
@@ -85,8 +88,12 @@ pub struct StallocAllocator {
     pool: Option<DevicePtr>,
     /// Free intervals of the pool (`A_a`).
     free: IntervalSet,
-    /// Per-instance dynamic group lookup.
-    instance_seq: HashMap<InstanceKey, Vec<u32>>,
+    /// Row of `plan.dynamic.instance_seq` holding each allocating
+    /// instance's group sequence (the last row, should a key repeat).
+    instance_row: HashMap<InstanceKey, u32>,
+    /// Per row, how many dynamic requests of the instance have arrived
+    /// this iteration.
+    dyn_cursors: Vec<u32>,
     /// Iteration-sequence matcher state.
     iter_cursor: usize,
     iter_used: Vec<bool>,
@@ -95,8 +102,7 @@ pub struct StallocAllocator {
     /// Normalized phase counter within the current iteration.
     phase_norm: u32,
     module_stack: Vec<ModuleId>,
-    dyn_cursors: HashMap<InstanceKey, usize>,
-    live: HashMap<TensorId, Placement>,
+    live: TensorMap<Placement>,
     fallback_live_bytes: u64,
     counters: RuntimeCounters,
     stats: AllocatorStats,
@@ -105,7 +111,9 @@ pub struct StallocAllocator {
 impl StallocAllocator {
     /// Creates a runtime allocator from a plan.
     pub fn new(plan: Plan, config: RuntimeConfig) -> Self {
-        let instance_seq = plan.instance_seq_map();
+        let rows = &plan.dynamic.instance_seq;
+        let instance_row = (0u32..).zip(rows).map(|(i, (key, _))| (*key, i)).collect();
+        let dyn_cursors = vec![0; rows.len()];
         let iter_used = vec![false; plan.iter_allocs.len()];
         let free = IntervalSet::full(plan.pool_size);
         Self {
@@ -114,15 +122,15 @@ impl StallocAllocator {
             fallback: CachingAllocator::new(CachingConfig::torch_2_3()),
             pool: None,
             free,
-            instance_seq,
+            instance_row,
+            dyn_cursors,
             iter_cursor: 0,
             iter_used,
             init_cursor: 0,
             in_init: true,
             phase_norm: 0,
             module_stack: Vec::new(),
-            dyn_cursors: HashMap::new(),
-            live: HashMap::new(),
+            live: TensorMap::default(),
             fallback_live_bytes: 0,
             counters: RuntimeCounters::default(),
             stats: AllocatorStats::default(),
@@ -262,13 +270,12 @@ impl StallocAllocator {
             return self.fallback_alloc(dev, req);
         }
         let size = round_plan(req.size);
-        let instance = self.current_instance();
-        let group = instance.and_then(|key| {
-            let cursor = self.dyn_cursors.entry(key).or_insert(0);
-            let seq = self.instance_seq.get(&key)?;
-            let g = seq.get(*cursor).copied();
+        let group = self.current_instance().and_then(|key| {
+            let row = *self.instance_row.get(&key)? as usize;
+            let cursor = &mut self.dyn_cursors[row];
+            let g = self.plan.dynamic.instance_seq[row].1.get(*cursor as usize);
             *cursor += 1;
-            g.filter(|&g| g != u32::MAX)
+            g.copied().filter(|&g| g != u32::MAX)
         });
         let Some(g) = group else {
             self.counters.dynamic_fallback += 1;
@@ -341,7 +348,7 @@ impl GpuAllocator for StallocAllocator {
         self.phase_norm = 0;
         self.iter_cursor = 0;
         self.iter_used.iter_mut().for_each(|u| *u = false);
-        self.dyn_cursors.clear();
+        self.dyn_cursors.fill(0);
     }
 
     fn phase_begin(&mut self, _dev: &mut Device, _phase: PhaseId, _info: &PhaseInfo) {
@@ -475,6 +482,41 @@ mod tests {
         // Free both; no accounting corruption.
         a.free(&mut d, TensorId(1)).unwrap();
         a.free(&mut d, TensorId(10)).unwrap();
+        assert_eq!(a.stats().allocated, 512);
+    }
+
+    #[test]
+    fn a_planned_range_past_u64_is_refused_not_wrapped() {
+        // `new` validates nothing, so a foreign plan can name a range
+        // whose end wraps: in a release build 2^64 - 101 + 512 is 411,
+        // inside the pool, and the guard used to wave it through — tensor
+        // 1 served at base + 411 over tensor 2 at base + 512.
+        let mut plan = tiny_plan();
+        plan.iter_allocs[0] = crate::plan::PlannedAlloc {
+            size: 512,
+            offset: u64::MAX - 100,
+            ts: 1,
+            te: 50,
+        };
+        plan.iter_allocs[1].offset = 512;
+        assert!(plan.validate().is_err());
+        let mut d = dev();
+        let mut a = StallocAllocator::new(plan, RuntimeConfig::default());
+        let w = a.malloc(&mut d, &req(0, 512)).unwrap();
+        a.iteration_begin(&mut d, 1);
+        let x = a.malloc(&mut d, &req(1, 512)).unwrap();
+        let y = a.malloc(&mut d, &req(2, 2048)).unwrap();
+        let c = a.counters();
+        assert_eq!((c.static_planned, c.stomps_avoided), (2, 1));
+        assert_eq!(
+            c.static_fallback, 1,
+            "the wrapping range went to the fallback"
+        );
+        assert_eq!(y.addr - w.addr, 512);
+        let pool = w.addr..w.addr + 8192;
+        assert!(!pool.contains(&x.addr), "tensor 1 is outside the pool");
+        a.free(&mut d, TensorId(1)).unwrap();
+        a.free(&mut d, TensorId(2)).unwrap();
         assert_eq!(a.stats().allocated, 512);
     }
 

@@ -45,6 +45,6 @@ pub use schedule::{
     bubble_fraction, max_in_flight, schedule_1f1b, schedule_interleaved, Step, StepKind,
 };
 pub use trace::{
-    ModuleId, PhaseId, PhaseInfo, PhaseKind, TensorCategory, TensorId, Trace, TraceEvent,
-    WorkloadMeta,
+    ModuleId, PhaseId, PhaseInfo, PhaseKind, TensorCategory, TensorId, TensorIdHasher, TensorMap,
+    Trace, TraceEvent, WorkloadMeta,
 };
