@@ -8,7 +8,7 @@
 //!   segments rounded to 2 MiB);
 //! * best-fit over per-pool free lists ordered by (size, address);
 //! * block splitting (small pool: remainder ≥ 512 B; large pool: remainder >
-//!   1 MiB, subject to `max_split_size`) and immediate coalescing on free;
+//!   1 MiB, subject to [`K_MAX_SPLIT_SIZE`]) and immediate coalescing on free;
 //! * on `cudaMalloc` failure: optionally release cached fully-free segments
 //!   large enough for the request (PyTorch ≥ 2.1), then flush the whole
 //!   cache and retry, and only then surface the out-of-memory error.
@@ -26,6 +26,10 @@ use crate::{AllocError, AllocRequest, Allocation, AllocatorStats, GpuAllocator};
 
 /// Minimum block size / rounding granularity (512 B).
 pub const K_MIN_BLOCK_SIZE: u64 = 512;
+/// Blocks of at least this size are never split and only serve requests
+/// of at least this size (`max_split_size_mb`): unlimited, as in stock
+/// PyTorch — every preset ran with it, so it is a constant, not a knob.
+pub const K_MAX_SPLIT_SIZE: u64 = u64::MAX;
 /// Largest request served by the small pool (1 MiB).
 pub const K_SMALL_SIZE: u64 = 1 << 20;
 /// Segment size of the small pool (2 MiB).
@@ -64,10 +68,6 @@ impl TorchVersion {
 pub struct CachingConfig {
     /// Version preset (affects OOM-retry behaviour).
     pub version: TorchVersion,
-    /// Blocks of at least this size are never split and only serve
-    /// requests of at least this size (`max_split_size_mb`; default:
-    /// unlimited, as in stock PyTorch).
-    pub max_split_size: u64,
     /// Before a full cache flush on `cudaMalloc` failure, release cached
     /// fully-free segments big enough for the request (PyTorch ≥ 2.1).
     pub release_available_before_flush: bool,
@@ -78,7 +78,6 @@ impl CachingConfig {
     pub fn torch_2_0() -> Self {
         Self {
             version: TorchVersion::V20,
-            max_split_size: u64::MAX,
             release_available_before_flush: false,
         }
     }
@@ -87,7 +86,6 @@ impl CachingConfig {
     pub fn torch_2_3() -> Self {
         Self {
             version: TorchVersion::V23,
-            max_split_size: u64::MAX,
             release_available_before_flush: true,
         }
     }
@@ -96,7 +94,6 @@ impl CachingConfig {
     pub fn torch_2_6() -> Self {
         Self {
             version: TorchVersion::V26,
-            max_split_size: u64::MAX,
             release_available_before_flush: true,
         }
     }
@@ -170,13 +167,12 @@ impl CachingAllocator {
         }
     }
 
-    fn split_pred(config: &CachingConfig, small: bool, rounded: u64) -> impl Fn(u64) -> bool {
-        let max_split = config.max_split_size;
+    fn split_pred(small: bool, rounded: u64) -> impl Fn(u64) -> bool {
         move |remaining: u64| {
             if small {
                 remaining >= K_MIN_BLOCK_SIZE
             } else {
-                rounded < max_split && remaining > K_SMALL_SIZE
+                rounded < K_MAX_SPLIT_SIZE && remaining > K_SMALL_SIZE
             }
         }
     }
@@ -184,10 +180,9 @@ impl CachingAllocator {
     /// Tries to serve `rounded` bytes from cached blocks only. Returns the
     /// block address and granted size.
     pub(crate) fn try_cached(&mut self, rounded: u64, small: bool) -> Option<(u64, u64)> {
-        let config = self.config;
         let pool = self.pool(small);
-        let (addr, _) = pool.best_fit(rounded, config.max_split_size)?;
-        let granted = pool.allocate(addr, rounded, Self::split_pred(&config, small, rounded));
+        let (addr, _) = pool.best_fit(rounded, K_MAX_SPLIT_SIZE)?;
+        let granted = pool.allocate(addr, rounded, Self::split_pred(small, rounded));
         let region = pool.get(addr).expect("just allocated").region;
         self.segments
             .get_mut(&region)
@@ -273,10 +268,9 @@ impl CachingAllocator {
     /// Allocates `want` bytes from the free large-pool block at `addr`
     /// (stitch-component consumption). Returns the granted size.
     pub(crate) fn alloc_block_at(&mut self, addr: u64, want: u64) -> u64 {
-        let config = self.config;
         let granted = self
             .large_pool
-            .allocate(addr, want, Self::split_pred(&config, false, want));
+            .allocate(addr, want, Self::split_pred(false, want));
         let region = self.large_pool.get(addr).expect("allocated").region;
         self.segments
             .get_mut(&region)

@@ -94,13 +94,14 @@ impl GmLakeAllocator {
     }
 
     /// Attempts to stitch free blocks (each ≥ `component_min`) into a span
-    /// of `rounded` bytes.
+    /// of `rounded` bytes: the span's virtual address and what it is made
+    /// of, for the caller to record under its tensor.
     fn try_stitch(
         &mut self,
         dev: &mut Device,
         rounded: u64,
         component_min: u64,
-    ) -> Option<Allocation> {
+    ) -> Option<(u64, StitchedAlloc)> {
         let mut candidates: Vec<(u64, u64)> = self
             .base
             .large_free_blocks()
@@ -133,22 +134,20 @@ impl GmLakeAllocator {
         let va = self.va_cursor;
         self.va_cursor += granted + K_ROUND_LARGE;
         self.stats.slow_path_events += 1;
-        let n = components.len() as u64;
-        let _ = n;
-        self.stitched.insert(
-            TensorId(u64::MAX), // placeholder, replaced by caller
-            StitchedAlloc {
-                components,
-                granted,
-            },
-        );
-        Some(Allocation { addr: va, granted })
+        let stitched = StitchedAlloc {
+            components,
+            granted,
+        };
+        Some((va, stitched))
     }
 
-    fn finish_stitch(&mut self, tensor: TensorId) {
-        if let Some(s) = self.stitched.remove(&TensorId(u64::MAX)) {
-            self.stitched.insert(tensor, s);
-        }
+    /// Records a stitched span as `tensor`'s allocation.
+    fn finish_stitch(&mut self, tensor: TensorId, addr: u64, s: StitchedAlloc) -> Allocation {
+        let granted = s.granted;
+        self.stitched.insert(tensor, s);
+        self.stats.on_alloc(granted);
+        self.sync_reserved();
+        Allocation { addr, granted }
     }
 
     fn sync_reserved(&mut self) {
@@ -178,11 +177,8 @@ impl GpuAllocator for GmLakeAllocator {
         }
         // 2. Stitch large requests from fragLimit-sized free blocks.
         if !small && rounded >= self.config.frag_limit {
-            if let Some(alloc) = self.try_stitch(dev, rounded, self.config.frag_limit) {
-                self.finish_stitch(req.tensor);
-                self.stats.on_alloc(alloc.granted);
-                self.sync_reserved();
-                return Ok(alloc);
+            if let Some((addr, s)) = self.try_stitch(dev, rounded, self.config.frag_limit) {
+                return Ok(self.finish_stitch(req.tensor, addr, s));
             }
         }
         // 3. New segment; on OOM, last-ditch stitch with a relaxed
@@ -195,13 +191,9 @@ impl GpuAllocator for GmLakeAllocator {
                 Ok(Allocation { addr, granted })
             }
             Err(e) if e.is_oom() && !small => {
-                if let Some(alloc) = self.try_stitch(dev, rounded, crate::caching::K_LARGE_BUFFER) {
-                    self.finish_stitch(req.tensor);
-                    self.stats.on_alloc(alloc.granted);
-                    self.sync_reserved();
-                    Ok(alloc)
-                } else {
-                    Err(e)
+                match self.try_stitch(dev, rounded, crate::caching::K_LARGE_BUFFER) {
+                    Some((addr, s)) => Ok(self.finish_stitch(req.tensor, addr, s)),
+                    None => Err(e),
                 }
             }
             Err(e) => Err(e),

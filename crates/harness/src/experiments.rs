@@ -695,9 +695,17 @@ pub fn delta_replan() -> Table {
     t
 }
 
-/// Ablation study: the design choices DESIGN.md calls out.
+/// Ablation study of the §5.1 pipeline's mechanisms. Every cell is the
+/// pool of the stage functions themselves (`build_phase_groups` →
+/// `fuse_groups` → `assemble`) under one disabled switch — not of
+/// `synthesize`, which ships `min(pipeline, refinement sweep)` and so
+/// printed the flag-independent sweep's pool wherever a switch made the
+/// pipeline worse than it. The sweep has its own column: the shipped
+/// pool is the minimum of "full" and "refine sweep".
 pub fn ablations() -> Table {
-    use stalloc_core::{profile_trace, synthesize, SynthConfig};
+    use stalloc_core::plan::global::{assemble, refine_first_fit};
+    use stalloc_core::plan::phase_group::{build_phase_groups, fuse_groups};
+    use stalloc_core::{finish_plan, profile_trace, StrategyChoice, SynthConfig};
     let mut t = Table::new(
         "Ablations: plan pool size under disabled mechanisms (GiB; lower is better)",
         &[
@@ -706,6 +714,7 @@ pub fn ablations() -> Table {
             "no fusion",
             "no gap insertion",
             "ascending sizes",
+            "refine sweep",
         ],
     );
     let jobs: Vec<(&str, trace_gen::TrainJob)> = vec![
@@ -716,8 +725,16 @@ pub fn ablations() -> Table {
     for (label, job) in jobs {
         let trace = job.build_trace().unwrap();
         let profile = profile_trace(&trace, 1).unwrap();
+        let reqs = &profile.statics;
         let pool = |cfg: SynthConfig| -> String {
-            let plan = synthesize(&profile, &cfg);
+            let groups = build_phase_groups(reqs);
+            let groups = if cfg.enable_fusion {
+                fuse_groups(groups, reqs)
+            } else {
+                groups
+            };
+            let layout = assemble(&groups, reqs, &cfg);
+            let plan = finish_plan(&profile, StrategyChoice::Baseline, layout);
             plan.validate().expect("sound");
             gib(plan.pool_size)
         };
@@ -736,6 +753,7 @@ pub fn ablations() -> Table {
                 ascending_sizes: true,
                 ..SynthConfig::default()
             }),
+            gib(refine_first_fit(reqs).1),
         ]);
     }
     t

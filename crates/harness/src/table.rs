@@ -58,18 +58,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats bytes as GiB with two decimals.
@@ -96,13 +84,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5);
         assert_eq!(lines[1].len(), lines[3].len(), "aligned rows");
-    }
-
-    #[test]
-    fn csv_is_parseable() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

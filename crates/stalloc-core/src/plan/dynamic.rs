@@ -7,12 +7,16 @@
 //! throughout the group's bounding temporal range `T(a, b)`. At runtime the
 //! dynamic allocator places requests inside these pre-vetted intervals,
 //! guaranteeing no conflict with planned static allocations.
+//!
+//! The occupancy interrogation of Eq. 4 reads the placed statics as the
+//! [`Rect`]s every other stage uses, indexed once by a
+//! [`TimeSpacePacker`] — and not at all for a profile without dynamics.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{Rect, TimeSpacePacker};
+use crate::geometry::{window_end, Rect, TimeSpacePacker};
 use crate::profiler::{InstanceKey, ProfiledRequests};
 
 /// One HomoLayer group with its reusable space.
@@ -40,24 +44,11 @@ pub struct DynamicPlan {
     pub instance_seq: Vec<(InstanceKey, Vec<u32>)>,
 }
 
-/// A planned static decision in its final absolute position, the input to
-/// the occupancy interrogation of Eq. 4.
-#[derive(Debug, Clone, Copy)]
-pub struct PlacedStatic {
-    /// Absolute pool offset.
-    pub offset: u64,
-    /// Size in bytes.
-    pub size: u64,
-    /// Allocation tick.
-    pub ts: u64,
-    /// Free tick (exclusive).
-    pub te: u64,
-}
-
-/// Builds the dynamic plan: HomoLayer groups and their reusable intervals.
+/// Builds the dynamic plan: HomoLayer groups and their reusable intervals
+/// among `placed`, the static decisions in their final absolute positions.
 pub fn locate_reusable_space(
     profile: &ProfiledRequests,
-    placed: &[PlacedStatic],
+    placed: impl IntoIterator<Item = Rect>,
     pool_size: u64,
 ) -> DynamicPlan {
     let windows: HashMap<InstanceKey, (u64, u64)> =
@@ -67,7 +58,9 @@ pub fn locate_reusable_space(
     // (outside any module) are left to the fallback allocator.
     let mut group_of: HashMap<(InstanceKey, InstanceKey), u32> = HashMap::new();
     let mut groups: Vec<DynGroup> = Vec::new();
-    let mut req_group: Vec<Option<u32>> = vec![None; profile.dynamics.len()];
+    // Group index per dynamic request; `u32::MAX` = none, as the runtime
+    // matcher reads it.
+    let mut req_group = vec![u32::MAX; profile.dynamics.len()];
 
     for (i, d) in profile.dynamics.iter().enumerate() {
         let (Some(ls), Some(le)) = (d.ls, d.le) else {
@@ -87,7 +80,7 @@ pub fn locate_reusable_space(
             (groups.len() - 1) as u32
         });
         groups[idx as usize].profiled_bytes += d.size;
-        req_group[i] = Some(idx);
+        req_group[i] = idx;
     }
 
     // Eq. 4-6: for each group, occupied = union of static extents whose
@@ -102,14 +95,12 @@ pub fn locate_reusable_space(
     }
 
     // Arrival sequences: map profiled arrival order per instance to groups.
-    let mut instance_seq: Vec<(InstanceKey, Vec<u32>)> = Vec::new();
-    for (key, arrivals) in &profile.instance_arrivals {
-        let seq: Vec<u32> = arrivals
-            .iter()
-            .map(|&i| req_group[i as usize].unwrap_or(u32::MAX))
-            .collect();
-        instance_seq.push((*key, seq));
-    }
+    let group_of_arrival = |&i: &u32| req_group[i as usize];
+    let instance_seq = profile
+        .instance_arrivals
+        .iter()
+        .map(|(key, arrivals)| (*key, arrivals.iter().map(group_of_arrival).collect()))
+        .collect();
 
     DynamicPlan {
         groups,
@@ -120,24 +111,20 @@ pub fn locate_reusable_space(
 /// The placed statics as a gap-query index. Extents may overlap, so this
 /// is not [`TimeSpacePacker::from_rects`]; an extent of no bytes occupies
 /// nothing and stays out (in the index it would cut a gap in two).
-fn occupancy(placed: &[PlacedStatic]) -> TimeSpacePacker {
-    let extents = placed.iter().filter(|p| p.size > 0).map(|p| Rect {
-        t0: p.ts,
-        t1: p.te,
-        off: p.offset,
-        len: p.size,
-    });
-    TimeSpacePacker::index_of(extents.collect())
+fn occupancy(placed: impl IntoIterator<Item = Rect>) -> TimeSpacePacker {
+    TimeSpacePacker::index_of(placed.into_iter().filter(|r| r.len > 0).collect())
 }
 
 /// The address intervals of `[0, pool_size)` no extent of `occupied`
-/// touches during `[t0, max(t1, t0 + 1))`, in address order.
+/// touches during the group's range `T = (t0, t1)` under the window rule
+/// (an instance that exits at the tick it enters still runs for it), in
+/// address order.
 fn idle_intervals(
     occupied: &TimeSpacePacker,
     (t0, t1): (u64, u64),
     pool_size: u64,
 ) -> Vec<(u64, u64)> {
-    let mut gaps = occupied.free_gaps(t0, t1.max(t0 + 1), 1);
+    let mut gaps = occupied.free_gaps(t0, window_end(t0, t1), 1);
     // The last gap is the top of the occupied span, unbounded above: it
     // ends where the pool does.
     let (top, _) = gaps.pop().expect("free_gaps ends with the top");
@@ -159,6 +146,11 @@ mod tests {
             module: ModuleId(m),
             phase: p,
         }
+    }
+
+    /// An extent `[off, off + len)` occupied over `[t0, t1)`.
+    fn rect(off: u64, len: u64, t0: u64, t1: u64) -> Rect {
+        Rect { t0, t1, off, len }
     }
 
     fn dyn_req(size: u64, ts: u64, te: u64, ls: InstanceKey, le: InstanceKey) -> RequestEvent {
@@ -198,12 +190,7 @@ mod tests {
     #[test]
     fn reusable_space_avoids_live_statics() {
         // Static decision occupying [0, 1000) during ticks [0, 50).
-        let placed = vec![PlacedStatic {
-            offset: 0,
-            size: 1000,
-            ts: 0,
-            te: 50,
-        }];
+        let placed = vec![rect(0, 1000, 0, 50)];
         // Dynamic group active during [10, 20): overlaps the static.
         let a = key(1, 1);
         let b = key(1, 3);
@@ -211,7 +198,7 @@ mod tests {
             vec![dyn_req(512, 12, 18, a, b)],
             vec![(a, (10, 14)), (b, (16, 20))],
         );
-        let plan = locate_reusable_space(&profile, &placed, 4096);
+        let plan = locate_reusable_space(&profile, placed, 4096);
         assert_eq!(plan.groups.len(), 1);
         assert_eq!(plan.groups[0].t_range, (10, 20));
         assert_eq!(plan.groups[0].intervals, vec![(1000, 3096)]);
@@ -220,44 +207,24 @@ mod tests {
     #[test]
     fn expired_statics_are_reusable() {
         // Static frees at tick 10; dynamic group runs [20, 30).
-        let placed = vec![PlacedStatic {
-            offset: 0,
-            size: 1000,
-            ts: 0,
-            te: 10,
-        }];
+        let placed = vec![rect(0, 1000, 0, 10)];
         let a = key(2, 2);
         let b = key(2, 2);
         let profile = profile_with(vec![dyn_req(512, 21, 29, a, b)], vec![(a, (20, 30))]);
-        let plan = locate_reusable_space(&profile, &placed, 4096);
+        let plan = locate_reusable_space(&profile, placed, 4096);
         assert_eq!(plan.groups[0].intervals, vec![(0, 4096)]);
     }
 
     #[test]
     fn overlapping_extents_merge() {
         let placed = vec![
-            PlacedStatic {
-                offset: 0,
-                size: 1000,
-                ts: 0,
-                te: 100,
-            },
-            PlacedStatic {
-                offset: 500,
-                size: 1000,
-                ts: 0,
-                te: 100,
-            },
-            PlacedStatic {
-                offset: 2000,
-                size: 500,
-                ts: 0,
-                te: 100,
-            },
+            rect(0, 1000, 0, 100),
+            rect(500, 1000, 0, 100),
+            rect(2000, 500, 0, 100),
         ];
         let a = key(3, 1);
         let profile = profile_with(vec![dyn_req(512, 5, 6, a, a)], vec![(a, (0, 50))]);
-        let plan = locate_reusable_space(&profile, &placed, 4096);
+        let plan = locate_reusable_space(&profile, placed, 4096);
         assert_eq!(plan.groups[0].intervals, vec![(1500, 500), (2500, 1596)]);
     }
 
@@ -274,7 +241,7 @@ mod tests {
             ],
             vec![(a, (10, 13)), (b1, (19, 22)), (b2, (28, 31))],
         );
-        let plan = locate_reusable_space(&profile, &[], 1024);
+        let plan = locate_reusable_space(&profile, [], 1024);
         assert_eq!(plan.groups.len(), 2);
         let seq = &plan.instance_seq.iter().find(|(k, _)| *k == a).unwrap().1;
         assert_eq!(seq.len(), 3);
@@ -285,15 +252,15 @@ mod tests {
     /// packer's index: filter every static, collect, sort, merge,
     /// complement. Kept as the oracle.
     fn idle_intervals_by_scan(
-        placed: &[PlacedStatic],
+        placed: &[Rect],
         (t0, t1): (u64, u64),
         pool_size: u64,
     ) -> Vec<(u64, u64)> {
         // Merge occupied extents via sort-and-sweep (extents may overlap).
         let mut spans: Vec<(u64, u64)> = placed
             .iter()
-            .filter(|p| p.ts < t1.max(t0 + 1) && t0 < p.te && p.size > 0)
-            .map(|p| (p.offset, p.offset + p.size))
+            .filter(|p| p.t0 < window_end(t0, t1) && t0 < p.t1 && p.len > 0)
+            .map(|p| (p.off, p.off + p.len))
             .collect();
         spans.sort_unstable();
         let mut merged: Vec<(u64, u64)> = Vec::new();
@@ -331,11 +298,11 @@ mod tests {
             ranges in prop::collection::vec((0u64..26, 0u64..26), 1..12),
             pool in 0u64..80,
         ) {
-            let placed: Vec<PlacedStatic> = extents
+            let placed: Vec<Rect> = extents
                 .into_iter()
-                .map(|(offset, size, ts, te)| PlacedStatic { offset: offset * 4, size: size * 4, ts, te })
+                .map(|(offset, size, ts, te)| rect(offset * 4, size * 4, ts, te))
                 .collect();
-            let occupied = occupancy(&placed);
+            let occupied = occupancy(placed.clone());
             for t_range in ranges {
                 for pool_size in [pool * 4, 0, u64::MAX] {
                     prop_assert_eq!(

@@ -12,33 +12,18 @@
 //! Placed plans are recorded at *member granularity*: a region's packer
 //! holds the individual request rectangles, so the idle staircase left as a
 //! cohort's tensors free one by one is visible to later gap insertions.
+//!
+//! [`assemble`] reads its two switches off the [`SynthConfig`] and returns
+//! the [`StaticLayout`] every strategy returns; [`refine_first_fit`] is the
+//! flag-independent sweep `baseline_layout` compares it with.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::geometry::{IntervalSet, Rect, TimeSpacePacker};
 use crate::plan::phase_group::LocalPlan;
+use crate::plan::{StaticLayout, SynthConfig};
 use crate::profiler::RequestEvent;
-
-/// Options steering global planning (used by the ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalOptions {
-    /// Offer each member to idle gaps of already-placed regions before
-    /// opening a new layer (paper behaviour: on).
-    pub gap_insertion: bool,
-    /// Process size classes in ascending instead of descending order
-    /// (ablation; paper behaviour: descending).
-    pub ascending_sizes: bool,
-}
-
-impl Default for GlobalOptions {
-    fn default() -> Self {
-        Self {
-            gap_insertion: true,
-            ascending_sizes: false,
-        }
-    }
-}
 
 /// The profile's distinct start ticks, ascending: the time axis of every
 /// region's occupancy index. Occupancy is kept per *rank* on this axis,
@@ -167,19 +152,6 @@ impl Region {
     }
 }
 
-/// Result of global planning.
-#[derive(Debug, Clone)]
-pub struct GlobalLayout {
-    /// Absolute offset of every static request, indexed by request.
-    pub request_offsets: Vec<u64>,
-    /// Total pool size in bytes.
-    pub pool_size: u64,
-    /// Number of memory-layers created.
-    pub layer_count: usize,
-    /// Members placed via gap insertion (whole groups or scattered members).
-    pub gap_inserted: usize,
-}
-
 /// Final address-assignment refinement: a global first-fit sweep over all
 /// requests in allocation order. The group machinery below decides
 /// *structure* (which requests share layers, what reuses what); this pass
@@ -214,154 +186,171 @@ pub fn refine_first_fit(reqs: &[RequestEvent]) -> (Vec<u64>, u64) {
             .first_fit(r.size)
             .expect("live requests exceed the address space");
         free.remove(off, r.size);
-        live.push(Reverse((r.te.max(r.ts + 1), off, r.size)));
+        live.push(Reverse((r.window_end(), off, r.size)));
         offsets[i] = off;
         height = height.max(off + r.size);
     }
     (offsets, height)
 }
 
-/// Assigns absolute offsets to every local plan.
-pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], opts: GlobalOptions) -> GlobalLayout {
-    // HomoSize grouping by exact footprint.
-    let mut by_size: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, p) in plans.iter().enumerate() {
-        by_size.entry(p.size().max(1)).or_default().push(i);
-    }
-    let mut sizes: Vec<u64> = by_size.keys().copied().collect();
-    if opts.ascending_sizes {
-        sizes.sort_unstable();
-    } else {
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-    }
-
-    let axis = TimeAxis::new(reqs);
-    // Every request's lifetime, ranked once instead of per probe.
-    let windows: Vec<Window> = reqs
-        .iter()
-        .map(|r| axis.window(r.ts, r.te.max(r.ts + 1)))
-        .collect();
-
-    let mut regions: Vec<Region> = Vec::new();
-    let mut stack_top = 0u64;
-    let mut request_offsets = vec![0u64; reqs.len()];
-    let mut gap_inserted = 0usize;
-    let mut layer_count = 0usize;
-    // Scratch reused across members: a plan's members in start order, the
+/// The pool under construction: the memory-layers stacked so far and
+/// every request's place in them.
+struct Pool<'a> {
+    reqs: &'a [RequestEvent],
+    axis: TimeAxis,
+    /// Every request's lifetime, ranked once instead of per probe.
+    windows: Vec<Window>,
+    regions: Vec<Region>,
+    /// Layers opened for the size class being placed, by region index.
+    class_layers: Vec<usize>,
+    /// The result so far: `pool_size` is the top of the layer stack.
+    layout: StaticLayout,
+    // Scratch reused across plans: a plan's members in start order, the
     // ones no existing region took, and the class layers in preference
     // order.
-    let mut ordered: Vec<(usize, u64)> = Vec::new();
-    let mut spilled: Vec<(usize, u64)> = Vec::new();
-    let mut candidates: Vec<usize> = Vec::new();
+    ordered: Vec<(usize, u64)>,
+    spilled: Vec<usize>,
+    candidates: Vec<usize>,
+}
 
-    for s in sizes {
-        let mut members = by_size.remove(&s).expect("size exists");
-        // Algorithm 1 line 2: sort by allocation time.
-        members.sort_unstable_by_key(|&i| plans[i].ts);
-        // Layers opened for THIS size class, identified by region index.
-        let mut class_layers: Vec<usize> = Vec::new();
-
-        'member: for i in members {
-            let plan = &plans[i];
-            let ts = plan.ts;
-
-            // Stage A: whole-group gap insertion into previously placed
-            // strictly-larger regions (same-size reuse is Algorithm 1's job
-            // below). Thanks to member-granular recording, the query sees
-            // intra-cohort idle space, not just whole-group gaps.
-            if opts.gap_insertion {
-                let lifespan = axis.window(ts, plan.te.max(ts + 1));
-                for region in regions.iter_mut() {
-                    if region.size <= s {
-                        continue;
-                    }
-                    if let Some(off) = region.fit(lifespan, s) {
-                        for &(ri_req, rel) in &plan.members {
-                            region.place(windows[ri_req], off + rel, reqs[ri_req].size);
-                            request_offsets[ri_req] = region.base + off + rel;
-                        }
-                        gap_inserted += 1;
-                        continue 'member;
-                    }
-                }
-            }
-
-            // Stage B: member-level scatter — each member may sit in the
-            // idle staircase of ANY existing region (a member is an
-            // independent request; group contiguity is not a constraint).
-            // Members that fit nowhere spill to the class layer below.
-            spilled.clear();
-            if opts.gap_insertion && !regions.is_empty() {
-                ordered.clear();
-                ordered.extend_from_slice(&plan.members);
-                ordered.sort_unstable_by_key(|&(ri_req, _)| reqs[ri_req].ts);
-                for &(ri_req, rel) in &ordered {
-                    let (w, size) = (windows[ri_req], reqs[ri_req].size);
-                    let mut placed = false;
-                    for region in regions.iter_mut() {
-                        if let Some(off) = region.fit(w, size) {
-                            region.place(w, off, size);
-                            request_offsets[ri_req] = region.base + off;
-                            placed = true;
-                            break;
-                        }
-                    }
-                    if !placed {
-                        spilled.push((ri_req, rel));
-                    } else {
-                        gap_inserted += 1;
-                    }
-                }
-                if spilled.is_empty() {
-                    continue 'member;
-                }
-            } else {
-                spilled.extend_from_slice(&plan.members);
-            }
-
-            // Stage C, Algorithm 1 lines 4-10, at member granularity: the
-            // preferred layer is the one whose end is closest below the
-            // group's start; every placement is conflict-checked so layers
-            // shared with scattered residents stay sound.
-            for &(ri_req, _) in &spilled {
-                let (w, size) = (windows[ri_req], reqs[ri_req].size);
-                // Candidate order: Algorithm-1 preference (latest end <=
-                // group start) first, then remaining class layers.
-                candidates.clear();
-                candidates.extend_from_slice(&class_layers);
-                candidates.sort_unstable_by_key(|&ri| {
-                    let end = regions[ri].end;
-                    if end <= ts {
-                        (0u8, u64::MAX - end)
-                    } else {
-                        (1u8, end)
-                    }
-                });
-                let placed_at = candidates
-                    .iter()
-                    .find_map(|&ri| Some((ri, regions[ri].fit(w, size)?)));
-                let (ri, off) = placed_at.unwrap_or_else(|| {
-                    let ri = regions.len();
-                    regions.push(Region::new(stack_top, s, &axis));
-                    stack_top += s;
-                    class_layers.push(ri);
-                    layer_count += 1;
-                    (ri, 0)
-                });
-                let region = &mut regions[ri];
-                region.place(w, off, size);
-                region.end = region.end.max(w.t1);
-                request_offsets[ri_req] = region.base + off;
-            }
+impl<'a> Pool<'a> {
+    fn new(reqs: &'a [RequestEvent]) -> Self {
+        let axis = TimeAxis::new(reqs);
+        Pool {
+            reqs,
+            windows: reqs
+                .iter()
+                .map(|r| axis.window(r.ts, r.window_end()))
+                .collect(),
+            axis,
+            regions: Vec::new(),
+            class_layers: Vec::new(),
+            layout: StaticLayout::placed(vec![0; reqs.len()], 0),
+            ordered: Vec::new(),
+            spilled: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
-    GlobalLayout {
-        request_offsets,
-        pool_size: stack_top,
-        layer_count,
-        gap_inserted,
+    /// Records request `i` at `off` within region `ri`.
+    fn place(&mut self, ri: usize, i: usize, off: u64) {
+        let region = &mut self.regions[ri];
+        region.place(self.windows[i], off, self.reqs[i].size);
+        self.layout.request_offsets[i] = region.base + off;
     }
+
+    /// Stage A: whole-group gap insertion into previously placed
+    /// strictly-larger regions (same-size reuse is Algorithm 1's job
+    /// below). Thanks to member-granular recording, the query sees
+    /// intra-cohort idle space, not just whole-group gaps.
+    fn insert_whole(&mut self, plan: &LocalPlan, s: u64) -> bool {
+        let lifespan = self.axis.window(plan.ts, plan.te);
+        let mut larger = self.regions.iter().enumerate().filter(|(_, r)| r.size > s);
+        let Some((ri, off)) = larger.find_map(|(ri, r)| Some((ri, r.fit(lifespan, s)?))) else {
+            return false;
+        };
+        for &(i, rel) in &plan.members {
+            self.place(ri, i, off + rel);
+        }
+        self.layout.gap_inserted += 1;
+        true
+    }
+
+    /// Stage B: member-level scatter — each member may sit in the idle
+    /// staircase of ANY existing region (a member is an independent
+    /// request; group contiguity is not a constraint). Members that fit
+    /// nowhere are left in `spilled`.
+    fn scatter(&mut self, plan: &LocalPlan) {
+        let mut ordered = std::mem::take(&mut self.ordered);
+        ordered.clear();
+        ordered.extend_from_slice(&plan.members);
+        ordered.sort_unstable_by_key(|&(i, _)| self.reqs[i].ts);
+        for &(i, _) in &ordered {
+            let (w, size) = (self.windows[i], self.reqs[i].size);
+            let mut regions = self.regions.iter().enumerate();
+            match regions.find_map(|(ri, r)| Some((ri, r.fit(w, size)?))) {
+                Some((ri, off)) => {
+                    self.place(ri, i, off);
+                    self.layout.gap_inserted += 1;
+                }
+                None => self.spilled.push(i),
+            }
+        }
+        self.ordered = ordered;
+    }
+
+    /// Stage C, Algorithm 1 lines 4-10, for one member of a group that
+    /// starts at `ts`, in size class `s`: the preferred layer is the one
+    /// whose end is closest below the group's start; every placement is
+    /// conflict-checked so layers shared with scattered residents stay
+    /// sound.
+    fn layer(&mut self, i: usize, ts: u64, s: u64) {
+        let (w, size) = (self.windows[i], self.reqs[i].size);
+        // Candidate order: Algorithm-1 preference (latest end <= group
+        // start) first, then remaining class layers.
+        self.candidates.clear();
+        self.candidates.extend_from_slice(&self.class_layers);
+        self.candidates.sort_unstable_by_key(|&ri| {
+            let end = self.regions[ri].end;
+            if end <= ts {
+                (0u8, u64::MAX - end)
+            } else {
+                (1u8, end)
+            }
+        });
+        let mut candidates = self.candidates.iter();
+        let found = candidates.find_map(|&ri| Some((ri, self.regions[ri].fit(w, size)?)));
+        let (ri, off) = found.unwrap_or_else(|| {
+            let ri = self.regions.len();
+            self.regions
+                .push(Region::new(self.layout.pool_size, s, &self.axis));
+            self.layout.pool_size += s;
+            self.layout.layers += 1;
+            self.class_layers.push(ri);
+            (ri, 0)
+        });
+        self.place(ri, i, off);
+        let region = &mut self.regions[ri];
+        region.end = region.end.max(w.t1);
+    }
+}
+
+/// Assigns absolute offsets to every local plan: the layout with its
+/// `layers` and `gap_inserted` counted, `phase_groups` and `fused_groups`
+/// left to the caller that built `plans`.
+pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], config: &SynthConfig) -> StaticLayout {
+    // HomoSize grouping by exact footprint.
+    let mut by_size: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (i, p) in plans.iter().enumerate() {
+        by_size.entry(p.size.max(1)).or_default().push(i);
+    }
+    let mut classes: Vec<(u64, Vec<usize>)> = by_size.into_iter().collect();
+    if !config.ascending_sizes {
+        classes.reverse();
+    }
+
+    let mut pool = Pool::new(reqs);
+    for (s, mut members) in classes {
+        // Algorithm 1 line 2: sort by allocation time.
+        members.sort_unstable_by_key(|&i| plans[i].ts);
+        pool.class_layers.clear();
+        for i in members {
+            let plan = &plans[i];
+            pool.spilled.clear();
+            if config.enable_gap_insertion && !pool.regions.is_empty() {
+                if pool.insert_whole(plan, s) {
+                    continue;
+                }
+                pool.scatter(plan);
+            } else {
+                pool.spilled.extend(plan.members.iter().map(|&(i, _)| i));
+            }
+            for k in 0..pool.spilled.len() {
+                pool.layer(pool.spilled[k], plan.ts, s);
+            }
+        }
+    }
+    pool.layout
 }
 
 #[cfg(test)]
@@ -384,8 +373,7 @@ mod tests {
         let mut offsets = vec![0u64; reqs.len()];
         for i in order {
             let r = &reqs[i];
-            let t1 = r.te.max(r.ts + 1);
-            offsets[i] = packer.pack(r.ts, t1, r.size);
+            offsets[i] = packer.pack(r.ts, r.window_end(), r.size);
         }
         (offsets, packer.height())
     }
@@ -507,14 +495,23 @@ mod tests {
             .collect()
     }
 
-    /// Every combination of the two ablation switches.
-    fn all_options() -> [GlobalOptions; 4] {
+    /// Every combination of the two ablation switches `assemble` reads.
+    fn all_options() -> [SynthConfig; 4] {
         [(true, false), (false, false), (true, true), (false, true)].map(
-            |(gap_insertion, ascending_sizes)| GlobalOptions {
-                gap_insertion,
+            |(enable_gap_insertion, ascending_sizes)| SynthConfig {
+                enable_gap_insertion,
                 ascending_sizes,
+                ..SynthConfig::default()
             },
         )
+    }
+
+    /// The default switches with gap insertion off.
+    fn no_gaps() -> SynthConfig {
+        SynthConfig {
+            enable_gap_insertion: false,
+            ..SynthConfig::default()
+        }
     }
 
     proptest! {
@@ -546,13 +543,11 @@ mod tests {
             }
             .peak_static_demand();
             for opts in all_options() {
-                let layout = assemble(&plans, &reqs, opts);
-                let placed = reqs.iter().zip(&layout.request_offsets).map(|(r, &off)| Rect {
-                    t0: r.ts,
-                    t1: r.te.max(r.ts + 1),
-                    off,
-                    len: r.size,
-                });
+                let layout = assemble(&plans, &reqs, &opts);
+                let placed = reqs
+                    .iter()
+                    .zip(&layout.request_offsets)
+                    .map(|(r, &off)| r.rect_at(off));
                 prop_assert!(placed.clone().all(|r| r.off + r.len <= layout.pool_size));
                 prop_assert_eq!(first_conflict(placed), None, "{:?}", opts);
                 prop_assert!(layout.pool_size >= peak, "{:?}", opts);
@@ -577,8 +572,8 @@ mod tests {
         for (name, reqs) in zoo() {
             let plans = fuse_groups(build_phase_groups(&reqs), &reqs);
             for opts in all_options() {
-                let layout = assemble(&plans, &reqs, opts);
-                assert!(layout.layer_count > 1, "{name}: layers were probed");
+                let layout = assemble(&plans, &reqs, &opts);
+                assert!(layout.layers > 1, "{name}: layers were probed");
             }
         }
     }
@@ -594,7 +589,7 @@ mod tests {
         assert_eq!(region.occupied.len(), 2001);
         let w = axis.window(reqs[7].ts, reqs[7].te);
         assert_eq!((w.k0, w.k1), (7, 2000));
-        let layout = assemble(&build_phase_groups(&reqs), &reqs, GlobalOptions::default());
+        let layout = assemble(&build_phase_groups(&reqs), &reqs, &SynthConfig::default());
         assert_eq!(layout.pool_size, 2000 * 512, "all live together");
     }
 
@@ -626,17 +621,7 @@ mod tests {
         for &(size, ts, te) in specs {
             let i = reqs.len();
             reqs.push(req(size, ts, te, 1, 2));
-            let mut packer = TimeSpacePacker::new();
-            packer.pack(ts, te, size);
-            plans.push(LocalPlan {
-                members: vec![(i, 0)],
-                packer,
-                ts,
-                te,
-                min_te: te,
-                ps: 1,
-                pe: 2,
-            });
+            plans.push(LocalPlan::of(vec![(i, 0)], &reqs, 1, 2));
         }
         (plans, reqs)
     }
@@ -645,8 +630,8 @@ mod tests {
     fn same_size_disjoint_lifespans_share_a_layer() {
         let (plans, reqs) =
             singleton_plans(&[(1024, 0, 10), (1024, 5, 15), (1024, 10, 20), (1024, 16, 25)]);
-        let layout = assemble(&plans, &reqs, GlobalOptions::default());
-        assert_eq!(layout.layer_count, 2, "two layers suffice");
+        let layout = assemble(&plans, &reqs, &SynthConfig::default());
+        assert_eq!(layout.layers, 2, "two layers suffice");
         assert_eq!(layout.pool_size, 2048);
         assert_eq!(layout.request_offsets[0], layout.request_offsets[2]);
         assert_eq!(layout.request_offsets[1], layout.request_offsets[3]);
@@ -655,12 +640,9 @@ mod tests {
     #[test]
     fn algorithm1_prefers_tightest_layer() {
         let (plans, reqs) = singleton_plans(&[(512, 0, 4), (512, 0, 9), (512, 10, 20)]);
-        let opts = GlobalOptions {
-            gap_insertion: false, // isolate Algorithm 1's choice
-            ascending_sizes: false,
-        };
-        let layout = assemble(&plans, &reqs, opts);
-        assert_eq!(layout.layer_count, 2);
+        // Gap insertion off: isolate Algorithm 1's choice.
+        let layout = assemble(&plans, &reqs, &no_gaps());
+        assert_eq!(layout.layers, 2);
         assert_eq!(
             layout.request_offsets[2], layout.request_offsets[1],
             "tightest layer (end 9) chosen over end 4"
@@ -670,12 +652,12 @@ mod tests {
     #[test]
     fn smaller_requests_fill_gaps_of_larger_layers() {
         let (plans, reqs) = singleton_plans(&[(4096, 0, 10), (4096, 20, 30), (1024, 12, 18)]);
-        let layout = assemble(&plans, &reqs, GlobalOptions::default());
+        let layout = assemble(&plans, &reqs, &SynthConfig::default());
         assert_eq!(layout.pool_size, 4096, "small plan needed no new space");
         // The second 4096 plan scatters into the first layer's idle window
         // and the 1024 plan gap-inserts: two placements without new space.
         assert_eq!(layout.gap_inserted, 2);
-        assert_eq!(layout.layer_count, 1);
+        assert_eq!(layout.layers, 1);
     }
 
     #[test]
@@ -683,33 +665,15 @@ mod tests {
         // A two-member cohort: one member frees early, the other late. A
         // later small request that starts after the early free can reuse
         // the freed part even though the cohort as a whole is still alive.
-        let mut reqs = vec![req(1024, 0, 20, 1, 2), req(1024, 0, 5, 1, 2)];
-        let mut packer = TimeSpacePacker::new();
-        packer.pack(0, 20, 1024);
-        packer.pack(0, 5, 1024);
-        let cohort = LocalPlan {
-            members: vec![(0, 0), (1, 1024)],
-            packer,
-            ts: 0,
-            te: 20,
-            min_te: 5,
-            ps: 1,
-            pe: 2,
-        };
         // Small transient active [6, 15): fits where member 1 freed.
-        reqs.push(req(512, 6, 15, 3, 3));
-        let mut small_packer = TimeSpacePacker::new();
-        small_packer.pack(6, 15, 512);
-        let small = LocalPlan {
-            members: vec![(2, 0)],
-            packer: small_packer,
-            ts: 6,
-            te: 15,
-            min_te: 15,
-            ps: 3,
-            pe: 3,
-        };
-        let layout = assemble(&[cohort, small], &reqs, GlobalOptions::default());
+        let reqs = vec![
+            req(1024, 0, 20, 1, 2),
+            req(1024, 0, 5, 1, 2),
+            req(512, 6, 15, 3, 3),
+        ];
+        let cohort = LocalPlan::of(vec![(0, 0), (1, 1024)], &reqs, 1, 2);
+        let small = LocalPlan::of(vec![(2, 0)], &reqs, 3, 3);
+        let layout = assemble(&[cohort, small], &reqs, &SynthConfig::default());
         assert_eq!(layout.pool_size, 2048, "no extra layer for the transient");
         assert_eq!(layout.gap_inserted, 1);
         assert_eq!(layout.request_offsets[2], 1024, "placed in the freed step");
@@ -718,15 +682,8 @@ mod tests {
     #[test]
     fn gap_insertion_can_be_disabled() {
         let (plans, reqs) = singleton_plans(&[(4096, 0, 10), (1024, 12, 18)]);
-        let on = assemble(&plans, &reqs, GlobalOptions::default());
-        let off = assemble(
-            &plans,
-            &reqs,
-            GlobalOptions {
-                gap_insertion: false,
-                ascending_sizes: false,
-            },
-        );
+        let on = assemble(&plans, &reqs, &SynthConfig::default());
+        let off = assemble(&plans, &reqs, &no_gaps());
         assert_eq!(on.pool_size, 4096);
         assert_eq!(off.pool_size, 4096 + 1024);
     }
@@ -734,22 +691,19 @@ mod tests {
     #[test]
     fn descending_order_beats_ascending_here() {
         let (plans, reqs) = singleton_plans(&[(1024, 12, 18), (4096, 0, 10), (4096, 20, 30)]);
-        let desc = assemble(&plans, &reqs, GlobalOptions::default());
-        let asc = assemble(
-            &plans,
-            &reqs,
-            GlobalOptions {
-                gap_insertion: true,
-                ascending_sizes: true,
-            },
-        );
+        let desc = assemble(&plans, &reqs, &SynthConfig::default());
+        let ascending = SynthConfig {
+            ascending_sizes: true,
+            ..SynthConfig::default()
+        };
+        let asc = assemble(&plans, &reqs, &ascending);
         assert!(desc.pool_size < asc.pool_size);
     }
 
     #[test]
     fn overlapping_same_size_plans_stack() {
         let (plans, reqs) = singleton_plans(&[(2048, 0, 10), (2048, 5, 15)]);
-        let layout = assemble(&plans, &reqs, GlobalOptions::default());
+        let layout = assemble(&plans, &reqs, &SynthConfig::default());
         assert_eq!(layout.pool_size, 4096);
         assert_ne!(layout.request_offsets[0], layout.request_offsets[1]);
     }

@@ -11,10 +11,9 @@ pub mod phase_group;
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{first_conflict, Rect};
+use crate::geometry::{first_conflict, window_end, Rect};
 use crate::profiler::ProfiledRequests;
-pub use dynamic::{DynGroup, DynamicPlan, PlacedStatic};
-pub use global::GlobalOptions;
+pub use dynamic::{DynGroup, DynamicPlan};
 
 /// One planned static allocation: the runtime serves the k-th static
 /// request of the (init sequence | iteration sequence) at this offset.
@@ -28,6 +27,24 @@ pub struct PlannedAlloc {
     pub ts: u64,
     /// Free tick in the profiled window.
     pub te: u64,
+}
+
+impl PlannedAlloc {
+    /// Exclusive end of the decision's occupancy window
+    /// `[ts, max(te, ts + 1))` — see [`window_end`].
+    pub fn window_end(&self) -> u64 {
+        window_end(self.ts, self.te)
+    }
+
+    /// The rectangle the decision occupies.
+    pub fn rect(&self) -> Rect {
+        Rect {
+            t0: self.ts,
+            t1: self.window_end(),
+            off: self.offset,
+            len: self.size,
+        }
+    }
 }
 
 /// Which packing strategy produced (or should produce) a plan.
@@ -187,9 +204,9 @@ impl Plan {
 
     /// Validates the §5.1 soundness constraint: every decision lies
     /// inside the pool, and no two decisions overlap in both lifetime
-    /// and address range. A decision is live over `[ts, max(te, ts + 1))`
-    /// — a free at tick `t` precedes an allocation at `t` — and one of
-    /// size 0 occupies nothing.
+    /// and address range. A decision is live over its
+    /// [window](PlannedAlloc::window_end), and one of size 0 occupies
+    /// nothing.
     ///
     /// Total: a `Plan` can come off the wire or from a foreign file, so
     /// any field values (unsorted ticks, wrapping offsets, a lifetime
@@ -220,13 +237,7 @@ impl Plan {
             }
         }
         // Neither `ts + 1` nor `off + len` can wrap past the loop above.
-        let conflict = first_conflict(decisions().map(|d| Rect {
-            t0: d.ts,
-            t1: d.te.max(d.ts + 1),
-            off: d.offset,
-            len: d.size,
-        }));
-        match conflict {
+        match first_conflict(decisions().map(PlannedAlloc::rect)) {
             Some(r) => Err(format!(
                 "overlap: decision [{}, {}) x ticks [{}, {}) intersects live space",
                 r.off,
@@ -323,33 +334,17 @@ pub fn baseline_layout(profile: &ProfiledRequests, config: &SynthConfig) -> Stat
     };
     let fused_groups = plans.len();
 
-    let layout = global::assemble(
-        &plans,
-        &profile.statics,
-        GlobalOptions {
-            gap_insertion: config.enable_gap_insertion,
-            ascending_sizes: config.ascending_sizes,
-        },
-    );
-
-    // Absolute offset of every static request; the first-fit refinement
-    // sweep replaces the group layout when it packs tighter.
-    let (request_offsets, pool_size) = {
-        let (refined, refined_pool) = global::refine_first_fit(&profile.statics);
-        if refined_pool < layout.pool_size {
-            (refined, refined_pool)
-        } else {
-            (layout.request_offsets, layout.pool_size)
-        }
-    };
-
+    // The first-fit refinement sweep replaces the group layout when it
+    // packs tighter.
+    let mut layout = global::assemble(&plans, &profile.statics, config);
+    let (refined, refined_pool) = global::refine_first_fit(&profile.statics);
+    if refined_pool < layout.pool_size {
+        (layout.request_offsets, layout.pool_size) = (refined, refined_pool);
+    }
     StaticLayout {
-        request_offsets,
-        pool_size,
         phase_groups,
         fused_groups,
-        layers: layout.layer_count,
-        gap_inserted: layout.gap_inserted,
+        ..layout
     }
 }
 
@@ -362,59 +357,40 @@ pub fn finish_plan(
     strategy: StrategyChoice,
     layout: StaticLayout,
 ) -> Plan {
-    let StaticLayout {
-        request_offsets: offsets,
-        pool_size,
-        phase_groups,
-        fused_groups,
-        layers,
-        gap_inserted,
-    } = layout;
+    let offsets = &layout.request_offsets;
     debug_assert_eq!(offsets.len(), profile.statics.len());
 
-    let make = |idx: usize| -> PlannedAlloc {
-        let r = &profile.statics[idx];
-        PlannedAlloc {
-            size: r.size,
-            offset: offsets[idx],
-            ts: r.ts,
-            te: r.te,
-        }
-    };
-    let init_allocs: Vec<PlannedAlloc> = (0..profile.init_count).map(make).collect();
-    let iter_allocs: Vec<PlannedAlloc> = (profile.init_count..profile.statics.len())
-        .map(make)
-        .collect();
-
-    // --- Dynamic planning (§5.2) ---
-    let placed: Vec<PlacedStatic> = profile
+    let planned = profile
         .statics
         .iter()
-        .enumerate()
-        .map(|(i, r)| PlacedStatic {
-            offset: offsets[i],
+        .zip(offsets)
+        .map(|(r, &offset)| PlannedAlloc {
             size: r.size,
+            offset,
             ts: r.ts,
-            te: r.te.max(r.ts + 1),
-        })
-        .collect();
-    let dynamic = dynamic::locate_reusable_space(profile, &placed, pool_size);
+            te: r.te,
+        });
+    // Dynamic planning (§5.2) around the same decisions, as rectangles.
+    let placed = planned.clone().map(|a| a.rect());
+    let dynamic = dynamic::locate_reusable_space(profile, placed, layout.pool_size);
+    let init_allocs: Vec<PlannedAlloc> = planned.clone().take(profile.init_count).collect();
+    let iter_allocs: Vec<PlannedAlloc> = planned.skip(profile.init_count).collect();
 
     let stats = PlanStats {
         strategy,
         static_requests: profile.statics.len(),
         dynamic_requests: profile.dynamics.len(),
-        phase_groups,
-        fused_groups,
-        layers,
-        gap_inserted,
+        phase_groups: layout.phase_groups,
+        fused_groups: layout.fused_groups,
+        layers: layout.layers,
+        gap_inserted: layout.gap_inserted,
         homolayer_groups: dynamic.groups.len(),
         peak_static_demand: profile.peak_static_demand(),
-        pool_size,
+        pool_size: layout.pool_size,
     };
 
     Plan {
-        pool_size,
+        pool_size: layout.pool_size,
         init_allocs,
         iter_allocs,
         dynamic,

@@ -6,10 +6,15 @@
 //! fused when doing so raises the *time-memory product* (TMP, Eq. 2) above
 //! the weighted average of the originals — i.e. when fusion removes
 //! spatio-temporal bubbles.
+//!
+//! A [`LocalPlan`] is plain data: its members with their relative offsets
+//! and what follows from them. The [`TimeSpacePacker`] that finds those
+//! offsets lives only as long as one cohort is being packed or one fusion
+//! tried; the thousands of one-request groups of a profile never see one.
 
 use std::collections::HashMap;
 
-use crate::geometry::{Rect, TimeSpacePacker};
+use crate::geometry::TimeSpacePacker;
 use crate::profiler::RequestEvent;
 
 /// A local plan: one (possibly fused) HomoPhase group with relative offsets.
@@ -17,13 +22,17 @@ use crate::profiler::RequestEvent;
 pub struct LocalPlan {
     /// Members: (static-request index, relative offset).
     pub members: Vec<(usize, u64)>,
-    /// Occupancy of the plan's members.
-    pub packer: TimeSpacePacker,
+    /// Footprint in bytes (`D_g.s`): the top of the members' stack.
+    pub size: u64,
+    /// Sum of `size × window length` over the members (the TMP
+    /// numerator). Wide: GiB-sized requests over ticks past 2⁴⁰ overflow
+    /// 64 bits.
+    pub area: u128,
     /// Earliest allocation tick.
     pub ts: u64,
-    /// Latest free tick.
+    /// Latest window end among members (so `te > ts`).
     pub te: u64,
-    /// Earliest free tick among members — before this, no space frees, so
+    /// Earliest window end among members — before this, no space frees, so
     /// fusion with later groups cannot help (fusion pre-filter).
     pub min_te: u64,
     /// Allocation phase of the group (first group's, after fusion).
@@ -33,24 +42,43 @@ pub struct LocalPlan {
 }
 
 impl LocalPlan {
-    /// Footprint in bytes (`D_g.s`).
-    pub fn size(&self) -> u64 {
-        self.packer.height()
+    /// The plan of `members` (non-empty) of `reqs`, spanning phases
+    /// `ps..=pe`.
+    pub fn of(members: Vec<(usize, u64)>, reqs: &[RequestEvent], ps: u32, pe: u32) -> Self {
+        let mut plan = LocalPlan {
+            members,
+            size: 0,
+            area: 0,
+            ts: u64::MAX,
+            te: 0,
+            min_te: u64::MAX,
+            ps,
+            pe,
+        };
+        for &(i, off) in &plan.members {
+            let (r, t1) = (&reqs[i], reqs[i].window_end());
+            plan.size = plan.size.max(off + r.size);
+            plan.area += u128::from(r.size) * u128::from(t1 - r.ts);
+            plan.ts = plan.ts.min(r.ts);
+            plan.te = plan.te.max(t1);
+            plan.min_te = plan.min_te.min(t1);
+        }
+        plan
     }
 
     /// Time-memory product (Eq. 2). 1.0 means zero bubbles.
     pub fn tmp(&self) -> f64 {
-        let denom = self.size() as f64 * (self.te - self.ts) as f64;
+        let denom = self.weight();
         if denom == 0.0 {
             1.0
         } else {
-            self.packer.area() as f64 / denom
+            self.area as f64 / denom
         }
     }
 
     /// TMP denominator, used as the fusion-acceptance weight.
     pub fn weight(&self) -> f64 {
-        self.size() as f64 * (self.te - self.ts) as f64
+        self.size as f64 * (self.te - self.ts) as f64
     }
 }
 
@@ -62,65 +90,31 @@ impl LocalPlan {
 /// transients it additionally reuses space across disjoint lifetimes.
 pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
     let mut classes: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
-    let mut singles: Vec<usize> = Vec::new();
+    let mut plans = Vec::with_capacity(reqs.len());
     for (i, r) in reqs.iter().enumerate() {
         if r.ps == r.pe {
             // Same-phase transients don't share a common lifespan; placing
             // them individually lets global planning slot each one into the
             // staircase of progressively-freed scoped space.
-            singles.push(i);
+            plans.push(LocalPlan::of(vec![(i, 0)], reqs, r.ps, r.pe));
         } else {
             classes.entry((r.ps, r.pe)).or_default().push(i);
         }
     }
-    let mut keys: Vec<(u32, u32)> = classes.keys().copied().collect();
-    keys.sort_unstable();
+    let mut classes: Vec<((u32, u32), Vec<usize>)> = classes.into_iter().collect();
+    classes.sort_unstable_by_key(|&(key, _)| key);
 
-    let mut plans = Vec::with_capacity(keys.len() + singles.len());
-    for i in singles {
-        let r = &reqs[i];
-        let t1 = r.te.max(r.ts + 1);
-        let mut packer = TimeSpacePacker::new();
-        packer.place_at(Rect {
-            t0: r.ts,
-            t1,
-            off: 0,
-            len: r.size,
-        });
-        plans.push(LocalPlan {
-            members: vec![(i, 0)],
-            packer,
-            ts: r.ts,
-            te: t1,
-            min_te: t1,
-            ps: r.ps,
-            pe: r.pe,
-        });
-    }
-    for key in keys {
-        let mut idxs = classes.remove(&key).expect("key exists");
+    for ((ps, pe), mut idxs) in classes {
         idxs.sort_unstable_by_key(|&i| reqs[i].ts);
         let mut packer = TimeSpacePacker::new();
-        let mut members = Vec::with_capacity(idxs.len());
-        let (mut ts, mut te, mut min_te) = (u64::MAX, 0u64, u64::MAX);
-        for i in idxs {
-            let r = &reqs[i];
-            let t1 = r.te.max(r.ts + 1);
-            let off = packer.pack(r.ts, t1, r.size);
-            members.push((i, off));
-            ts = ts.min(r.ts);
-            te = te.max(t1);
-            min_te = min_te.min(t1);
-        }
-        plans.push(LocalPlan {
-            members,
-            packer,
-            ts,
-            te,
-            min_te,
-            ps: key.0,
-            pe: key.1,
-        });
+        let members = idxs
+            .into_iter()
+            .map(|i| {
+                let r = &reqs[i];
+                (i, packer.pack(r.ts, r.window_end(), r.size))
+            })
+            .collect();
+        plans.push(LocalPlan::of(members, reqs, ps, pe));
     }
     plans
 }
@@ -146,16 +140,9 @@ pub fn try_fuse(host: &LocalPlan, guest: &LocalPlan, reqs: &[RequestEvent]) -> O
     });
     let mut cursor = 0u64;
     for (i, _) in host_members {
-        let r = &reqs[i];
-        let t1 = r.te.max(r.ts + 1);
-        packer.place_at(Rect {
-            t0: r.ts,
-            t1,
-            off: cursor,
-            len: r.size,
-        });
+        packer.place_at(reqs[i].rect_at(cursor));
         members.push((i, cursor));
-        cursor += r.size;
+        cursor += reqs[i].size;
     }
 
     // Guest insertion: ascending start time, lowest available offset.
@@ -163,36 +150,20 @@ pub fn try_fuse(host: &LocalPlan, guest: &LocalPlan, reqs: &[RequestEvent]) -> O
     guest_members.sort_unstable_by_key(|&(i, _)| reqs[i].ts);
     for (i, _) in guest_members {
         let r = &reqs[i];
-        let t1 = r.te.max(r.ts + 1);
-        let off = packer
-            .find_first_fit(r.ts, t1, r.size, u64::MAX)
-            .expect("unbounded");
-        packer.place_at(Rect {
-            t0: r.ts,
-            t1,
-            off,
-            len: r.size,
-        });
-        members.push((i, off));
+        members.push((i, packer.pack(r.ts, r.window_end(), r.size)));
     }
 
-    let fused = LocalPlan {
-        members,
-        packer,
-        ts: host.ts.min(guest.ts),
-        te: host.te.max(guest.te),
-        min_te: host.min_te.min(guest.min_te),
-        ps: if host.ts <= guest.ts {
-            host.ps
-        } else {
-            guest.ps
-        },
-        pe: if host.te >= guest.te {
-            host.pe
-        } else {
-            guest.pe
-        },
+    let ps = if host.ts <= guest.ts {
+        host.ps
+    } else {
+        guest.ps
     };
+    let pe = if host.te >= guest.te {
+        host.pe
+    } else {
+        guest.pe
+    };
+    let fused = LocalPlan::of(members, reqs, ps, pe);
 
     let wa = (host.tmp() * host.weight() + guest.tmp() * guest.weight())
         / (host.weight() + guest.weight()).max(f64::MIN_POSITIVE);
@@ -226,7 +197,7 @@ pub fn fuse_groups(mut plans: Vec<LocalPlan>, reqs: &[RequestEvent]) -> Vec<Loca
                     return None;
                 }
                 // The larger plan hosts; the smaller is inserted.
-                let (host, guest) = if plans[a].size() >= plans[b].size() {
+                let (host, guest) = if plans[a].size >= plans[b].size {
                     (a, b)
                 } else {
                     (b, a)
@@ -264,7 +235,7 @@ mod tests {
                     if a == b || plans[a].pe != plans[b].ps {
                         continue;
                     }
-                    let (host, guest) = if plans[a].size() >= plans[b].size() {
+                    let (host, guest) = if plans[a].size >= plans[b].size {
                         (a, b)
                     } else {
                         (b, a)
@@ -291,13 +262,12 @@ mod tests {
     }
 
     /// Everything observable about a fusion result, in plan order.
-    type PlanShape = (Vec<(usize, u64)>, u64, u64, u64, u32, u32, u64, u64);
+    type PlanShape = (Vec<(usize, u64)>, u64, u64, u64, u32, u32, u64, u128);
 
     fn shapes(plans: &[LocalPlan]) -> Vec<PlanShape> {
         plans
             .iter()
             .map(|p| {
-                let (size, area) = (p.size(), p.packer.area());
                 (
                     p.members.clone(),
                     p.ts,
@@ -305,8 +275,8 @@ mod tests {
                     p.min_te,
                     p.ps,
                     p.pe,
-                    size,
-                    area,
+                    p.size,
+                    p.area,
                 )
             })
             .collect()
@@ -383,6 +353,143 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over `(members, size, tmp())` of every plan, in order.
+    fn digest(plans: &[LocalPlan]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for p in plans {
+            for &(i, off) in &p.members {
+                mix(i as u64);
+                mix(off);
+            }
+            mix(p.size);
+            mix(p.tmp().to_bits());
+        }
+        h
+    }
+
+    /// Every group of the benchmark's GPT-2 345M VR profile — members,
+    /// footprint and TMP to the bit — as the build before `LocalPlan`
+    /// lost its packer produced them: all 3,730 through a digest, the 33
+    /// cohorts as `(first member, members, size, tmp bits)`. Likewise a
+    /// fixed staircase family through `try_fuse`, which accepts two pairs.
+    #[test]
+    fn groups_of_a_vpp_profile_are_what_the_packer_carrying_plans_were() {
+        use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+        #[rustfmt::skip]
+        const COHORTS: [(usize, usize, u64, u64); 33] = [
+            (0, 53, 2285512704, 0x3ff0000000000000),
+            (54, 4, 268435456, 0x3feeea79d149bb4e),
+            (101, 4, 268435456, 0x3feefc3fddb5a1ea),
+            (148, 4, 268435456, 0x3fef0c445fb9367f),
+            (195, 4, 268435456, 0x3fef1a6c8984b029),
+            (241, 4, 268436480, 0x3fed232a0bb843b4),
+            (287, 4, 268436480, 0x3fed9a38ea0ab326),
+            (333, 4, 268436480, 0x3fedee298c7cbfaa),
+            (379, 4, 268436480, 0x3fee2de7bce8ef3a),
+            (426, 4, 268435456, 0x3fef4e4ba80709ad),
+            (473, 4, 268435456, 0x3fef55c1362658ea),
+            (520, 4, 268435456, 0x3fef5cc8ebef4d2a),
+            (640, 4, 268435456, 0x3fef5cc8ebef4d2a),
+            (759, 4, 268436480, 0x3feea8bde1154c35),
+            (878, 4, 268436480, 0x3feea983cb3e2fc9),
+            (997, 4, 268436480, 0x3feea983cb3e2fc9),
+            (1116, 4, 268436480, 0x3feea983cb3e2fc9),
+            (1236, 4, 268435456, 0x3fef5cf4d59ff316),
+            (1356, 4, 268435456, 0x3fef5cc8ebef4d2a),
+            (1476, 4, 268435456, 0x3fef586bd9024809),
+            (1596, 4, 268435456, 0x3fef53d16723841f),
+            (1715, 4, 268436480, 0x3feea8bde1154c35),
+            (1834, 4, 268436480, 0x3feea983cb3e2fc9),
+            (1953, 4, 268436480, 0x3feea983cb3e2fc9),
+            (2072, 4, 268436480, 0x3feea983cb3e2fc9),
+            (2192, 4, 268435456, 0x3fef396d0917d6b6),
+            (2312, 4, 268435456, 0x3fef32ede544300e),
+            (2432, 4, 268435456, 0x3fef2bfe403260bc),
+            (2552, 4, 268435456, 0x3fef249249249249),
+            (2671, 4, 268436480, 0x3fee639fe75aabbd),
+            (2790, 4, 268436480, 0x3fee473c88e767cb),
+            (2909, 4, 268436480, 0x3fee26a69cfc7f67),
+            (3028, 4, 268436480, 0x3fee00dcc9c9a9d8),
+        ];
+        let trace = TrainJob::new(
+            ModelSpec::gpt2_345m(),
+            ParallelConfig::new(1, 4, 2).with_vpp(2),
+            OptimConfig::r(),
+        )
+        .with_mbs(32)
+        .with_seq(1024)
+        .with_microbatches(16)
+        .with_iterations(2)
+        .build_trace()
+        .unwrap();
+        let reqs = crate::profiler::profile_trace(&trace, 1).unwrap().statics;
+        let plans = build_phase_groups(&reqs);
+        let cohorts: Vec<(usize, usize, u64, u64)> = plans
+            .iter()
+            .filter(|p| p.members.len() > 1)
+            .map(|p| (p.members[0].0, p.members.len(), p.size, p.tmp().to_bits()))
+            .collect();
+        assert_eq!(cohorts, COHORTS);
+        assert_eq!((plans.len(), digest(&plans)), (3730, 0xc5faed1e8b083605));
+        let fused = fuse_groups(plans, &reqs);
+        assert_eq!((fused.len(), digest(&fused)), (3730, 0xc5faed1e8b083605));
+
+        let stairs = staircase_pairs(
+            &[(1, 2, 3, 0), (3, 1, 5, 2), (2, 4, 1, 1), (1, 5, 5, 3)],
+            &[
+                (0, 9, 2, 2, 1),
+                (3, 20, 1, 5, 0),
+                (11, 4, 4, 8, 2),
+                (30, 7, 3, 11, 1),
+            ],
+        );
+        let groups = build_phase_groups(&stairs);
+        assert_eq!((groups.len(), digest(&groups)), (10, 0x40c6980db4f7f1b9));
+        let fused = fuse_groups(groups, &stairs);
+        assert_eq!((fused.len(), digest(&fused)), (8, 0x5c857b6c526542d7));
+    }
+
+    /// GiB-sized requests over ticks past 2⁴⁰: every product `size ×
+    /// lifetime` and their sum are past 2⁶⁴, which a `u64` area wrapped
+    /// in release and panicked on in debug. The plans are those of the
+    /// same profile with ticks and sizes scaled down, TMP included.
+    #[test]
+    fn area_of_gib_requests_over_huge_ticks_does_not_wrap() {
+        let family = |tick: u64, unit: u64| {
+            vec![
+                req(3 * unit, 0, 10 * tick, 1, 2),        // cohort, lives long
+                req(2 * unit, 0, 6 * tick, 1, 2),         // cohort, frees early
+                req(2 * unit, 6 * tick, 12 * tick, 2, 3), // fits the freed step
+                req(unit, 2 * tick, 3 * tick, 2, 2),      // transient
+            ]
+        };
+        let (huge, small) = (family(1 << 40, 1 << 30), family(8, 512));
+        let shape = |reqs: &[RequestEvent], plans: &[LocalPlan]| -> Vec<_> {
+            let unit = reqs[3].size;
+            plans
+                .iter()
+                .map(|p| (p.members.len(), p.size / unit, p.tmp().to_bits()))
+                .collect()
+        };
+        let groups = build_phase_groups(&huge);
+        assert!(groups.iter().all(|p| p.area > u128::from(u64::MAX)));
+        assert_eq!(
+            shape(&huge, &groups),
+            shape(&small, &build_phase_groups(&small))
+        );
+        let fused = fuse_groups(groups, &huge);
+        assert_eq!(fused.len(), 2, "the staircase pair fuses");
+        assert_eq!(
+            shape(&huge, &fused),
+            shape(&small, &fuse_groups(build_phase_groups(&small), &small))
+        );
+    }
+
     fn req(size: u64, ts: u64, te: u64, ps: u32, pe: u32) -> RequestEvent {
         RequestEvent {
             size,
@@ -407,7 +514,7 @@ mod tests {
         assert_eq!(plans.len(), 2);
         let scoped = plans.iter().find(|p| p.pe == 2).unwrap();
         assert_eq!(scoped.members.len(), 2);
-        assert_eq!(scoped.size(), 1024, "overlapping lifespans stack");
+        assert_eq!(scoped.size, 1024, "overlapping lifespans stack");
     }
 
     #[test]
@@ -419,11 +526,7 @@ mod tests {
         let plans = build_phase_groups(&reqs);
         assert_eq!(plans.len(), 2);
         assert!(plans.iter().all(|p| p.members.len() == 1));
-        let layout = crate::plan::global::assemble(
-            &plans,
-            &reqs,
-            crate::plan::global::GlobalOptions::default(),
-        );
+        let layout = crate::plan::global::assemble(&plans, &reqs, &Default::default());
         assert_eq!(layout.pool_size, 512, "layering shares the slot");
     }
 
@@ -447,7 +550,7 @@ mod tests {
         assert_eq!(plans.len(), 2);
         let fused = fuse_groups(plans, &reqs);
         assert_eq!(fused.len(), 1, "fusion accepted");
-        assert_eq!(fused[0].size(), 1024, "guest reused the freed step");
+        assert_eq!(fused[0].size, 1024, "guest reused the freed step");
         // Host member with the later end time sits at the bottom.
         let bottom = fused[0]
             .members
@@ -492,7 +595,7 @@ mod tests {
             "at least one fusion accepted, got {} groups",
             fused.len()
         );
-        let total: u64 = fused.iter().map(|p| p.size()).sum();
+        let total: u64 = fused.iter().map(|p| p.size).sum();
         assert!(total < 512 * 5, "fusion reuses freed steps: {total}");
     }
 

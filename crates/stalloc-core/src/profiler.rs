@@ -6,14 +6,23 @@
 //! live across the whole profiled window (weights, optimizer state) become
 //! *persistent* requests pinned to the synthetic boundary phases.
 //!
+//! One pass over the trace: a table of open tensors, and one path
+//! (`Sweep::close`) through which a tensor leaves it — at its `Free`
+//! event, or at the end of the trace if it is never freed. Requests are
+//! ordered by *allocation order*, which refines `tˢ` (every tensor
+//! allocated before the window has `tˢ = 0`), so the order the runtime
+//! matcher replays is a total one.
+//!
 //! In the real system the profiler runs the workload on native `cudaMalloc`
 //! (see `allocators::NativeAllocator`) for three iterations; here it reads
 //! the same information from a [`Trace`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use trace_gen::{ModuleId, TensorMap, Trace, TraceEvent};
+
+use crate::geometry::{window_end, Rect};
 
 /// Rounding granularity for planned offsets (matches the driver alignment).
 pub const PLAN_ALIGN: u64 = 512;
@@ -51,6 +60,24 @@ pub struct RequestEvent {
     pub le: Option<InstanceKey>,
 }
 
+impl RequestEvent {
+    /// Exclusive end of the request's occupancy window
+    /// `[ts, max(te, ts + 1))` — see [`window_end`].
+    pub fn window_end(&self) -> u64 {
+        window_end(self.ts, self.te)
+    }
+
+    /// The rectangle the request occupies when placed at `off`.
+    pub fn rect_at(&self, off: u64) -> Rect {
+        Rect {
+            t0: self.ts,
+            t1: self.window_end(),
+            off,
+            len: self.size,
+        }
+    }
+}
+
 /// Profiler output: the plan synthesizer's input `M` (paper §4), split into
 /// static and dynamic subsets, plus the bookkeeping the runtime matcher
 /// needs to map arriving requests back onto profiled ones.
@@ -77,30 +104,42 @@ pub struct ProfiledRequests {
 }
 
 impl ProfiledRequests {
-    /// Static requests belonging to the iteration body (excluding the
-    /// persistent prefix), in arrival order — what the runtime matches
-    /// against each iteration.
-    pub fn iter_statics(&self) -> &[RequestEvent] {
-        &self.statics[self.init_count..]
-    }
-
     /// Sum of all static request bytes that are simultaneously live at the
     /// worst moment (a lower bound on the static pool size).
     pub fn peak_static_demand(&self) -> u64 {
-        let mut events: Vec<(u64, i64)> = Vec::with_capacity(self.statics.len() * 2);
-        for r in &self.statics {
-            events.push((r.ts, r.size as i64));
-            events.push((r.te, -(r.size as i64)));
-        }
-        events.sort_unstable_by_key(|&(t, delta)| (t, delta));
-        let mut cur = 0i64;
-        let mut peak = 0i64;
-        for (_, d) in events {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak.max(0) as u64
+        let lifetimes = self.statics.iter().map(|r| (r.ts, r.te, r.size));
+        sweep_live_bytes(lifetimes, |_, _| {}).0
     }
+}
+
+/// The one peak sweep: `(peak, tick)` — the most bytes simultaneously
+/// live over `(ts, te, size)` lifetimes and the first tick that reaches
+/// it — calling `on_tick(tick, live bytes)` with the state after all
+/// events of each distinct tick, ascending.
+///
+/// Liveness here is the raw `ts ≤ t < te`, not the planner's window rule:
+/// a lifetime with `te ≤ ts` is never live. A free at tick `t` precedes
+/// an allocation at `t`, so the running value only dips mid-tick and the
+/// per-tick end states carry the exact maximum.
+pub(crate) fn sweep_live_bytes(
+    lifetimes: impl Iterator<Item = (u64, u64, u64)>,
+    mut on_tick: impl FnMut(u64, u64),
+) -> (u64, u64) {
+    let mut events: Vec<(u64, i64)> = Vec::with_capacity(lifetimes.size_hint().0 * 2);
+    for (ts, te, size) in lifetimes {
+        events.push((ts, size as i64));
+        events.push((te, -(size as i64)));
+    }
+    events.sort_unstable_by_key(|&(t, _)| t);
+    let (mut cur, mut peak, mut peak_tick) = (0i64, 0i64, 0u64);
+    for tick in events.chunk_by(|a, b| a.0 == b.0) {
+        cur += tick.iter().map(|&(_, delta)| delta).sum::<i64>();
+        if cur > peak {
+            (peak, peak_tick) = (cur, tick[0].0);
+        }
+        on_tick(tick[0].0, cur.max(0) as u64);
+    }
+    (peak as u64, peak_tick)
 }
 
 /// Errors produced while profiling a trace.
@@ -123,279 +162,190 @@ impl std::fmt::Display for ProfileError {
 
 impl std::error::Error for ProfileError {}
 
+/// A tensor between its `Alloc` and its `Free`.
+struct Open {
+    size: u64,
+    /// Event index of the allocation: its tick and its place in the
+    /// allocation order.
+    at: u64,
+    ps: u32,
+    dynamic: bool,
+    ls: Option<InstanceKey>,
+}
+
+/// Closed requests of one class, each with the event index that
+/// allocated it.
+type Closed = Vec<(u64, RequestEvent)>;
+
+/// The profiled window `[start, end)` in event indices, the phase count
+/// so far, and the requests closed so far.
+#[derive(Default)]
+struct Sweep {
+    start: u64,
+    end: u64,
+    num_phases: u32,
+    persistent: Closed,
+    statics: Closed,
+    dynamics: Closed,
+}
+
+impl Sweep {
+    fn contains(&self, idx: u64) -> bool {
+        self.start <= idx && idx < self.end
+    }
+
+    /// Window-relative tick of event `idx`.
+    fn rel(&self, idx: u64) -> u64 {
+        idx.saturating_sub(self.start).min(self.end - self.start)
+    }
+
+    /// Takes a tensor off the books. `freed` is the index of its `Free`
+    /// event with the phase and instance executing there; `None` for a
+    /// tensor the trace never frees. Only a tensor live at some tick of
+    /// the window becomes a request: one that spans the whole window a
+    /// persistent one, any other an iteration request whose out-of-window
+    /// end is pinned to the window's boundary tick and boundary phase.
+    fn close(&mut self, t: Open, freed: Option<(u64, u32, Option<InstanceKey>)>) {
+        let end = freed.map_or(u64::MAX, |(idx, ..)| idx);
+        if t.at >= self.end || end <= self.start {
+            return;
+        }
+        let (ts, ps) = if t.at < self.start {
+            (0, 0)
+        } else {
+            (self.rel(t.at), t.ps)
+        };
+        let (te, pe, le) = match freed {
+            Some((idx, phase, instance)) if idx < self.end => (self.rel(idx), phase, instance),
+            _ => (self.rel(self.end), self.num_phases + 1, None),
+        };
+        let persistent = t.at < self.start && end >= self.end;
+        let request = RequestEvent {
+            size: t.size,
+            ts,
+            te,
+            ps,
+            pe,
+            dynamic: t.dynamic && !persistent,
+            ls: t.ls.filter(|_| !persistent),
+            le,
+        };
+        let class = match (persistent, request.dynamic) {
+            (true, _) => &mut self.persistent,
+            (false, true) => &mut self.dynamics,
+            (false, false) => &mut self.statics,
+        };
+        class.push((t.at, request));
+    }
+}
+
+/// The requests of one class in allocation order.
+fn in_allocation_order(mut closed: Closed) -> impl Iterator<Item = RequestEvent> {
+    closed.sort_unstable_by_key(|&(at, _)| at);
+    closed.into_iter().map(|(_, r)| r)
+}
+
 /// Profiles iteration `iter` of a trace (1-based; use 1 for steady state —
 /// the generator emits identical static behaviour every iteration).
 pub fn profile_trace(trace: &Trace, iter: u32) -> Result<ProfiledRequests, ProfileError> {
-    let (win_start, win_end) = trace
+    let (start, end) = trace
         .iteration_range(iter)
         .ok_or(ProfileError::MissingIteration(iter))?;
-    let win_start = win_start as u64;
-    let win_end = win_end as u64;
-    let window_len = win_end - win_start;
-
-    // Pass 1: phase normalization and module-instance windows.
-    let mut phase_norm: HashMap<u32, u32> = HashMap::new(); // PhaseId.0 -> 1..=P
-    let mut num_phases = 0u32;
+    let mut sweep = Sweep {
+        start: start as u64,
+        end: end as u64,
+        ..Sweep::default()
+    };
+    // Normalized phase: 0 before the window, `1..=P` inside, `P + 1` after.
+    let mut phase = 0u32;
     let mut module_stack: Vec<ModuleId> = Vec::new();
-    let mut cur_phase_norm = 0u32;
-    let mut instance_windows: HashMap<InstanceKey, (u64, u64)> = HashMap::new();
-
-    // Pass 2 state: live tensor table.
-    struct LiveInfo {
-        size: u64,
-        ts: u64,
-        ps: u32,
-        dynamic: bool,
-        ls: Option<InstanceKey>,
-        order: u64,
-        in_window: bool,
-    }
-    let mut live: TensorMap<LiveInfo> = TensorMap::default();
-    let mut statics_iter: Vec<RequestEvent> = Vec::new();
-    let mut persistents: Vec<(u64, RequestEvent)> = Vec::new();
-    let mut dynamics: Vec<RequestEvent> = Vec::new();
-    let mut instance_arrivals: HashMap<InstanceKey, Vec<u32>> = HashMap::new();
-    let mut order_counter = 0u64;
-
-    let rel = |idx: u64| -> u64 { idx.saturating_sub(win_start).min(window_len) };
-    let in_window = |idx: u64| -> bool { idx >= win_start && idx < win_end };
+    let mut instance_windows: BTreeMap<InstanceKey, (u64, u64)> = BTreeMap::new();
+    let mut open: TensorMap<Open> = TensorMap::default();
 
     for (i, ev) in trace.events.iter().enumerate() {
         let i = i as u64;
+        let instance = move |module: &ModuleId| InstanceKey {
+            module: *module,
+            phase,
+        };
         match ev {
-            TraceEvent::PhaseBegin(p) => {
-                if in_window(i) {
-                    num_phases += 1;
-                    phase_norm.insert(p.0, num_phases);
-                    cur_phase_norm = num_phases;
-                } else if i < win_start {
-                    cur_phase_norm = 0;
-                } else {
-                    cur_phase_norm = num_phases + 1;
+            TraceEvent::PhaseBegin(_) => {
+                if sweep.contains(i) {
+                    sweep.num_phases += 1;
                 }
+                phase = if i < sweep.start {
+                    0
+                } else {
+                    sweep.num_phases + u32::from(i >= sweep.end)
+                };
             }
+            // Indices only grow: the first event of an instance opens its
+            // window, every exit moves the window's end.
             TraceEvent::ModuleEnter(m) => {
                 module_stack.push(*m);
-                if in_window(i) {
-                    let key = InstanceKey {
-                        module: *m,
-                        phase: cur_phase_norm,
-                    };
-                    let e = instance_windows.entry(key).or_insert((rel(i), rel(i)));
-                    e.0 = e.0.min(rel(i));
+                if sweep.contains(i) {
+                    let t = sweep.rel(i);
+                    instance_windows.entry(instance(m)).or_insert((t, t));
                 }
             }
             TraceEvent::ModuleExit(m) => {
-                if module_stack.last() == Some(m) {
-                    module_stack.pop();
-                } else {
+                if module_stack.pop() != Some(*m) {
                     return Err(ProfileError::InvalidTrace(format!(
                         "unbalanced module exit at event {i}"
                     )));
                 }
-                if in_window(i) {
-                    let key = InstanceKey {
-                        module: *m,
-                        phase: cur_phase_norm,
-                    };
-                    let e = instance_windows.entry(key).or_insert((rel(i), rel(i)));
-                    e.1 = e.1.max(rel(i));
+                if sweep.contains(i) {
+                    let t = sweep.rel(i);
+                    instance_windows.entry(instance(m)).or_insert((t, t)).1 = t;
                 }
             }
             TraceEvent::Alloc {
                 id, size, dynamic, ..
             } => {
-                let ls = module_stack.last().map(|&m| InstanceKey {
-                    module: m,
-                    phase: cur_phase_norm,
-                });
-                live.insert(
-                    *id,
-                    LiveInfo {
-                        size: round_plan(*size),
-                        ts: i,
-                        ps: cur_phase_norm,
-                        dynamic: *dynamic,
-                        ls,
-                        order: order_counter,
-                        in_window: in_window(i),
-                    },
-                );
-                order_counter += 1;
+                let tensor = Open {
+                    size: round_plan(*size),
+                    at: i,
+                    ps: phase,
+                    dynamic: *dynamic,
+                    ls: module_stack.last().map(instance),
+                };
+                open.insert(*id, tensor);
             }
             TraceEvent::Free { id } => {
-                let Some(info) = live.remove(id) else {
+                let Some(tensor) = open.remove(id) else {
                     return Err(ProfileError::InvalidTrace(format!(
                         "free of unknown tensor at event {i}"
                     )));
                 };
-                // Only requests alive at some point inside the window
-                // matter for the plan.
-                let alive_in_window = info.ts < win_end && i > win_start;
-                if !alive_in_window {
-                    continue;
-                }
-                if !info.in_window && i >= win_end {
-                    // Spans the whole window: persistent.
-                    persistents.push((
-                        info.order,
-                        RequestEvent {
-                            size: info.size,
-                            ts: 0,
-                            te: window_len,
-                            ps: 0,
-                            pe: num_phases + 1,
-                            dynamic: false,
-                            ls: None,
-                            le: None,
-                        },
-                    ));
-                    continue;
-                }
-                if !info.in_window {
-                    // Allocated before the window, freed inside: treat the
-                    // allocation as happening at the window start.
-                    record_request(
-                        &trace.events,
-                        &mut statics_iter,
-                        &mut dynamics,
-                        &mut instance_arrivals,
-                        RequestEvent {
-                            size: info.size,
-                            ts: 0,
-                            te: rel(i),
-                            ps: 0,
-                            pe: cur_phase_norm,
-                            dynamic: info.dynamic,
-                            ls: info.ls,
-                            le: current_instance(&module_stack, cur_phase_norm),
-                        },
-                    );
-                    continue;
-                }
-                let (te, pe, le) = if i < win_end {
-                    (
-                        rel(i),
-                        cur_phase_norm,
-                        current_instance(&module_stack, cur_phase_norm),
-                    )
-                } else {
-                    (window_len, num_phases + 1, None)
-                };
-                record_request(
-                    &trace.events,
-                    &mut statics_iter,
-                    &mut dynamics,
-                    &mut instance_arrivals,
-                    RequestEvent {
-                        size: info.size,
-                        ts: rel(info.ts),
-                        te,
-                        ps: info.ps,
-                        pe,
-                        dynamic: info.dynamic,
-                        ls: info.ls,
-                        le,
-                    },
-                );
+                sweep.close(tensor, Some((i, phase, module_stack.last().map(instance))));
             }
             _ => {}
         }
     }
-
-    // Tensors never freed: persistent if they predate the window, tail
-    // otherwise.
-    for (_, info) in live {
-        if info.ts >= win_end {
-            continue;
-        }
-        if !info.in_window {
-            persistents.push((
-                info.order,
-                RequestEvent {
-                    size: info.size,
-                    ts: 0,
-                    te: window_len,
-                    ps: 0,
-                    pe: num_phases + 1,
-                    dynamic: false,
-                    ls: None,
-                    le: None,
-                },
-            ));
-        } else {
-            record_request(
-                &trace.events,
-                &mut statics_iter,
-                &mut dynamics,
-                &mut instance_arrivals,
-                RequestEvent {
-                    size: info.size,
-                    ts: rel(info.ts),
-                    te: window_len,
-                    ps: info.ps,
-                    pe: num_phases + 1,
-                    dynamic: info.dynamic,
-                    ls: info.ls,
-                    le: None,
-                },
-            );
-        }
+    for (_, tensor) in open {
+        sweep.close(tensor, None);
     }
 
-    persistents.sort_unstable_by_key(|&(order, _)| order);
-    // The iteration statics must be in arrival (ts) order for the matcher.
-    statics_iter.sort_unstable_by_key(|r| r.ts);
-    dynamics.sort_unstable_by_key(|r| r.ts);
-    // Rebuild arrival lists after the sort.
-    let mut arrivals: HashMap<InstanceKey, Vec<u32>> = HashMap::new();
+    let mut statics: Vec<RequestEvent> = in_allocation_order(sweep.persistent).collect();
+    let init_count = statics.len();
+    statics.extend(in_allocation_order(sweep.statics));
+    let dynamics: Vec<RequestEvent> = in_allocation_order(sweep.dynamics).collect();
+    let mut instance_arrivals: BTreeMap<InstanceKey, Vec<u32>> = BTreeMap::new();
     for (idx, d) in dynamics.iter().enumerate() {
         if let Some(ls) = d.ls {
-            arrivals.entry(ls).or_default().push(idx as u32);
+            instance_arrivals.entry(ls).or_default().push(idx as u32);
         }
     }
-
-    let init_count = persistents.len();
-    let mut statics: Vec<RequestEvent> = persistents.into_iter().map(|(_, r)| r).collect();
-    statics.extend(statics_iter);
-
-    let mut instance_windows: Vec<(InstanceKey, (u64, u64))> =
-        instance_windows.into_iter().collect();
-    instance_windows.sort_unstable_by_key(|&(k, _)| k);
-    let mut instance_arrivals: Vec<(InstanceKey, Vec<u32>)> = arrivals.into_iter().collect();
-    instance_arrivals.sort_unstable_by_key(|&(k, _)| k);
 
     Ok(ProfiledRequests {
         statics,
         init_count,
         dynamics,
-        num_phases,
-        window_len,
-        instance_windows,
-        instance_arrivals,
+        num_phases: sweep.num_phases,
+        window_len: sweep.end - sweep.start,
+        instance_windows: instance_windows.into_iter().collect(),
+        instance_arrivals: instance_arrivals.into_iter().collect(),
     })
-}
-
-fn current_instance(stack: &[ModuleId], phase: u32) -> Option<InstanceKey> {
-    stack.last().map(|&m| InstanceKey { module: m, phase })
-}
-
-fn record_request(
-    _events: &[TraceEvent],
-    statics: &mut Vec<RequestEvent>,
-    dynamics: &mut Vec<RequestEvent>,
-    arrivals: &mut HashMap<InstanceKey, Vec<u32>>,
-    r: RequestEvent,
-) {
-    if r.dynamic {
-        let idx = dynamics.len() as u32;
-        dynamics.push(r);
-        if let Some(ls) = r.ls {
-            arrivals.entry(ls).or_default().push(idx);
-        }
-    } else {
-        statics.push(r);
-    }
 }
 
 /// Rounds a request size to the planning alignment.
@@ -447,8 +397,8 @@ mod tests {
     fn iteration_requests_have_inwindow_lifespans() {
         let t = trace();
         let p = profile_trace(&t, 2).unwrap();
-        for r in p.iter_statics() {
-            assert!(r.ts < r.te.max(r.ts + 1));
+        for r in &p.statics[p.init_count..] {
+            assert!(r.ts < r.te);
             assert!(r.te <= p.window_len);
             assert!(r.ps >= 1 && r.ps <= p.num_phases);
         }
@@ -468,7 +418,7 @@ mod tests {
         let p1 = profile_trace(&t, 1).unwrap();
         let p3 = profile_trace(&t, 3).unwrap();
         let sizes = |p: &ProfiledRequests| -> Vec<(u64, u32, u32)> {
-            p.iter_statics()
+            p.statics[p.init_count..]
                 .iter()
                 .map(|r| (r.size, r.ps, r.pe))
                 .collect()
@@ -510,6 +460,47 @@ mod tests {
         // Arrival lists cover every dynamic request exactly once.
         let covered: usize = p.instance_arrivals.iter().map(|(_, v)| v.len()).sum();
         assert_eq!(covered, p.dynamics.len());
+    }
+
+    /// Two tensors allocated before the window and freed inside it (in
+    /// the opposite order) share `ts = 0`, and two allocated inside are
+    /// never freed: the profile lists each class in allocation order
+    /// whatever the tensors are called — neither the order of the frees
+    /// nor the tensor table's iteration order reaches it.
+    #[test]
+    fn request_order_is_total_and_blind_to_tensor_ids() {
+        use trace_gen::{PhaseId, TensorCategory, TensorId};
+        let alloc = |id: u64, kib: u64| TraceEvent::Alloc {
+            id: TensorId(id),
+            size: kib << 10,
+            dynamic: false,
+            category: TensorCategory::Scoped,
+        };
+        let free = |id: u64| TraceEvent::Free { id: TensorId(id) };
+        let trace_with = |[a, b, c, d]: [u64; 4]| Trace {
+            events: vec![
+                alloc(a, 1),
+                alloc(b, 2),
+                TraceEvent::IterationBegin(1),
+                TraceEvent::PhaseBegin(PhaseId(0)),
+                alloc(c, 3),
+                free(b),
+                alloc(d, 4),
+                free(a),
+                TraceEvent::IterationEnd(1),
+            ],
+            ..Trace::default()
+        };
+        let p = profile_trace(&trace_with([1, 2, 3, 4]), 1).unwrap();
+        let seen: Vec<(u64, u64, u64)> = p.statics.iter().map(|r| (r.size, r.ts, r.te)).collect();
+        assert_eq!(
+            seen,
+            [(1024, 0, 5), (2048, 0, 3), (3072, 2, 7), (4096, 4, 7)]
+        );
+        assert_eq!(p.init_count, 0);
+        for ids in [[4, 3, 2, 1], [7 << 40, 9, 1 << 63, 2], [2, 1, 4, 3]] {
+            assert_eq!(profile_trace(&trace_with(ids), 1).unwrap(), p, "{ids:?}");
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub struct StallocAllocator {
     init_cursor: usize,
     in_init: bool,
     /// Normalized phase counter within the current iteration.
-    phase_norm: u32,
+    phase: u32,
     module_stack: Vec<ModuleId>,
     live: TensorMap<Placement>,
     fallback_live_bytes: u64,
@@ -128,7 +128,7 @@ impl StallocAllocator {
             iter_used,
             init_cursor: 0,
             in_init: true,
-            phase_norm: 0,
+            phase: 0,
             module_stack: Vec::new(),
             live: TensorMap::default(),
             fallback_live_bytes: 0,
@@ -298,7 +298,7 @@ impl StallocAllocator {
     fn current_instance(&self) -> Option<InstanceKey> {
         self.module_stack.last().map(|&m| InstanceKey {
             module: m,
-            phase: self.phase_norm,
+            phase: self.phase,
         })
     }
 }
@@ -345,7 +345,7 @@ impl GpuAllocator for StallocAllocator {
 
     fn iteration_begin(&mut self, _dev: &mut Device, _iter: u32) {
         self.in_init = false;
-        self.phase_norm = 0;
+        self.phase = 0;
         self.iter_cursor = 0;
         self.iter_used.iter_mut().for_each(|u| *u = false);
         self.dyn_cursors.fill(0);
@@ -353,7 +353,7 @@ impl GpuAllocator for StallocAllocator {
 
     fn phase_begin(&mut self, _dev: &mut Device, _phase: PhaseId, _info: &PhaseInfo) {
         if !self.in_init {
-            self.phase_norm += 1;
+            self.phase += 1;
         }
     }
 

@@ -10,17 +10,17 @@
 //! each gap (the placement that "roofed over" the hole), so `stalloc
 //! explain` can name the top offending tensors.
 //!
-//! The byte sweep visits **every** allocation event, so
+//! The byte sweep is the profiler's own peak sweep, so
 //! [`PlanTimeline::peak_live_bytes`] equals
-//! [`PlanStats::peak_static_demand`](crate::PlanStats) exactly — the
-//! property tests assert this across the model zoo. Gap walks are more
-//! expensive (a sort per tick), so they run at up to [`MAX_SAMPLES`]
-//! evenly-strided distinct ticks.
+//! [`PlanStats::peak_static_demand`](crate::PlanStats) by construction.
+//! Gap walks are more expensive (a sort per tick), so they run at up to
+//! [`MAX_SAMPLES`] evenly-strided distinct ticks.
 
 use serde::{Deserialize, Serialize};
 use stalloc_obs::{HistogramSnapshot, LatencyHistogram};
 
 use crate::plan::{Plan, PlannedAlloc};
+use crate::profiler::sweep_live_bytes;
 
 /// Upper bound on gap-walked sample ticks (the byte sweep is exact
 /// regardless).
@@ -87,55 +87,28 @@ pub struct PlanTimeline {
 /// The allocs of a plan with their table-of-origin tags, in
 /// (init, iter) table order.
 fn tagged_allocs(plan: &Plan) -> Vec<(&'static str, u64, &PlannedAlloc)> {
-    plan.init_allocs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| ("init", i as u64, a))
-        .chain(
-            plan.iter_allocs
-                .iter()
-                .enumerate()
-                .map(|(i, a)| ("iter", i as u64, a)),
-        )
-        .collect()
+    let tables = [("init", &plan.init_allocs), ("iter", &plan.iter_allocs)];
+    let tagged = tables
+        .into_iter()
+        .flat_map(|(kind, table)| (0..).zip(table).map(move |(i, a)| (kind, i, a)));
+    tagged.collect()
 }
 
 /// Replays `plan` into its timeline, keeping the `top_k` worst stranded
 /// allocations.
 ///
 /// Liveness follows the profiler's sweep convention (`ts ≤ t < te`, raw
-/// end ticks): the peak found here is byte-identical to
-/// `peak_static_demand`. Degenerate allocations (`te ≤ ts`) are never
-/// live at any tick under that convention and contribute nothing.
+/// end ticks, not the planner's window rule): the peak found here is
+/// `peak_static_demand`'s, by the same function. Degenerate allocations
+/// (`te ≤ ts`) are never live at any tick under that convention and
+/// contribute nothing.
 pub fn analyze_plan(plan: &Plan, top_k: usize) -> PlanTimeline {
     let allocs = tagged_allocs(plan);
 
-    // --- Exact byte sweep (the profiler's peak algorithm, verbatim). ---
-    let mut events: Vec<(u64, i64)> = Vec::with_capacity(allocs.len() * 2);
-    for (_, _, a) in &allocs {
-        events.push((a.ts, a.size as i64));
-        events.push((a.te, -(a.size as i64)));
-    }
-    events.sort_unstable_by_key(|&(t, delta)| (t, delta));
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    let mut peak_tick = 0u64;
-    // Live bytes after all events at each distinct tick. Frees sort
-    // before allocations within a tick, so the running value only dips
-    // mid-tick: the per-tick end state preserves the exact maximum.
+    // --- Exact byte sweep, keeping the live bytes at each distinct tick. ---
     let mut tick_live: Vec<(u64, u64)> = Vec::new();
-    for (t, d) in events {
-        cur += d;
-        if cur > peak {
-            peak = cur;
-            peak_tick = t;
-        }
-        match tick_live.last_mut() {
-            Some((lt, lv)) if *lt == t => *lv = cur.max(0) as u64,
-            _ => tick_live.push((t, cur.max(0) as u64)),
-        }
-    }
-    let peak = peak.max(0) as u64;
+    let lifetimes = allocs.iter().map(|(_, _, a)| (a.ts, a.te, a.size));
+    let (peak, peak_tick) = sweep_live_bytes(lifetimes, |tick, live| tick_live.push((tick, live)));
 
     // --- Sampled gap walks. ---
     let stride = tick_live.len().div_ceil(MAX_SAMPLES).max(1);
@@ -257,7 +230,7 @@ pub fn render_svg(plan: &Plan, timeline: &PlanTimeline) -> String {
     let allocs = tagged_allocs(plan);
     let horizon = allocs
         .iter()
-        .map(|(_, _, a)| a.te.max(a.ts + 1))
+        .map(|(_, _, a)| a.window_end())
         .max()
         .unwrap_or(1)
         .max(1);
@@ -291,9 +264,8 @@ pub fn render_svg(plan: &Plan, timeline: &PlanTimeline) -> String {
         if a.size == 0 {
             continue;
         }
-        let t1 = a.te.max(a.ts + 1);
         let rx = x(a.ts);
-        let rw = (x(t1) - rx).max(0.5);
+        let rw = (x(a.window_end()) - rx).max(0.5);
         let ry = y(a.offset + a.size);
         let rh = (y(a.offset) - ry).max(0.5);
         let _ = write!(

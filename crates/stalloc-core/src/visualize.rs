@@ -18,7 +18,7 @@ pub fn render_plan(plan: &Plan, rows: usize, cols: usize) -> String {
         .init_allocs
         .iter()
         .chain(plan.iter_allocs.iter())
-        .map(|d| d.te.max(d.ts + 1))
+        .map(|d| d.window_end())
         .max()
         .unwrap_or(1)
         .max(1);
@@ -28,7 +28,7 @@ pub fn render_plan(plan: &Plan, rows: usize, cols: usize) -> String {
     let band = pool.div_ceil(rows as u64);
     let slice = horizon.div_ceil(cols as u64);
     for d in plan.init_allocs.iter().chain(plan.iter_allocs.iter()) {
-        let te = d.te.max(d.ts + 1);
+        let te = d.window_end();
         let r0 = (d.offset / band) as usize;
         let r1 = (((d.offset + d.size - 1) / band) as usize).min(rows - 1);
         let c0 = (d.ts / slice) as usize;

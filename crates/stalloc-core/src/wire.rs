@@ -408,11 +408,6 @@ impl ServeMetrics {
     pub fn tier(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.tiers.iter().find(|h| h.name == name).map(|h| &h.hist)
     }
-
-    /// The named strategy's solver accounting, if present.
-    pub fn solver_strategy(&self, name: &str) -> Option<&SolverStrategyMetrics> {
-        self.solver.iter().find(|s| s.strategy == name)
-    }
 }
 
 /// One server response.
@@ -756,11 +751,13 @@ mod tests {
                 );
                 assert!(back.phase("nope").is_none());
                 assert_eq!(back.slowest[0].tier, "miss");
-                let solver = back.solver_strategy("bestfit").unwrap();
+                let [solver] = &back.solver[..] else {
+                    panic!("one strategy row: {:?}", back.solver);
+                };
+                assert_eq!(solver.strategy, "bestfit");
                 assert_eq!((solver.runs, solver.wins), (1, 1));
                 assert_eq!(solver.candidates_evaluated, 900);
                 assert_eq!(solver.elapsed.total(), 3);
-                assert!(back.solver_strategy("lookahead").is_none());
             }
             other => panic!("wrong variant: {other:?}"),
         }
@@ -869,7 +866,6 @@ mod tests {
         let m: ServeMetrics = serde_json::from_str(old).unwrap();
         assert_eq!(m.stats.requests, 2);
         assert!(m.solver.is_empty(), "absent section defaults to empty");
-        assert!(m.solver_strategy("baseline").is_none());
     }
 
     #[test]

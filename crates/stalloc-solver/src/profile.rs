@@ -32,13 +32,6 @@ pub struct SolverProfile {
 }
 
 impl SolverProfile {
-    /// Total time attributed to a phase, µs.
-    pub fn phase_total_micros(&self) -> u64 {
-        self.layout_micros
-            .saturating_add(self.pack_micros)
-            .saturating_add(self.finish_micros)
-    }
-
     /// Folds another run's costs into this one (server-side aggregation
     /// across many synthesis runs of the same strategy).
     pub fn merge(&mut self, other: &SolverProfile) {
@@ -74,7 +67,6 @@ mod tests {
         assert_eq!(a.pack_micros, 40);
         assert_eq!(a.finish_micros, 60);
         assert_eq!(a.candidates_evaluated, 8);
-        assert_eq!(a.phase_total_micros(), 120);
 
         let mut top = SolverProfile {
             layout_micros: u64::MAX,

@@ -18,9 +18,7 @@
 //! planning, stats, and validation behave identically: a patched plan
 //! is a first-class [`Plan`], not a special case.
 
-use stalloc_core::{
-    diff_profiles, finish_plan, EditOp, Plan, ProfiledRequests, Rect, TimeSpacePacker,
-};
+use stalloc_core::{diff_profiles, finish_plan, EditOp, Plan, ProfiledRequests, TimeSpacePacker};
 
 use crate::strategy::{place_in_order, sort_largest_first};
 
@@ -137,14 +135,8 @@ pub fn patch_plan(
         match op {
             EditOp::Copy { count } => {
                 for _ in 0..*count {
-                    let r = &next[next_i];
                     offsets[next_i] = base_offsets[base_i];
-                    survivors.push(Rect {
-                        t0: r.ts,
-                        t1: r.te.max(r.ts + 1),
-                        off: base_offsets[base_i],
-                        len: r.size,
-                    });
+                    survivors.push(next[next_i].rect_at(base_offsets[base_i]));
                     base_i += 1;
                     next_i += 1;
                 }

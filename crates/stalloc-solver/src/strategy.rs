@@ -18,8 +18,8 @@ use std::time::Instant;
 
 use stalloc_core::plan::phase_group::{build_phase_groups, fuse_groups};
 use stalloc_core::{
-    baseline_layout, best_fit_gap, finish_plan, Plan, ProfiledRequests, Rect, RequestEvent,
-    StaticLayout, StrategyChoice, SynthConfig, TimeSpacePacker,
+    baseline_layout, best_fit_gap, finish_plan, Plan, ProfiledRequests, RequestEvent, StaticLayout,
+    StrategyChoice, SynthConfig, TimeSpacePacker,
 };
 
 use crate::profile::SolverProfile;
@@ -115,14 +115,8 @@ pub(crate) fn place_in_order(
 ) -> StaticLayout {
     for &i in order {
         let r = &reqs[i];
-        let t1 = r.te.max(r.ts + 1);
-        let off = choose(&packer, r, t1);
-        packer.place_at(Rect {
-            t0: r.ts,
-            t1,
-            off,
-            len: r.size,
-        });
+        let off = choose(&packer, r, r.window_end());
+        packer.place_at(r.rect_at(off));
         offsets[i] = off;
     }
     StaticLayout::placed(offsets, packer.height())
