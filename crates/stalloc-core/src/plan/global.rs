@@ -17,10 +17,9 @@
 //! the [`StaticLayout`] every strategy returns; [`refine_first_fit`] is the
 //! flag-independent sweep `baseline_layout` compares it with.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
-use crate::geometry::{IntervalSet, Rect, TimeSpacePacker};
+use crate::geometry::{LiveSweep, Rect, TimeSpacePacker};
 use crate::plan::phase_group::LocalPlan;
 use crate::plan::{StaticLayout, SynthConfig};
 use crate::profiler::RequestEvent;
@@ -161,36 +160,22 @@ impl Region {
 ///
 /// In allocation order every request already placed started at or before
 /// the one being placed, so it is in the way iff it is still live at that
-/// tick: the sweep keeps the free address space of the *live* set only,
-/// returning a request's bytes when the sweep reaches its free tick, and
-/// first-fit is the lowest free interval that is long enough.
+/// tick: the [`LiveSweep`] keeps the free address space of the *live* set
+/// only, and first-fit is its lowest gap.
 pub fn refine_first_fit(reqs: &[RequestEvent]) -> (Vec<u64>, u64) {
     let mut order: Vec<usize> = (0..reqs.len()).collect();
     // Allocation order; larger first among simultaneous arrivals.
     order.sort_unstable_by_key(|&i| (reqs[i].ts, u64::MAX - reqs[i].size));
-    let mut free = IntervalSet::full(u64::MAX);
-    // Live requests as `(free tick, offset, size)`, earliest free first.
-    let mut live: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+    let mut sweep = LiveSweep::new();
     let mut offsets = vec![0u64; reqs.len()];
-    let mut height = 0u64;
     for i in order {
         let r = &reqs[i];
-        while let Some(&Reverse((t1, off, len))) = live.peek() {
-            if t1 > r.ts {
-                break;
-            }
-            live.pop();
-            free.insert(off, len);
-        }
-        let off = free
-            .first_fit(r.size)
-            .expect("live requests exceed the address space");
-        free.remove(off, r.size);
-        live.push(Reverse((r.window_end(), off, r.size)));
+        sweep.advance_to(r.ts, |_, _, _| {});
+        let off = sweep.gaps(r.size).next().expect("the top is a gap");
+        sweep.place(off, r.size, r.window_end());
         offsets[i] = off;
-        height = height.max(off + r.size);
     }
-    (offsets, height)
+    (offsets, sweep.height())
 }
 
 /// The pool under construction: the memory-layers stacked so far and

@@ -18,8 +18,8 @@ use std::time::Instant;
 
 use stalloc_core::plan::phase_group::{build_phase_groups, fuse_groups};
 use stalloc_core::{
-    baseline_layout, best_fit_gap, finish_plan, Plan, ProfiledRequests, RequestEvent, StaticLayout,
-    StrategyChoice, SynthConfig, TimeSpacePacker,
+    baseline_layout, best_fit_gap, finish_plan, LiveSweep, Plan, ProfiledRequests, RequestEvent,
+    StaticLayout, StrategyChoice, SynthConfig, TimeSpacePacker,
 };
 
 use crate::profile::SolverProfile;
@@ -122,9 +122,17 @@ pub(crate) fn place_in_order(
     StaticLayout::placed(offsets, packer.height())
 }
 
-/// A cold row's pack phase: the sweep from an empty packer, timed, with
-/// the one accounting rule. `choose` returns the offset it picked and
-/// how many candidate gaps it looked at to pick it.
+/// The one accounting rule: a placement that looked at `seen` candidate
+/// gaps committed one of them and passed over the rest.
+fn tally(prof: &mut SolverProfile, seen: u64) {
+    prof.candidates_evaluated += seen;
+    prof.placements_rejected += seen - 1;
+    prof.placements_tried += 1;
+}
+
+/// A cold row's pack phase: the sweep from an empty packer, timed and
+/// tallied. `choose` returns the offset it picked and how many candidate
+/// gaps it looked at to pick it.
 fn pack_cold(
     reqs: &[RequestEvent],
     order: &[usize],
@@ -139,9 +147,7 @@ fn pack_cold(
         vec![0; reqs.len()],
         |packer, r, t1| {
             let (off, seen) = choose(packer, r, t1);
-            prof.candidates_evaluated += seen;
-            prof.placements_rejected += seen - 1;
-            prof.placements_tried += 1;
+            tally(prof, seen);
             off
         },
     );
@@ -258,6 +264,63 @@ fn tmp_order(
     }
 }
 
+/// When each address was last freed, for `lookahead`'s idle-gap score:
+/// sorted `(start, tick)` breakpoints, each tick holding from its start
+/// up to the next breakpoint (tick 0: never freed). The run is canonical
+/// — the first breakpoint is at address 0 and neighbours differ in tick —
+/// and edited in place: an assignment replaces the breakpoints inside its
+/// range with at most two.
+struct FreedAt {
+    points: Vec<(u64, u64)>,
+}
+
+impl FreedAt {
+    fn new() -> Self {
+        FreedAt {
+            points: vec![(0, 0)],
+        }
+    }
+
+    /// Sets every address in `[start, end)` to `tick`.
+    fn assign(&mut self, start: u64, end: u64, tick: u64) {
+        if start >= end {
+            return;
+        }
+        let points = &mut self.points;
+        let i = points.partition_point(|&(s, _)| s < start);
+        let mut j = points.partition_point(|&(s, _)| s <= end);
+        // The ticks just below the range and at its end, before the edit.
+        let below = i.checked_sub(1).map(|k| points[k].1);
+        let at_end = points[j - 1].1;
+        let new = [
+            (below != Some(tick)).then_some((start, tick)),
+            (at_end != tick).then_some((end, at_end)),
+        ];
+        let mut k = i;
+        for point in new.into_iter().flatten() {
+            if k < j {
+                points[k] = point;
+            } else {
+                points.insert(k, point);
+                j += 1;
+            }
+            k += 1;
+        }
+        points.drain(k..j);
+    }
+
+    /// The latest tick over `[start, end)`.
+    fn max(&self, start: u64, end: u64) -> u64 {
+        let holding = self.points.partition_point(|&(s, _)| s <= start) - 1;
+        self.points[holding..]
+            .iter()
+            .take_while(|&&(s, _)| s < end)
+            .map(|&(_, tick)| tick)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// `lookahead`: a temporal-lookahead interval packer. Requests are swept
 /// in arrival order (longest-lived first among simultaneous arrivals, as
 /// in interval-graph coloring) and each one is offered every free gap in
@@ -265,6 +328,11 @@ fn tmp_order(
 /// freed *closest before* the request arrives — the request slots in
 /// right behind its temporal predecessor, generalizing Algorithm 1's
 /// preferred-layer rule to request granularity.
+///
+/// In arrival order a placed request overlaps the window iff it is still
+/// live, so the window's gaps are a [`LiveSweep`]'s, and the sweep frees
+/// requests in non-decreasing tick order: the last tick it assigns an
+/// address is the latest free of any request that covered it.
 fn lookahead(
     profile: &ProfiledRequests,
     _config: &SynthConfig,
@@ -276,26 +344,34 @@ fn lookahead(
     order.sort_unstable_by_key(|&i| (reqs[i].ts, u64::MAX - reqs[i].te, i));
     prof.layout_micros = micros_since(t);
 
-    pack_cold(reqs, &order, prof, |packer, r, t1| {
-        // Candidates: the bottom of every free gap in the window (the
-        // final free_gaps entry is the always-feasible top of the
-        // occupied span). A gap's idle time at `r.ts` is `r.ts` minus
-        // the latest end of any placement that overlaps the candidate
-        // range and freed at or before `r.ts`: smaller = snugger.
-        let gaps = packer.free_gaps(r.ts, t1, r.size);
-        let seen = gaps.len() as u64;
-        let off = gaps
-            .into_iter()
-            .map(|(off, _)| off)
-            .min_by_key(|&off| (r.ts - packer.last_freed_by(off, r.size, r.ts), off))
-            .expect("top-of-stack candidate always exists");
-        (off, seen)
-    })
+    let t = Instant::now();
+    let mut sweep = LiveSweep::new();
+    let mut freed_at = FreedAt::new();
+    let mut offsets = vec![0; reqs.len()];
+    for i in order {
+        let r = &reqs[i];
+        sweep.advance_to(r.ts, |t1, off, len| freed_at.assign(off, off + len, t1));
+        // A gap's idle time at `r.ts`: smaller = snugger. The top may
+        // not hold `r.size` bytes before the end of the address space;
+        // `place` refuses it if it wins.
+        let mut seen = 0;
+        let off = sweep
+            .gaps(r.size)
+            .inspect(|_| seen += 1)
+            .min_by_key(|&off| (r.ts - freed_at.max(off, off.saturating_add(r.size)), off))
+            .expect("the top is always a candidate");
+        tally(prof, seen);
+        sweep.place(off, r.size, r.window_end());
+        offsets[i] = off;
+    }
+    prof.pack_micros = micros_since(t);
+    StaticLayout::placed(offsets, sweep.height())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
     fn profile() -> ProfiledRequests {
@@ -405,5 +481,267 @@ mod tests {
                 s.name()
             );
         }
+    }
+
+    /// The `lookahead` this module shipped before the live-set sweep:
+    /// every request through one pool-wide `TimeSpacePacker`, each
+    /// candidate scored by the latest free tick of any placed rect over
+    /// its range — here a brute-force max over the packer's rects, which
+    /// replaces the packer query deleted with it. Kept as the oracle
+    /// [`lookahead`] is tested against: offsets, pool and counters.
+    fn lookahead_by_packer(profile: &ProfiledRequests) -> (Vec<u64>, u64, SolverProfile) {
+        let reqs = &profile.statics;
+        let mut order: Vec<usize> = (0..reqs.len()).collect();
+        order.sort_unstable_by_key(|&i| (reqs[i].ts, u64::MAX - reqs[i].te, i));
+        let mut prof = SolverProfile::default();
+        let layout = pack_cold(reqs, &order, &mut prof, |packer, r, t1| {
+            let last_freed_by = |off: u64| {
+                let end = off + r.size;
+                packer
+                    .rects()
+                    .take_while(|p| p.off < end)
+                    .filter(|p| off < p.off + p.len && p.t1 <= r.ts)
+                    .map(|p| p.t1)
+                    .max()
+                    .unwrap_or(0)
+            };
+            let gaps = packer.free_gaps(r.ts, t1, r.size);
+            let seen = gaps.len() as u64;
+            let off = gaps
+                .into_iter()
+                .map(|(off, _)| off)
+                .min_by_key(|&off| (r.ts - last_freed_by(off), off))
+                .expect("top-of-stack candidate always exists");
+            (off, seen)
+        });
+        (layout.request_offsets, layout.pool_size, prof)
+    }
+
+    /// The live-set `lookahead`'s offsets, pool and counters.
+    fn lookahead_by_sweep(profile: &ProfiledRequests) -> (Vec<u64>, u64, SolverProfile) {
+        let mut prof = SolverProfile::default();
+        let layout = lookahead(profile, &SynthConfig::default(), &mut prof);
+        (layout.request_offsets, layout.pool_size, prof)
+    }
+
+    /// `(candidates_evaluated, placements_tried, placements_rejected)`.
+    fn counters(prof: &SolverProfile) -> (u64, u64, u64) {
+        (
+            prof.candidates_evaluated,
+            prof.placements_tried,
+            prof.placements_rejected,
+        )
+    }
+
+    /// Both `lookahead`s on one profile: equal offsets, pool and counters.
+    fn assert_lookaheads_agree(profile: &ProfiledRequests) -> Result<(), String> {
+        let (offsets, pool, prof) = lookahead_by_sweep(profile);
+        let (want_offsets, want_pool, want_prof) = lookahead_by_packer(profile);
+        prop_assert_eq!(offsets, want_offsets);
+        prop_assert_eq!(pool, want_pool);
+        prop_assert_eq!(counters(&prof), counters(&want_prof));
+        Ok(())
+    }
+
+    fn req(size: u64, ts: u64, te: u64) -> RequestEvent {
+        RequestEvent {
+            size,
+            ts,
+            te,
+            ps: 1,
+            pe: 2,
+            dynamic: false,
+            ls: None,
+            le: None,
+        }
+    }
+
+    fn statics(statics: Vec<RequestEvent>) -> ProfiledRequests {
+        ProfiledRequests {
+            statics,
+            ..ProfiledRequests::default()
+        }
+    }
+
+    /// A random profile as plain integers, so the vendored proptest can
+    /// shrink it: free-form requests `(slot, dur, size)`, a
+    /// virtual-pipeline family `(microbatches, chunks)` and the tick
+    /// mapping `(scale, shift)`.
+    type Spec = (Vec<(u64, u64, u64)>, (u64, u64), (u8, u8));
+
+    fn spec() -> impl proptest::strategy::Strategy<Value = Spec> {
+        (
+            prop::collection::vec((0u64..24, 0u64..12, 1u64..9), 0..90),
+            (0u64..5, 1u64..4),
+            (0u8..2, 0u8..2),
+        )
+    }
+
+    /// Requests of a [`Spec`]. Sizes run from 1 byte up; few slots and
+    /// durations, so start ticks repeat and simultaneous arrivals share
+    /// a free tick (the order's tie-breaks); a `dur` below 3 gives `te <=
+    /// ts`; the pipeline family allocates a microbatch's chunks in order
+    /// and frees them in reverse, interleaved with the next microbatch;
+    /// `scale`/`shift` stretch the ticks and lift them past 2^40 without
+    /// changing their order.
+    fn requests((free_form, (microbatches, chunks), (scale, shift)): &Spec) -> ProfiledRequests {
+        let tick = |t: u64| (t << (33 * u32::from(*scale))) + (u64::from(*shift) << 40);
+        let mut reqs: Vec<RequestEvent> = free_form
+            .iter()
+            .map(|&(slot, dur, size)| req(1 + (size - 1) * 512, tick(slot + 3), tick(slot + dur)))
+            .collect();
+        for m in 0..*microbatches {
+            for c in 0..*chunks {
+                let (ts, te) = (2 * (m * chunks + c), 30 + 2 * (m * chunks + chunks - 1 - c));
+                reqs.push(req(4096, tick(ts), tick(te)));
+            }
+        }
+        statics(reqs)
+    }
+
+    /// The benchmark's five big profiles: GPT-2 345M VR, Llama2-7B VR,
+    /// Qwen2.5-14B V, Qwen1.5-MoE R and VR (`harness::configs` shapes).
+    fn zoo() -> Vec<(&'static str, ProfiledRequests)> {
+        let r = OptimConfig::r;
+        let moe = |parallel: ParallelConfig| {
+            TrainJob::new(ModelSpec::qwen15_moe_a27b(), parallel.with_ep(4), r())
+                .with_mbs(8)
+                .with_seq(2048)
+                .with_microbatches(8)
+        };
+        let jobs = vec![
+            (
+                "gpt2-345m-VR",
+                TrainJob::new(
+                    ModelSpec::gpt2_345m(),
+                    ParallelConfig::new(1, 4, 2).with_vpp(2),
+                    r(),
+                )
+                .with_mbs(32)
+                .with_seq(1024)
+                .with_microbatches(16),
+            ),
+            (
+                "llama2-7b-VR",
+                TrainJob::new(
+                    ModelSpec::llama2_7b(),
+                    ParallelConfig::new(4, 2, 1).with_vpp(2),
+                    r(),
+                )
+                .with_mbs(4)
+                .with_seq(4096)
+                .with_microbatches(8),
+            ),
+            (
+                "qwen2.5-14b-V",
+                TrainJob::new(
+                    ModelSpec::qwen25_14b(),
+                    ParallelConfig::new(2, 2, 4).with_vpp(3),
+                    OptimConfig::naive(),
+                )
+                .with_mbs(2)
+                .with_seq(4096)
+                .with_microbatches(12),
+            ),
+            ("qwen1.5-moe-R", moe(ParallelConfig::new(2, 2, 2))),
+            (
+                "qwen1.5-moe-VR",
+                moe(ParallelConfig::new(2, 2, 2).with_vpp(2)),
+            ),
+        ];
+        jobs.into_iter()
+            .map(|(name, job)| {
+                let trace = job
+                    .with_iterations(2)
+                    .build_trace()
+                    .expect("zoo job builds");
+                (
+                    name,
+                    stalloc_core::profile_trace(&trace, 1).expect("profiles"),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The live-set `lookahead` places every request exactly where
+        /// the packer-based one did, and counts the same candidates.
+        #[test]
+        fn live_set_lookahead_matches_packer_lookahead(spec in spec()) {
+            assert_lookaheads_agree(&requests(&spec))?;
+        }
+
+        /// [`FreedAt`] against one tick per address: after every
+        /// assignment, the latest tick over ranges of every length from
+        /// every address equals the array's, and the run is canonical.
+        /// Few ticks and a small universe, so ranges nest, abut and
+        /// repeat their neighbours' ticks.
+        #[test]
+        fn freed_at_matches_a_per_address_array(
+            ops in prop::collection::vec((0u64..40, 0u64..16, 0u64..5), 1..60),
+        ) {
+            const U: u64 = 64;
+            let mut model = [0u64; U as usize];
+            let mut map = FreedAt::new();
+            for (start, len, tick) in ops {
+                let end = start + len;
+                map.assign(start, end, tick);
+                model[start as usize..end as usize].fill(tick);
+                let p = &map.points;
+                prop_assert_eq!(p[0].0, 0);
+                prop_assert!(p.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1));
+                for a in 0..U {
+                    for b in [a + 1, a + 3, a + 9, U, u64::MAX] {
+                        let cells = &model[a as usize..b.min(U) as usize];
+                        let want = cells.iter().copied().max().unwrap_or(0);
+                        prop_assert_eq!(map.max(a, b), want, "[{}, {})", a, b);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn freed_at_assigns_adjacent_and_nested_ranges() {
+        let mut map = FreedAt::new();
+        map.assign(10, 20, 5);
+        map.assign(20, 30, 5); // adjacent, same tick: one run
+        assert_eq!(map.points, [(0, 0), (10, 5), (30, 0)]);
+        map.assign(15, 25, 7); // nested
+        assert_eq!(map.points, [(0, 0), (10, 5), (15, 7), (25, 5), (30, 0)]);
+        assert_eq!(map.max(0, 15), 5);
+        assert_eq!(map.max(24, 26), 7);
+        assert_eq!(map.max(25, 40), 5);
+        assert_eq!(map.max(30, u64::MAX), 0);
+        map.assign(0, 40, 9); // covers everything placed
+        assert_eq!(map.points, [(0, 9), (40, 0)]);
+        map.assign(40, u64::MAX, 9); // the rest of the address space
+        assert_eq!(map.points, [(0, 9), (u64::MAX, 0)]);
+        map.assign(3, 3, 1); // an empty range changes nothing
+        assert_eq!(map.points, [(0, 9), (u64::MAX, 0)]);
+    }
+
+    #[test]
+    fn live_set_lookahead_matches_packer_lookahead_on_the_zoo() {
+        for (name, profile) in zoo() {
+            assert!(profile.statics.len() > 3_800, "{name}");
+            assert_lookaheads_agree(&profile).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+
+    /// Two statics of 2^63 + 1 bytes live together do not fit in a 64-bit
+    /// address space. The row must fail — and the race drop it — rather
+    /// than wrap the second placement's end into a pool smaller than the
+    /// placement.
+    #[test]
+    fn lookahead_refuses_a_placement_past_the_address_space() {
+        let big = (1 << 63) + 1;
+        let profile = statics(vec![req(big, 0, 10), req(big, 0, 10)]);
+        let row = strategy_for(StrategyChoice::Lookahead).unwrap();
+        let planned =
+            std::panic::catch_unwind(|| row.plan_profiled(&profile, &SynthConfig::default()));
+        let message = planned.expect_err("the second placement wraps");
+        let message = message.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("not contained"), "{message}");
     }
 }
