@@ -697,21 +697,20 @@ pub fn delta_replan() -> Table {
 
 /// Ablation study of the §5.1 pipeline's mechanisms. Every cell is the
 /// pool of the stage functions themselves (`build_phase_groups` →
-/// `fuse_groups` → `assemble`) under one disabled switch — not of
+/// `assemble`) under one disabled switch — not of
 /// `synthesize`, which ships `min(pipeline, refinement sweep)` and so
 /// printed the flag-independent sweep's pool wherever a switch made the
 /// pipeline worse than it. The sweep has its own column: the shipped
 /// pool is the minimum of "full" and "refine sweep".
 pub fn ablations() -> Table {
     use stalloc_core::plan::global::{assemble, refine_first_fit};
-    use stalloc_core::plan::phase_group::{build_phase_groups, fuse_groups};
+    use stalloc_core::plan::phase_group::build_phase_groups;
     use stalloc_core::{finish_plan, profile_trace, StrategyChoice, SynthConfig};
     let mut t = Table::new(
         "Ablations: plan pool size under disabled mechanisms (GiB; lower is better)",
         &[
             "workload",
             "full",
-            "no fusion",
             "no gap insertion",
             "ascending sizes",
             "refine sweep",
@@ -726,13 +725,8 @@ pub fn ablations() -> Table {
         let trace = job.build_trace().unwrap();
         let profile = profile_trace(&trace, 1).unwrap();
         let reqs = &profile.statics;
+        let groups = build_phase_groups(reqs);
         let pool = |cfg: SynthConfig| -> String {
-            let groups = build_phase_groups(reqs);
-            let groups = if cfg.enable_fusion {
-                fuse_groups(groups, reqs)
-            } else {
-                groups
-            };
             let layout = assemble(&groups, reqs, &cfg);
             let plan = finish_plan(&profile, StrategyChoice::Baseline, layout);
             plan.validate().expect("sound");
@@ -741,10 +735,6 @@ pub fn ablations() -> Table {
         t.push_row(vec![
             label.to_string(),
             pool(SynthConfig::default()),
-            pool(SynthConfig {
-                enable_fusion: false,
-                ..SynthConfig::default()
-            }),
             pool(SynthConfig {
                 enable_gap_insertion: false,
                 ..SynthConfig::default()

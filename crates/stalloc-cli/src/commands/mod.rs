@@ -56,7 +56,7 @@ const VERSION: Command = Command {
     help: "\
 usage: stalloc version
   prints the tool version plus the planner-algorithm and profile
-  fingerprint versions that key the plan caches (fingerprint v4: a
+  fingerprint versions that key the plan caches (fingerprint v5: a
   client and the daemon it talks to must print the same one; store
   entries keyed by an older one are never served again and only
   `stalloc cache clear` reclaims them)",

@@ -52,8 +52,6 @@ usage: stalloc plan --input PROFILE --output FILE [flags]
                     of a cold synthesis; against a base the server does
                     not hold the client transparently retries as a full
                     request
-  --no-fusion       disable HomoPhase fusion (ablation; steers the
-                    grouped pipelines — baseline, tmp-order — only)
   --no-gaps         disable gap insertion (ablation; baseline only)
   --ascending       process size classes ascending (ablation;
                     baseline only)",
@@ -69,7 +67,7 @@ usage: stalloc plan --input PROFILE --output FILE [flags]
             "trace",
             "delta-base",
         ],
-        bool_flags: &["no-fusion", "no-gaps", "ascending"],
+        bool_flags: &["no-gaps", "ascending"],
         positionals: None,
     },
     run: plan,
@@ -115,6 +113,24 @@ fn parse_strategy(name: &str) -> Result<StrategyChoice, String> {
     })
 }
 
+/// The note for ablation switches `config.strategy` never reads: only
+/// `baseline` does (in a portfolio race, its `baseline` racer). The
+/// switches still key the job fingerprint, so the no-op is made visible.
+fn ignored_switches_note(config: &SynthConfig) -> Option<String> {
+    let switched = !config.enable_gap_insertion || config.ascending_sizes;
+    let reads_switches = matches!(
+        config.strategy,
+        StrategyChoice::Baseline | StrategyChoice::Portfolio
+    );
+    (switched && !reads_switches).then(|| {
+        format!(
+            "note: --strategy {} ignores --no-gaps/--ascending \
+             (they steer the baseline pipeline only)",
+            config.strategy
+        )
+    })
+}
+
 /// Whether `--output` gets the binary `STPL` encoding: what `--format`
 /// says, else what the file's extension does.
 fn wants_binary(args: &Args, output: &str) -> Result<bool, String> {
@@ -151,24 +167,12 @@ fn plan(args: &Args) -> Result<(), String> {
         None => StrategyChoice::Baseline,
     };
     let config = SynthConfig {
-        enable_fusion: !args.flag("no-fusion"),
         enable_gap_insertion: !args.flag("no-gaps"),
         ascending_sizes: args.flag("ascending"),
         strategy,
     };
-    // The ablation switches steer the grouped pipelines only; make the
-    // no-op visible (the flags are still part of the job fingerprint).
-    let ablations_on = args.flag("no-fusion") || args.flag("no-gaps") || args.flag("ascending");
-    if ablations_on
-        && matches!(
-            strategy,
-            StrategyChoice::BestFit | StrategyChoice::Lookahead
-        )
-    {
-        eprintln!(
-            "note: --strategy {strategy} ignores --no-fusion/--no-gaps/--ascending \
-             (they steer the baseline and tmp-order pipelines only)"
-        );
+    if let Some(note) = ignored_switches_note(&config) {
+        eprintln!("{note}");
     }
     let output = args.require("output")?;
     let binary = wants_binary(args, output)?;
@@ -404,6 +408,36 @@ mod tests {
         assert!(err.contains("did you mean 'lookahead'"), "{err}");
 
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Only `baseline`, alone or as the portfolio's racer, reads
+    /// `--no-gaps` and `--ascending`; every other strategy says it
+    /// ignores them.
+    #[test]
+    fn switches_a_strategy_ignores_are_noted() {
+        for strategy in StrategyChoice::ALL {
+            let reads = matches!(
+                strategy,
+                StrategyChoice::Baseline | StrategyChoice::Portfolio
+            );
+            for (gaps, ascending) in [(true, false), (false, false), (true, true)] {
+                let config = SynthConfig {
+                    enable_gap_insertion: gaps,
+                    ascending_sizes: ascending,
+                    strategy,
+                };
+                let switched = !gaps || ascending;
+                let noted = ignored_switches_note(&config).is_some();
+                assert_eq!(noted, switched && !reads, "{config:?}");
+            }
+        }
+        let note = ignored_switches_note(&SynthConfig {
+            enable_gap_insertion: false,
+            strategy: StrategyChoice::TmpOrder,
+            ..SynthConfig::default()
+        });
+        let note = note.expect("tmp-order ignores --no-gaps");
+        assert!(note.contains("--strategy tmp-order ignores"), "{note}");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! ```text
 //! PROF body bytes ──one walk──▶ BodyDigest { len, lo, hi }
 //!     ├─ job()     = H(FINGERPRINT_VERSION, SYNTH_ALGO_VERSION,
-//!     │                fusion, gap insertion, ascending, strategy,
+//!     │                gap insertion, ascending, strategy,
 //!     │                len, lo, hi)                 ── plan caches
-//!     └─ profile() = H(FINGERPRINT_VERSION, "PROFONLY",
+//!     └─ profile() = H(4, "PROFONLY",
 //!                      len, lo, hi)                 ── delta-base table
 //! ```
 //!
@@ -51,8 +51,9 @@ use std::fmt;
 use crate::plan::{SynthConfig, SYNTH_ALGO_VERSION};
 use crate::profiler::{InstanceKey, ProfiledRequests, RequestEvent};
 
-/// Version tag mixed into every fingerprint; bump when the canonical
-/// walk, the profile schema or the hash function changes.
+/// Version tag mixed into every job fingerprint; bump when the canonical
+/// walk, the profile schema, the hash function or the job envelope
+/// changes. (The profile identity carries `PROFILE_ENVELOPE_VERSION`.)
 ///
 /// v2: [`SynthConfig::strategy`] joined the walk — a job planned by the
 /// portfolio is a different job than the same profile planned by the
@@ -70,7 +71,20 @@ use crate::profiler::{InstanceKey, ProfiledRequests, RequestEvent};
 /// Store entries keyed by v3 fingerprints are unreachable — never
 /// wrong; still valid artifacts, so `stalloc cache gc` keeps them and
 /// only `stalloc cache clear` reclaims the space.
-pub const FINGERPRINT_VERSION: u32 = 4;
+///
+/// v5: the job envelope lost its fusion word, with the `SynthConfig`
+/// fusion switch it hashed. Plans are unchanged, but every job identity
+/// moved: store entries keyed by v4 fingerprints are unreachable but
+/// never wrong, as at v3 → v4.
+pub const FINGERPRINT_VERSION: u32 = 5;
+
+/// The version word of the profile identity ([`BodyDigest::profile`]):
+/// [`FINGERPRINT_VERSION`] as it stood when what that envelope hashes
+/// last changed. v5 moved only the job envelope, so profile identities —
+/// the delta bases a `PROF-DELTA` names — stay what v4 made them. Bump
+/// it to the new [`FINGERPRINT_VERSION`] when the walk, the schema or the
+/// hash changes.
+const PROFILE_ENVELOPE_VERSION: u64 = 4;
 
 /// A 128-bit content fingerprint of a planning job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -208,8 +222,8 @@ fn digest128(bytes: &[u8]) -> (u64, u64) {
 /// [`digest128`] of a short sequence of words (an envelope), as the
 /// fingerprint bytes: `lo ‖ hi`, little-endian.
 fn fingerprint_words(words: &[u64]) -> Fingerprint {
-    // The longest envelope is the job's nine words.
-    let mut bytes = [0u8; 8 * 9];
+    // The longest envelope is the job's eight words.
+    let mut bytes = [0u8; 8 * 8];
     let bytes = &mut bytes[..8 * words.len()];
     for (dst, w) in bytes.chunks_exact_mut(8).zip(words) {
         dst.copy_from_slice(&w.to_le_bytes());
@@ -253,7 +267,6 @@ impl BodyDigest {
             // Planner algorithm version: a cache must never serve a plan
             // an older synthesize() computed.
             SYNTH_ALGO_VERSION as u64,
-            config.enable_fusion as u64,
             config.enable_gap_insertion as u64,
             config.ascending_sizes as u64,
             config.strategy.index() as u64,
@@ -268,7 +281,7 @@ impl BodyDigest {
     /// keeps it apart from every job identity of the same bytes.
     pub fn profile(&self) -> Fingerprint {
         fingerprint_words(&[
-            FINGERPRINT_VERSION as u64,
+            PROFILE_ENVELOPE_VERSION,
             u64::from_le_bytes(*b"PROFONLY"),
             self.len,
             self.lo,
@@ -524,10 +537,6 @@ mod tests {
         let base = fingerprint_job(&p, &SynthConfig::default());
         for c in [
             SynthConfig {
-                enable_fusion: false,
-                ..SynthConfig::default()
-            },
-            SynthConfig {
                 enable_gap_insertion: false,
                 ..SynthConfig::default()
             },
@@ -669,27 +678,27 @@ mod tests {
             (
                 0,
                 "7421ecedeff552dd9468b4d464966a7a",
-                "8ef8db2b7b2fc3202f68ab021e2bf8ae",
+                "d876bff0ecefc6b1db9db473ec6815e7",
             ),
             (
                 1,
                 "e9cd4d5c6270dab36b9a3ce5302faeca",
-                "ded918f0c36a62813f1820552f96ee42",
+                "95d77fbc1b04e46849415943dee6046a",
             ),
             (
                 31,
                 "8f8ac9f7036d833f1e0e0239062155c2",
-                "b057ea4052adf6f9e738295e0859e2b5",
+                "3bdcf90c42bf62e51a1b4a95eef89a71",
             ),
             (
                 32,
                 "fec0afdae748235eaf511970704a3aa0",
-                "8eed79065c95613d04032b21e14e227d",
+                "8e78fc4196b5846546f124ac0942f9be",
             ),
             (
                 33,
                 "d31bc6020bc3be37382de26276e13ced",
-                "1d2c0c5bebeb9864caf258269a42b6d9",
+                "ef83778ed1a484969a1214c77491a941",
             ),
         ];
         for (len, profile_hex, job_hex) in golden {
@@ -708,7 +717,7 @@ mod tests {
         let p = profile();
         assert_eq!(
             fingerprint_job(&p, &default).to_hex(),
-            "3f7c7820b67cf667d4f0375be9a95134"
+            "6abfabbf78d8e602a41bbd0f16b721ed"
         );
         let ascending = SynthConfig {
             ascending_sizes: true,
@@ -716,7 +725,7 @@ mod tests {
         };
         assert_eq!(
             fingerprint_job(&p, &ascending).to_hex(),
-            "43d3cd582542ecd2f8c9c37fd02b8531"
+            "07b9d722d0ea4c8a49b8a6611bf87ddf"
         );
         assert_eq!(
             fingerprint_profile(&p).to_hex(),
@@ -837,11 +846,10 @@ mod tests {
             // One walk, both ids: exactly the public by-body functions.
             assert_eq!(digest.profile(), fingerprint_profile_body(&body));
             for strategy in StrategyChoice::ALL {
-                for flags in 0..8u8 {
+                for flags in 0..4u8 {
                     let config = SynthConfig {
-                        enable_fusion: flags & 1 != 0,
-                        enable_gap_insertion: flags & 2 != 0,
-                        ascending_sizes: flags & 4 != 0,
+                        enable_gap_insertion: flags & 1 != 0,
+                        ascending_sizes: flags & 2 != 0,
                         strategy,
                     };
                     let job = digest.job(&config);

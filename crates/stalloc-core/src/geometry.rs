@@ -3,8 +3,7 @@
 //! Planning places axis-aligned rectangles in the (time × address) plane:
 //! a request occupying `[t0, t1)` in time and `[off, off+len)` in address
 //! space. [`TimeSpacePacker`] answers "lowest conflict-free offset" queries
-//! and is the engine behind HomoPhase packing, group fusion and gap
-//! insertion. [`first_conflict`] is the one definition of "pairwise
+//! and is the engine behind HomoPhase packing and gap insertion. [`first_conflict`] is the one definition of "pairwise
 //! conflict-free", behind [`Plan::validate`](crate::Plan::validate) and the
 //! packer's own debug checks. [`IntervalSet`] tracks free address
 //! intervals — one sorted run of `(start, len)`, edited in place — at

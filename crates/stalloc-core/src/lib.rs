@@ -11,7 +11,7 @@
 //! * [`profiler`] (§4) characterizes every request of one training
 //!   iteration as `m = (s, tˢ, tᵉ, pˢ, pᵉ, dyn, lˢ, lᵉ)`;
 //! * [`plan`] (§5) synthesizes a near-optimal static layout (HomoPhase
-//!   fusion, HomoSize memory-layers, gap insertion) plus Dynamic Reusable
+//!   groups, HomoSize memory-layers, gap insertion) plus Dynamic Reusable
 //!   Space for MoE-style dynamic requests;
 //! * [`runtime`] (§6) serves requests at the planned addresses with a
 //!   best-fit dynamic allocator over `A_a ∩ A_i` and a caching-allocator
@@ -184,10 +184,6 @@ mod tests {
         let trace = job().build_trace().unwrap();
         let profile = profile_trace(&trace, 1).unwrap();
         for config in [
-            SynthConfig {
-                enable_fusion: false,
-                ..SynthConfig::default()
-            },
             SynthConfig {
                 enable_gap_insertion: false,
                 ..SynthConfig::default()

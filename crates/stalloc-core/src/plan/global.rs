@@ -1,6 +1,6 @@
 //! Global planning (paper §5.1, Fig. 6 right + Algorithm 1).
 //!
-//! Fused HomoPhase plans become unified requests and are grouped by
+//! HomoPhase plans become unified requests and are grouped by
 //! identical footprint into *HomoSize Groups*. Groups are processed in
 //! descending size order; each member is first offered to the idle
 //! intervals of already-placed regions (gap insertion), and the remainder
@@ -301,8 +301,8 @@ impl<'a> Pool<'a> {
 }
 
 /// Assigns absolute offsets to every local plan: the layout with its
-/// `layers` and `gap_inserted` counted, `phase_groups` and `fused_groups`
-/// left to the caller that built `plans`.
+/// `layers` and `gap_inserted` counted, `phase_groups` left to the caller
+/// that built `plans`.
 pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], config: &SynthConfig) -> StaticLayout {
     // HomoSize grouping by exact footprint.
     let mut by_size: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -342,7 +342,7 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], config: &SynthConfig
 mod tests {
     use super::*;
     use crate::geometry::first_conflict;
-    use crate::plan::phase_group::{build_phase_groups, fuse_groups};
+    use crate::plan::phase_group::build_phase_groups;
     use crate::profiler::{profile_trace, ProfiledRequests};
     use proptest::prelude::*;
     use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
@@ -513,10 +513,9 @@ mod tests {
         /// and, this being a debug build, every probe the occupancy test
         /// rejects is re-proved a failure by `Region::fit`'s assertion.
         #[test]
-        fn assemble_is_sound_under_every_option(spec in spec(), fuse in 0u8..2) {
+        fn assemble_is_sound_under_every_option(spec in spec()) {
             let reqs = requests(&spec);
             let plans = build_phase_groups(&reqs);
-            let plans = if fuse == 1 { fuse_groups(plans, &reqs) } else { plans };
             let peak = ProfiledRequests {
                 statics: reqs.clone(),
                 init_count: 0,
@@ -555,7 +554,7 @@ mod tests {
     #[test]
     fn occupancy_test_only_rejects_failing_probes_on_the_zoo() {
         for (name, reqs) in zoo() {
-            let plans = fuse_groups(build_phase_groups(&reqs), &reqs);
+            let plans = build_phase_groups(&reqs);
             for opts in all_options() {
                 let layout = assemble(&plans, &reqs, &opts);
                 assert!(layout.layers > 1, "{name}: layers were probed");
@@ -606,7 +605,7 @@ mod tests {
         for &(size, ts, te) in specs {
             let i = reqs.len();
             reqs.push(req(size, ts, te, 1, 2));
-            plans.push(LocalPlan::of(vec![(i, 0)], &reqs, 1, 2));
+            plans.push(LocalPlan::of(vec![(i, 0)], &reqs));
         }
         (plans, reqs)
     }
@@ -656,8 +655,8 @@ mod tests {
             req(1024, 0, 5, 1, 2),
             req(512, 6, 15, 3, 3),
         ];
-        let cohort = LocalPlan::of(vec![(0, 0), (1, 1024)], &reqs, 1, 2);
-        let small = LocalPlan::of(vec![(2, 0)], &reqs, 3, 3);
+        let cohort = LocalPlan::of(vec![(0, 0), (1, 1024)], &reqs);
+        let small = LocalPlan::of(vec![(2, 0)], &reqs);
         let layout = assemble(&[cohort, small], &reqs, &SynthConfig::default());
         assert_eq!(layout.pool_size, 2048, "no extra layer for the transient");
         assert_eq!(layout.gap_inserted, 1);

@@ -1,9 +1,10 @@
 //! The Plan Synthesizer (paper §5): turns profiled requests into an
 //! ahead-of-time allocation plan.
 //!
-//! Pipeline: HomoPhase grouping → TMP-scored fusion → HomoSize grouping with
-//! memory-layer construction and gap insertion → absolute address assignment
-//! → Dynamic Reusable Space extraction.
+//! Pipeline: HomoPhase grouping → HomoSize grouping with memory-layer
+//! construction and gap insertion → absolute address assignment → Dynamic
+//! Reusable Space extraction. The paper's TMP-scored fusion of HomoPhase
+//! groups is not implemented (see [`phase_group`]).
 
 pub mod dynamic;
 pub mod global;
@@ -58,14 +59,14 @@ impl PlannedAlloc {
 /// [`SynthConfig::strategy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StrategyChoice {
-    /// The paper pipeline: HomoPhase grouping → TMP fusion → HomoSize
-    /// layering with gap insertion, plus the first-fit refinement sweep.
+    /// The paper pipeline: HomoPhase grouping → HomoSize layering with
+    /// gap insertion, plus the first-fit refinement sweep.
     #[default]
     Baseline,
     /// Size-descending best-fit over the time × address plane.
     BestFit,
-    /// Weight-ordered variant of the paper heuristic: fused cohorts are
-    /// placed in descending time-memory-product weight order.
+    /// Weight-ordered variant of the paper heuristic: HomoPhase cohorts
+    /// are placed in descending time-memory-product weight order.
     TmpOrder,
     /// Temporal-lookahead interval packer: arrival-order sweep that
     /// prefers gaps whose previous occupant freed closest before the
@@ -146,9 +147,10 @@ pub struct PlanStats {
     pub static_requests: usize,
     /// Dynamic requests profiled.
     pub dynamic_requests: usize,
-    /// HomoPhase groups before fusion.
+    /// HomoPhase groups built.
     pub phase_groups: usize,
-    /// Local plans after fusion.
+    /// A copy of `phase_groups` (no group fusion runs), kept in the
+    /// struct and in `STPL` v2 until the next plan format change.
     pub fused_groups: usize,
     /// Memory-layers created by global planning.
     pub layers: usize,
@@ -260,8 +262,6 @@ pub const SYNTH_ALGO_VERSION: u32 = 1;
 /// it can travel in [`wire`](crate::wire) planning requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SynthConfig {
-    /// Enable TMP-scored HomoPhase fusion (paper behaviour: on).
-    pub enable_fusion: bool,
     /// Enable gap insertion in global planning (paper behaviour: on).
     pub enable_gap_insertion: bool,
     /// Process size classes ascending instead of descending (ablation).
@@ -270,7 +270,8 @@ pub struct SynthConfig {
     /// [`synthesize`] honours only `Baseline`; the solver crate's
     /// `synthesize_strategy` dispatches the rest. Defaults to
     /// `Baseline` so wire requests from clients predating this field
-    /// (3-field config JSON) still deserialize.
+    /// still deserialize. (The key of their retired fusion switch is
+    /// skipped like any unknown key.)
     #[serde(default)]
     pub strategy: StrategyChoice,
 }
@@ -278,7 +279,6 @@ pub struct SynthConfig {
 impl Default for SynthConfig {
     fn default() -> Self {
         Self {
-            enable_fusion: true,
             enable_gap_insertion: true,
             ascending_sizes: false,
             strategy: StrategyChoice::Baseline,
@@ -296,10 +296,8 @@ pub struct StaticLayout {
     pub request_offsets: Vec<u64>,
     /// Static pool size (must cover every `offset + size`).
     pub pool_size: u64,
-    /// HomoPhase groups before fusion (0 for strategies that skip it).
+    /// HomoPhase groups built (0 for strategies that skip grouping).
     pub phase_groups: usize,
-    /// Local plans after fusion (0 for strategies that skip it).
-    pub fused_groups: usize,
     /// Memory-layers created (0 for strategies without layering).
     pub layers: usize,
     /// Members placed by gap insertion (0 for strategies without it).
@@ -308,13 +306,12 @@ pub struct StaticLayout {
 
 impl StaticLayout {
     /// The layout of a plain packer sweep: offsets and the pool they
-    /// reach, with the grouping pipeline's four diagnostics at 0.
+    /// reach, with the grouping pipeline's three diagnostics at 0.
     pub fn placed(request_offsets: Vec<u64>, pool_size: u64) -> Self {
         StaticLayout {
             request_offsets,
             pool_size,
             phase_groups: 0,
-            fused_groups: 0,
             layers: 0,
             gap_inserted: 0,
         }
@@ -322,17 +319,10 @@ impl StaticLayout {
 }
 
 /// Runs the baseline (paper §5.1) static pipeline: HomoPhase grouping →
-/// TMP fusion → HomoSize layering with gap insertion, then the global
-/// first-fit refinement sweep (kept when it packs tighter).
+/// HomoSize layering with gap insertion, then the global first-fit
+/// refinement sweep (kept when it packs tighter).
 pub fn baseline_layout(profile: &ProfiledRequests, config: &SynthConfig) -> StaticLayout {
     let plans = phase_group::build_phase_groups(&profile.statics);
-    let phase_groups = plans.len();
-    let plans = if config.enable_fusion {
-        phase_group::fuse_groups(plans, &profile.statics)
-    } else {
-        plans
-    };
-    let fused_groups = plans.len();
 
     // The first-fit refinement sweep replaces the group layout when it
     // packs tighter.
@@ -342,8 +332,7 @@ pub fn baseline_layout(profile: &ProfiledRequests, config: &SynthConfig) -> Stat
         (layout.request_offsets, layout.pool_size) = (refined, refined_pool);
     }
     StaticLayout {
-        phase_groups,
-        fused_groups,
+        phase_groups: plans.len(),
         ..layout
     }
 }
@@ -381,7 +370,7 @@ pub fn finish_plan(
         static_requests: profile.statics.len(),
         dynamic_requests: profile.dynamics.len(),
         phase_groups: layout.phase_groups,
-        fused_groups: layout.fused_groups,
+        fused_groups: layout.phase_groups,
         layers: layout.layers,
         gap_inserted: layout.gap_inserted,
         homolayer_groups: dynamic.groups.len(),

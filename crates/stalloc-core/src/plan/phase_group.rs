@@ -1,82 +1,56 @@
-//! HomoPhase grouping and TMP-scored fusion (paper §5.1, Figs. 6–7).
+//! HomoPhase grouping (paper §5.1, Fig. 6).
 //!
 //! Requests sharing an (allocation phase, free phase) pair form a
 //! *HomoPhase Group*; each group is packed into a compact local plan.
-//! Adjacent groups (one's end phase equals the other's start phase) are
-//! fused when doing so raises the *time-memory product* (TMP, Eq. 2) above
-//! the weighted average of the originals — i.e. when fusion removes
-//! spatio-temporal bubbles.
+//! The paper goes on to fuse phase-adjacent groups whenever the fused
+//! group's *time-memory product* (TMP, Eq. 2) is higher. This
+//! reproduction does not: on every profile measured, no pair passed that
+//! rule, so the groups go to global planning as built (README, "Not
+//! implemented: TMP fusion").
 //!
 //! A [`LocalPlan`] is plain data: its members with their relative offsets
 //! and what follows from them. The [`TimeSpacePacker`] that finds those
-//! offsets lives only as long as one cohort is being packed or one fusion
-//! tried; the thousands of one-request groups of a profile never see one.
+//! offsets lives only as long as one cohort is being packed; the
+//! thousands of one-request groups of a profile never see one.
 
 use std::collections::HashMap;
 
 use crate::geometry::TimeSpacePacker;
 use crate::profiler::RequestEvent;
 
-/// A local plan: one (possibly fused) HomoPhase group with relative offsets.
+/// A local plan: one HomoPhase group with relative offsets.
 #[derive(Debug, Clone)]
 pub struct LocalPlan {
     /// Members: (static-request index, relative offset).
     pub members: Vec<(usize, u64)>,
     /// Footprint in bytes (`D_g.s`): the top of the members' stack.
     pub size: u64,
-    /// Sum of `size × window length` over the members (the TMP
-    /// numerator). Wide: GiB-sized requests over ticks past 2⁴⁰ overflow
-    /// 64 bits.
-    pub area: u128,
     /// Earliest allocation tick.
     pub ts: u64,
     /// Latest window end among members (so `te > ts`).
     pub te: u64,
-    /// Earliest window end among members — before this, no space frees, so
-    /// fusion with later groups cannot help (fusion pre-filter).
-    pub min_te: u64,
-    /// Allocation phase of the group (first group's, after fusion).
-    pub ps: u32,
-    /// Free phase of the group (last group's, after fusion).
-    pub pe: u32,
 }
 
 impl LocalPlan {
-    /// The plan of `members` (non-empty) of `reqs`, spanning phases
-    /// `ps..=pe`.
-    pub fn of(members: Vec<(usize, u64)>, reqs: &[RequestEvent], ps: u32, pe: u32) -> Self {
+    /// The plan of `members` (non-empty) of `reqs`.
+    pub fn of(members: Vec<(usize, u64)>, reqs: &[RequestEvent]) -> Self {
         let mut plan = LocalPlan {
             members,
             size: 0,
-            area: 0,
             ts: u64::MAX,
             te: 0,
-            min_te: u64::MAX,
-            ps,
-            pe,
         };
         for &(i, off) in &plan.members {
-            let (r, t1) = (&reqs[i], reqs[i].window_end());
+            let r = &reqs[i];
             plan.size = plan.size.max(off + r.size);
-            plan.area += u128::from(r.size) * u128::from(t1 - r.ts);
             plan.ts = plan.ts.min(r.ts);
-            plan.te = plan.te.max(t1);
-            plan.min_te = plan.min_te.min(t1);
+            plan.te = plan.te.max(r.window_end());
         }
         plan
     }
 
-    /// Time-memory product (Eq. 2). 1.0 means zero bubbles.
-    pub fn tmp(&self) -> f64 {
-        let denom = self.weight();
-        if denom == 0.0 {
-            1.0
-        } else {
-            self.area as f64 / denom
-        }
-    }
-
-    /// TMP denominator, used as the fusion-acceptance weight.
+    /// The footprint's space-time volume, `size × (te − ts)`: the TMP
+    /// denominator (Eq. 2), and the key `tmp-order` places cohorts by.
     pub fn weight(&self) -> f64 {
         self.size as f64 * (self.te - self.ts) as f64
     }
@@ -96,7 +70,7 @@ pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
             // Same-phase transients don't share a common lifespan; placing
             // them individually lets global planning slot each one into the
             // staircase of progressively-freed scoped space.
-            plans.push(LocalPlan::of(vec![(i, 0)], reqs, r.ps, r.pe));
+            plans.push(LocalPlan::of(vec![(i, 0)], reqs));
         } else {
             classes.entry((r.ps, r.pe)).or_default().push(i);
         }
@@ -104,7 +78,7 @@ pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
     let mut classes: Vec<((u32, u32), Vec<usize>)> = classes.into_iter().collect();
     classes.sort_unstable_by_key(|&(key, _)| key);
 
-    for ((ps, pe), mut idxs) in classes {
+    for (_, mut idxs) in classes {
         idxs.sort_unstable_by_key(|&i| reqs[i].ts);
         let mut packer = TimeSpacePacker::new();
         let members = idxs
@@ -114,247 +88,39 @@ pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
                 (i, packer.pack(r.ts, r.window_end(), r.size))
             })
             .collect();
-        plans.push(LocalPlan::of(members, reqs, ps, pe));
+        plans.push(LocalPlan::of(members, reqs));
     }
     plans
-}
-
-/// Attempts to fuse `host` and `guest` (paper Fig. 6 upper-left): the host's
-/// members are re-stacked by descending end time (forming a staircase of
-/// progressively earlier-freed space), then the guest's members are inserted
-/// in ascending start-time order at the lowest conflict-free offsets.
-///
-/// Returns the fused plan if its TMP exceeds the weighted average of the
-/// originals (Fig. 7 acceptance rule), `None` otherwise.
-pub fn try_fuse(host: &LocalPlan, guest: &LocalPlan, reqs: &[RequestEvent]) -> Option<LocalPlan> {
-    let mut packer = TimeSpacePacker::new();
-    let mut members = Vec::with_capacity(host.members.len() + guest.members.len());
-
-    // Host re-stack: descending end time, contiguous.
-    let mut host_members = host.members.clone();
-    host_members.sort_unstable_by(|&(a, _), &(b, _)| {
-        reqs[b]
-            .te
-            .cmp(&reqs[a].te)
-            .then_with(|| reqs[a].ts.cmp(&reqs[b].ts))
-    });
-    let mut cursor = 0u64;
-    for (i, _) in host_members {
-        packer.place_at(reqs[i].rect_at(cursor));
-        members.push((i, cursor));
-        cursor += reqs[i].size;
-    }
-
-    // Guest insertion: ascending start time, lowest available offset.
-    let mut guest_members = guest.members.clone();
-    guest_members.sort_unstable_by_key(|&(i, _)| reqs[i].ts);
-    for (i, _) in guest_members {
-        let r = &reqs[i];
-        members.push((i, packer.pack(r.ts, r.window_end(), r.size)));
-    }
-
-    let ps = if host.ts <= guest.ts {
-        host.ps
-    } else {
-        guest.ps
-    };
-    let pe = if host.te >= guest.te {
-        host.pe
-    } else {
-        guest.pe
-    };
-    let fused = LocalPlan::of(members, reqs, ps, pe);
-
-    let wa = (host.tmp() * host.weight() + guest.tmp() * guest.weight())
-        / (host.weight() + guest.weight()).max(f64::MIN_POSITIVE);
-    if fused.tmp() > wa {
-        Some(fused)
-    } else {
-        None
-    }
-}
-
-/// Singleton same-phase transients never fuse: global planning places
-/// them individually.
-fn is_single_transient(p: &LocalPlan) -> bool {
-    p.members.len() == 1 && p.ps == p.pe
-}
-
-/// Greedy fusion pass: repeatedly fuses phase-adjacent plan pairs (one's
-/// `pᵉ` equals the other's `pˢ`) whenever the TMP acceptance rule fires,
-/// until no fusion is accepted.
-pub fn fuse_groups(mut plans: Vec<LocalPlan>, reqs: &[RequestEvent]) -> Vec<LocalPlan> {
-    // Only the cohorts can fuse, and a profile is mostly transients: walk
-    // the cohort pairs (in plan order, as a walk over all pairs would
-    // reach them), not all P² pairs.
-    loop {
-        let cohorts: Vec<usize> = (0..plans.len())
-            .filter(|&i| !is_single_transient(&plans[i]))
-            .collect();
-        let accepted = cohorts.iter().find_map(|&a| {
-            cohorts.iter().find_map(|&b| {
-                if a == b || plans[a].pe != plans[b].ps {
-                    return None;
-                }
-                // The larger plan hosts; the smaller is inserted.
-                let (host, guest) = if plans[a].size >= plans[b].size {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                // Pre-filter: fusion can only remove bubbles if some host
-                // space frees before the guest finishes.
-                if plans[guest].te <= plans[host].min_te {
-                    return None;
-                }
-                try_fuse(&plans[host], &plans[guest], reqs).map(|fused| (a, b, fused))
-            })
-        });
-        let Some((a, b, fused)) = accepted else {
-            return plans;
-        };
-        plans.swap_remove(a.max(b));
-        plans.swap_remove(a.min(b));
-        plans.push(fused);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
-    /// The fusion pass as it was before it walked cohorts only: all P²
-    /// plan pairs, transients filtered per pair. The oracle for the
-    /// restart-after-fusion order.
-    fn fuse_groups_all_pairs(mut plans: Vec<LocalPlan>, reqs: &[RequestEvent]) -> Vec<LocalPlan> {
-        loop {
-            let mut fused_any = false;
-            'outer: for a in 0..plans.len() {
-                for b in 0..plans.len() {
-                    if a == b || plans[a].pe != plans[b].ps {
-                        continue;
-                    }
-                    let (host, guest) = if plans[a].size >= plans[b].size {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    };
-                    if is_single_transient(&plans[host]) || is_single_transient(&plans[guest]) {
-                        continue;
-                    }
-                    if plans[guest].te <= plans[host].min_te {
-                        continue;
-                    }
-                    if let Some(fused) = try_fuse(&plans[host], &plans[guest], reqs) {
-                        plans.swap_remove(host.max(guest));
-                        plans.swap_remove(host.min(guest));
-                        plans.push(fused);
-                        fused_any = true;
-                        break 'outer;
-                    }
-                }
-            }
-            if !fused_any {
-                return plans;
-            }
-        }
-    }
-
-    /// Everything observable about a fusion result, in plan order.
-    type PlanShape = (Vec<(usize, u64)>, u64, u64, u64, u32, u32, u64, u128);
-
-    fn shapes(plans: &[LocalPlan]) -> Vec<PlanShape> {
-        plans
+    /// The members' `size × window length`, summed: the TMP numerator.
+    /// Wide: GiB-sized requests over ticks past 2⁴⁰ overflow 64 bits.
+    fn area(p: &LocalPlan, reqs: &[RequestEvent]) -> u128 {
+        p.members
             .iter()
-            .map(|p| {
-                (
-                    p.members.clone(),
-                    p.ts,
-                    p.te,
-                    p.min_te,
-                    p.ps,
-                    p.pe,
-                    p.size,
-                    p.area,
-                )
+            .map(|&(i, _)| {
+                let r = &reqs[i];
+                u128::from(r.size) * u128::from(r.window_end() - r.ts)
             })
-            .collect()
+            .sum()
     }
 
-    /// Staircase pairs that always fuse, plus extras. Pair `j`: a host
-    /// cohort in phases `(3j+1, 3j+2)` with a long and a short member, and
-    /// a one-member guest in `(3j+2, 3j+3)` that starts as the short one
-    /// frees and ends before the long one — it drops into the freed step,
-    /// the footprint is unchanged, TMP rises.
-    fn staircase_pairs(
-        pairs: &[(u64, u64, u64, u64)],
-        extras: &[(u64, u64, u64, u32, u32)],
-    ) -> Vec<RequestEvent> {
-        let mut reqs = Vec::new();
-        for (j, &(size, short, guest, slack)) in pairs.iter().enumerate() {
-            let (p, start) = (3 * j as u32 + 1, 7 * j as u64);
-            let long = short + guest + slack;
-            reqs.push(req(size * 512, start, start + long, p, p + 1));
-            reqs.push(req(size * 512, start, start + short, p, p + 1));
-            reqs.push(req(
-                size * 512,
-                start + short,
-                start + short + guest,
-                p + 1,
-                p + 2,
-            ));
-        }
-        for &(ts, dur, size, ps, dphase) in extras {
-            reqs.push(req(size * 512, ts, ts + dur, ps, ps + dphase));
-        }
-        reqs
-    }
-
-    /// Runs both walks; returns how many fusions were accepted.
-    fn check_walks_agree(reqs: &[RequestEvent]) -> Result<usize, String> {
-        let plans = build_phase_groups(reqs);
-        let fused = fuse_groups(plans.clone(), reqs);
-        prop_assert_eq!(
-            shapes(&fused),
-            shapes(&fuse_groups_all_pairs(plans.clone(), reqs))
-        );
-        Ok(plans.len() - fused.len())
-    }
-
-    proptest! {
-        /// The cohort walk fuses the same pairs in the same order as the
-        /// all-pairs walk on inputs where fusions *are* accepted — every
-        /// staircase pair fuses, and each acceptance restarts the walk —
-        /// among cohorts and transients of unrelated phases.
-        #[test]
-        fn cohort_walk_matches_all_pairs_walk_across_restarts(
-            pairs in prop::collection::vec((1u64..4, 1u64..6, 1u64..6, 0u64..4), 1..6),
-            strangers in prop::collection::vec(
-                (0u64..60, 1u64..30, 1u64..5, 30u32..36, 0u32..3),
-                0..40,
-            ),
-        ) {
-            let fusions = check_walks_agree(&staircase_pairs(&pairs, &strangers))?;
-            prop_assert!(fusions >= pairs.len(), "{fusions} fusions for {} pairs", pairs.len());
-        }
-
-        /// The same with extras drawn from the pairs' own phases, so they
-        /// join, widen or compete with the staircase cohorts.
-        #[test]
-        fn cohort_walk_matches_all_pairs_walk_on_mixed_cohorts(
-            pairs in prop::collection::vec((1u64..4, 1u64..6, 1u64..6, 0u64..4), 0..5),
-            mixers in prop::collection::vec(
-                (0u64..60, 1u64..30, 1u64..5, 1u32..14, 0u32..3),
-                1..60,
-            ),
-        ) {
-            check_walks_agree(&staircase_pairs(&pairs, &mixers))?;
+    /// Time-memory product (Eq. 2). 1.0 means zero bubbles.
+    fn tmp(p: &LocalPlan, reqs: &[RequestEvent]) -> f64 {
+        let weight = p.weight();
+        if weight == 0.0 {
+            1.0
+        } else {
+            area(p, reqs) as f64 / weight
         }
     }
 
-    /// FNV-1a 64 over `(members, size, tmp())` of every plan, in order.
-    fn digest(plans: &[LocalPlan]) -> u64 {
+    /// FNV-1a 64 over `(members, size, tmp)` of every plan, in order.
+    fn digest(plans: &[LocalPlan], reqs: &[RequestEvent]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |word: u64| {
             for b in word.to_le_bytes() {
@@ -367,7 +133,7 @@ mod tests {
                 mix(off);
             }
             mix(p.size);
-            mix(p.tmp().to_bits());
+            mix(tmp(p, reqs).to_bits());
         }
         h
     }
@@ -375,8 +141,7 @@ mod tests {
     /// Every group of the benchmark's GPT-2 345M VR profile — members,
     /// footprint and TMP to the bit — as the build before `LocalPlan`
     /// lost its packer produced them: all 3,730 through a digest, the 33
-    /// cohorts as `(first member, members, size, tmp bits)`. Likewise a
-    /// fixed staircase family through `try_fuse`, which accepts two pairs.
+    /// cohorts as `(first member, members, size, tmp bits)`.
     #[test]
     fn groups_of_a_vpp_profile_are_what_the_packer_carrying_plans_were() {
         use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
@@ -432,26 +197,16 @@ mod tests {
         let cohorts: Vec<(usize, usize, u64, u64)> = plans
             .iter()
             .filter(|p| p.members.len() > 1)
-            .map(|p| (p.members[0].0, p.members.len(), p.size, p.tmp().to_bits()))
+            .map(|p| {
+                let bits = tmp(p, &reqs).to_bits();
+                (p.members[0].0, p.members.len(), p.size, bits)
+            })
             .collect();
         assert_eq!(cohorts, COHORTS);
-        assert_eq!((plans.len(), digest(&plans)), (3730, 0xc5faed1e8b083605));
-        let fused = fuse_groups(plans, &reqs);
-        assert_eq!((fused.len(), digest(&fused)), (3730, 0xc5faed1e8b083605));
-
-        let stairs = staircase_pairs(
-            &[(1, 2, 3, 0), (3, 1, 5, 2), (2, 4, 1, 1), (1, 5, 5, 3)],
-            &[
-                (0, 9, 2, 2, 1),
-                (3, 20, 1, 5, 0),
-                (11, 4, 4, 8, 2),
-                (30, 7, 3, 11, 1),
-            ],
+        assert_eq!(
+            (plans.len(), digest(&plans, &reqs)),
+            (3730, 0xc5faed1e8b083605)
         );
-        let groups = build_phase_groups(&stairs);
-        assert_eq!((groups.len(), digest(&groups)), (10, 0x40c6980db4f7f1b9));
-        let fused = fuse_groups(groups, &stairs);
-        assert_eq!((fused.len(), digest(&fused)), (8, 0x5c857b6c526542d7));
     }
 
     /// GiB-sized requests over ticks past 2⁴⁰: every product `size ×
@@ -469,25 +224,16 @@ mod tests {
             ]
         };
         let (huge, small) = (family(1 << 40, 1 << 30), family(8, 512));
-        let shape = |reqs: &[RequestEvent], plans: &[LocalPlan]| -> Vec<_> {
+        let shape = |reqs: &[RequestEvent]| -> Vec<_> {
             let unit = reqs[3].size;
-            plans
+            build_phase_groups(reqs)
                 .iter()
-                .map(|p| (p.members.len(), p.size / unit, p.tmp().to_bits()))
+                .map(|p| (p.members.len(), p.size / unit, tmp(p, reqs).to_bits()))
                 .collect()
         };
-        let groups = build_phase_groups(&huge);
-        assert!(groups.iter().all(|p| p.area > u128::from(u64::MAX)));
-        assert_eq!(
-            shape(&huge, &groups),
-            shape(&small, &build_phase_groups(&small))
-        );
-        let fused = fuse_groups(groups, &huge);
-        assert_eq!(fused.len(), 2, "the staircase pair fuses");
-        assert_eq!(
-            shape(&huge, &fused),
-            shape(&small, &fuse_groups(build_phase_groups(&small), &small))
-        );
+        let wide = |p: &LocalPlan| area(p, &huge) > u128::from(u64::MAX);
+        assert!(build_phase_groups(&huge).iter().all(wide));
+        assert_eq!(shape(&huge), shape(&small));
     }
 
     fn req(size: u64, ts: u64, te: u64, ps: u32, pe: u32) -> RequestEvent {
@@ -512,7 +258,7 @@ mod tests {
         ];
         let plans = build_phase_groups(&reqs);
         assert_eq!(plans.len(), 2);
-        let scoped = plans.iter().find(|p| p.pe == 2).unwrap();
+        let scoped = plans.iter().find(|p| reqs[p.members[0].0].pe == 2).unwrap();
         assert_eq!(scoped.members.len(), 2);
         assert_eq!(scoped.size, 1024, "overlapping lifespans stack");
     }
@@ -534,79 +280,6 @@ mod tests {
     fn tmp_is_one_for_perfect_packing() {
         let reqs = vec![req(512, 0, 10, 1, 2)];
         let plans = build_phase_groups(&reqs);
-        assert!((plans[0].tmp() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fusion_accepts_staircase_fill() {
-        // Host: two members freed at different times (staircase).
-        // Guest: members starting exactly as host space frees.
-        let reqs = vec![
-            req(512, 0, 10, 1, 2), // host, lives long
-            req(512, 0, 6, 1, 2),  // host, frees early
-            req(512, 6, 12, 2, 3), // guest, fits the freed step
-        ];
-        let plans = build_phase_groups(&reqs);
-        assert_eq!(plans.len(), 2);
-        let fused = fuse_groups(plans, &reqs);
-        assert_eq!(fused.len(), 1, "fusion accepted");
-        assert_eq!(fused[0].size, 1024, "guest reused the freed step");
-        // Host member with the later end time sits at the bottom.
-        let bottom = fused[0]
-            .members
-            .iter()
-            .find(|&&(_, off)| off == 0)
-            .unwrap()
-            .0;
-        assert_eq!(reqs[bottom].te, 10);
-    }
-
-    #[test]
-    fn fusion_rejects_when_tmp_drops() {
-        // The guest starts while the host is still fully live: fusing just
-        // stacks them and stretches the footprint over extra idle time.
-        let reqs = vec![
-            req(2048, 0, 10, 1, 2),
-            req(2048, 2, 10, 2, 2), // starts while host still fully live
-        ];
-        let plans = build_phase_groups(&reqs);
-        assert_eq!(plans.len(), 2);
-        let fused = fuse_groups(plans, &reqs);
-        assert_eq!(fused.len(), 2, "fusion rejected: no bubble removed");
-    }
-
-    #[test]
-    fn fusion_chain_converges() {
-        // Each group has a long-lived and a short-lived member (bubbles);
-        // each adjacent group starts exactly as the previous one's short
-        // member frees, so every fusion strictly raises TMP.
-        let reqs = vec![
-            req(512, 0, 12, 1, 2),
-            req(512, 0, 4, 1, 2), // frees early: bubble until tick 12
-            req(512, 4, 24, 2, 3),
-            req(512, 4, 8, 2, 3),
-            req(512, 8, 20, 3, 4),
-        ];
-        let plans = build_phase_groups(&reqs);
-        assert_eq!(plans.len(), 3);
-        let fused = fuse_groups(plans, &reqs);
-        assert!(
-            fused.len() < 3,
-            "at least one fusion accepted, got {} groups",
-            fused.len()
-        );
-        let total: u64 = fused.iter().map(|p| p.size).sum();
-        assert!(total < 512 * 5, "fusion reuses freed steps: {total}");
-    }
-
-    #[test]
-    fn equal_tmp_fusion_is_rejected_but_harmless() {
-        // Perfectly packed adjacent groups (TMP = 1.0 each): fusing cannot
-        // raise TMP, so the paper's strict acceptance rejects it. The
-        // HomoSize layering later shares one layer anyway.
-        let reqs = vec![req(512, 0, 4, 1, 2), req(512, 4, 8, 2, 3)];
-        let plans = build_phase_groups(&reqs);
-        let fused = fuse_groups(plans, &reqs);
-        assert_eq!(fused.len(), 2, "no strict TMP gain, no fusion");
+        assert!((tmp(&plans[0], &reqs) - 1.0).abs() < 1e-12);
     }
 }

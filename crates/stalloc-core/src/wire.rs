@@ -546,8 +546,9 @@ mod tests {
         }
 
         // Same for `Plan` requests, whose config additionally predates
-        // the `strategy` field: a 3-field SynthConfig must decode as
-        // Baseline (the only behaviour old servers had).
+        // the `strategy` field and carries the retired fusion switch: it
+        // must decode as today's default, Baseline (the only behaviour
+        // old servers had).
         let profile = serde_json::to_string(&ProfiledRequests::default()).unwrap();
         let old_plan = format!(
             r#"{{"Plan": {{"profile": {profile}, "config": {{"enable_fusion": true, "enable_gap_insertion": true, "ascending_sizes": false}}}}}}"#

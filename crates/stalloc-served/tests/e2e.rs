@@ -1,5 +1,5 @@
 //! End-to-end acceptance: an in-process server under a concurrent load of
-//! ≥ 32 plan requests over a mix of 4 job configs. Every response must
+//! ≥ 32 plan requests over a mix of 3 job configs. Every response must
 //! decode to a valid plan, each unique fingerprint must be synthesized
 //! exactly once (single-flight), and the `stats` verb must agree with the
 //! observed hit/miss split.
@@ -26,13 +26,9 @@ fn profile() -> ProfiledRequests {
     profile_trace(&trace, 1).unwrap()
 }
 
-fn four_configs() -> [SynthConfig; 4] {
+fn three_configs() -> [SynthConfig; 3] {
     [
         SynthConfig::default(),
-        SynthConfig {
-            enable_fusion: false,
-            ..SynthConfig::default()
-        },
         SynthConfig {
             enable_gap_insertion: false,
             ..SynthConfig::default()
@@ -46,7 +42,7 @@ fn four_configs() -> [SynthConfig; 4] {
 
 #[test]
 fn concurrent_mixed_load_is_single_flight_and_accounted() {
-    const CLIENTS: usize = 32;
+    const CLIENTS: usize = 33;
 
     let dir = std::env::temp_dir().join(format!("stalloc-served-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -61,13 +57,13 @@ fn concurrent_mixed_load_is_single_flight_and_accounted() {
     let addr = server.addr();
 
     let profile = Arc::new(profile());
-    let configs = four_configs();
+    let configs = three_configs();
     let expected_fps: Vec<String> = configs
         .iter()
         .map(|c| fingerprint_job(&profile, c).to_hex())
         .collect();
 
-    // 32 clients, 8 per config, all released at once.
+    // 33 clients, 11 per config, all released at once.
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|i| {

@@ -17,7 +17,7 @@
 /// strategies; 0 for strategies that place blindly).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverProfile {
-    /// Request ordering / grouping / fusion time, µs.
+    /// Request ordering / grouping time, µs.
     pub layout_micros: u64,
     /// Packer time: gap scans and placements, µs.
     pub pack_micros: u64,

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use stalloc_core::plan::phase_group::{build_phase_groups, fuse_groups};
+use stalloc_core::plan::phase_group::build_phase_groups;
 use stalloc_core::{
     baseline_layout, best_fit_gap, finish_plan, LiveSweep, Plan, ProfiledRequests, RequestEvent,
     StaticLayout, StrategyChoice, SynthConfig, TimeSpacePacker,
@@ -70,7 +70,7 @@ impl Strategy {
 static REGISTRY: [Strategy; 4] = [
     Strategy {
         choice: StrategyChoice::Baseline,
-        description: "paper pipeline: phase-group, TMP fusion, size layers, first-fit refine",
+        description: "paper pipeline: phase-group, size layers, first-fit refine",
         layout: baseline,
     },
     Strategy {
@@ -80,7 +80,7 @@ static REGISTRY: [Strategy; 4] = [
     },
     Strategy {
         choice: StrategyChoice::TmpOrder,
-        description: "paper grouping + fusion, cohorts placed in TMP-weight order",
+        description: "paper grouping, cohorts placed in TMP-weight order",
         layout: tmp_order,
     },
     Strategy {
@@ -161,9 +161,9 @@ pub(crate) fn sort_largest_first(reqs: &[RequestEvent], order: &mut [usize]) {
     order.sort_unstable_by_key(|&i| (u64::MAX - reqs[i].size, reqs[i].ts, i));
 }
 
-/// `baseline`: the paper's §5.1 pipeline, verbatim — HomoPhase grouping,
-/// TMP-scored fusion, HomoSize memory-layers with gap insertion, and the
-/// global first-fit refinement sweep.
+/// `baseline`: the paper's §5.1 pipeline — HomoPhase grouping, HomoSize
+/// memory-layers with gap insertion, and the global first-fit refinement
+/// sweep. The only row the ablation switches steer.
 fn baseline(
     profile: &ProfiledRequests,
     config: &SynthConfig,
@@ -185,7 +185,6 @@ fn baseline(
 /// first (earlier start breaking ties), each at the *tightest* free gap
 /// in the time × address plane rather than the lowest one — big tensors
 /// anchor the layout, and small ones fill the leftover notches exactly.
-/// The ablation switches steer the grouped pipelines only.
 fn bestfit(
     profile: &ProfiledRequests,
     _config: &SynthConfig,
@@ -208,26 +207,19 @@ fn bestfit(
 }
 
 /// `tmp-order`: a weight-ordered variant of the paper heuristic. The
-/// HomoPhase grouping and TMP fusion run as in §5.1, but instead of
-/// HomoSize classes the fused cohorts are placed directly into one
-/// global packer in descending time-memory-product *weight* order
-/// (size × lifetime, the fusion-acceptance weight of Eq. 2) — the
-/// cohorts that dominate the space-time volume claim the bottom of the
-/// pool, and everything lighter first-fits around them.
+/// HomoPhase grouping runs as in §5.1, but instead of HomoSize classes
+/// the cohorts are placed directly into one global packer in descending
+/// time-memory-product *weight* order (size × lifetime, the denominator
+/// of Eq. 2) — the cohorts that dominate the space-time volume claim the
+/// bottom of the pool, and everything lighter first-fits around them.
 fn tmp_order(
     profile: &ProfiledRequests,
-    config: &SynthConfig,
+    _config: &SynthConfig,
     prof: &mut SolverProfile,
 ) -> StaticLayout {
     let reqs = &profile.statics;
     let t = Instant::now();
     let plans = build_phase_groups(reqs);
-    let phase_groups = plans.len();
-    let plans = if config.enable_fusion {
-        fuse_groups(plans, reqs)
-    } else {
-        plans
-    };
 
     let mut cohorts: Vec<usize> = (0..plans.len()).collect();
     // Weights are products of u64s: finite, so total_cmp is a strict
@@ -258,8 +250,7 @@ fn tmp_order(
         (off, 1)
     });
     StaticLayout {
-        phase_groups,
-        fused_groups: plans.len(),
+        phase_groups: plans.len(),
         ..layout
     }
 }

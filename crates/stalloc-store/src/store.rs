@@ -477,7 +477,7 @@ mod tests {
 
         // A different config is a different job.
         let other = SynthConfig {
-            enable_fusion: false,
+            enable_gap_insertion: false,
             ..config
         };
         let (_, fp3, out3) =

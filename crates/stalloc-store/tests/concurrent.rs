@@ -31,10 +31,6 @@ fn job_set() -> Vec<(Fingerprint, Plan)> {
     let configs = [
         SynthConfig::default(),
         SynthConfig {
-            enable_fusion: false,
-            ..SynthConfig::default()
-        },
-        SynthConfig {
             enable_gap_insertion: false,
             ..SynthConfig::default()
         },

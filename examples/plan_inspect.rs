@@ -33,7 +33,6 @@ fn main() {
     let s = plan.stats;
     println!("plan synthesis:");
     println!("  HomoPhase groups   : {}", s.phase_groups);
-    println!("  after fusion       : {}", s.fused_groups);
     println!("  memory-layers      : {}", s.layers);
     println!("  gap insertions     : {}", s.gap_inserted);
     println!("  HomoLayer groups   : {}", s.homolayer_groups);

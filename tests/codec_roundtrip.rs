@@ -44,9 +44,8 @@ fn model_zoo(idx: u64) -> (ModelSpec, ParallelConfig, OptimConfig) {
     }
 }
 
-fn synth_config(fusion: bool, gaps: bool, ascending: bool) -> SynthConfig {
+fn synth_config(gaps: bool, ascending: bool) -> SynthConfig {
     SynthConfig {
-        enable_fusion: fusion,
         enable_gap_insertion: gaps,
         ascending_sizes: ascending,
         ..SynthConfig::default()
@@ -60,7 +59,6 @@ proptest! {
         mbs in 1u32..3,
         mb_factor in 1u32..3,
         seed in 0u64..1000,
-        fusion in prop::bool::ANY,
         gaps in prop::bool::ANY,
         ascending in prop::bool::ANY,
     ) {
@@ -75,7 +73,7 @@ proptest! {
             .build_trace()
             .map_err(|e| e.to_string())?;
         let profile = profile_trace(&trace, 1).map_err(|e| e.to_string())?;
-        let plan = synthesize(&profile, &synth_config(fusion, gaps, ascending));
+        let plan = synthesize(&profile, &synth_config(gaps, ascending));
 
         let bytes = encode_plan(&plan);
         prop_assert!(is_binary_plan(&bytes));

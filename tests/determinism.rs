@@ -11,10 +11,6 @@ fn synth_configs() -> Vec<SynthConfig> {
     vec![
         SynthConfig::default(),
         SynthConfig {
-            enable_fusion: false,
-            ..SynthConfig::default()
-        },
-        SynthConfig {
             enable_gap_insertion: false,
             ..SynthConfig::default()
         },

@@ -56,14 +56,13 @@ proptest! {
     fn any_edit_of_any_body_moves_both_identities(
         body in prop::collection::vec(0u32..256, 0..301),
         edit in (0u8..5, 0usize..1 << 16, 0usize..1 << 16),
-        flags in 0u8..8,
+        flags in 0u8..4,
         strategy in 0usize..StrategyChoice::ALL.len(),
     ) {
         let body: Vec<u8> = body.into_iter().map(|b| b as u8).collect();
         let config = SynthConfig {
-            enable_fusion: flags & 1 != 0,
-            enable_gap_insertion: flags & 2 != 0,
-            ascending_sizes: flags & 4 != 0,
+            enable_gap_insertion: flags & 1 != 0,
+            ascending_sizes: flags & 2 != 0,
             strategy: StrategyChoice::ALL[strategy],
         };
         let digest = BodyDigest::of(&body);

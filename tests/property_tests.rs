@@ -49,7 +49,6 @@ proptest! {
     fn plans_are_always_sound(reqs in request_strategy(120)) {
         for config in [
             SynthConfig::default(),
-            SynthConfig { enable_fusion: false, ..SynthConfig::default() },
             SynthConfig { enable_gap_insertion: false, ..SynthConfig::default() },
             SynthConfig { ascending_sizes: true, ..SynthConfig::default() },
         ] {

@@ -176,9 +176,9 @@ fn foreign_version_artifacts_fail_typed_not_silent() {
         Err(CodecError::UnsupportedVersion(2))
     );
 
-    // The fingerprint version axis: v4 is pinned into every digest, so a
-    // cache produced by an older walk can never alias today's entries.
-    assert_eq!(FINGERPRINT_VERSION, 4);
+    // The fingerprint version axis: v5 is pinned into every job digest, so
+    // a cache produced by an older walk can never alias today's entries.
+    assert_eq!(FINGERPRINT_VERSION, 5);
 }
 
 /// The `Stats`/`Metrics` compatibility matrix, both directions:
