@@ -59,7 +59,9 @@ pub use fingerprint::{
     profile_body_capacity, write_profile_body, BodyDigest, Fingerprint, FINGERPRINT_VERSION,
     PROFILE_FLAG_DYNAMIC, PROFILE_FLAG_HAS_LE, PROFILE_FLAG_HAS_LS,
 };
-pub use geometry::{best_fit_gap, window_end, IntervalSet, LiveSweep, Rect, TimeSpacePacker};
+pub use geometry::{
+    best_fit_gap, window_end, IntervalSet, LiveSweep, Rect, TimeAxis, TimeSpacePacker,
+};
 pub use plan::{
     baseline_layout, finish_plan, synthesize, DynGroup, DynamicPlan, Plan, PlanStats, PlannedAlloc,
     StaticLayout, StrategyChoice, SynthConfig, SYNTH_ALGO_VERSION,

@@ -19,23 +19,15 @@
 
 use std::collections::BTreeMap;
 
-use crate::geometry::{LiveSweep, Rect, TimeSpacePacker};
+use crate::geometry::{LiveSweep, Rect, TimeAxis, TimeSpacePacker};
 use crate::plan::phase_group::LocalPlan;
 use crate::plan::{StaticLayout, SynthConfig};
 use crate::profiler::RequestEvent;
 
-/// The profile's distinct start ticks, ascending: the time axis of every
-/// region's occupancy index. Occupancy is kept per *rank* on this axis,
-/// never per tick: a probe only ever starts at one of these ticks, and
-/// tick values come off the wire unvalidated — they must not size an
-/// allocation.
-struct TimeAxis {
-    starts: Vec<u64>,
-}
-
-/// A lifetime `[t0, t1)` with both ends ranked on the [`TimeAxis`]:
-/// `k0..k1` are the ranks of the start ticks inside it. Ranked once per
-/// request, not once per probe.
+/// A lifetime `[t0, t1)` with both ends ranked on the profile's
+/// [`TimeAxis`], the time axis of every region's occupancy index: `k0..k1`
+/// are the ranks of the start ticks inside it. Ranked once per request,
+/// not once per probe; a probe only ever starts at a start tick.
 #[derive(Debug, Clone, Copy)]
 struct Window {
     t0: u64,
@@ -44,22 +36,13 @@ struct Window {
     k1: usize,
 }
 
-impl TimeAxis {
-    fn new(reqs: &[RequestEvent]) -> Self {
-        let mut starts: Vec<u64> = reqs.iter().map(|r| r.ts).collect();
-        starts.sort_unstable();
-        starts.dedup();
-        TimeAxis { starts }
-    }
-
-    fn window(&self, t0: u64, t1: u64) -> Window {
-        // How many start ticks precede `t`: the rank of `t` if it is one.
-        let rank = |t| self.starts.partition_point(|&s| s < t);
+impl Window {
+    fn new(axis: &TimeAxis, t0: u64, t1: u64) -> Self {
         Window {
             t0,
             t1,
-            k0: rank(t0),
-            k1: rank(t1),
+            k0: axis.rank(t0),
+            k1: axis.rank(t1),
         }
     }
 }
@@ -91,7 +74,7 @@ impl Region {
             size,
             packer: TimeSpacePacker::new(),
             end: 0,
-            occupied: vec![0; axis.starts.len() + 1],
+            occupied: vec![0; axis.ranks() + 1],
         }
     }
 
@@ -205,7 +188,7 @@ impl<'a> Pool<'a> {
             reqs,
             windows: reqs
                 .iter()
-                .map(|r| axis.window(r.ts, r.window_end()))
+                .map(|r| Window::new(&axis, r.ts, r.window_end()))
                 .collect(),
             axis,
             regions: Vec::new(),
@@ -229,7 +212,7 @@ impl<'a> Pool<'a> {
     /// below). Thanks to member-granular recording, the query sees
     /// intra-cohort idle space, not just whole-group gaps.
     fn insert_whole(&mut self, plan: &LocalPlan, s: u64) -> bool {
-        let lifespan = self.axis.window(plan.ts, plan.te);
+        let lifespan = Window::new(&self.axis, plan.ts, plan.te);
         let mut larger = self.regions.iter().enumerate().filter(|(_, r)| r.size > s);
         let Some((ri, off)) = larger.find_map(|(ri, r)| Some((ri, r.fit(lifespan, s)?))) else {
             return false;
@@ -571,7 +554,7 @@ mod tests {
         let axis = TimeAxis::new(&reqs);
         let region = Region::new(0, 4096, &axis);
         assert_eq!(region.occupied.len(), 2001);
-        let w = axis.window(reqs[7].ts, reqs[7].te);
+        let w = Window::new(&axis, reqs[7].ts, reqs[7].te);
         assert_eq!((w.k0, w.k1), (7, 2000));
         let layout = assemble(&build_phase_groups(&reqs), &reqs, &SynthConfig::default());
         assert_eq!(layout.pool_size, 2000 * 512, "all live together");
@@ -585,7 +568,7 @@ mod tests {
             req(512, 10, 12, 1, 1),
         ];
         let axis = TimeAxis::new(&reqs);
-        let window = |i: usize| axis.window(reqs[i].ts, reqs[i].te);
+        let window = |i: usize| Window::new(&axis, reqs[i].ts, reqs[i].te);
         let mut region = Region::new(0, 1024, &axis);
         region.place(window(0), 0, 512);
         region.place(window(1), 512, 512);

@@ -62,6 +62,7 @@
 
 #![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
+mod occupancy;
 pub mod portfolio;
 pub mod profile;
 pub mod replan;

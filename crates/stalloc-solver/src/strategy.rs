@@ -16,12 +16,13 @@
 
 use std::time::Instant;
 
-use stalloc_core::plan::phase_group::build_phase_groups;
+use stalloc_core::plan::phase_group::{build_phase_groups, LocalPlan};
 use stalloc_core::{
     baseline_layout, best_fit_gap, finish_plan, LiveSweep, Plan, ProfiledRequests, RequestEvent,
-    StaticLayout, StrategyChoice, SynthConfig, TimeSpacePacker,
+    StaticLayout, StrategyChoice, SynthConfig, TimeAxis, TimeSpacePacker,
 };
 
+use crate::occupancy::{OccupancyTree, Ranks};
 use crate::profile::SolverProfile;
 
 fn micros_since(start: Instant) -> u64 {
@@ -102,10 +103,11 @@ pub fn strategy_for(choice: StrategyChoice) -> Option<&'static Strategy> {
     REGISTRY.get(usize::from(choice.index()))
 }
 
-/// The one order-then-place sweep: visits `order`, asks `choose` for
-/// each request's offset given what the packer holds so far, and commits
-/// it. `packer` and `offsets` carry whatever is already placed (nothing,
-/// for a cold strategy; the surviving placements, for a patch).
+/// `patch_plan`'s order-then-place sweep (and the test oracles'): visits
+/// `order`, asks `choose` for each request's offset given what the packer
+/// holds so far, and commits it. `packer` and `offsets` carry whatever is
+/// already placed (the surviving placements, for a patch; nothing, for a
+/// cold oracle).
 pub(crate) fn place_in_order(
     reqs: &[RequestEvent],
     order: &[usize],
@@ -130,9 +132,37 @@ fn tally(prof: &mut SolverProfile, seen: u64) {
     prof.placements_tried += 1;
 }
 
-/// A cold row's pack phase: the sweep from an empty packer, timed and
-/// tallied. `choose` returns the offset it picked and how many candidate
-/// gaps it looked at to pick it.
+/// A cold row's pack phase over an [`OccupancyTree`] of the profile's
+/// [`TimeAxis`]: visits `order`, asks `choose` for each request's offset
+/// given what the tree holds so far and the request's ranked window, and
+/// commits it, timed and tallied. `choose` returns the offset it picked
+/// and how many candidate gaps it looked at to pick it.
+fn pack_by_tree(
+    reqs: &[RequestEvent],
+    order: &[usize],
+    prof: &mut SolverProfile,
+    mut choose: impl FnMut(&mut OccupancyTree, Ranks, &RequestEvent) -> (u64, u64),
+) -> StaticLayout {
+    let t = Instant::now();
+    let axis = TimeAxis::new(reqs);
+    let mut tree = OccupancyTree::new(axis.ranks());
+    let mut offsets = vec![0; reqs.len()];
+    for &i in order {
+        let r = &reqs[i];
+        // Each request is placed once, so ranked once.
+        let w = (axis.rank(r.ts), axis.rank(r.window_end()));
+        let (off, seen) = choose(&mut tree, w, r);
+        tally(prof, seen);
+        tree.place(w, off, r.size);
+        offsets[i] = off;
+    }
+    prof.pack_micros = micros_since(t);
+    StaticLayout::placed(offsets, tree.height())
+}
+
+/// The pack phase the cold rows had before [`pack_by_tree`]: the sweep
+/// from an empty packer, timed and tallied, kept for the oracles.
+#[cfg(test)]
 fn pack_cold(
     reqs: &[RequestEvent],
     order: &[usize],
@@ -196,12 +226,15 @@ fn bestfit(
     sort_largest_first(reqs, &mut order);
     prof.layout_micros = micros_since(t);
 
-    pack_cold(reqs, &order, prof, |packer, r, t1| {
+    let mut gaps = Vec::new();
+    pack_by_tree(reqs, &order, prof, |tree, w, r| {
         // `find_best_fit(.., u64::MAX)` over an explicit gap list, so
         // the candidates can be counted.
-        let gaps = packer.free_gaps(r.ts, t1, r.size);
-        let off =
-            best_fit_gap(&gaps, r.size, u64::MAX).expect("top-of-stack candidate always exists");
+        tree.free_gaps(w, r.size, &mut gaps);
+        let &(top, _) = gaps.last().expect("the top is always a gap");
+        // Interior gaps always fit: `None` means `r.size` bytes at the
+        // top pass the end of the address space, which `place` refuses.
+        let off = best_fit_gap(&gaps, r.size, u64::MAX).unwrap_or(top);
         (off, gaps.len() as u64)
     })
 }
@@ -220,7 +253,24 @@ fn tmp_order(
     let reqs = &profile.statics;
     let t = Instant::now();
     let plans = build_phase_groups(reqs);
+    let order = tmp_weight_order(reqs, &plans);
+    prof.layout_micros = micros_since(t);
 
+    // First-fit takes the first gap that fits: one candidate accepted
+    // per placement, nothing scanned and discarded that this accounting
+    // can see.
+    let layout = pack_by_tree(reqs, &order, prof, |tree, w, r| {
+        (tree.first_fit(w, r.size), 1)
+    });
+    StaticLayout {
+        phase_groups: plans.len(),
+        ..layout
+    }
+}
+
+/// `tmp-order`'s placement order: the cohorts by descending weight,
+/// each one's members in arrival order.
+fn tmp_weight_order(reqs: &[RequestEvent], plans: &[LocalPlan]) -> Vec<usize> {
     let mut cohorts: Vec<usize> = (0..plans.len()).collect();
     // Weights are products of u64s: finite, so total_cmp is a strict
     // deterministic order; member index breaks exact ties.
@@ -238,21 +288,7 @@ fn tmp_order(
         order.extend(plans[pi].members.iter().map(|&(ri, _)| ri));
         order[from..].sort_unstable_by_key(|&ri| (reqs[ri].ts, ri));
     }
-    prof.layout_micros = micros_since(t);
-
-    // First-fit takes the first gap that fits: one candidate accepted
-    // per placement, nothing scanned and discarded that this accounting
-    // can see.
-    let layout = pack_cold(reqs, &order, prof, |packer, r, t1| {
-        let off = packer
-            .find_first_fit(r.ts, t1, r.size, u64::MAX)
-            .expect("unbounded fit always succeeds");
-        (off, 1)
-    });
-    StaticLayout {
-        phase_groups: plans.len(),
-        ..layout
-    }
+    order
 }
 
 /// When each address was last freed, for `lookahead`'s idle-gap score:
@@ -508,12 +544,41 @@ mod tests {
         (layout.request_offsets, layout.pool_size, prof)
     }
 
-    /// The live-set `lookahead`'s offsets, pool and counters.
-    fn lookahead_by_sweep(profile: &ProfiledRequests) -> (Vec<u64>, u64, SolverProfile) {
+    /// The `bestfit` this module shipped before the occupancy tree: every
+    /// gap list from one pool-wide `TimeSpacePacker`. Kept as the oracle
+    /// [`bestfit`] is tested against: offsets, pool and counters.
+    fn bestfit_by_packer(profile: &ProfiledRequests) -> (Vec<u64>, u64, SolverProfile) {
+        let reqs = &profile.statics;
+        let mut order: Vec<usize> = (0..reqs.len()).collect();
+        sort_largest_first(reqs, &mut order);
         let mut prof = SolverProfile::default();
-        let layout = lookahead(profile, &SynthConfig::default(), &mut prof);
+        let layout = pack_cold(reqs, &order, &mut prof, |packer, r, t1| {
+            let gaps = packer.free_gaps(r.ts, t1, r.size);
+            let off = best_fit_gap(&gaps, r.size, u64::MAX)
+                .expect("top-of-stack candidate always exists");
+            (off, gaps.len() as u64)
+        });
         (layout.request_offsets, layout.pool_size, prof)
     }
+
+    /// The `tmp-order` this module shipped before the occupancy tree:
+    /// every first fit from one pool-wide `TimeSpacePacker`. Kept as the
+    /// oracle [`tmp_order`] is tested against: offsets, pool and counters.
+    fn tmp_order_by_packer(profile: &ProfiledRequests) -> (Vec<u64>, u64, SolverProfile) {
+        let reqs = &profile.statics;
+        let order = tmp_weight_order(reqs, &build_phase_groups(reqs));
+        let mut prof = SolverProfile::default();
+        let layout = pack_cold(reqs, &order, &mut prof, |packer, r, t1| {
+            let off = packer
+                .find_first_fit(r.ts, t1, r.size, u64::MAX)
+                .expect("unbounded fit always succeeds");
+            (off, 1)
+        });
+        (layout.request_offsets, layout.pool_size, prof)
+    }
+
+    /// A row's old body: offsets, pool and counters.
+    type Oracle = fn(&ProfiledRequests) -> (Vec<u64>, u64, SolverProfile);
 
     /// `(candidates_evaluated, placements_tried, placements_rejected)`.
     fn counters(prof: &SolverProfile) -> (u64, u64, u64) {
@@ -524,14 +589,32 @@ mod tests {
         )
     }
 
+    /// The row named `choice` and its oracle on one profile: equal
+    /// offsets, pool and counters.
+    fn assert_row_matches(
+        choice: StrategyChoice,
+        oracle: Oracle,
+        profile: &ProfiledRequests,
+    ) -> Result<(), String> {
+        let mut prof = SolverProfile::default();
+        let row = strategy_for(choice).expect("concrete");
+        let layout = (row.layout)(profile, &SynthConfig::default(), &mut prof);
+        let (want_offsets, want_pool, want_prof) = oracle(profile);
+        prop_assert_eq!(layout.request_offsets, want_offsets, "{}", choice);
+        prop_assert_eq!(layout.pool_size, want_pool, "{}", choice);
+        prop_assert_eq!(counters(&prof), counters(&want_prof), "{}", choice);
+        Ok(())
+    }
+
     /// Both `lookahead`s on one profile: equal offsets, pool and counters.
     fn assert_lookaheads_agree(profile: &ProfiledRequests) -> Result<(), String> {
-        let (offsets, pool, prof) = lookahead_by_sweep(profile);
-        let (want_offsets, want_pool, want_prof) = lookahead_by_packer(profile);
-        prop_assert_eq!(offsets, want_offsets);
-        prop_assert_eq!(pool, want_pool);
-        prop_assert_eq!(counters(&prof), counters(&want_prof));
-        Ok(())
+        assert_row_matches(StrategyChoice::Lookahead, lookahead_by_packer, profile)
+    }
+
+    /// `bestfit` and `tmp-order` against their packer oracles.
+    fn assert_tree_rows_agree(profile: &ProfiledRequests) -> Result<(), String> {
+        assert_row_matches(StrategyChoice::BestFit, bestfit_by_packer, profile)?;
+        assert_row_matches(StrategyChoice::TmpOrder, tmp_order_by_packer, profile)
     }
 
     fn req(size: u64, ts: u64, te: u64) -> RequestEvent {
@@ -662,6 +745,14 @@ mod tests {
             assert_lookaheads_agree(&requests(&spec))?;
         }
 
+        /// `bestfit` and `tmp-order` over the occupancy tree place every
+        /// request exactly where their packer-based forms did, and count
+        /// the same candidates.
+        #[test]
+        fn tree_rows_match_packer_rows(spec in spec()) {
+            assert_tree_rows_agree(&requests(&spec))?;
+        }
+
         /// [`FreedAt`] against one tick per address: after every
         /// assignment, the latest tick over ranges of every length from
         /// every address equals the array's, and the run is canonical.
@@ -720,6 +811,14 @@ mod tests {
         }
     }
 
+    #[test]
+    fn tree_rows_match_packer_rows_on_the_zoo() {
+        for (name, profile) in zoo() {
+            assert!(profile.statics.len() > 3_800, "{name}");
+            assert_tree_rows_agree(&profile).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+
     /// Two statics of 2^63 + 1 bytes live together do not fit in a 64-bit
     /// address space. The row must fail — and the race drop it — rather
     /// than wrap the second placement's end into a pool smaller than the
@@ -734,5 +833,23 @@ mod tests {
         let message = planned.expect_err("the second placement wraps");
         let message = message.downcast_ref::<String>().expect("a formatted panic");
         assert!(message.contains("not contained"), "{message}");
+    }
+
+    /// The same two statics for the rows that place through the occupancy
+    /// tree. Same-phase transients, so `tmp-order`'s grouping leaves them
+    /// in cohorts of one and the tree is what refuses the second.
+    #[test]
+    fn bestfit_and_tmp_order_refuse_a_placement_past_the_address_space() {
+        let big = req((1 << 63) + 1, 0, 10);
+        let transient = RequestEvent { pe: big.ps, ..big };
+        let profile = statics(vec![transient, transient]);
+        for choice in [StrategyChoice::BestFit, StrategyChoice::TmpOrder] {
+            let row = strategy_for(choice).unwrap();
+            let planned =
+                std::panic::catch_unwind(|| row.plan_profiled(&profile, &SynthConfig::default()));
+            let message = planned.expect_err("the second placement wraps");
+            let message = message.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("not contained"), "{choice}: {message}");
+        }
     }
 }
