@@ -21,7 +21,8 @@ usage: stalloc fuzz [flags]
 replays the committed regression corpus, then fires structure-aware
 mutants at the strict decoders, checking differential oracles
 (decode→re-encode fixpoint, fingerprint-of-bytes == fingerprint-of-
-value, STPL v1/v2 interop) and malformed-stream recovery on a live
+value, a soundness verdict on every decoded plan) and malformed-stream
+recovery on a live
 loopback server; exits nonzero on any panic, oracle violation, or
 never-exercised rejection variant (minimized failures land in
 target/fuzz-failures/)",

@@ -97,8 +97,8 @@ fn lookup(argv: &[String]) -> Option<(&'static Command, &[String])> {
         .min_by_key(|(_, rest)| rest.len())
 }
 
-/// The usage text printed on errors and by `stalloc --help`.
-pub fn usage() -> String {
+/// The usage text printed on argument errors and by `stalloc --help`.
+fn usage() -> String {
     let mut text = String::from(
         "usage: stalloc <command> [--flags]\n       \
          stalloc <command> --help   for per-command details\n\ncommands:",
@@ -117,12 +117,18 @@ pub fn usage() -> String {
     text
 }
 
+/// An argument error: the message, then the usage text. A command that
+/// fails at run time reports its one line alone.
+fn usage_error(message: String) -> String {
+    format!("{message}\n\n{}", usage())
+}
+
 /// Runs the command `argv` names. One rule answers help for every row:
 /// `help <command>`, `<command> help`, and `--help`/`-h` anywhere among
 /// the command's arguments.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let (argv, help_topic) = match argv.first().map(String::as_str) {
-        None => return Err("no command given".into()),
+        None => return Err(usage_error("no command given".into())),
         Some("--version" | "-V") => return version(&Args::default()),
         Some("help" | "--help" | "-h") if argv.len() == 1 => return out(&(usage() + "\n")),
         Some("help" | "--help" | "-h") => (&argv[1..], true),
@@ -131,15 +137,16 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some((command, rest)) = lookup(argv) else {
         let name = &argv[0];
         let known = COMMANDS.iter().filter_map(|c| c.name.split(' ').next());
-        return Err(match nearest(name, known.chain(["help"])) {
+        return Err(usage_error(match nearest(name, known.chain(["help"])) {
             Some(s) => format!("unknown command '{name}' (did you mean '{s}'?)"),
             None => format!("unknown command '{name}'"),
-        });
+        }));
     };
     let args = if help_topic || rest.first().is_some_and(|a| a == "help") {
         None
     } else {
-        Some(Args::parse(command.name, rest, &command.spec)?).filter(|a| !a.wants_help())
+        Some(Args::parse(command.name, rest, &command.spec).map_err(usage_error)?)
+            .filter(|a| !a.wants_help())
     };
     match args {
         Some(args) => (command.run)(&args),
@@ -172,7 +179,8 @@ mod tests {
     fn unknown_command_is_rejected_with_a_suggestion() {
         let err = dispatch(&argv("fly")).unwrap_err();
         assert!(err.contains("unknown command"), "{err}");
-        assert!(dispatch(&[]).is_err());
+        assert!(err.ends_with(&usage()), "argument errors carry the usage");
+        assert!(dispatch(&[]).unwrap_err().ends_with(&usage()));
         let err = dispatch(&argv("trce")).unwrap_err();
         assert!(err.contains("did you mean 'trace'"), "{err}");
         let err = dispatch(&argv("cashe")).unwrap_err();
@@ -301,8 +309,28 @@ mod tests {
     fn unknown_flag_suggests_per_command() {
         let err = dispatch(&argv("plan --inptu p.json --output x.json")).unwrap_err();
         assert!(err.contains("did you mean '--input'"), "{err}");
+        assert!(err.ends_with(&usage()), "argument errors carry the usage");
         let err = dispatch(&argv("trace --modle gpt2 --output t.json")).unwrap_err();
         assert!(err.contains("did you mean '--model'"), "{err}");
+    }
+
+    #[test]
+    fn run_time_failures_are_one_line() {
+        let dir = std::env::temp_dir().join(format!("stalloc-cli-fail-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.stplan");
+        // A plan from a foreign `STPL` version: magic, then version 1.
+        let foreign = dir.join("v1.stplan");
+        fs::write(&foreign, b"STPL\x01\x00\x00\x00").unwrap();
+        for (path, want) in [
+            (&missing, "missing.stplan: "),
+            (&foreign, "v1.stplan: unsupported format version 1"),
+        ] {
+            let err = dispatch(&argv(&format!("explain {}", path.display()))).unwrap_err();
+            assert!(err.contains(want), "{err}");
+            assert!(!err.contains('\n'), "one line, no usage: {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

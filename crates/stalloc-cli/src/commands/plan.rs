@@ -38,8 +38,7 @@ usage: stalloc plan --input PROFILE --output FILE [flags]
                     synthesizing locally (mutually exclusive with --cache)
   --wire W          with --remote: how the profile travels — `bin`
                     (default: PROF binary codec in a raw frame) or
-                    `json` (inline, for pre-binary servers / nc
-                    debugging)
+                    `json` (inline, for nc/debugging)
   --trace FILE      with --remote: write the request as a merged
                     client+server Chrome trace-event timeline to FILE
                     (load in chrome://tracing or Perfetto; the server's
@@ -498,7 +497,7 @@ mod tests {
         let plan = read_plan(&plan_p).unwrap();
         plan.validate().unwrap();
 
-        // A JSON-wire request (for pre-binary servers) is the same job:
+        // A JSON-wire request is the same job:
         // another cache hit, same artifact.
         dispatch(&argv(&format!(
             "plan --input {prof_p} --output {plan_p} --remote {addr} --wire json"

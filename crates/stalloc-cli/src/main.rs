@@ -23,8 +23,6 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", commands::usage());
             ExitCode::FAILURE
         }
     }

@@ -154,34 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_json_without_strategy_decodes_as_baseline() {
-        // JSON plan artifacts written before `PlanStats.strategy`
-        // existed must keep loading (mirroring the binary codec's v1
-        // fallback), so `stalloc show`/`diff` work on old files.
-        let trace = job().build_trace().unwrap();
-        let profile = profile_trace(&trace, 1).unwrap();
-        let plan = synthesize(&profile, &SynthConfig::default());
-        let mut v = serde_json::to_value(&plan).unwrap();
-        let serde::Value::Map(top) = &mut v else {
-            panic!("plan serializes as a map");
-        };
-        let stats = top
-            .iter_mut()
-            .find_map(|(k, s)| (k == "stats").then_some(s))
-            .unwrap();
-        let serde::Value::Map(stat_fields) = stats else {
-            panic!("stats serializes as a map");
-        };
-        let before = stat_fields.len();
-        stat_fields.retain(|(k, _)| k != "strategy");
-        assert_eq!(stat_fields.len(), before - 1, "strategy key was present");
-        let back = Plan::from_json(&serde_json::to_string(&v).unwrap()).unwrap();
-        assert_eq!(back.stats.strategy, StrategyChoice::Baseline);
-        assert_eq!(back.stats, plan.stats);
-        assert_eq!(back.pool_size, plan.pool_size);
-    }
-
-    #[test]
     fn ablations_do_not_break_soundness() {
         let trace = job().build_trace().unwrap();
         let profile = profile_trace(&trace, 1).unwrap();

@@ -137,11 +137,7 @@ impl std::fmt::Display for StrategyChoice {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanStats {
     /// The strategy that produced this plan (for a portfolio run: the
-    /// winning concrete strategy, not `Portfolio`). Defaults to
-    /// `Baseline` so JSON plan artifacts written before this field
-    /// existed still deserialize (mirroring the binary codec's v1
-    /// fallback).
-    #[serde(default)]
+    /// winning concrete strategy, not `Portfolio`).
     pub strategy: StrategyChoice,
     /// Static requests planned (persistent + iteration).
     pub static_requests: usize,
@@ -268,11 +264,7 @@ pub struct SynthConfig {
     pub ascending_sizes: bool,
     /// Which packing strategy to run (part of the job fingerprint).
     /// [`synthesize`] honours only `Baseline`; the solver crate's
-    /// `synthesize_strategy` dispatches the rest. Defaults to
-    /// `Baseline` so wire requests from clients predating this field
-    /// still deserialize. (The key of their retired fusion switch is
-    /// skipped like any unknown key.)
-    #[serde(default)]
+    /// `synthesize_strategy` dispatches the rest.
     pub strategy: StrategyChoice,
 }
 

@@ -8,14 +8,22 @@
 //! A request is either a full planning job `(ProfiledRequests,
 //! SynthConfig)` — with the profile inline as JSON (`Plan`) or in a
 //! follow-up `PROF` binary-codec frame (`ProfileBin`, see
-//! [`ProfileEncoding`]) — a lookup by job
-//! [`Fingerprint`](crate::Fingerprint), a
-//! [`ServeStats`] snapshot request, a [`ServeMetrics`] latency report
-//! request, or a liveness ping. Responses carry
-//! the plan plus provenance ([`PlanSource`]: which cache tier answered,
-//! or whether this request rode on another request's in-flight
-//! synthesis), per-request timing, and typed errors ([`WireErrorKind`])
-//! for protocol violations.
+//! [`ProfileEncoding`]) — the next job of a profile family as a
+//! `PROF-DELTA` edit script against a base the server has seen
+//! (`PlanDelta`), a lookup by job [`Fingerprint`](crate::Fingerprint),
+//! the recent spans of one trace (`TraceGet`), a [`ServeStats`] snapshot
+//! request, a [`ServeMetrics`] latency report request, or a liveness
+//! ping. Responses carry the plan plus provenance ([`PlanSource`]: which
+//! cache tier answered, or whether this request rode on another
+//! request's in-flight synthesis), per-request timing, and typed errors
+//! ([`WireErrorKind`]) for protocol violations.
+//!
+//! Client and server are built from one workspace, so there is one
+//! protocol and no version negotiation. Every field is required except
+//! the `Option`s, whose absence has a documented meaning (`encoding`:
+//! `Json`; `trace`: server-minted ids). A document missing a required
+//! key is a decode error — `BadFrame` at the server, a protocol error at
+//! the client — and unknown keys are skipped.
 
 use serde::{Deserialize, Serialize};
 use stalloc_obs::{HistogramSnapshot, SpanSnapshot, TraceContext};
@@ -31,13 +39,11 @@ use crate::profiler::ProfiledRequests;
 /// `stalloc-store` binary codec — about a sixth of the JSON bytes, and
 /// a server's memoized encoding goes out as is.
 ///
-/// The request field is optional on the wire: frames from clients that
-/// predate it carry no `encoding` key and are served `Json`, exactly as
-/// before the field existed — old clients keep working against new
-/// servers.
+/// The request field is optional on the wire: a frame without an
+/// `encoding` key (say, one written by hand for `nc`) is served `Json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanEncoding {
-    /// Plan embedded in the JSON response (the pre-`encoding` behaviour).
+    /// Plan embedded in the JSON response.
     Json,
     /// Plan in a follow-up binary-codec frame.
     #[default]
@@ -47,21 +53,18 @@ pub enum PlanEncoding {
 /// How the profile of a `Plan` job travels in the request.
 ///
 /// `Json` embeds the profile inside the JSON [`PlanRequest::Plan`]
-/// frame — the pre-binary behaviour, and what every request without an
-/// explicit choice means: clients that predate this type never send a
-/// [`PlanRequest::ProfileBin`] header, so they keep working unchanged.
-/// `Binary` sends a [`PlanRequest::ProfileBin`] header frame followed by
-/// one *raw* frame holding the profile in the `stalloc-store` `PROF`
-/// binary codec — a tenth of the JSON bytes, and a server fingerprints
+/// frame. `Binary` sends a [`PlanRequest::ProfileBin`] header frame
+/// followed by one *raw* frame holding the profile in the
+/// `stalloc-store` `PROF` binary codec — a tenth of the JSON bytes, and a server fingerprints
 /// them as they arrive, so a cache hit decodes no profile at all (the
 /// profile is by far the largest recurring payload of the protocol).
 ///
-/// The default is `Binary`: that is what new clients (`PlanClient`,
+/// The default is `Binary`: that is what clients (`PlanClient`,
 /// `stalloc plan --remote`) send unless told otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProfileEncoding {
-    /// Profile embedded in the JSON `Plan` request (the pre-`ProfileBin`
-    /// behaviour, and the implied encoding of every `Plan` frame).
+    /// Profile embedded in the JSON `Plan` request (the implied encoding
+    /// of every `Plan` frame).
     Json,
     /// Profile in a follow-up `PROF` binary-codec frame, announced by a
     /// `ProfileBin` header frame.
@@ -79,13 +82,10 @@ pub enum PlanRequest {
         profile: ProfiledRequests,
         /// Synthesizer switches; part of the cache key.
         config: SynthConfig,
-        /// Response encoding; absent (old clients) means `Json`.
+        /// Response encoding; absent means `Json`.
         encoding: Option<PlanEncoding>,
-        /// Distributed-tracing context; absent (old clients) means the
-        /// server mints its own ids. Old servers ignore the key — the
-        /// decoder skips unknown fields — so the field is compatible in
-        /// both directions.
-        #[serde(default)]
+        /// Distributed-tracing context; absent means the server mints
+        /// its own ids.
         trace: Option<TraceContext>,
     },
     /// Plan this job, profile in [`ProfileEncoding::Binary`]: this header
@@ -104,7 +104,6 @@ pub enum PlanRequest {
         bytes: u64,
         /// Distributed-tracing context; absent means server-minted ids,
         /// exactly as on `Plan`.
-        #[serde(default)]
         trace: Option<TraceContext>,
     },
     /// Plan the *next* job of a profile family, sent as an edit script:
@@ -126,7 +125,6 @@ pub enum PlanRequest {
         bytes: u64,
         /// Distributed-tracing context; absent means server-minted ids,
         /// exactly as on `Plan`.
-        #[serde(default)]
         trace: Option<TraceContext>,
     },
     /// Look up a previously planned job by fingerprint only. Never
@@ -134,19 +132,15 @@ pub enum PlanRequest {
     Get {
         /// Lower-case hex fingerprint, as printed by `Fingerprint::to_hex`.
         fingerprint: String,
-        /// Response encoding; absent (old clients) means `Json`.
+        /// Response encoding; absent means `Json`.
         encoding: Option<PlanEncoding>,
         /// Distributed-tracing context; absent means server-minted ids,
         /// exactly as on `Plan`.
-        #[serde(default)]
         trace: Option<TraceContext>,
     },
     /// Return the spans of one trace still in the server's recent-span
     /// ring, oldest first (empty once they have been overwritten — the
     /// ring is bounded, so callers query promptly after their request).
-    /// Added after `Metrics`; servers that predate it answer a typed
-    /// `BadFrame` error (an unknown verb) and close, which clients
-    /// surface as such — old clients never send it.
     TraceGet {
         /// 32-hex-digit trace id, as minted by `stalloc_obs::IdGen`.
         trace_id: String,
@@ -155,10 +149,7 @@ pub enum PlanRequest {
     Stats,
     /// Report the server's latency distributions: per-phase and
     /// per-cache-tier histograms plus the slowest retained request
-    /// spans, alongside the same counters `Stats` returns. Added after
-    /// `Stats`; servers that predate it answer with a typed `BadFrame`
-    /// error (an unknown verb), which clients surface as such — old
-    /// clients are unaffected because they never send it.
+    /// spans, alongside the same counters `Stats` returns.
     Metrics,
     /// Liveness check.
     Ping,
@@ -167,9 +158,8 @@ pub enum PlanRequest {
 impl PlanRequest {
     /// The trace context this request carries, if any. `Stats`,
     /// `Metrics`, `Ping`, and `TraceGet` serialize as bare strings or
-    /// id-only payloads (changing them would break old peers), so only
-    /// the plan-serving verbs propagate context; the server mints ids
-    /// for the rest.
+    /// id-only payloads with no room for one, so only the plan-serving
+    /// verbs propagate context; the server mints ids for the rest.
     pub fn trace_context(&self) -> Option<TraceContext> {
         match self {
             PlanRequest::Plan { trace, .. }
@@ -198,8 +188,8 @@ pub enum PlanSource {
     Coalesced,
     /// Patched in-process from a cached base plan (a `PlanDelta`
     /// request whose base fingerprint was still on hand) — the
-    /// synthesizer never ran. Added with `PlanDelta`; old clients never
-    /// see it because they never send the verb.
+    /// synthesizer never ran. Only `PlanDelta` requests are answered
+    /// from this tier.
     Patched,
 }
 
@@ -251,15 +241,17 @@ impl std::fmt::Display for WireErrorKind {
 pub struct ServeStats {
     /// Total requests decoded (all verbs).
     pub requests: u64,
-    /// `Plan` requests.
+    /// Planning requests (`Plan`, `ProfileBin`, `PlanDelta`).
     pub plan_requests: u64,
-    /// `Plan`/`Get` requests answered from the in-process LRU.
+    /// Planning and `Get` requests answered from the in-process LRU.
     pub lru_hits: u64,
-    /// `Plan`/`Get` requests answered from the on-disk store.
+    /// Planning and `Get` requests answered from the on-disk store.
     pub store_hits: u64,
-    /// `Plan` requests that ran the synthesizer (single-flight leaders).
+    /// Planning requests that ran the synthesizer (single-flight
+    /// leaders).
     pub misses: u64,
-    /// `Plan` requests that waited on an identical in-flight synthesis.
+    /// Planning requests that waited on an identical in-flight
+    /// synthesis.
     pub coalesced: u64,
     /// Connections rejected with `Busy` because the accept queue was full.
     pub rejected: u64,
@@ -271,29 +263,18 @@ pub struct ServeStats {
     pub queue_depth: u64,
     /// Size of the worker pool.
     pub workers: u64,
-    /// `Metrics` requests served. Added after the struct first shipped:
-    /// `default` keeps old-shape JSON documents (no such key) decoding,
-    /// so a new client can read an old server's `Stats` response.
-    #[serde(default)]
+    /// `Metrics` requests served.
     pub metrics_requests: u64,
     /// Capacity of the slowest-span retention list (`serve --slowest`).
-    /// Added with tracing; `default` (0 = unreported) keeps old-server
-    /// `Stats` documents decoding.
-    #[serde(default)]
     pub slowest_capacity: u64,
-    /// `PlanDelta` requests decoded. Added with incremental
-    /// re-planning; `default` keeps old-server `Stats` documents
-    /// decoding.
-    #[serde(default)]
+    /// `PlanDelta` requests decoded.
     pub delta_requests: u64,
     /// `PlanDelta` requests whose *next* plan was already cached
     /// (LRU/store) — also counted in `lru_hits`/`store_hits`, this
     /// counter only attributes them to the delta path.
-    #[serde(default)]
     pub delta_hits: u64,
     /// `PlanDelta` requests answered by patching a cached base plan
     /// in-process (the `patched` tier).
-    #[serde(default)]
     pub delta_patched: u64,
 }
 
@@ -336,43 +317,29 @@ pub struct SolverStrategyMetrics {
     /// Stable strategy name (`"baseline"`, `"bestfit"`, ...).
     pub strategy: String,
     /// Synthesis runs (portfolio races count each racer once).
-    #[serde(default)]
     pub runs: u64,
     /// Runs whose plan was selected (the winning candidate).
-    #[serde(default)]
     pub wins: u64,
     /// Runs whose candidate failed validation or panicked.
-    #[serde(default)]
     pub invalid: u64,
     /// Total request ordering / grouping time, µs.
-    #[serde(default)]
     pub layout_micros: u64,
     /// Total packer (gap scan + placement) time, µs.
-    #[serde(default)]
     pub pack_micros: u64,
     /// Total plan assembly time, µs.
-    #[serde(default)]
     pub finish_micros: u64,
     /// Placement candidates examined.
-    #[serde(default)]
     pub candidates_evaluated: u64,
     /// Placements committed.
-    #[serde(default)]
     pub placements_tried: u64,
     /// Candidates examined but passed over.
-    #[serde(default)]
     pub placements_rejected: u64,
     /// Distribution of end-to-end per-run wall time, microseconds.
-    #[serde(default)]
     pub elapsed: HistogramSnapshot,
 }
 
 /// The `Metrics` verb's payload: everything `Stats` reports plus latency
 /// distributions and the slowest retained request spans.
-///
-/// Unknown-to-old-peers by construction (old clients never send
-/// `Metrics`); all vector fields carry `default` so a future server can
-/// add sections without breaking today's clients.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeMetrics {
     /// Counter snapshot, identical in shape to the `Stats` response.
@@ -380,21 +347,16 @@ pub struct ServeMetrics {
     /// Per-phase request-time distributions, one per
     /// `stalloc_obs::Phase`, recorded only for requests that entered the
     /// phase.
-    #[serde(default)]
     pub phases: Vec<NamedHistogram>,
     /// End-to-end latency distributions keyed by the cache tier that
     /// answered (`"lru"`, `"store"`, `"miss"`, `"coalesced"`,
     /// `"patched"`); each tier's `count` matches the corresponding
     /// `ServeStats` counter.
-    #[serde(default)]
     pub tiers: Vec<NamedHistogram>,
     /// The slowest retained request spans, slowest first.
-    #[serde(default)]
     pub slowest: Vec<SpanSnapshot>,
     /// Per-strategy synthesis accounting, in `StrategyChoice::CONCRETE`
-    /// order; strategies the server never ran are absent. Empty on
-    /// pre-solver-profiling servers (`default`).
-    #[serde(default)]
+    /// order; strategies the server never ran are absent.
     pub solver: Vec<SolverStrategyMetrics>,
 }
 
@@ -530,39 +492,33 @@ mod tests {
     }
 
     #[test]
-    fn requests_without_encoding_still_decode() {
-        // Wire compatibility: frames from clients that predate the
-        // `encoding` field must keep parsing (and default to Json
-        // server-side).
-        let old = r#"{"Get": {"fingerprint": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"}}"#;
-        match serde_json::from_str::<PlanRequest>(old).unwrap() {
+    fn absent_options_decode_and_absent_required_keys_are_rejected() {
+        // `encoding` and `trace` may be left out (a hand-written `nc`
+        // frame does): the plan then travels as JSON under server-minted
+        // ids.
+        let get = r#"{"Get": {"fingerprint": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"}}"#;
+        match serde_json::from_str::<PlanRequest>(get).unwrap() {
             PlanRequest::Get {
                 encoding, trace, ..
             } => {
                 assert_eq!(encoding, None);
-                assert_eq!(trace, None, "old clients carry no trace context");
+                assert_eq!(trace, None);
             }
             other => panic!("wrong variant: {other:?}"),
         }
 
-        // Same for `Plan` requests, whose config additionally predates
-        // the `strategy` field and carries the retired fusion switch: it
-        // must decode as today's default, Baseline (the only behaviour
-        // old servers had).
+        // Every other key is required. A config without `strategy` names
+        // no job, so the request is rejected rather than guessed at.
         let profile = serde_json::to_string(&ProfiledRequests::default()).unwrap();
-        let old_plan = format!(
+        let no_strategy = format!(
             r#"{{"Plan": {{"profile": {profile}, "config": {{"enable_fusion": true, "enable_gap_insertion": true, "ascending_sizes": false}}}}}}"#
         );
-        match serde_json::from_str::<PlanRequest>(&old_plan).unwrap() {
-            PlanRequest::Plan {
-                config, encoding, ..
-            } => {
-                assert_eq!(config, SynthConfig::default());
-                assert_eq!(config.strategy, crate::plan::StrategyChoice::Baseline);
-                assert_eq!(encoding, None);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
+        let err = serde_json::from_str::<PlanRequest>(&no_strategy).unwrap_err();
+        assert!(err.to_string().contains("`strategy`"), "{err}");
+
+        // Responses too: a `Stats` document short of a counter is rejected.
+        let err = serde_json::from_str::<ServeStats>(r#"{"requests": 9}"#).unwrap_err();
+        assert!(err.to_string().contains("`plan_requests`"), "{err}");
     }
 
     #[test]
@@ -587,8 +543,7 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        // New clients default to binary profiles; old clients simply
-        // never send this header, which is how "absent means Json" works.
+        // Clients send binary profiles unless told otherwise.
         assert_eq!(ProfileEncoding::default(), ProfileEncoding::Binary);
     }
 
@@ -786,9 +741,7 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
 
-        // Unit verbs stay bare strings: converting them to struct
-        // variants would break every old peer, so they deliberately
-        // carry no context.
+        // Unit verbs are bare strings, with no room for a context.
         assert_eq!(
             serde_json::to_string(&PlanRequest::Ping).unwrap(),
             "\"Ping\""
@@ -796,18 +749,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_request_fields_are_ignored_like_an_old_server_would() {
-        // An old server's decoder looks fields up by name and skips the
-        // rest — this document simulates a *newer* client (extra `trace`
-        // plus a field from the future) hitting today's decoder, which
-        // is exactly what a new client's frame looks like to an old
-        // server.
-        let futuristic = r#"{"Get": {"fingerprint": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+    fn unknown_request_fields_are_skipped() {
+        // The decoder looks fields up by name and skips the rest, so a
+        // key it does not know is no error.
+        let extra = r#"{"Get": {"fingerprint": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
             "trace": {"trace_id": "000102030405060708090a0b0c0d0e0f",
                       "span_id": "0001020304050607",
                       "parent_span_id": "0000000000000000"},
-            "field_from_the_future": 7}}"#;
-        match serde_json::from_str::<PlanRequest>(futuristic).unwrap() {
+            "field_nobody_knows": 7}}"#;
+        match serde_json::from_str::<PlanRequest>(extra).unwrap() {
             PlanRequest::Get {
                 fingerprint, trace, ..
             } => {
@@ -852,40 +802,6 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-    }
-
-    #[test]
-    fn old_shape_metrics_json_still_decodes_without_solver() {
-        // A `Metrics` payload as a pre-solver-profiling server writes
-        // it: no `solver` key. New clients must decode it with the
-        // section defaulted to empty, not reject the document.
-        let old = r#"{"stats": {"requests": 2, "plan_requests": 1,
-                      "lru_hits": 1, "store_hits": 0, "misses": 0,
-                      "coalesced": 0, "rejected": 0, "errors": 0,
-                      "in_flight": 0, "queue_depth": 0, "workers": 2},
-                      "phases": [], "tiers": [], "slowest": []}"#;
-        let m: ServeMetrics = serde_json::from_str(old).unwrap();
-        assert_eq!(m.stats.requests, 2);
-        assert!(m.solver.is_empty(), "absent section defaults to empty");
-    }
-
-    #[test]
-    fn old_shape_stats_json_still_decodes() {
-        // A `Stats` response as an old server writes it: no
-        // `metrics_requests` key. New clients must decode it with the
-        // field defaulted, not reject the document.
-        let old = r#"{"requests": 9, "plan_requests": 4, "lru_hits": 2,
-                      "store_hits": 1, "misses": 1, "coalesced": 0,
-                      "rejected": 0, "errors": 0, "in_flight": 0,
-                      "queue_depth": 0, "workers": 4}"#;
-        let stats: ServeStats = serde_json::from_str(old).unwrap();
-        assert_eq!(stats.requests, 9);
-        assert_eq!(stats.metrics_requests, 0, "absent field defaults");
-        assert_eq!(stats.slowest_capacity, 0, "absent field defaults");
-        assert_eq!(stats.delta_requests, 0, "absent field defaults");
-        assert_eq!(stats.delta_hits, 0, "absent field defaults");
-        assert_eq!(stats.delta_patched, 0, "absent field defaults");
-        assert_eq!(stats.hits(), 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic, structure-aware mutational fuzzing for the wire trust
-//! boundary — the four strict decoders (`PROF` profiles, `STPL` plans
-//! v1/v2, `PROF-DELTA` edit scripts, the length-prefixed frame layer)
+//! boundary — the four strict decoders (`PROF` profiles, `STPL` plans,
+//! `PROF-DELTA` edit scripts, the length-prefixed frame layer)
 //! plus a loopback harness that fires mutated request streams at a live
 //! `PlanServer`.
 //!
@@ -11,8 +11,8 @@
 //!
 //! A run is more than a panic hunt. Each target enforces [`oracle`]
 //! differential checks on every accepted mutant (decode→re-encode
-//! fixpoint, fingerprint-of-bytes == fingerprint-of-value, v1/v2
-//! interop, malformed-stream recovery), tracks a [`coverage`] proxy over
+//! fixpoint, fingerprint-of-bytes == fingerprint-of-value,
+//! malformed-stream recovery), tracks a [`coverage`] proxy over
 //! the decoders' typed rejection classes — the run **fails** if a
 //! required `CodecError`/`FrameError` variant is never produced — and
 //! [`minimize`]s any failing input before reporting it, so a failure
@@ -38,7 +38,7 @@ use std::path::PathBuf;
 pub enum FuzzTarget {
     /// The `PROF` binary profile decoder.
     Prof,
-    /// The `STPL` binary plan decoder (v1 and v2).
+    /// The `STPL` binary plan decoder.
     Stpl,
     /// The `PROF-DELTA` binary edit-script decoder.
     Delta,

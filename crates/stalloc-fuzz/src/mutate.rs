@@ -176,7 +176,7 @@ pub fn structured_profile_mutant(m: &mut Mutator, seed: &[u8]) -> Option<Vec<u8>
 
 /// Structure-aware `STPL` mutant, mirroring [`structured_profile_mutant`]
 /// for plans (including retagging the strategy byte, which drives the
-/// v1/v2 differential oracle through every valid strategy index).
+/// fixpoint oracle through every valid strategy index).
 pub fn structured_plan_mutant(m: &mut Mutator, seed: &[u8]) -> Option<Vec<u8>> {
     let mut p = decode_plan(seed).ok()?;
     match m.gen_range_u32(5) {

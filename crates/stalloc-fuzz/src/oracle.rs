@@ -9,9 +9,6 @@
 //!   hashing the raw body must agree with hashing the decoded value
 //!   (`fingerprint_job_body(bytes) == fingerprint_job(decoded)`); the
 //!   server's cache-hit-without-decode path depends on this.
-//! * **Version interop** — a v1 `STPL` stream is a Baseline-tagged v2
-//!   stream minus the strategy byte; downgrading must round-trip both
-//!   directions, never silently diverge.
 //! * **Totality** — every plan that decodes gets a verdict from
 //!   `Plan::validate`: the check guards the training process against
 //!   exactly these streams, so it may reject one but never panic on it.
@@ -22,7 +19,7 @@
 use crate::coverage::CoverageLedger;
 use stalloc_core::{
     apply_delta, fingerprint_job, fingerprint_job_body, fingerprint_profile, Fingerprint,
-    ProfiledRequests, StrategyChoice, SynthConfig,
+    ProfiledRequests, SynthConfig,
 };
 use stalloc_served::{read_frame, write_frame, FrameError};
 use stalloc_store::{
@@ -156,9 +153,7 @@ pub fn check_delta(bytes: &[u8], cov: &mut CoverageLedger) -> Result<(), String>
     }
 }
 
-/// `STPL` oracle: typed rejection, or a `validate` verdict, fixpoint
-/// (v2) / downgrade round-trip (v1), plus the v2→v1 differential on
-/// Baseline plans.
+/// `STPL` oracle: typed rejection, or a `validate` verdict plus fixpoint.
 pub fn check_stpl(bytes: &[u8], cov: &mut CoverageLedger) -> Result<(), String> {
     match decode_plan(bytes) {
         Err(e) => {
@@ -171,76 +166,17 @@ pub fn check_stpl(bytes: &[u8], cov: &mut CoverageLedger) -> Result<(), String> 
             // Decodes ⇒ `validate` returns, sound or not; a panic here is
             // caught by the run and counted like a decoder panic.
             let _ = plan.validate();
-            let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-            let v2 = encode_plan(&plan);
-            match version {
-                2 => {
-                    if v2 != bytes {
-                        return Err(format!(
-                            "STPL v2 decode→re-encode is not a fixpoint ({} bytes in, {} out)",
-                            bytes.len(),
-                            v2.len()
-                        ));
-                    }
-                }
-                1 => {
-                    if plan.stats.strategy != StrategyChoice::Baseline {
-                        return Err(format!(
-                            "v1 stream decoded to strategy {:?}, not Baseline",
-                            plan.stats.strategy
-                        ));
-                    }
-                    let down = downgrade_to_v1(&v2)
-                        .ok_or("could not re-derive the v1 form of a decoded v1 stream")?;
-                    if down != bytes {
-                        return Err("v1 stream != downgrade(re-encode(decode(v1)))".into());
-                    }
-                }
-                other => return Err(format!("decoder accepted unknown version {other}")),
-            }
-            // Differential: any valid Baseline v2 stream must survive the
-            // v1 downgrade and decode to the identical plan.
-            if version == 2 && plan.stats.strategy == StrategyChoice::Baseline {
-                let v1 = downgrade_to_v1(bytes)
-                    .ok_or("could not derive the v1 form of a valid v2 stream")?;
-                match decode_plan(&v1) {
-                    Ok(p1) if p1 == plan => {}
-                    Ok(_) => return Err("v1 downgrade decodes to a different plan".into()),
-                    Err(e) => {
-                        return Err(format!("v1 downgrade of a valid v2 stream rejected: {e}"))
-                    }
-                }
+            let re = encode_plan(&plan);
+            if re != bytes {
+                return Err(format!(
+                    "STPL decode→re-encode is not a fixpoint ({} bytes in, {} out)",
+                    bytes.len(),
+                    re.len()
+                ));
             }
             Ok(())
         }
     }
-}
-
-/// v2 `STPL` stream → its v1 form: drop the strategy varint (the field
-/// v1 predates, right after `pool_size`) and rewind the header version.
-/// Returns `None` if the stream is too short or a varint never
-/// terminates (only possible on undecodable input).
-pub fn downgrade_to_v1(v2: &[u8]) -> Option<Vec<u8>> {
-    if v2.len() < 7 {
-        return None;
-    }
-    let skip_varint = |mut pos: usize| -> Option<usize> {
-        loop {
-            let b = *v2.get(pos)?;
-            pos += 1;
-            if b & 0x80 == 0 {
-                return Some(pos);
-            }
-        }
-    };
-    let strat_start = skip_varint(6)?; // past magic+version+pool_size
-    let strat_end = skip_varint(strat_start)?;
-    let mut out = Vec::with_capacity(v2.len() - (strat_end - strat_start) + 1);
-    out.extend_from_slice(&v2[..4]);
-    out.extend_from_slice(&1u16.to_le_bytes());
-    out.extend_from_slice(&v2[6..strat_start]);
-    out.extend_from_slice(&v2[strat_end..]);
-    Some(out)
 }
 
 /// Frame oracle: typed rejection, or the consumed prefix re-frames to
@@ -310,20 +246,6 @@ mod tests {
         write_frame(&mut framed, b"{\"Ping\":null}").unwrap();
         check_frame(&framed, &mut cov).unwrap();
         assert_eq!(cov.ok_decodes(), 3);
-    }
-
-    #[test]
-    fn downgrade_round_trips_through_the_decoder() {
-        let profile = sample_profile();
-        let plan = synthesize(&profile, &SynthConfig::default());
-        assert_eq!(plan.stats.strategy, StrategyChoice::Baseline);
-        let v2 = encode_plan(&plan);
-        let v1 = downgrade_to_v1(&v2).unwrap();
-        assert_eq!(v1.len(), v2.len() - 1, "strategy byte dropped");
-        assert_eq!(decode_plan(&v1).unwrap(), plan);
-        // And the oracle accepts the v1 form directly.
-        let mut cov = CoverageLedger::new();
-        check_stpl(&v1, &mut cov).unwrap();
     }
 
     /// A stream that decodes to a plan no lifetime can follow (allocated

@@ -278,7 +278,7 @@ mod tests {
         let back: TraceContext = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ctx);
 
-        // Old peers emit nothing; a missing context must stay `None`.
+        // An untraced request carries no context; it must stay `None`.
         let opt: Option<TraceContext> = serde_json::from_str("null").unwrap();
         assert_eq!(opt, None);
 

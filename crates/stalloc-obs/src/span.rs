@@ -190,16 +190,12 @@ impl<P: PhaseSet> Span<P> {
 pub struct SpanSnapshot {
     /// Server-assigned completion sequence number.
     pub seq: u64,
-    /// 32-hex-digit trace id, `""` when untraced (or from a pre-tracing
-    /// server).
-    #[serde(default)]
+    /// 32-hex-digit trace id, `""` when untraced.
     pub trace_id: String,
     /// 16-hex-digit span id, `""` when untraced.
-    #[serde(default)]
     pub span_id: String,
     /// 16-hex-digit parent span id (`0000…` for a root span), `""` when
     /// untraced.
-    #[serde(default)]
     pub parent_span_id: String,
     /// Request verb name.
     pub verb: String,
@@ -422,13 +418,6 @@ mod tests {
 
         let untraced = SpanSnapshot::from(&RequestSpan::new("Ping"));
         assert_eq!(untraced.trace_id, "");
-
-        // A pre-tracing peer's snapshot (no id fields) still decodes.
-        let old: SpanSnapshot = serde_json::from_str(
-            r#"{"seq":1,"verb":"Plan","tier":"lru","total_micros":9,"phase_micros":[0,0,0,0,0,0,0,0,0]}"#,
-        )
-        .unwrap();
-        assert_eq!(old.trace_id, "");
     }
 
     #[test]

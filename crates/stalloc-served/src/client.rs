@@ -13,8 +13,7 @@
 //! and the server identifies the job from the raw `PROF` bytes without
 //! decoding them. The client encodes/decodes transparently; [`PlanClient::with_encoding`] and
 //! [`PlanClient::with_profile_encoding`] switch either direction back to
-//! inline JSON (handy when eavesdropping on the wire with `nc`, or when
-//! talking to a pre-`ProfileBin` server).
+//! inline JSON (handy when eavesdropping on the wire with `nc`).
 //!
 //! Every request is traced: the client mints one trace id per
 //! connection ([`PlanClient::with_trace_id`] overrides it), records a
@@ -140,8 +139,8 @@ impl PlanClient {
     }
 
     /// Chooses how this client's profiles travel (default:
-    /// [`ProfileEncoding::Binary`]). Use [`ProfileEncoding::Json`] to
-    /// speak to servers that predate the `ProfileBin` verb.
+    /// [`ProfileEncoding::Binary`]). [`ProfileEncoding::Json`] puts the
+    /// profile inline in the `Plan` request, readable on the wire.
     pub fn with_profile_encoding(mut self, profile_encoding: ProfileEncoding) -> Self {
         self.profile_encoding = profile_encoding;
         self

@@ -239,7 +239,7 @@ struct ServeObs {
     trace: Option<TraceLog>,
     solver: SolverObs,
     /// Mints trace/span ids for requests that arrive without a context
-    /// (old clients, unit verbs). Lock-free and clock-free.
+    /// (untraced requests, unit verbs). Lock-free and clock-free.
     ids: IdGen,
 }
 
@@ -882,8 +882,8 @@ fn read_request(
         .map_err(|e| Reject::Error(WireErrorKind::BadFrame, format!("unparseable request: {e}")))?;
     span.record_since(Phase::Decode, started);
     span.verb = verb_name(&request);
-    // Propagated ids win; a request without a context (old client,
-    // unit verb) gets server-minted root ids so its trace line and
+    // Propagated ids win; a request without a context (an untraced
+    // request, a unit verb) gets server-minted root ids so its trace line and
     // span are still addressable.
     span.trace = request
         .trace_context()
@@ -1096,8 +1096,7 @@ fn handle_request(
             let Some(hit) = lookup_counted(fp, shared, span) else {
                 return Err(Reject::NotFound(fingerprint));
             };
-            // Absent = a client from before the field existed: serve the
-            // plan inline in JSON, as such clients expect.
+            // Absent means the plan travels inline in JSON.
             let encoding = encoding.unwrap_or(PlanEncoding::Json);
             return Ok(plan_response(fingerprint, hit, started, encoding, span));
         }

@@ -226,6 +226,12 @@ fn delta_requests_patch_chain_and_fall_back() {
     assert_eq!(chained.source, stalloc_core::PlanSource::Patched);
     chained.plan.validate().unwrap();
 
+    // Patching read the base plan and left it alone: the base job is
+    // still a plain LRU hit on the plan it was first served.
+    let again = client.plan(&base, &config).unwrap();
+    assert_eq!(again.source, stalloc_core::PlanSource::Lru);
+    assert_eq!(again.plan, cold.plan);
+
     // A delta against a base the server never saw: NotFound inside, but
     // the client transparently retries full on the same connection.
     let mut stranger = base.clone();

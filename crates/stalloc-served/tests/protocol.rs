@@ -95,12 +95,14 @@ fn bad_json_payload_gets_typed_error() {
     })
     .unwrap();
 
-    let mut raw = TcpStream::connect(server.addr()).unwrap();
-    stalloc_served::write_frame(&mut raw, b"{\"not\": \"a request\"}").unwrap();
-    let resp = read_error_frame(&mut raw);
-    assert!(resp.contains("BadFrame"), "typed error, got: {resp}");
-
-    assert_still_serving(server.addr());
+    // Not a request at all, and a verb this server does not have.
+    for payload in [&b"{\"not\": \"a request\"}"[..], br#""VerbFromTheFuture""#] {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        stalloc_served::write_frame(&mut raw, payload).unwrap();
+        let resp = read_error_frame(&mut raw);
+        assert!(resp.contains("BadFrame"), "typed error, got: {resp}");
+        assert_still_serving(server.addr());
+    }
     server.shutdown();
 }
 
@@ -172,8 +174,7 @@ fn bad_fingerprint_is_bad_request_and_connection_survives() {
     // The typed client cannot produce a malformed fingerprint, so speak
     // the protocol by hand.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
-    // No `encoding` key: this is also the frame shape of clients that
-    // predate the field, which must keep parsing.
+    // No `encoding` key: it is optional, and absent means `Json`.
     stalloc_served::write_frame(&mut raw, br#"{"Get": {"fingerprint": "wat"}}"#).unwrap();
     let resp = read_error_frame(&mut raw);
     assert!(resp.contains("BadRequest"), "typed error, got: {resp}");
@@ -188,108 +189,53 @@ fn bad_fingerprint_is_bad_request_and_connection_survives() {
 }
 
 #[test]
-fn binary_and_json_encodings_serve_identical_plans() {
-    use stalloc_core::wire::PlanEncoding;
+fn every_wire_encoding_pair_serves_one_cache_entry() {
+    use stalloc_core::wire::{PlanEncoding, ProfileEncoding};
 
     let server = PlanServer::start(ServeConfig::default()).unwrap();
     let profile = small_profile();
     let config = SynthConfig::default();
 
-    // Default client speaks binary; an explicit JSON client must get the
-    // exact same plan for the same job (served from cache the 2nd time).
-    let mut bin_client = PlanClient::connect(server.addr()).unwrap();
-    let via_bin = bin_client.plan(&profile, &config).unwrap();
-    let mut json_client = PlanClient::connect(server.addr())
-        .unwrap()
-        .with_encoding(PlanEncoding::Json);
-    let via_json = json_client.plan(&profile, &config).unwrap();
-
-    assert_eq!(via_bin.plan, via_json.plan);
-    assert_eq!(via_bin.fingerprint, via_json.fingerprint);
-    assert!(!via_bin.source.is_hit(), "first request synthesizes");
-    assert!(via_json.source.is_hit(), "second is a cache hit");
+    // The client default (binary both ways) plans first and synthesizes;
+    // every other pair of profile and plan encodings is the same job.
+    // Binary profiles are fingerprinted from their raw `PROF` bytes and
+    // JSON ones from the decoded value, so the three later requests hit
+    // only if both walks give one digest.
+    let mut served = Vec::new();
+    let mut first = None;
+    for profile_enc in [ProfileEncoding::Binary, ProfileEncoding::Json] {
+        for plan_enc in [PlanEncoding::Binary, PlanEncoding::Json] {
+            let mut client = PlanClient::connect(server.addr())
+                .unwrap()
+                .with_profile_encoding(profile_enc)
+                .with_encoding(plan_enc);
+            let remote = client.plan(&profile, &config).unwrap();
+            let pair = format!("{profile_enc:?}/{plan_enc:?}");
+            assert_eq!(remote.source.is_hit(), first.is_some(), "{pair}");
+            served.push((pair, remote));
+            first.get_or_insert(client);
+        }
+    }
+    let (_, reference) = &served[0];
+    let reference_bytes = stalloc_store::encode_plan(&reference.plan);
+    for (pair, remote) in &served[1..] {
+        assert_eq!(remote.fingerprint, reference.fingerprint, "{pair}");
+        assert_eq!(
+            stalloc_store::encode_plan(&remote.plan),
+            reference_bytes,
+            "{pair}"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!((stats.misses, stats.hits()), (1, 3), "{stats:?}");
 
     // Get by fingerprint round-trips through the binary path too, and
     // the keep-alive connection stays frame-synchronized afterwards.
-    let got = bin_client
-        .get(via_bin.fingerprint)
-        .unwrap()
-        .expect("cached");
-    assert_eq!(got.plan, via_bin.plan);
-    bin_client.ping().unwrap();
-
-    assert_eq!(server.stats().misses, 1);
-    server.shutdown();
-}
-
-#[test]
-fn json_and_binary_profile_requests_share_one_cache_entry() {
-    use stalloc_core::wire::ProfileEncoding;
-
-    let server = PlanServer::start(ServeConfig::default()).unwrap();
-    let profile = small_profile();
-    let config = SynthConfig::default();
-
-    // A JSON-profile client plans first (one synthesis) …
-    let mut json_client = PlanClient::connect(server.addr())
-        .unwrap()
-        .with_profile_encoding(ProfileEncoding::Json);
-    let via_json = json_client.plan(&profile, &config).unwrap();
-    assert!(!via_json.source.is_hit());
-
-    // … and a binary-profile client asking for the same job MUST hit
-    // that entry: the fingerprint computed from the raw `PROF` bytes and
-    // the one computed from the decoded profile are the same digest.
-    let mut bin_client = PlanClient::connect(server.addr()).unwrap();
-    assert_eq!(
-        bin_client.profile_encoding(),
-        ProfileEncoding::Binary,
-        "binary profiles are the client default"
-    );
-    let via_bin = bin_client.plan(&profile, &config).unwrap();
-    assert!(
-        via_bin.source.is_hit(),
-        "binary request missed the JSON request's cache entry"
-    );
-    assert_eq!(via_bin.fingerprint, via_json.fingerprint);
-    assert_eq!(via_bin.plan, via_json.plan);
-
-    assert_eq!(server.stats().misses, 1, "exactly one synthesis");
-    server.shutdown();
-}
-
-#[test]
-fn old_style_json_plan_request_still_served() {
-    // A client from before `ProfileEncoding`/`PlanEncoding` existed:
-    // profile inline, no encoding keys anywhere, pre-strategy 3-field
-    // config. The server must answer with an inline-JSON `Plan`
-    // response, exactly as it did then.
-    use stalloc_served::write_frame;
-
-    let server = PlanServer::start(ServeConfig::default()).unwrap();
-    let profile = small_profile();
-    let profile_json = serde_json::to_string(&profile).unwrap();
-    let old_request = format!(
-        r#"{{"Plan": {{"profile": {profile_json}, "config": {{"enable_fusion": true, "enable_gap_insertion": true, "ascending_sizes": false}}}}}}"#
-    );
-
-    let mut raw = TcpStream::connect(server.addr()).unwrap();
-    write_frame(&mut raw, old_request.as_bytes()).unwrap();
-    let response = read_error_frame(&mut raw); // reads any response frame
-    assert!(
-        response.contains(r#""Plan""#) && response.contains(r#""pool_size""#),
-        "expected an inline-JSON Plan response, got: {response}"
-    );
-    assert!(
-        !response.contains(r#""PlanBin""#),
-        "old clients must never receive a binary header: {response}"
-    );
-
-    // The plan it got is the same artifact a modern binary client gets.
-    let mut modern = PlanClient::connect(server.addr()).unwrap();
-    let remote = modern.plan(&profile, &SynthConfig::default()).unwrap();
-    assert!(remote.source.is_hit(), "same fingerprint, same cache entry");
-    assert_eq!(server.stats().misses, 1);
+    let mut client = first.unwrap();
+    assert_eq!(client.profile_encoding(), ProfileEncoding::Binary);
+    let got = client.get(reference.fingerprint).unwrap().expect("cached");
+    assert_eq!(got.plan, reference.plan);
+    client.ping().unwrap();
     server.shutdown();
 }
 

@@ -1,12 +1,11 @@
-//! Distributed-tracing interop over the wire trust boundary, all three
-//! directions of the version matrix:
+//! Distributed tracing over the wire trust boundary:
 //!
-//! * old client → new server: a request with no `trace` field still gets
-//!   server-minted root ids, so its trace-log line is addressable;
-//! * new client → old server: a `TraceGet`-rejecting peer surfaces as a
-//!   typed error, and the client's own span is complete regardless;
-//! * new client → new server (loopback): the propagated trace id shows
-//!   up verbatim in the server's span ring and its JSONL trace log,
+//! * a request with no `trace` field still gets server-minted root ids,
+//!   so its trace-log line is addressable;
+//! * against a server that rejects every verb, the failure is typed and
+//!   the client's own span is complete regardless;
+//! * client → server (loopback): the propagated trace id shows up
+//!   verbatim in the server's span ring and its JSONL trace log,
 //!   parented on the client's span.
 
 use std::io::Write as _;
@@ -61,11 +60,11 @@ fn log_field(line: &str, key: &str) -> String {
     }
 }
 
-/// An old client sends a `Plan` request with no `trace` key at all; the
-/// server must mint root ids so the request is still addressable in the
-/// trace log and span ring.
+/// A `Plan` request with no `trace` key at all: the server must mint
+/// root ids so the request is still addressable in the trace log and
+/// span ring.
 #[test]
-fn old_client_without_trace_field_gets_server_minted_ids() {
+fn request_without_trace_context_gets_server_minted_ids() {
     let dir = std::env::temp_dir().join(format!("stalloc-trc-old-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let log_p = dir.join("trace.jsonl");
@@ -77,9 +76,8 @@ fn old_client_without_trace_field_gets_server_minted_ids() {
     })
     .unwrap();
 
-    // Exactly what a pre-tracing client puts on the wire: today's Plan
-    // request with the trace key spliced out (covers both encoders —
-    // ones that skip a `None` and ones that write `null`).
+    // A Plan request with the trace key spliced out (covers both
+    // encoders — ones that skip a `None` and ones that write `null`).
     let request = PlanRequest::Plan {
         profile: sample_profile(),
         config: SynthConfig::default(),
@@ -125,13 +123,13 @@ fn old_client_without_trace_field_gets_server_minted_ids() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A server that predates `TraceGet` answers the unknown verb with a
-/// typed `BadFrame` — and whatever the server does, the client's own
-/// span stays complete, so a one-sided timeline is always available.
+/// A server that answers every verb with a typed `BadFrame` — and
+/// whatever the server does, the client's own span stays complete, so a
+/// one-sided timeline is always available.
 #[test]
-fn new_client_against_old_server_keeps_a_complete_client_span() {
-    // A fake "old" server: rejects every verb the way today's server
-    // rejects verbs from *its* future, then hangs up.
+fn server_rejecting_every_verb_leaves_a_complete_client_span() {
+    // A fake server: rejects every verb the way the real one rejects a
+    // verb it does not have, then hangs up.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let fake = std::thread::spawn(move || {
@@ -140,7 +138,7 @@ fn new_client_against_old_server_keeps_a_complete_client_span() {
             while let Ok(Some(_)) = read_frame(&mut conn, DEFAULT_MAX_FRAME) {
                 let reply = serde_json::to_string(&PlanResponse::Error {
                     kind: WireErrorKind::BadFrame,
-                    message: "unknown verb (this server is from the past)".into(),
+                    message: "unknown verb".into(),
                 })
                 .unwrap();
                 if write_frame(&mut conn, reply.as_bytes()).is_err() {
@@ -156,10 +154,10 @@ fn new_client_against_old_server_keeps_a_complete_client_span() {
     let err = client.trace_get(&"a".repeat(32)).unwrap_err();
     assert!(
         matches!(err, ClientError::Server { .. }),
-        "old server rejection is typed: {err}"
+        "the rejection is typed: {err}"
     );
 
-    // A traced request against the same relic: the call fails typed,
+    // A traced request against the same server: the call fails typed,
     // but the client half of the trace is fully recorded. (Drop first —
     // shadowing would keep connection 1 open and stall the accept loop.)
     drop(client);

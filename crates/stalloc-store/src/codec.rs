@@ -35,8 +35,8 @@
 //!   rejected with [`CodecError::IntOutOfRange`].
 //! * **header** — 4 raw magic bytes, then the format version as a
 //!   little-endian `u16` (the only non-varint integer in either format).
-//!   Version 0 and versions above the current one are rejected with
-//!   [`CodecError::UnsupportedVersion`].
+//!   Each magic has exactly one accepted version, the current one; any
+//!   other is rejected with [`CodecError::UnsupportedVersion`].
 //! * **collection count** — a uvarint element count. Decoders MUST
 //!   sanity-check the count against the bytes remaining (every element
 //!   has a known minimum encoded size) and reject implausible counts
@@ -51,9 +51,7 @@
 //! pool_size
 //! stats:
 //!   strategy     : registry index of the synthesizing strategy
-//!                  (v2+ only; v1 streams omit it and decode as
-//!                  `baseline`, the only packer that existed then;
-//!                  unknown indices are rejected)
+//!                  (unknown indices are rejected)
 //!   then 9 uvarints: static_requests, dynamic_requests, phase_groups,
 //!   fused_groups, layers, gap_inserted, homolayer_groups,
 //!   peak_static_demand, pool_size
@@ -184,11 +182,9 @@ use stalloc_core::{
 /// File magic identifying a binary plan (`stalloc show` sniffs this).
 pub const MAGIC: [u8; 4] = *b"STPL";
 
-/// Current plan wire-format version.
-///
-/// v2 added the synthesizing-strategy tag as the first stats field;
-/// v1 streams still decode (their strategy defaults to `baseline`, the
-/// only packer that existed when they were written).
+/// Current plan wire-format version, the only one [`decode_plan`]
+/// accepts (v2 added the synthesizing-strategy tag as the first stats
+/// field).
 pub const FORMAT_VERSION: u16 = 2;
 
 /// Stream magic identifying a binary profile (`PROF`).
@@ -209,7 +205,7 @@ pub const DELTA_FORMAT_VERSION: u16 = 1;
 pub enum CodecError {
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The stream's version is newer than this decoder understands.
+    /// The stream's version is not the one this build writes.
     UnsupportedVersion(u16),
     /// The stream ended inside the named field.
     Truncated {
@@ -381,6 +377,18 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Reads the 6-byte header: `magic`, then exactly `version`.
+    fn header(&mut self, magic: [u8; 4], version: u16) -> Result<(), CodecError> {
+        if self.take(4, "magic")? != magic {
+            return Err(CodecError::BadMagic);
+        }
+        let found = u16::from_le_bytes(self.take(2, "version")?.try_into().expect("2 bytes"));
+        if found != version {
+            return Err(CodecError::UnsupportedVersion(found));
+        }
+        Ok(())
+    }
+
     fn uvarint(&mut self, context: &'static str) -> Result<u64, CodecError> {
         let start = self.pos;
         let mut out = 0u64;
@@ -547,29 +555,15 @@ pub fn encode_plan(plan: &Plan) -> Vec<u8> {
 /// Decodes a binary plan, rejecting anything malformed with a typed error.
 pub fn decode_plan(bytes: &[u8]) -> Result<Plan, CodecError> {
     let mut r = Reader::new(bytes);
-    if r.take(4, "magic")? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes(r.take(2, "version")?.try_into().expect("2 bytes"));
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    r.header(MAGIC, FORMAT_VERSION)?;
 
     let pool_size = r.uvarint("pool_size")?;
-
-    // v1 predates the strategy tag; everything it stored came from the
-    // (then-only) baseline pipeline.
-    let strategy = if version >= 2 {
-        let idx = r.uvarint("stats.strategy")?;
-        u8::try_from(idx)
-            .ok()
-            .and_then(StrategyChoice::from_index)
-            .ok_or(CodecError::IntOutOfRange {
-                context: "stats.strategy",
-            })?
-    } else {
-        StrategyChoice::Baseline
-    };
+    let strategy = u8::try_from(r.uvarint("stats.strategy")?)
+        .ok()
+        .and_then(StrategyChoice::from_index)
+        .ok_or(CodecError::IntOutOfRange {
+            context: "stats.strategy",
+        })?;
 
     let stats = PlanStats {
         strategy,
@@ -670,13 +664,7 @@ pub fn encode_profile(profile: &ProfiledRequests) -> Vec<u8> {
 /// hit) without running [`decode_profile`].
 pub fn profile_body(bytes: &[u8]) -> Result<&[u8], CodecError> {
     let mut r = Reader::new(bytes);
-    if r.take(4, "magic")? != PROFILE_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes(r.take(2, "version")?.try_into().expect("2 bytes"));
-    if version == 0 || version > PROFILE_FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    r.header(PROFILE_MAGIC, PROFILE_FORMAT_VERSION)?;
     Ok(&bytes[r.pos..])
 }
 
@@ -1004,13 +992,7 @@ pub fn encode_profile_delta(delta: &ProfileDelta) -> Vec<u8> {
 /// script is decoded.
 pub fn delta_base_fingerprint(bytes: &[u8]) -> Result<Fingerprint, CodecError> {
     let mut r = Reader::new(bytes);
-    if r.take(4, "magic")? != DELTA_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes(r.take(2, "version")?.try_into().expect("2 bytes"));
-    if version == 0 || version > DELTA_FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    r.header(DELTA_MAGIC, DELTA_FORMAT_VERSION)?;
     let fp = r.take(16, "base")?;
     Ok(Fingerprint(fp.try_into().expect("16 bytes")))
 }
@@ -1189,28 +1171,14 @@ mod tests {
             decode_plan(&bytes),
             Err(CodecError::UnsupportedVersion(0x7fff))
         );
-    }
-
-    #[test]
-    fn v1_streams_decode_with_baseline_strategy() {
-        // A v1 stream is a v2 stream of a Baseline-tagged plan minus the
-        // strategy byte, with the version field rewound.
-        let mut plan = sample_plan();
-        plan.stats.strategy = StrategyChoice::Baseline;
-        let v2 = encode_plan(&plan);
-        // Layout: magic(4) version(2) pool_size(varint) strategy(1 byte
-        // here: index 0) rest...
-        let pool_len = {
-            let mut r = Reader::new(&v2[6..]);
-            r.uvarint("pool").unwrap();
-            r.pos
-        };
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&MAGIC);
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        v1.extend_from_slice(&v2[6..6 + pool_len]);
-        v1.extend_from_slice(&v2[6 + pool_len + 1..]);
-        assert_eq!(decode_plan(&v1).unwrap(), plan);
+        // Older versions are foreign too: only the current one decodes.
+        for old in [0u16, 1] {
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_plan(&bytes),
+                Err(CodecError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]

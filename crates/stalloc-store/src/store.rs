@@ -39,10 +39,6 @@ pub const PLAN_EXT: &str = "stplan";
 /// Prefix of an in-flight writer's temp file.
 const TEMP_PREFIX: &str = ".tmp-";
 
-/// Files an index-keeping release of this store left in its directory.
-/// Nothing reads them; [`PlanStore::clear`] removes them by name.
-const LEGACY_FILES: [&str; 2] = ["index.json", "index.lock"];
-
 /// Store operation failures.
 #[derive(Debug)]
 pub enum StoreError {
@@ -298,10 +294,10 @@ impl PlanStore {
         Ok(report)
     }
 
-    /// Removes every artifact (and the index files an older release left
-    /// behind). Returns the number of plans removed. Temp files go by
-    /// [`Self::gc`]'s age rule: a young one may be an in-flight writer's,
-    /// whose `put` would fail if it vanished before the rename.
+    /// Removes every artifact. Returns the number of plans removed. Temp
+    /// files go by [`Self::gc`]'s age rule: a young one may be an
+    /// in-flight writer's, whose `put` would fail if it vanished before
+    /// the rename. Any other file is not the store's and stays.
     pub fn clear(&self) -> Result<usize, StoreError> {
         let mut removed = 0;
         for dirent in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
@@ -309,9 +305,7 @@ impl PlanStore {
             let name = dirent.file_name().to_string_lossy().into_owned();
             if artifact_stem(&name).is_some() {
                 removed += usize::from(remove_if_present(&dirent.path())?);
-            } else if LEGACY_FILES.contains(&name.as_str())
-                || (name.starts_with(TEMP_PREFIX) && temp_expired(&dirent, GC_TEMP_TTL))
-            {
+            } else if name.starts_with(TEMP_PREFIX) && temp_expired(&dirent, GC_TEMP_TTL) {
                 remove_if_present(&dirent.path())?;
             }
         }
@@ -707,13 +701,10 @@ mod tests {
     }
 
     #[test]
-    fn an_older_stores_index_files_are_inert() {
-        let store = temp_store("legacy-index");
-        let index = store.dir().join("index.json");
-        let lock_path = store.dir().join("index.lock");
-        fs::write(&index, b"{ not json").unwrap();
-        let lock = fs::File::create(&lock_path).unwrap();
-        lock.lock().unwrap();
+    fn files_that_are_not_artifacts_are_inert() {
+        let store = temp_store("foreign-file");
+        let foreign = store.dir().join("index.json");
+        fs::write(&foreign, b"{ not json").unwrap();
 
         let store = PlanStore::open(store.dir()).unwrap();
         let p = profile();
@@ -724,11 +715,10 @@ mod tests {
         assert_eq!(store.get(fp).unwrap(), Some(plan));
         assert_eq!(store.entries().unwrap(), vec![entry]);
         assert_eq!(store.gc().unwrap(), GcReport::default());
-        assert_eq!(fs::read(&index).unwrap(), b"{ not json", "never rewritten");
 
         assert_eq!(store.clear().unwrap(), 1);
-        assert!(dir_names(&store).is_empty(), "{:?}", dir_names(&store));
-        drop(lock);
+        assert_eq!(dir_names(&store), ["index.json"]);
+        assert_eq!(fs::read(&foreign).unwrap(), b"{ not json");
 
         let _ = fs::remove_dir_all(store.dir());
     }
