@@ -207,3 +207,240 @@ fn check_overlap(
         panic!("STOMP: tensor {id:?} [{addr:#x}, {end:#x}) overlaps {other:?} [{s:#x}, {e:#x})");
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use allocators::{AllocError, Allocation, AllocatorStats};
+    use proptest::prelude::*;
+    use trace_gen::{TensorCategory, TensorId};
+
+    /// One step of a hand-written replay: an allocation the allocator
+    /// grants at `[addr, addr + len)` (`None`: it reports OOM), or the free
+    /// of the `n`-th tensor allocated.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Alloc(Option<(u64, u64)>),
+        Free(u64),
+    }
+
+    /// An allocator that grants exactly what its script says, in order.
+    struct Scripted {
+        grants: VecDeque<Option<(u64, u64)>>,
+        live: TensorMap<u64>,
+    }
+
+    impl GpuAllocator for Scripted {
+        fn name(&self) -> String {
+            "scripted".into()
+        }
+
+        fn malloc(&mut self, _: &mut Device, req: &AllocRequest) -> Result<Allocation, AllocError> {
+            match self.grants.pop_front().expect("one grant per allocation") {
+                Some((addr, granted)) => {
+                    self.live.insert(req.tensor, granted);
+                    Ok(Allocation { addr, granted })
+                }
+                None => Err(AllocError::OutOfMemory {
+                    requested: req.size,
+                    reserved: 0,
+                    device_free: 0,
+                }),
+            }
+        }
+
+        fn free(&mut self, _: &mut Device, tensor: TensorId) -> Result<u64, AllocError> {
+            self.live
+                .remove(&tensor)
+                .ok_or(AllocError::UnknownTensor(tensor))
+        }
+
+        fn stats(&self) -> AllocatorStats {
+            AllocatorStats::default()
+        }
+    }
+
+    /// Replays `steps` with the oracle on: the report, or the panic's
+    /// message.
+    fn run(steps: &[Step]) -> Result<ReplayReport, String> {
+        let mut trace = Trace::default();
+        let mut grants = VecDeque::new();
+        let mut next = 0;
+        for &step in steps {
+            trace.events.push(match step {
+                Step::Alloc(grant) => {
+                    grants.push_back(grant);
+                    next += 1;
+                    TraceEvent::Alloc {
+                        id: TensorId(next - 1),
+                        size: 1,
+                        dynamic: false,
+                        category: TensorCategory::Transient,
+                    }
+                }
+                Step::Free(n) => TraceEvent::Free { id: TensorId(n) },
+            });
+        }
+        let mut alloc = Scripted {
+            grants,
+            live: TensorMap::default(),
+        };
+        let spec = DeviceSpec::test_device(1 << 30);
+        catch_unwind(AssertUnwindSafe(|| {
+            replay(&trace, &spec, &mut alloc, &ReplayOptions::default())
+        }))
+        .map_err(|payload| match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        })
+    }
+
+    fn grant(addr: u64, len: u64) -> Step {
+        Step::Alloc(Some((addr, len)))
+    }
+
+    /// The overlap oracle `replay` ran online, one allocation at a time:
+    /// the live tensor `[addr, addr + len)` overlaps, if any.
+    fn check_overlap(
+        ranges: &BTreeMap<u64, (u64, TensorId)>,
+        addr: u64,
+        len: u64,
+    ) -> Option<TensorId> {
+        let end = addr + len;
+        // Predecessor may extend into us; successor may start before our end.
+        if let Some((_, &(e, other))) = ranges.range(..=addr).next_back() {
+            if e > addr {
+                return Some(other);
+            }
+        }
+        ranges.range(addr..end).next().map(|(_, &(_, other))| other)
+    }
+
+    /// The verdict of the map oracle on `steps`: the first allocation that
+    /// stomps a live tensor and the tensor it stomps, or `None`. Like
+    /// `replay`, it stops at the first OOM.
+    fn stomp_by_map(steps: &[Step]) -> Option<(TensorId, TensorId)> {
+        let mut ranges = BTreeMap::new();
+        let mut addrs = Vec::new();
+        for &step in steps {
+            match step {
+                Step::Alloc(None) => return None,
+                Step::Alloc(Some((addr, len))) => {
+                    let id = TensorId(addrs.len() as u64);
+                    if let Some(other) = check_overlap(&ranges, addr, len) {
+                        return Some((id, other));
+                    }
+                    ranges.insert(addr, (addr + len, id));
+                    addrs.push(addr);
+                }
+                Step::Free(n) => {
+                    ranges.remove(&addrs[n as usize]);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn a_range_over_a_live_tensor_is_a_stomp_naming_both() {
+        let msg = run(&[grant(0x1000, 0x200), grant(0x1100, 0x200)]).unwrap_err();
+        assert!(msg.starts_with("STOMP: tensor TensorId(1) ["), "{msg}");
+        assert!(msg.contains("overlaps TensorId(0) "), "{msg}");
+        // From below as well as from above.
+        let msg = run(&[grant(0x1000, 0x200), grant(0xf00, 0x101)]).unwrap_err();
+        assert!(msg.starts_with("STOMP: tensor TensorId(1) ["), "{msg}");
+        assert!(msg.contains("overlaps TensorId(0) "), "{msg}");
+    }
+
+    #[test]
+    fn a_range_reused_one_event_after_its_free_is_no_stomp() {
+        let report = run(&[grant(0x1000, 0x200), Step::Free(0), grant(0x1000, 0x200)]).unwrap();
+        assert_eq!((report.alloc_ops, report.free_ops), (2, 1));
+    }
+
+    #[test]
+    fn address_adjacent_ranges_are_no_stomp() {
+        let report = run(&[
+            grant(0x1000, 0x200),
+            grant(0x1200, 0x200),
+            grant(0xe00, 0x200),
+        ])
+        .unwrap();
+        assert_eq!(report.alloc_ops, 3);
+    }
+
+    #[test]
+    fn a_stomp_before_an_oom_still_panics() {
+        let msg = run(&[
+            grant(0x1000, 0x400),
+            grant(0x1200, 0x400),
+            Step::Alloc(None),
+        ])
+        .unwrap_err();
+        assert!(msg.starts_with("STOMP: tensor TensorId(1) ["), "{msg}");
+        assert!(msg.contains("overlaps TensorId(0) "), "{msg}");
+        // Without the stomp the same run is a clean OOM.
+        let report = run(&[
+            grant(0x1000, 0x200),
+            grant(0x1200, 0x400),
+            Step::Alloc(None),
+        ])
+        .unwrap();
+        assert!(report.oom);
+    }
+
+    /// Turns drawn tuples into a script: fresh ranges that overlap nothing,
+    /// ranges on a grid of `stride` that overlap or reuse each other's
+    /// addresses, frees of live tensors (the rest are never freed) and
+    /// the odd OOM.
+    fn script(ops: &[(u8, u64, u64, usize)], stride: u64) -> Vec<Step> {
+        let mut steps = Vec::new();
+        let (mut live, mut allocated, mut fresh) = (Vec::new(), 0, 1 << 20);
+        for &(op, slot, units, pick) in ops {
+            let len = units * 128;
+            let step = match op {
+                0..=39 => {
+                    fresh += len + 512;
+                    grant(fresh - len - 512, len)
+                }
+                40..=59 => grant(slot * stride * 128, len),
+                60..=98 if !live.is_empty() => Step::Free(live.swap_remove(pick % live.len())),
+                60..=98 => continue,
+                _ => Step::Alloc(None),
+            };
+            if let Step::Alloc(Some(_)) = step {
+                live.push(allocated);
+                allocated += 1;
+            }
+            steps.push(step);
+        }
+        steps
+    }
+
+    proptest! {
+        /// `replay`'s verdict on random scripts equals the map oracle's:
+        /// the same first stomping tensor and the tensor it stomps, or
+        /// no panic at all.
+        #[test]
+        fn replay_stomps_exactly_where_the_map_oracle_does(
+            ops in prop::collection::vec((0u8..100, 0u64..32, 1u64..6, 0usize..64), 0..120),
+            stride in 1u64..9,
+        ) {
+            let steps = script(&ops, stride);
+            match (run(&steps), stomp_by_map(&steps)) {
+                (Ok(_), None) => {}
+                (Err(msg), Some((id, other))) => {
+                    let stomper = format!("STOMP: tensor {id:?} [");
+                    let victim = format!("overlaps {other:?} ");
+                    prop_assert!(msg.starts_with(&stomper) && msg.contains(&victim), "{msg}");
+                }
+                (got, want) => prop_assert!(false, "replay {got:?}, map oracle {want:?}"),
+            }
+        }
+    }
+}
