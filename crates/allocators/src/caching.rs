@@ -16,12 +16,10 @@
 //! The allocator never returns segments to the driver on tensor frees — the
 //! root cause of the reserved-but-unused fragmentation the paper measures.
 
-use std::collections::HashMap;
-
 use gpu_sim::{Device, DevicePtr};
 use trace_gen::{TensorId, TensorMap};
 
-use crate::blockpool::BlockPool;
+use crate::blockpool::{AddrMap, BlockPool};
 use crate::{AllocError, AllocRequest, Allocation, AllocatorStats, GpuAllocator};
 
 /// Minimum block size / rounding granularity (512 B).
@@ -124,8 +122,6 @@ struct Segment {
     ptr: DevicePtr,
     size: u64,
     small: bool,
-    /// Live (tensor- or stitch-) allocated blocks within the segment.
-    allocated_blocks: usize,
 }
 
 /// PyTorch-style caching allocator.
@@ -134,8 +130,9 @@ pub struct CachingAllocator {
     config: CachingConfig,
     small_pool: BlockPool,
     large_pool: BlockPool,
-    /// Segment registry, keyed by region id (== base address).
-    segments: HashMap<u64, Segment>,
+    /// Segment registry, keyed by region id (== base address). Only the
+    /// slow paths read it: a cache hit or a free touches the pools alone.
+    segments: AddrMap<Segment>,
     /// Live tensors: tensor -> (block addr, granted, small pool?).
     live: TensorMap<(u64, u64, bool)>,
     stats: AllocatorStats,
@@ -148,7 +145,7 @@ impl CachingAllocator {
             config,
             small_pool: BlockPool::new(),
             large_pool: BlockPool::new(),
-            segments: HashMap::new(),
+            segments: AddrMap::default(),
             live: TensorMap::default(),
             stats: AllocatorStats::default(),
         }
@@ -167,6 +164,18 @@ impl CachingAllocator {
         }
     }
 
+    /// Whether no block of the segment at `region` is allocated: then its
+    /// blocks have all coalesced into one free block spanning it.
+    fn segment_is_free(&self, region: u64, seg: &Segment) -> bool {
+        let pool = if seg.small {
+            &self.small_pool
+        } else {
+            &self.large_pool
+        };
+        pool.get(region)
+            .is_some_and(|b| !b.allocated && b.size == seg.size)
+    }
+
     fn split_pred(small: bool, rounded: u64) -> impl Fn(u64) -> bool {
         move |remaining: u64| {
             if small {
@@ -183,11 +192,6 @@ impl CachingAllocator {
         let pool = self.pool(small);
         let (addr, _) = pool.best_fit(rounded, K_MAX_SPLIT_SIZE)?;
         let granted = pool.allocate(addr, rounded, Self::split_pred(small, rounded));
-        let region = pool.get(addr).expect("just allocated").region;
-        self.segments
-            .get_mut(&region)
-            .expect("segment exists")
-            .allocated_blocks += 1;
         Some((addr, granted))
     }
 
@@ -232,7 +236,6 @@ impl CachingAllocator {
                 ptr,
                 size: seg_size,
                 small,
-                allocated_blocks: 0,
             },
         );
         self.pool(small).add_region(ptr.addr(), seg_size, region);
@@ -246,15 +249,7 @@ impl CachingAllocator {
 
     /// Frees a block by address (shared with GMLake's stitch components).
     pub(crate) fn free_block_at(&mut self, addr: u64, small: bool) {
-        let region = {
-            let pool = self.pool(small);
-            pool.free(addr).region
-        };
-        let seg = self
-            .segments
-            .get_mut(&region)
-            .expect("block belongs to a segment");
-        seg.allocated_blocks -= 1;
+        self.pool(small).free(addr);
     }
 
     /// Free blocks of the large pool, for stitching: `(addr, size)`.
@@ -268,15 +263,8 @@ impl CachingAllocator {
     /// Allocates `want` bytes from the free large-pool block at `addr`
     /// (stitch-component consumption). Returns the granted size.
     pub(crate) fn alloc_block_at(&mut self, addr: u64, want: u64) -> u64 {
-        let granted = self
-            .large_pool
-            .allocate(addr, want, Self::split_pred(false, want));
-        let region = self.large_pool.get(addr).expect("allocated").region;
-        self.segments
-            .get_mut(&region)
-            .expect("segment exists")
-            .allocated_blocks += 1;
-        granted
+        self.large_pool
+            .allocate(addr, want, Self::split_pred(false, want))
     }
 
     /// Releases every fully-free segment back to the driver (PyTorch's
@@ -285,7 +273,7 @@ impl CachingAllocator {
         let empty: Vec<u64> = self
             .segments
             .iter()
-            .filter(|(_, s)| s.allocated_blocks == 0)
+            .filter(|&(&r, s)| self.segment_is_free(r, s))
             .map(|(&r, _)| r)
             .collect();
         for region in empty {
@@ -300,7 +288,7 @@ impl CachingAllocator {
         let mut candidates: Vec<(u64, u64)> = self
             .segments
             .iter()
-            .filter(|(_, s)| s.allocated_blocks == 0 && s.size >= need)
+            .filter(|&(&r, s)| s.size >= need && self.segment_is_free(r, s))
             .map(|(&r, s)| (s.size, r))
             .collect();
         candidates.sort_unstable();
@@ -312,10 +300,8 @@ impl CachingAllocator {
 
     fn release_segment(&mut self, dev: &mut Device, region: u64) {
         let seg = self.segments.remove(&region).expect("known segment");
-        debug_assert_eq!(seg.allocated_blocks, 0);
         // A fully-free segment has exactly one free block spanning it.
-        let pool = self.pool(seg.small);
-        let blk = pool.take_free(region);
+        let blk = self.pool(seg.small).take_region(region);
         debug_assert_eq!(blk.size, seg.size, "segment fully coalesced");
         dev.cuda_free(seg.ptr).expect("segment pointer is live");
     }

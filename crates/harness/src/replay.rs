@@ -1,16 +1,18 @@
 //! Trace replay: drives an allocator with a trace's event stream on a
 //! simulated device and reports the paper's metrics.
 //!
-//! The replay also acts as a correctness oracle: it checks that no two live
-//! tensors ever overlap in device address space (memory stomping), that
-//! every free matches a live allocation, and that reported byte accounting
-//! stays consistent.
-
-use std::collections::BTreeMap;
+//! The replay also acts as a correctness oracle: it checks that every free
+//! matches a live allocation, that reported byte accounting stays
+//! consistent, and that no two tensors ever overlap in device address
+//! space while both are live (memory stomping). The last check is
+//! `stalloc_core::geometry::first_conflict`, the one definition of
+//! "pairwise conflict-free" that `Plan::validate` uses too, run once
+//! over the time × address rectangle of every allocation served.
 
 use allocators::{AllocRequest, GpuAllocator};
 use gpu_sim::{Device, DeviceSpec, LatencyModel};
-use trace_gen::{TensorMap, Trace, TraceEvent};
+use stalloc_core::geometry::{first_conflict, Rect};
+use trace_gen::{TensorId, TensorMap, Trace, TraceEvent};
 
 /// Replay options.
 #[derive(Debug, Clone)]
@@ -85,9 +87,13 @@ impl ReplayReport {
 ///
 /// # Panics
 ///
-/// Panics if the oracle detects overlapping live allocations, a double
-/// free, or an internal allocator error: those are bugs, not workload
-/// outcomes.
+/// Panics on a double free or an internal allocator error as soon as the
+/// allocator reports it: those are bugs, not workload outcomes. With
+/// `check_overlaps`, panics with `STOMP` after the last event replayed
+/// (the OOM stop included) if the allocator ever handed out a range
+/// overlapping a live tensor; the message names the first such
+/// allocation in event order, the live tensor it overlaps and both
+/// ranges — the stomp a check at every allocation would have stopped on.
 pub fn replay(
     trace: &Trace,
     spec: &DeviceSpec,
@@ -95,11 +101,12 @@ pub fn replay(
     opts: &ReplayOptions,
 ) -> ReplayReport {
     let mut dev = Device::with_latency(spec.clone(), opts.latency.clone());
-    // Live granted ranges for the overlap oracle: start -> (end, tensor).
-    let mut live_ranges: BTreeMap<u64, (u64, trace_gen::TensorId)> = BTreeMap::new();
-    // Requested (512 B-rounded) size and granted address of each live
-    // tensor.
-    let mut live_sizes: TensorMap<(u64, u64)> = TensorMap::default();
+    let trace_end = trace.events.len() as u64;
+    // Every allocation served, for the overlap oracle (empty without it).
+    let mut served: Vec<Served> = Vec::new();
+    // Requested (512 B-rounded) size of each live tensor and its index in
+    // `served`.
+    let mut live_sizes: TensorMap<(u64, usize)> = TensorMap::default();
     let mut requested_live = 0u64;
     let mut peak_requested = 0u64;
     let mut alloc_ops = 0u64;
@@ -136,12 +143,19 @@ pub fn replay(
                     Ok(a) => {
                         alloc_ops += 1;
                         let rounded = round512(*size);
-                        live_sizes.insert(*id, (rounded, a.addr));
+                        live_sizes.insert(*id, (rounded, served.len()));
                         requested_live += rounded;
                         peak_requested = peak_requested.max(requested_live);
                         if opts.check_overlaps {
-                            check_overlap(&live_ranges, a.addr, a.granted, *id);
-                            live_ranges.insert(a.addr, (a.addr + a.granted, *id));
+                            served.push(Served {
+                                rect: Rect {
+                                    t0: i as u64,
+                                    t1: trace_end,
+                                    off: a.addr,
+                                    len: a.granted,
+                                },
+                                tensor: *id,
+                            });
                         }
                     }
                     Err(e) if e.is_oom() => {
@@ -155,16 +169,32 @@ pub fn replay(
             TraceEvent::Free { id } => match alloc.free(&mut dev, *id) {
                 Ok(_granted) => {
                     free_ops += 1;
-                    if let Some((sz, addr)) = live_sizes.remove(id) {
+                    if let Some((sz, k)) = live_sizes.remove(id) {
                         requested_live -= sz;
                         if opts.check_overlaps {
-                            live_ranges.remove(&addr);
+                            served[k].rect.t1 = i as u64;
                         }
                     }
                 }
                 Err(e) => panic!("allocator bug on free at event {i}: {e}"),
             },
         }
+    }
+
+    if let Some((stomp, live)) = first_stomp(&served) {
+        let (r, l) = (stomp.rect, live.rect);
+        panic!(
+            "STOMP: tensor {:?} [{:#x}, {:#x}) allocated at event {} overlaps {:?} [{:#x}, {:#x}) \
+             live since event {}",
+            stomp.tensor,
+            r.off,
+            r.off + r.len,
+            r.t0,
+            live.tensor,
+            l.off,
+            l.off + l.len,
+            l.t0
+        );
     }
 
     let stats = alloc.stats();
@@ -189,34 +219,45 @@ fn round512(size: u64) -> u64 {
     512 * size.max(1).div_ceil(512)
 }
 
-fn check_overlap(
-    ranges: &BTreeMap<u64, (u64, trace_gen::TensorId)>,
-    addr: u64,
-    len: u64,
-    id: trace_gen::TensorId,
-) {
-    let end = addr + len;
-    // Predecessor may extend into us; successor may start before our end.
-    if let Some((&_s, &(e, other))) = ranges.range(..=addr).next_back() {
-        assert!(
-            e <= addr,
-            "STOMP: tensor {id:?} [{addr:#x}, {end:#x}) overlaps {other:?} ending at {e:#x}"
-        );
-    }
-    if let Some((&s, &(e, other))) = ranges.range(addr..end).next() {
-        panic!("STOMP: tensor {id:?} [{addr:#x}, {end:#x}) overlaps {other:?} [{s:#x}, {e:#x})");
-    }
+/// One allocation served during a checked replay: the time × address
+/// rectangle `[alloc event, free event) × [addr, addr + granted)` and the
+/// tensor holding it. A tensor never freed holds its range to the end of
+/// the trace.
+#[derive(Debug, Clone, Copy)]
+struct Served {
+    rect: Rect,
+    tensor: TensorId,
+}
+
+/// The first stomp among `served` (in allocation order): the first
+/// allocation, in event order, whose range overlaps a tensor still live,
+/// and the lowest-addressed tensor it overlaps.
+///
+/// `first_conflict` ignores empty rects, and so does this. No allocator
+/// here grants 0 bytes (each rounds a request up to at least 512 B, or to
+/// its plan's or the device's alignment), so that is no case a replay
+/// meets; a per-allocation map oracle would have flagged a 0-byte grant
+/// starting inside a live range.
+fn first_stomp(served: &[Served]) -> Option<(&Served, &Served)> {
+    let stomp = first_conflict(served.iter().map(|s| s.rect))?;
+    let k = served.partition_point(|s| s.rect.t0 < stomp.t0);
+    let live = served[..k]
+        .iter()
+        .filter(|s| s.rect.len > 0 && s.rect.conflicts(&stomp))
+        .min_by_key(|s| s.rect.off)
+        .expect("the conflict is with an earlier allocation");
+    Some((&served[k], live))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use allocators::{AllocError, Allocation, AllocatorStats};
     use proptest::prelude::*;
-    use trace_gen::{TensorCategory, TensorId};
+    use trace_gen::TensorCategory;
 
     /// One step of a hand-written replay: an allocation the allocator
     /// grants at `[addr, addr + len)` (`None`: it reports OOM), or the free
@@ -304,8 +345,10 @@ mod tests {
         Step::Alloc(Some((addr, len)))
     }
 
-    /// The overlap oracle `replay` ran online, one allocation at a time:
-    /// the live tensor `[addr, addr + len)` overlaps, if any.
+    /// The overlap oracle `replay` ran online, one allocation at a time,
+    /// before the one `first_conflict` pass: the live tensor `[addr, addr +
+    /// len)` overlaps, if any. It and [`first_stomp`] agree on every grant
+    /// of at least one byte, which is every grant an allocator here makes.
     fn check_overlap(
         ranges: &BTreeMap<u64, (u64, TensorId)>,
         addr: u64,

@@ -1,8 +1,9 @@
 //! The one definition of "pairwise conflict-free" for rects in the
 //! time × address plane: [`first_conflict`], behind
-//! [`Plan::validate`](crate::Plan::validate) and the packer's debug
-//! checks. Re-exported as `geometry::first_conflict`, beside the packer
-//! whose index it borrows its shape from.
+//! [`Plan::validate`](crate::Plan::validate), the packer's debug checks
+//! and the replay harness's stomp oracle. Re-exported as
+//! `geometry::first_conflict`, beside the packer whose index it borrows
+//! its shape from.
 //!
 //! A top-level module on purpose. The check shares no code with the
 //! runtime allocator, yet compiled as part of `geometry` — next to

@@ -91,6 +91,9 @@ pub struct StallocAllocator {
     /// Row of `plan.dynamic.instance_seq` holding each allocating
     /// instance's group sequence (the last row, should a key repeat).
     instance_row: HashMap<InstanceKey, u32>,
+    /// The row of the instance executing now (innermost module, current
+    /// phase), resolved by the hooks that change it.
+    current_row: Option<u32>,
     /// Per row, how many dynamic requests of the instance have arrived
     /// this iteration.
     dyn_cursors: Vec<u32>,
@@ -123,6 +126,7 @@ impl StallocAllocator {
             pool: None,
             free,
             instance_row,
+            current_row: None,
             dyn_cursors,
             iter_cursor: 0,
             iter_used,
@@ -270,8 +274,8 @@ impl StallocAllocator {
             return self.fallback_alloc(dev, req);
         }
         let size = round_plan(req.size);
-        let group = self.current_instance().and_then(|key| {
-            let row = *self.instance_row.get(&key)? as usize;
+        let group = self.current_row.and_then(|row| {
+            let row = row as usize;
             let cursor = &mut self.dyn_cursors[row];
             let g = self.plan.dynamic.instance_seq[row].1.get(*cursor as usize);
             *cursor += 1;
@@ -295,11 +299,16 @@ impl StallocAllocator {
         }
     }
 
-    fn current_instance(&self) -> Option<InstanceKey> {
-        self.module_stack.last().map(|&m| InstanceKey {
-            module: m,
-            phase: self.phase,
-        })
+    /// Re-resolves `current_row` after a hook moved the module
+    /// stack or the phase: one lookup per scope, not per request.
+    fn resolve_row(&mut self) {
+        self.current_row = self.module_stack.last().and_then(|&module| {
+            let key = InstanceKey {
+                module,
+                phase: self.phase,
+            };
+            self.instance_row.get(&key).copied()
+        });
     }
 }
 
@@ -349,22 +358,26 @@ impl GpuAllocator for StallocAllocator {
         self.iter_cursor = 0;
         self.iter_used.iter_mut().for_each(|u| *u = false);
         self.dyn_cursors.fill(0);
+        self.resolve_row();
     }
 
     fn phase_begin(&mut self, _dev: &mut Device, _phase: PhaseId, _info: &PhaseInfo) {
         if !self.in_init {
             self.phase += 1;
         }
+        self.resolve_row();
     }
 
     fn module_enter(&mut self, _dev: &mut Device, module: ModuleId) {
         self.module_stack.push(module);
+        self.resolve_row();
     }
 
     fn module_exit(&mut self, _dev: &mut Device, module: ModuleId) {
         if self.module_stack.last() == Some(&module) {
             self.module_stack.pop();
         }
+        self.resolve_row();
     }
 }
 
@@ -561,5 +574,102 @@ mod tests {
         let c = a.counters();
         assert_eq!(c.dynamic_fallback, 1);
         assert_eq!(c.dynamic_reused, 0);
+    }
+
+    /// Each hook that changes the executing instance re-resolves its row:
+    /// a dynamic request reads the group of the innermost module in the
+    /// current phase, also after an inner module exits, and falls back
+    /// once no planned instance is executing.
+    #[test]
+    fn dynamic_requests_follow_the_instance_through_every_hook() {
+        use crate::plan::DynGroup;
+        use trace_gen::PhaseKind;
+
+        let (outer, inner) = (ModuleId(0), ModuleId(1));
+        let group = |off| DynGroup {
+            ls: InstanceKey {
+                module: outer,
+                phase: 1,
+            },
+            le: InstanceKey {
+                module: outer,
+                phase: 1,
+            },
+            t_range: (0, 1),
+            intervals: vec![(off, 4096)],
+            profiled_bytes: 0,
+        };
+        let mut plan = tiny_plan();
+        plan.init_allocs.clear();
+        plan.iter_allocs.clear();
+        plan.dynamic = DynamicPlan {
+            groups: vec![group(0), group(4096)],
+            instance_seq: vec![
+                (
+                    InstanceKey {
+                        module: outer,
+                        phase: 1,
+                    },
+                    vec![0; 4],
+                ),
+                (
+                    InstanceKey {
+                        module: inner,
+                        phase: 1,
+                    },
+                    vec![1; 4],
+                ),
+            ],
+        };
+        let mut d = dev();
+        let mut a = StallocAllocator::new(plan, RuntimeConfig::default());
+        let mut next = 0;
+        let mut dynamic = |a: &mut StallocAllocator, d: &mut Device| {
+            next += 1;
+            let req = AllocRequest {
+                tensor: TensorId(next),
+                size: 512,
+                dynamic: true,
+            };
+            let before = a.counters().dynamic_reused;
+            let got = a.malloc(d, &req).unwrap();
+            (a.counters().dynamic_reused > before).then_some(got.addr)
+        };
+        let info = PhaseInfo {
+            kind: PhaseKind::Forward { mb: 0, chunk: 0 },
+            iteration: 1,
+        };
+        a.iteration_begin(&mut d, 1);
+        a.module_enter(&mut d, outer);
+        assert_eq!(
+            dynamic(&mut a, &mut d),
+            None,
+            "phase 0 is planned for nobody"
+        );
+        a.phase_begin(&mut d, PhaseId(0), &info);
+        let base = dynamic(&mut a, &mut d).expect("outer module, phase 1");
+        a.module_enter(&mut d, inner);
+        let inner_addr = dynamic(&mut a, &mut d).expect("inner module, phase 1");
+        assert!((base + 4096..base + 8192).contains(&inner_addr));
+        a.module_exit(&mut d, inner);
+        let outer_addr = dynamic(&mut a, &mut d).expect("back in the outer module");
+        assert!((base..base + 4096).contains(&outer_addr));
+        a.module_exit(&mut d, outer);
+        assert_eq!(dynamic(&mut a, &mut d), None, "no module executing");
+        a.module_enter(&mut d, outer);
+        a.phase_begin(&mut d, PhaseId(1), &info);
+        assert_eq!(
+            dynamic(&mut a, &mut d),
+            None,
+            "phase 2 is planned for nobody"
+        );
+        a.iteration_begin(&mut d, 2);
+        a.phase_begin(&mut d, PhaseId(0), &info);
+        assert!(
+            dynamic(&mut a, &mut d).is_some(),
+            "phase 1 of the next iteration"
+        );
+        a.iteration_begin(&mut d, 3);
+        assert_eq!(dynamic(&mut a, &mut d), None, "phase 0 again");
     }
 }
