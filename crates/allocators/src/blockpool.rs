@@ -8,8 +8,9 @@
 //!
 //! As in PyTorch's `Block`, every block is linked to the blocks before and
 //! after it in its region: a split or a merge edits blocks in place, and a
-//! free finds its neighbours without a lookup. The one table keyed by
-//! address, a block's base to its slot, hashes with `AddrHasher`.
+//! free finds its neighbours without a lookup. Two tables remain, a
+//! block's base address to its slot and a region's id to its last block;
+//! both hash with `AddrHasher`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -69,42 +70,22 @@ impl Block {
 /// The end of a chain: no block before, or none after.
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Free,
-    Allocated,
-    /// Out of circulation ([`BlockPool::take_free`]): on no free list and
-    /// found by no lookup, but still linked, so that
-    /// [`BlockPool::reinsert_allocated`] puts it back between its
-    /// neighbours.
-    Taken,
-}
-
 /// A block in the pool's slab, linked to the blocks adjacent to it in its
 /// region.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     addr: u64,
     size: u64,
+    region: u64,
     prev: u32,
     next: u32,
-    /// Slot of the region in `BlockPool::regions`.
-    region: u32,
-    state: State,
+    allocated: bool,
 }
 
 impl Node {
     fn end(&self) -> u64 {
         self.addr + self.size
     }
-}
-
-/// A region the pool holds blocks of.
-#[derive(Debug, Clone, Copy)]
-struct Region {
-    id: u64,
-    /// The region's last block, where it grows.
-    tail: u32,
 }
 
 /// A `Vec` indexed by `u32` whose vacated slots are reused.
@@ -164,14 +145,12 @@ impl<T> IndexMut<u32> for Slab<T> {
 pub struct BlockPool {
     /// Free blocks ordered by (size, addr) — PyTorch's comparator.
     free: BTreeSet<(u64, u64)>,
-    /// Every block, free, allocated or taken.
+    /// Every block, free or allocated.
     nodes: Slab<Node>,
     /// Slot of each block by base address.
     slots: AddrMap<u32>,
-    /// Every region with a block in the pool.
-    regions: Slab<Region>,
-    /// Slot of each region by id.
-    region_slots: AddrMap<u32>,
+    /// Slot of each region's last block, where it grows, by region id.
+    tails: AddrMap<u32>,
     /// Total free bytes.
     free_bytes: u64,
 }
@@ -199,16 +178,14 @@ impl BlockPool {
 
     /// Looks up a block by base address.
     pub fn get(&self, addr: u64) -> Option<Block> {
-        let slot = *self.slots.get(&addr)?;
-        (self.nodes[slot].state != State::Taken).then(|| self.block(slot))
+        self.slots.get(&addr).map(|&slot| self.block(slot))
     }
 
     /// Iterates over free blocks as `(addr, size, region)`, ascending size.
     pub fn iter_free(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.free.iter().map(move |&(size, addr)| {
-            let node = &self.nodes[self.slots[&addr]];
-            (addr, size, self.regions[node.region].id)
-        })
+        self.free
+            .iter()
+            .map(move |&(size, addr)| (addr, size, self.nodes[self.slots[&addr]].region))
     }
 
     /// Adds a new free region (a fresh segment or a grown arena tail).
@@ -217,8 +194,7 @@ impl BlockPool {
     pub fn add_region(&mut self, addr: u64, size: u64, region: u64) {
         debug_assert!(size > 0);
         debug_assert!(!self.slots.contains_key(&addr), "region overlap");
-        let r = self.region_slot(region);
-        let tail = self.regions[r].tail;
+        let tail = self.tails.get(&region).copied().unwrap_or(NIL);
         let prev = if tail != NIL && self.nodes[tail].end() == addr {
             tail
         } else {
@@ -226,7 +202,7 @@ impl BlockPool {
         };
         debug_assert!(prev != NIL || tail == NIL, "a region grows at its end");
         self.free_bytes += size;
-        if prev != NIL && self.nodes[prev].state == State::Free {
+        if prev != NIL && !self.nodes[prev].allocated {
             self.unlist(prev);
             self.nodes[prev].size += size;
             self.list(prev);
@@ -235,15 +211,15 @@ impl BlockPool {
         let slot = self.insert(Node {
             addr,
             size,
+            region,
             prev,
             next: NIL,
-            region: r,
-            state: State::Free,
+            allocated: false,
         });
         if prev != NIL {
             self.nodes[prev].next = slot;
         }
-        self.regions[r].tail = slot;
+        self.tails.insert(region, slot);
         self.list(slot);
     }
 
@@ -274,12 +250,12 @@ impl BlockPool {
         let slot = self.slot_of(addr, "allocate");
         let Node {
             size,
-            next,
             region,
-            state,
+            next,
+            allocated,
             ..
         } = self.nodes[slot];
-        assert!(state == State::Free, "allocate: block busy");
+        assert!(!allocated, "allocate: block busy");
         assert!(size >= want, "allocate: block too small");
         self.unlist(slot);
         let remainder = size - want;
@@ -287,10 +263,10 @@ impl BlockPool {
             let tail = self.insert(Node {
                 addr: addr + want,
                 size: remainder,
+                region,
                 prev: slot,
                 next,
-                region,
-                state: State::Free,
+                allocated: false,
             });
             self.nodes[slot].size = want;
             self.nodes[slot].next = tail;
@@ -300,7 +276,7 @@ impl BlockPool {
         } else {
             size
         };
-        self.nodes[slot].state = State::Allocated;
+        self.nodes[slot].allocated = true;
         self.free_bytes -= granted;
         granted
     }
@@ -309,63 +285,25 @@ impl BlockPool {
     /// same region. Returns the merged free block.
     pub fn free(&mut self, addr: u64) -> Block {
         let slot = self.slot_of(addr, "free");
-        assert!(
-            self.nodes[slot].state == State::Allocated,
-            "free: block not allocated"
-        );
+        assert!(self.nodes[slot].allocated, "free: block not allocated");
         self.free_bytes += self.nodes[slot].size;
         let mut merged = slot;
         // Merge predecessor.
         let prev = self.nodes[slot].prev;
-        if prev != NIL && self.nodes[prev].state == State::Free {
+        if prev != NIL && !self.nodes[prev].allocated {
             self.unlist(prev);
             self.absorb_next(prev);
             merged = prev;
         }
         // Merge successor.
         let next = self.nodes[merged].next;
-        if next != NIL && self.nodes[next].state == State::Free {
+        if next != NIL && !self.nodes[next].allocated {
             self.unlist(next);
             self.absorb_next(merged);
         }
-        self.nodes[merged].state = State::Free;
+        self.nodes[merged].allocated = false;
         self.list(merged);
         self.block(merged)
-    }
-
-    /// Removes a free block from circulation (stitch consumption) and
-    /// returns it. It keeps its place between its neighbours, which do not
-    /// merge with it, until [`Self::reinsert_allocated`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not a free block.
-    pub fn take_free(&mut self, addr: u64) -> Block {
-        let slot = self.slot_of(addr, "take_free");
-        assert!(
-            self.nodes[slot].state == State::Free,
-            "take_free: block busy"
-        );
-        self.unlist(slot);
-        self.free_bytes -= self.nodes[slot].size;
-        self.nodes[slot].state = State::Taken;
-        self.block(slot)
-    }
-
-    /// Re-inserts a block previously taken with [`Self::take_free`] as an
-    /// allocated block (stitch component bookkeeping), so that a later
-    /// [`Self::free`] returns it to circulation with coalescing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blk` is not a taken block.
-    pub fn reinsert_allocated(&mut self, blk: Block) {
-        let slot = match self.slots.get(&blk.addr) {
-            Some(&slot) if self.nodes[slot].state == State::Taken => slot,
-            _ => panic!("reinsert_allocated: block not taken"),
-        };
-        debug_assert_eq!(self.nodes[slot].size, blk.size);
-        self.nodes[slot].state = State::Allocated;
     }
 
     /// Removes the region whose one block, free, starts at `addr` (a
@@ -377,7 +315,7 @@ impl BlockPool {
     pub fn take_region(&mut self, addr: u64) -> Block {
         let slot = self.slot_of(addr, "take_region");
         let node = self.nodes[slot];
-        assert!(node.state == State::Free, "take_region: block busy");
+        assert!(!node.allocated, "take_region: block busy");
         assert!(
             node.prev == NIL && node.next == NIL,
             "take_region: block does not span its region"
@@ -387,8 +325,7 @@ impl BlockPool {
         self.free_bytes -= node.size;
         self.slots.remove(&addr);
         self.nodes.remove(slot);
-        self.region_slots.remove(&blk.region);
-        self.regions.remove(node.region);
+        self.tails.remove(&node.region);
         blk
     }
 
@@ -407,13 +344,12 @@ impl BlockPool {
         for (&addr, &slot) in &self.slots {
             let n = self.nodes[slot];
             assert_eq!(n.addr, addr);
-            assert_eq!(self.region_slots[&self.regions[n.region].id], n.region);
-            free_nodes += usize::from(n.state == State::Free);
+            free_nodes += usize::from(!n.allocated);
             if n.prev != NIL {
                 assert_eq!(self.nodes[n.prev].next, slot);
             }
             if n.next == NIL {
-                assert_eq!(self.regions[n.region].tail, slot);
+                assert_eq!(self.tails[&n.region], slot);
                 continue;
             }
             let next = self.nodes[n.next];
@@ -422,30 +358,27 @@ impl BlockPool {
                 (slot, n.end(), n.region)
             );
             assert!(
-                n.state != State::Free || next.state != State::Free,
+                n.allocated || next.allocated,
                 "free neighbours left unmerged"
             );
         }
         assert_eq!(free_nodes, self.free.len());
-    }
-
-    /// The region slot of region `id`, added if new.
-    fn region_slot(&mut self, id: u64) -> u32 {
-        *self
-            .region_slots
-            .entry(id)
-            .or_insert_with(|| self.regions.insert(Region { id, tail: NIL }))
+        for (&region, &tail) in &self.tails {
+            let n = self.nodes[tail];
+            assert_eq!((n.region, n.next), (region, NIL));
+            assert_eq!(self.slots[&n.addr], tail);
+        }
     }
 
     /// The slot of the block at `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if no block starts at `addr`, or it was taken.
+    /// Panics if no block starts at `addr`.
     fn slot_of(&self, addr: u64, op: &str) -> u32 {
         match self.slots.get(&addr) {
-            Some(&slot) if self.nodes[slot].state != State::Taken => slot,
-            _ => panic!("{op}: unknown block"),
+            Some(&slot) => slot,
+            None => panic!("{op}: unknown block"),
         }
     }
 
@@ -454,8 +387,8 @@ impl BlockPool {
         Block {
             addr: n.addr,
             size: n.size,
-            region: self.regions[n.region].id,
-            allocated: n.state == State::Allocated,
+            region: n.region,
+            allocated: n.allocated,
         }
     }
 
@@ -469,8 +402,7 @@ impl BlockPool {
     fn link(&mut self, slot: u32, next: u32) {
         self.nodes[slot].next = next;
         if next == NIL {
-            let region = self.nodes[slot].region;
-            self.regions[region].tail = slot;
+            self.tails.insert(self.nodes[slot].region, slot);
         } else {
             self.nodes[next].prev = slot;
         }
@@ -592,20 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn take_and_reinsert_supports_stitching() {
-        let mut p = BlockPool::new();
-        p.add_region(0, 1000, 1);
-        let blk = p.take_free(0);
-        assert_eq!(p.free_bytes(), 0);
-        assert_eq!(p.free_block_count(), 0);
-        p.reinsert_allocated(blk);
-        let back = p.free(0);
-        assert_eq!(back.size, 1000);
-        assert_eq!(p.free_bytes(), 1000);
-        p.check_invariants();
-    }
-
-    #[test]
     #[should_panic(expected = "block busy")]
     fn double_allocate_panics() {
         let mut p = BlockPool::new();
@@ -626,7 +544,6 @@ mod tests {
         /// Where the next region starts: past every region, with a gap.
         fresh: u64,
         allocated: Vec<u64>,
-        taken: Vec<Block>,
         /// Every base address a block ever had.
         seen: BTreeSet<u64>,
     }
@@ -655,7 +572,7 @@ mod tests {
                     self.seen.insert(end);
                 }
                 // Best fit, split into a free tail or granted whole.
-                3..=5 | 16 => {
+                3..=5 | 14 => {
                     let fit = self.new.best_fit(len, u64::MAX);
                     prop_assert_eq!(fit, self.old.best_fit(len, u64::MAX));
                     if let Some((addr, _)) = fit {
@@ -672,27 +589,15 @@ mod tests {
                     let merged = self.new.free(addr);
                     prop_assert_eq!(merged, self.old.free(addr));
                 }
-                13 if !free.is_empty() => {
-                    let (addr, _, _) = free[pick % free.len()];
-                    let blk = self.new.take_free(addr);
-                    prop_assert_eq!(blk, self.old.take_free(addr));
-                    self.taken.push(blk);
-                }
                 // A region that is one free block leaves for good: in the
-                // map pool, a take never followed by a re-insert.
-                14 if !free.is_empty() => {
+                // map pool, a take of the block.
+                13 if !free.is_empty() => {
                     let (addr, _, _) = free[pick % free.len()];
                     let node = self.new.nodes[self.new.slots[&addr]];
                     if node.prev == NIL && node.next == NIL {
                         let blk = self.new.take_region(addr);
                         prop_assert_eq!(blk, self.old.take_free(addr));
                     }
-                }
-                15 if !self.taken.is_empty() => {
-                    let blk = self.taken.swap_remove(pick % self.taken.len());
-                    self.new.reinsert_allocated(blk);
-                    self.old.reinsert_allocated(blk);
-                    self.allocated.push(blk.addr);
                 }
                 _ => {}
             }
@@ -734,10 +639,10 @@ mod tests {
         /// return from every call and the same state after every step,
         /// over scripts of region additions and arena growth, allocations
         /// with and without a split, frees that coalesce on either side,
-        /// takes and re-inserts, and regions released whole.
+        /// and regions released whole.
         #[test]
         fn matches_the_map_pool_it_replaced(
-            ops in prop::collection::vec((0u8..17, 1u64..48, 0usize..1024, prop::bool::ANY), 1..200),
+            ops in prop::collection::vec((0u8..15, 1u64..48, 0usize..1024, prop::bool::ANY), 1..200),
         ) {
             let mut twin = Twin {
                 new: BlockPool::new(),
@@ -745,7 +650,6 @@ mod tests {
                 regions: Vec::new(),
                 fresh: 1 << 30,
                 allocated: Vec::new(),
-                taken: Vec::new(),
                 seen: BTreeSet::new(),
             };
             for op in ops {
@@ -895,16 +799,6 @@ mod tests {
             self.detach_free(addr);
             self.free_bytes -= blk.size;
             blk
-        }
-
-        fn reinsert_allocated(&mut self, blk: Block) {
-            debug_assert!(!self.blocks.contains_key(&blk.addr));
-            let b = Block {
-                allocated: true,
-                ..blk
-            };
-            self.blocks.insert(b.addr, b);
-            self.by_end.insert(b.end(), b.addr);
         }
 
         fn attach_free(&mut self, blk: Block) {

@@ -311,6 +311,28 @@ mod tests {
     }
 
     #[test]
+    fn cache_flush_keeps_segments_holding_stitch_components() {
+        // Segments A, B, C of 256 MiB: a 500 MiB stitch takes all of A and
+        // 244 MiB of C, B holds a live tensor; D is cached and empty.
+        let (mut d, mut a) = fragmented_setup(64 << 20);
+        a.malloc(&mut d, &req(10, 500 << 20)).unwrap();
+        a.malloc(&mut d, &req(3, 256 << 20)).unwrap();
+        a.free(&mut d, TensorId(3)).unwrap();
+        assert_eq!(a.stats().reserved, 1024 << 20);
+        // 1.5 GiB does not fit beside the 1 GiB reserved: the flush
+        // releases D alone, and the retry still fails.
+        let r = a.malloc(&mut d, &req(4, 1536 << 20));
+        assert!(r.is_err_and(|e| e.is_oom()));
+        assert_eq!(a.base.segment_count(), 3);
+        // Freed, the components coalesce back into A and C, which the
+        // next flush releases: the 1.5 GiB now fits beside B.
+        a.free(&mut d, TensorId(10)).unwrap();
+        a.malloc(&mut d, &req(5, 1536 << 20)).unwrap();
+        assert_eq!(a.stats().reserved, (256 + 1536) << 20);
+        assert_eq!(a.stitched_count(), 0);
+    }
+
+    #[test]
     fn oom_last_resort_stitch() {
         // Two 256 MiB segments, each pinned by a live 200 MiB tensor with a
         // 56 MiB hole. A 100 MiB request exceeds the device's 88 MiB of

@@ -89,11 +89,14 @@ impl ReplayReport {
 ///
 /// Panics on a double free or an internal allocator error as soon as the
 /// allocator reports it: those are bugs, not workload outcomes. With
-/// `check_overlaps`, panics with `STOMP` after the last event replayed
-/// (the OOM stop included) if the allocator ever handed out a range
-/// overlapping a live tensor; the message names the first such
+/// `check_overlaps`, panics with `STOMP` if the allocator ever handed out
+/// a range overlapping a live tensor; the message names the first such
 /// allocation in event order, the live tensor it overlaps and both
 /// ranges — the stomp a check at every allocation would have stopped on.
+/// That panic comes after the last event replayed (the OOM stop
+/// included), or at the allocator's first error if one comes sooner: a
+/// stomp tends to corrupt the allocator's own bookkeeping, and then the
+/// stomp, not the error it led to, is what the panic names.
 pub fn replay(
     trace: &Trace,
     spec: &DeviceSpec,
@@ -163,7 +166,10 @@ pub fn replay(
                         oom_detail = Some(format!("event {i}: {e}"));
                         break 'outer;
                     }
-                    Err(e) => panic!("allocator bug during replay at event {i}: {e}"),
+                    Err(e) => {
+                        panic_on_stomp(&served);
+                        panic!("allocator bug during replay at event {i}: {e}")
+                    }
                 }
             }
             TraceEvent::Free { id } => match alloc.free(&mut dev, *id) {
@@ -176,26 +182,15 @@ pub fn replay(
                         }
                     }
                 }
-                Err(e) => panic!("allocator bug on free at event {i}: {e}"),
+                Err(e) => {
+                    panic_on_stomp(&served);
+                    panic!("allocator bug on free at event {i}: {e}")
+                }
             },
         }
     }
 
-    if let Some((stomp, live)) = first_stomp(&served) {
-        let (r, l) = (stomp.rect, live.rect);
-        panic!(
-            "STOMP: tensor {:?} [{:#x}, {:#x}) allocated at event {} overlaps {:?} [{:#x}, {:#x}) \
-             live since event {}",
-            stomp.tensor,
-            r.off,
-            r.off + r.len,
-            r.t0,
-            live.tensor,
-            l.off,
-            l.off + l.len,
-            l.t0
-        );
-    }
+    panic_on_stomp(&served);
 
     let stats = alloc.stats();
     let dstats = dev.stats();
@@ -227,6 +222,26 @@ fn round512(size: u64) -> u64 {
 struct Served {
     rect: Rect,
     tensor: TensorId,
+}
+
+/// Panics with `STOMP`, naming both tensors and their ranges, if `served`
+/// holds a stomp (see [`first_stomp`]).
+fn panic_on_stomp(served: &[Served]) {
+    if let Some((stomp, live)) = first_stomp(served) {
+        let (r, l) = (stomp.rect, live.rect);
+        panic!(
+            "STOMP: tensor {:?} [{:#x}, {:#x}) allocated at event {} overlaps {:?} [{:#x}, {:#x}) \
+             live since event {}",
+            stomp.tensor,
+            r.off,
+            r.off + r.len,
+            r.t0,
+            live.tensor,
+            l.off,
+            l.off + l.len,
+            l.t0
+        );
+    }
 }
 
 /// The first stomp among `served` (in allocation order): the first
@@ -435,6 +450,30 @@ mod tests {
         ])
         .unwrap();
         assert!(report.oom);
+    }
+
+    #[test]
+    fn a_stomp_before_an_allocator_error_is_reported_as_the_stomp() {
+        // The allocator fails after the stomp (here on a free it no longer
+        // knows): the panic names the stomp, not the error.
+        let msg = run(&[
+            grant(0x1000, 0x400),
+            grant(0x1200, 0x400),
+            Step::Free(0),
+            Step::Free(0),
+        ])
+        .unwrap_err();
+        assert!(msg.starts_with("STOMP: tensor TensorId(1) ["), "{msg}");
+        assert!(msg.contains("overlaps TensorId(0) "), "{msg}");
+        // Without the stomp the same error is an allocator bug.
+        let msg = run(&[
+            grant(0x1000, 0x200),
+            grant(0x1200, 0x400),
+            Step::Free(0),
+            Step::Free(0),
+        ])
+        .unwrap_err();
+        assert!(msg.starts_with("allocator bug on free at event 3"), "{msg}");
     }
 
     /// Turns drawn tuples into a script: fresh ranges that overlap nothing,
