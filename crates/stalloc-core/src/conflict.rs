@@ -28,8 +28,12 @@ struct Span {
 /// removal shifts one short run. A span whose range was freed stays
 /// until a newcomer reaches into its range; every span still live at the
 /// sweep's tick is in the set.
+///
+/// `heads[k]` is `runs[k][0].off`: the search for a newcomer's run reads
+/// one flat array instead of following a pointer per probe.
 #[derive(Debug, Default)]
 struct LiveSet {
+    heads: Vec<u64>,
     runs: Vec<Vec<Span>>,
 }
 
@@ -50,10 +54,7 @@ impl LiveSet {
         // Just past the last span starting below `end`: with nothing to
         // retire, where `r` goes. Disjoint spans ascend in `end` as well,
         // so the walk down from here stops at the first one below `r`.
-        let mut ri = self
-            .runs
-            .partition_point(|run| run[0].off < end)
-            .saturating_sub(1);
+        let mut ri = self.heads.partition_point(|&h| h < end).saturating_sub(1);
         let mut i = self
             .runs
             .get(ri)
@@ -78,10 +79,16 @@ impl LiveSet {
             i -= 1;
             if retired == 0 {
                 self.runs[ri][i] = span;
+                if i == 0 {
+                    self.heads[ri] = span.off;
+                }
             } else {
                 self.runs[ri].remove(i);
                 if self.runs[ri].is_empty() {
                     self.runs.remove(ri);
+                    self.heads.remove(ri);
+                } else if i == 0 {
+                    self.heads[ri] = self.runs[ri][0].off;
                 }
             }
             retired += 1;
@@ -96,9 +103,11 @@ impl LiveSet {
     fn insert(&mut self, (mut ri, mut i): (usize, usize), span: Span) {
         if self.runs.is_empty() {
             self.runs.push(Vec::with_capacity(CHUNK_CAP));
+            self.heads.push(span.off);
         } else if self.runs[ri].len() == CHUNK_CAP {
             let mut upper = Vec::with_capacity(CHUNK_CAP);
             upper.extend(self.runs[ri].drain(CHUNK_CAP / 2..));
+            self.heads.insert(ri + 1, upper[0].off);
             self.runs.insert(ri + 1, upper);
             if i > CHUNK_CAP / 2 {
                 ri += 1;
@@ -106,6 +115,9 @@ impl LiveSet {
             }
         }
         self.runs[ri].insert(i, span);
+        if i == 0 {
+            self.heads[ri] = span.off;
+        }
     }
 }
 
@@ -115,13 +127,28 @@ impl LiveSet {
 /// Rects of `len == 0` occupy nothing and are ignored; every other rect
 /// must have `t0 < t1` and an `off + len` that does not overflow.
 ///
-/// One pass in allocation order: a stable sort by `t0`, linear on input
-/// that already is in that order, then per rect one search of the
+/// One pass in allocation order, then per rect one search of the
 /// address-ordered set of ranges not yet seen reused, one insert and at
-/// most one retirement — O(n · (log n + 64)) whatever the input.
-pub fn first_conflict(rects: impl IntoIterator<Item = Rect>) -> Option<Rect> {
-    let mut rects: Vec<Rect> = rects.into_iter().filter(|r| r.len > 0).collect();
-    rects.sort_by_key(|r| r.t0);
+/// most one retirement — O(n · (log n + 64)) whatever the input. Input
+/// already in that order — a plan's decisions, a replay's allocations —
+/// is swept as it comes; any other is first copied and stable-sorted by
+/// `t0`.
+pub fn first_conflict<I>(rects: I) -> Option<Rect>
+where
+    I: IntoIterator<Item = Rect>,
+    I::IntoIter: Clone,
+{
+    let rects = rects.into_iter().filter(|r| r.len > 0);
+    if rects.clone().is_sorted_by_key(|r| r.t0) {
+        return sweep(rects);
+    }
+    let mut sorted: Vec<Rect> = rects.collect();
+    sorted.sort_by_key(|r| r.t0);
+    sweep(sorted)
+}
+
+/// [`first_conflict`] of rects that arrive in ascending `t0` order.
+fn sweep(rects: impl IntoIterator<Item = Rect>) -> Option<Rect> {
     let mut live = LiveSet::default();
     rects.into_iter().find(|r| live.admit(r).is_none())
 }
@@ -137,12 +164,15 @@ mod tests {
     }
 
     /// Runs are never empty, never over capacity, and their spans ascend
-    /// without touching, within and across runs.
+    /// without touching, within and across runs; the head index names
+    /// each run's first offset.
     fn check_live_set(set: &LiveSet) {
         assert!(set
             .runs
             .iter()
             .all(|run| !run.is_empty() && run.len() <= CHUNK_CAP));
+        let firsts: Vec<u64> = set.runs.iter().map(|run| run[0].off).collect();
+        assert_eq!(set.heads, firsts, "the head index is out of step");
         let spans: Vec<&Span> = set.runs.iter().flatten().collect();
         assert!(spans.iter().all(|s| s.off < s.end));
         assert!(spans.windows(2).all(|w| w[0].end <= w[1].off));
@@ -188,6 +218,45 @@ mod tests {
                 first_conflict(rects.iter().copied()),
                 first_conflict_by_pairs(&rects)
             );
+            // The same plane in allocation order is swept as it comes.
+            let mut in_order = rects;
+            in_order.sort_by_key(|r| r.t0);
+            prop_assert_eq!(
+                first_conflict(in_order.iter().copied()),
+                first_conflict_by_pairs(&in_order)
+            );
+        }
+
+        /// Every admission leaves the set well formed, its head index in
+        /// step with the runs: conflict-free planes wide enough that runs
+        /// split, and whose wide rects retire spans across runs and empty
+        /// some of them.
+        #[test]
+        fn every_admission_keeps_the_set_well_formed(
+            rects in prop::collection::vec((0u64..40, 1u64..30, 0u64..300, 0u64..16), 0..600),
+        ) {
+            // Slots four bytes wide, and one rect in sixteen over 64 slots.
+            let mut rects: Vec<Rect> = rects
+                .into_iter()
+                .map(|(t0, dur, slot, len)| Rect {
+                    t0,
+                    t1: t0 + dur,
+                    off: 4 * slot,
+                    len: if len == 0 { 256 } else { 1 + len % 4 },
+                })
+                .collect();
+            rects.sort_by_key(|r| r.t0);
+            let mut kept: Vec<Rect> = Vec::new();
+            for r in rects {
+                if !kept.iter().any(|k| k.conflicts(&r)) {
+                    kept.push(r);
+                }
+            }
+            let mut set = LiveSet::default();
+            for r in &kept {
+                prop_assert!(set.admit(r).is_some(), "{r:?} conflicts with nothing kept");
+                check_live_set(&set);
+            }
         }
     }
 

@@ -297,41 +297,93 @@ impl BodyDigest {
 // (everything after the 6-byte magic + version header), and
 // `stalloc-store::codec` builds its `STPL` and `PROF` encoders on the
 // same functions — there is exactly one varint/zigzag writer in the
-// tree. The byte-format contract is specified in that module's
-// documentation; changing the walk layout below is a `PROF` format
-// bump AND a `FINGERPRINT_VERSION` bump.
+// tree ([`Record::uvarint`]). The byte-format contract is specified in
+// that module's documentation; changing the walk layout below is a
+// `PROF` format bump AND a `FINGERPRINT_VERSION` bump.
+//
+// Streams are written one *record* at a time (a request, an arrival
+// run, a plan decision): [`put_record`] grows the buffer once to the
+// record's longest encoding, the record's varints are stored into that
+// space, and the unused tail is cut off. One growth check per record,
+// not one per byte.
 
-/// Appends a canonical LEB128 varint (see the `stalloc-store::codec`
-/// spec: 7 payload bits per byte, high bit = continuation, no overlong
-/// encodings emitted).
-pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+/// Longest canonical varint of a `u64`: 64 payload bits, 7 per byte.
+pub const MAX_VARINT: usize = 10;
+
+/// Longest canonical varint of a `u32`.
+pub const MAX_VARINT32: usize = 5;
+
+/// Longest encoded instance key: two `u32` varints.
+pub const MAX_INSTANCE: usize = 2 * MAX_VARINT32;
+
+/// The space [`put_record`] set aside for one record, filled front to
+/// back. Writing past the space it was given panics: the record's
+/// `max` was wrong.
+pub struct Record<'a> {
+    buf: &'a mut [u8],
+    len: usize,
+}
+
+impl Record<'_> {
+    /// Stores one raw byte.
+    #[inline(always)]
+    pub fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
     }
+
+    /// Stores a canonical LEB128 varint (see the `stalloc-store::codec`
+    /// spec: 7 payload bits per byte, high bit = continuation, no
+    /// overlong encodings emitted).
+    #[inline(always)]
+    pub fn uvarint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+
+    /// Stores the signed delta between two unsigned values,
+    /// zigzag-varint encoded (two's-complement wrapping subtraction).
+    #[inline(always)]
+    pub fn delta(&mut self, prev: u64, cur: u64) {
+        self.uvarint(zigzag(cur.wrapping_sub(prev) as i64));
+    }
+
+    /// Stores an instance key: `module` then `phase`, both varints.
+    #[inline(always)]
+    pub fn instance(&mut self, k: &InstanceKey) {
+        self.uvarint(k.module.0 as u64);
+        self.uvarint(k.phase as u64);
+    }
+}
+
+/// Appends one record of at most `max` bytes to `out`: the buffer grows
+/// once, `write` stores the record into the new space, and what it left
+/// unused is cut off again.
+#[inline(always)]
+pub fn put_record(out: &mut Vec<u8>, max: usize, write: impl FnOnce(&mut Record<'_>)) {
+    let start = out.len();
+    out.resize(start + max, 0);
+    let mut record = Record {
+        buf: &mut out[start..],
+        len: 0,
+    };
+    write(&mut record);
+    let len = record.len;
+    out.truncate(start + len);
+}
+
+/// Appends a canonical LEB128 varint: a record of one field.
+pub fn put_uvarint(out: &mut Vec<u8>, v: u64) {
+    put_record(out, MAX_VARINT, |r| r.uvarint(v));
 }
 
 /// Maps a signed delta to unsigned so small values of either sign
 /// varint-encode in one byte: `(v << 1) ^ (v >> 63)`.
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Appends the signed delta between two unsigned values, zigzag-varint
-/// encoded (two's-complement wrapping subtraction).
-pub fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
-    put_uvarint(out, zigzag(cur.wrapping_sub(prev) as i64));
-}
-
-/// Appends an instance key: `module` then `phase`, both varints.
-pub fn put_instance(out: &mut Vec<u8>, k: &InstanceKey) {
-    put_uvarint(out, k.module.0 as u64);
-    put_uvarint(out, k.phase as u64);
 }
 
 /// `PROF` request flags byte, bit 0: the request originates from a
@@ -350,7 +402,12 @@ pub const PROFILE_FLAG_HAS_LS: u8 = 1 << 1;
 /// are present).
 pub const PROFILE_FLAG_HAS_LE: u8 = 1 << 2;
 
-fn put_request(out: &mut Vec<u8>, prev_size: u64, prev_ts: u64, r: &RequestEvent) {
+/// Longest encoded request: the flags byte, three `u64` deltas, `ps`
+/// and `pe`, and both instance keys.
+pub const MAX_REQUEST: usize = 1 + 3 * MAX_VARINT + 2 * MAX_VARINT32 + 2 * MAX_INSTANCE;
+
+/// The `PROF` flags byte of `r`.
+pub fn request_flags(r: &RequestEvent) -> u8 {
     let mut flags = 0u8;
     if r.dynamic {
         flags |= PROFILE_FLAG_DYNAMIC;
@@ -361,17 +418,17 @@ fn put_request(out: &mut Vec<u8>, prev_size: u64, prev_ts: u64, r: &RequestEvent
     if r.le.is_some() {
         flags |= PROFILE_FLAG_HAS_LE;
     }
-    out.push(flags);
-    put_delta(out, prev_size, r.size);
-    put_delta(out, prev_ts, r.ts);
-    put_delta(out, r.ts, r.te);
-    put_uvarint(out, r.ps as u64);
-    put_uvarint(out, r.pe as u64);
+    flags
+}
+
+/// Stores the optional instance keys of `r`, `ls` first.
+#[inline(always)]
+pub fn put_request_keys(rec: &mut Record<'_>, r: &RequestEvent) {
     if let Some(ls) = &r.ls {
-        put_instance(out, ls);
+        rec.instance(ls);
     }
     if let Some(le) = &r.le {
-        put_instance(out, le);
+        rec.instance(le);
     }
 }
 
@@ -379,9 +436,53 @@ fn put_requests(out: &mut Vec<u8>, requests: &[RequestEvent]) {
     put_uvarint(out, requests.len() as u64);
     let (mut size, mut ts) = (0u64, 0u64);
     for r in requests {
-        put_request(out, size, ts, r);
+        put_record(out, MAX_REQUEST, |rec| {
+            rec.byte(request_flags(r));
+            rec.delta(size, r.size);
+            rec.delta(ts, r.ts);
+            rec.delta(r.ts, r.te);
+            rec.uvarint(r.ps as u64);
+            rec.uvarint(r.pe as u64);
+            put_request_keys(rec, r);
+        });
         size = r.size;
         ts = r.ts;
+    }
+}
+
+/// Appends an `instance_windows` section: the count, then per entry
+/// the key, `delta(prev start)` and `delta(start)` for the end — one
+/// record each. `PROF` and `PROF-DELTA` share it.
+pub fn put_windows(out: &mut Vec<u8>, windows: &[(InstanceKey, (u64, u64))]) {
+    put_uvarint(out, windows.len() as u64);
+    let mut prev_start = 0u64;
+    for (k, (start, end)) in windows {
+        put_record(out, MAX_INSTANCE + 2 * MAX_VARINT, |rec| {
+            rec.instance(k);
+            rec.delta(prev_start, *start);
+            rec.delta(*start, *end);
+        });
+        prev_start = *start;
+    }
+}
+
+/// Appends an `instance_arrivals` section: the count, then per entry
+/// the key, the index count and the indices as deltas — one record per
+/// arrival run. `PROF` and `PROF-DELTA` share it.
+pub fn put_arrivals(out: &mut Vec<u8>, arrivals: &[(InstanceKey, Vec<u32>)]) {
+    put_uvarint(out, arrivals.len() as u64);
+    for (k, seq) in arrivals {
+        // A delta between two `u32`s zigzags below 2^33: five bytes.
+        let max = MAX_INSTANCE + MAX_VARINT + MAX_VARINT32 * seq.len();
+        put_record(out, max, |rec| {
+            rec.instance(k);
+            rec.uvarint(seq.len() as u64);
+            let mut prev = 0u64;
+            for &i in seq {
+                rec.delta(prev, i as u64);
+                prev = i as u64;
+            }
+        });
     }
 }
 
@@ -395,32 +496,15 @@ fn put_requests(out: &mut Vec<u8>, requests: &[RequestEvent]) {
 /// canonical (a pure, injective-modulo-spec function of the profile), so
 /// hashing these bytes and hashing the fields are interchangeable.
 pub fn write_profile_body(profile: &ProfiledRequests, out: &mut Vec<u8>) {
-    put_uvarint(out, profile.init_count as u64);
-    put_uvarint(out, profile.num_phases as u64);
-    put_uvarint(out, profile.window_len);
-
+    put_record(out, 3 * MAX_VARINT, |rec| {
+        rec.uvarint(profile.init_count as u64);
+        rec.uvarint(profile.num_phases as u64);
+        rec.uvarint(profile.window_len);
+    });
     put_requests(out, &profile.statics);
     put_requests(out, &profile.dynamics);
-
-    put_uvarint(out, profile.instance_windows.len() as u64);
-    let mut prev_start = 0u64;
-    for (k, (start, end)) in &profile.instance_windows {
-        put_instance(out, k);
-        put_delta(out, prev_start, *start);
-        put_delta(out, *start, *end);
-        prev_start = *start;
-    }
-
-    put_uvarint(out, profile.instance_arrivals.len() as u64);
-    for (k, seq) in &profile.instance_arrivals {
-        put_instance(out, k);
-        put_uvarint(out, seq.len() as u64);
-        let mut prev = 0u64;
-        for &i in seq {
-            put_delta(out, prev, i as u64);
-            prev = i as u64;
-        }
-    }
+    put_windows(out, &profile.instance_windows);
+    put_arrivals(out, &profile.instance_arrivals);
 }
 
 /// Upper-ish estimate of the canonical body's length, for pre-sizing

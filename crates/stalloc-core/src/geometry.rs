@@ -209,7 +209,7 @@ impl TimeSpacePacker {
     }
 
     /// Placed rectangles in ascending offset order.
-    pub fn rects(&self) -> impl Iterator<Item = &Rect> {
+    pub fn rects(&self) -> impl Iterator<Item = &Rect> + Clone {
         self.chunks.iter().flat_map(|c| &c.rects)
     }
 

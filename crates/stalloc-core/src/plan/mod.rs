@@ -204,7 +204,9 @@ impl Plan {
     /// inside the pool, and no two decisions overlap in both lifetime
     /// and address range. A decision is live over its
     /// [window](PlannedAlloc::window_end), and one of size 0 occupies
-    /// nothing.
+    /// nothing. Every group the dynamic half's arrival sequences name
+    /// exists (`u32::MAX` names none): the runtime indexes the groups
+    /// with them.
     ///
     /// Total: a `Plan` can come off the wire or from a foreign file, so
     /// any field values (unsorted ticks, wrapping offsets, a lifetime
@@ -212,6 +214,15 @@ impl Plan {
     /// in allocation order ([`first_conflict`]), cheap enough to run at
     /// every trust boundary.
     pub fn validate(&self) -> Result<(), String> {
+        let groups = self.dynamic.groups.len();
+        for (key, seq) in &self.dynamic.instance_seq {
+            if let Some(g) = seq.iter().find(|&&g| g != u32::MAX && g as usize >= groups) {
+                return Err(format!(
+                    "dynamic arrivals of module {} phase {} name group {g}, but the plan has {groups} groups",
+                    key.module.0, key.phase
+                ));
+            }
+        }
         let decisions = || self.init_allocs.iter().chain(&self.iter_allocs);
         for d in decisions() {
             // Checked: plans can arrive from foreign files (the binary

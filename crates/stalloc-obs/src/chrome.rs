@@ -343,6 +343,14 @@ pub fn lanes_timeline(lanes: &[Lane]) -> ChromeTrace {
 /// The client root gains a `net_queue_micros` arg: `client await −
 /// server total` (saturating), the part of the wait the server cannot
 /// account for — wire transfer plus accept-queue residency.
+///
+/// Client phases are laid out in [`ClientPhase`](crate::ClientPhase)
+/// order, one slice each, though `encode` is not one interval: a binary
+/// profile's job fingerprint is computed after its frames are written,
+/// while the server works, and is billed to `encode`. That part of the
+/// `encode` slice really ran inside the server span, and it is missing
+/// from `await`, so `net_queue_micros` is then a lower bound on the
+/// wire and queue time.
 pub fn merged_request_timeline(client: &SpanView, server: Option<&SpanView>) -> ChromeTrace {
     let mut trace = ChromeTrace::new();
     trace.name_lane(CLIENT_PID, "client");
@@ -478,7 +486,8 @@ mod tests {
         cspan.record(ClientPhase::Await, 600);
         cspan.record(ClientPhase::Read, 20);
         cspan.record(ClientPhase::Decode, 40);
-        cspan.total_micros = 820;
+        cspan.record(ClientPhase::Validate, 25);
+        cspan.total_micros = 845;
         let client = SpanView::from(&cspan);
         let server = server_view(&ids);
 
@@ -504,6 +513,18 @@ mod tests {
             .map(str_of2)
             .unwrap();
         assert_eq!(gap, "150", "600 await − 450 server total");
+
+        // Decoding and the soundness check are two slices, in that order.
+        let slice = |name: &str| {
+            events
+                .iter()
+                .find(|e| str_of(e, "ph") == "X" && str_of(e, "name") == name)
+                .map(|e| (u64_of(e, "ts"), u64_of(e, "dur")))
+                .unwrap_or_else(|| panic!("no {name} slice"))
+        };
+        let (decode, validate) = (slice("decode"), slice("validate"));
+        assert_eq!((decode.1, validate.1), (40, 25));
+        assert_eq!(validate.0, decode.0 + decode.1, "validate follows decode");
 
         for e in events.iter().filter(|e| u64_of(e, "pid") == SERVER_PID) {
             if str_of(e, "ph") != "X" {

@@ -1,6 +1,6 @@
 //! Client-side request spans: the half of a request the server never
 //! sees — connect, encode, socket writes, the await for the response,
-//! reads, and decode.
+//! reads, decode, and the soundness check of a received plan.
 //!
 //! [`ClientSpan`] is [`crate::RequestSpan`]'s sibling: the same
 //! [`Span`] over the client's phase set.
@@ -14,18 +14,25 @@ phase_set! {
         /// only; keep-alive requests never reconnect).
         Connect => "connect",
         /// Request serialization: JSON document, profile/plan binary
-        /// encoding, and fingerprinting.
+        /// encoding, and fingerprinting. A binary profile is fingerprinted
+        /// after its frames are written (only the answer is checked
+        /// against it), so that part of `encode` runs between `write` and
+        /// `await`, concurrently with the server.
         Encode => "encode",
         /// Request frame(s) → socket.
         Write => "write",
-        /// Last request byte written → response header frame fully read.
-        /// This window covers both network legs plus everything the server
-        /// did; the server's span nests inside it on a merged timeline.
+        /// Request written (and fingerprinted) → response header frame
+        /// fully read. This window covers both network legs plus
+        /// everything the server did while the client was not still
+        /// fingerprinting; the server's span nests inside it on a merged
+        /// timeline.
         Await => "await",
         /// Follow-up response frames (a binary plan payload) → memory.
         Read => "read",
-        /// Response JSON parse, binary plan decode, and plan validation.
+        /// Response JSON parse and binary plan decode.
         Decode => "decode",
+        /// The soundness check of a received plan (`Plan::validate`).
+        Validate => "validate",
     }
 }
 

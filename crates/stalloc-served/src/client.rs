@@ -212,6 +212,17 @@ impl PlanClient {
         raw: Option<&[u8]>,
         span: &mut ClientSpan,
     ) -> Result<PlanResponse, ClientError> {
+        self.send(request, raw, span)?;
+        self.receive(span)
+    }
+
+    /// The request half of [`Self::exchange`].
+    fn send(
+        &mut self,
+        request: &PlanRequest,
+        raw: Option<&[u8]>,
+        span: &mut ClientSpan,
+    ) -> Result<(), ClientError> {
         let encode = Instant::now();
         let payload = serde_json::to_string(request)
             .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
@@ -219,6 +230,11 @@ impl PlanClient {
         let write = Instant::now();
         write_announced(&mut self.stream, payload.as_bytes(), raw)?;
         span.record_since(ClientPhase::Write, write);
+        Ok(())
+    }
+
+    /// The response half of [`Self::exchange`].
+    fn receive(&mut self, span: &mut ClientSpan) -> Result<PlanResponse, ClientError> {
         // Await covers blocking for + reading the response header frame:
         // both network legs plus the whole server-side span.
         let await_start = Instant::now();
@@ -291,7 +307,7 @@ impl PlanClient {
         }
         let check = Instant::now();
         let verdict = plan.validate();
-        span.record_since(ClientPhase::Decode, check);
+        span.record_since(ClientPhase::Validate, check);
         verdict.map_err(|e| ClientError::Protocol(format!("server sent unsound plan: {e}")))?;
         Ok(Some(RemotePlan {
             plan,
@@ -343,9 +359,6 @@ impl PlanClient {
                 // `fingerprint_job` on the profile).
                 let encode = Instant::now();
                 let raw = encode_profile(profile);
-                let body = profile_body(&raw)
-                    .map_err(|e| ClientError::Protocol(format!("encode profile: {e}")))?;
-                let expected = stalloc_core::fingerprint_job_body(body, config);
                 span.record_since(ClientPhase::Encode, encode);
                 let header = PlanRequest::ProfileBin {
                     config: *config,
@@ -353,7 +366,15 @@ impl PlanClient {
                     bytes: raw.len() as u64,
                     trace: Some(wire),
                 };
-                (expected, self.exchange(&header, Some(&raw), span)?)
+                self.send(&header, Some(&raw), span)?;
+                // Only the answer is checked against the fingerprint: the
+                // bytes are digested while the server works on them.
+                let encode = Instant::now();
+                let body = profile_body(&raw)
+                    .map_err(|e| ClientError::Protocol(format!("encode profile: {e}")))?;
+                let expected = stalloc_core::fingerprint_job_body(body, config);
+                span.record_since(ClientPhase::Encode, encode);
+                (expected, self.receive(span)?)
             }
         };
         self.accept(expected, response, span)?
@@ -381,7 +402,6 @@ impl PlanClient {
         self.traced("PlanDelta", |client, wire, span| {
             let encode = Instant::now();
             let raw = encode_profile_delta(&diff_profiles(base, next));
-            let expected = stalloc_core::fingerprint_job(next, config);
             span.record_since(ClientPhase::Encode, encode);
             let header = PlanRequest::PlanDelta {
                 config: *config,
@@ -389,7 +409,12 @@ impl PlanClient {
                 bytes: raw.len() as u64,
                 trace: Some(wire),
             };
-            let response = client.exchange(&header, Some(&raw), span)?;
+            client.send(&header, Some(&raw), span)?;
+            // As for a full profile: fingerprinted while the server works.
+            let encode = Instant::now();
+            let expected = stalloc_core::fingerprint_job(next, config);
+            span.record_since(ClientPhase::Encode, encode);
+            let response = client.receive(span)?;
             match client.accept(expected, response, span)? {
                 Some(plan) => Ok(plan),
                 // The server no longer holds the base profile. The

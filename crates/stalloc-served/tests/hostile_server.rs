@@ -12,10 +12,12 @@ use std::net::{SocketAddr, TcpListener};
 use std::thread::JoinHandle;
 
 use stalloc_core::wire::{PlanRequest, PlanResponse, PlanSource, WireErrorKind};
-use stalloc_core::{fingerprint_job, profile_trace, Fingerprint, ProfiledRequests, SynthConfig};
+use stalloc_core::{
+    fingerprint_job, profile_trace, Fingerprint, InstanceKey, ProfiledRequests, SynthConfig,
+};
 use stalloc_served::{read_frame, write_frame, ClientError, PlanClient, DEFAULT_MAX_FRAME};
 use stalloc_store::{decode_profile, encode_plan};
-use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+use trace_gen::{ModelSpec, ModuleId, OptimConfig, ParallelConfig, TrainJob};
 
 fn profile() -> ProfiledRequests {
     let trace = TrainJob::new(
@@ -56,6 +58,10 @@ enum Script {
     /// A binary plan with one decision allocated at tick `u64::MAX`: the
     /// codec carries it, and no lifetime can start there.
     AllocatedAtTheEndOfTime,
+    /// A binary plan whose dynamic arrivals name a group past the end of
+    /// its group table: the codec carries it, and the runtime would
+    /// index out of bounds at the first dynamic request.
+    UnknownDynamicGroup,
 }
 
 /// Serves one connection per script, in order, then exits.
@@ -83,6 +89,16 @@ fn fake_server(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
                 micros: 1,
                 plan,
             };
+            let binary = |fingerprint: String, plan: &_| {
+                let stpl = encode_plan(plan);
+                let header = PlanResponse::PlanBin {
+                    fingerprint,
+                    source: PlanSource::Synthesized,
+                    micros: 1,
+                    bytes: stpl.len() as u64,
+                };
+                (header, Some(stpl))
+            };
             let (response, raw_frame) = match script {
                 Script::AnotherJobsFingerprint => {
                     (inline(Fingerprint([0x5a; 16]).to_hex(), plan), None)
@@ -93,15 +109,11 @@ fn fake_server(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
                     (inline(fingerprint, plan), None)
                 }
                 Script::RawFrameOffBy(delta) => {
-                    let mut stpl = encode_plan(&plan);
-                    let header = PlanResponse::PlanBin {
-                        fingerprint,
-                        source: PlanSource::Synthesized,
-                        micros: 1,
-                        bytes: stpl.len() as u64,
-                    };
-                    stpl.resize((stpl.len() as i64 + delta) as usize, 0);
-                    (header, Some(stpl))
+                    let (header, mut stpl) = binary(fingerprint, &plan);
+                    if let Some(stpl) = &mut stpl {
+                        stpl.resize((stpl.len() as i64 + delta) as usize, 0);
+                    }
+                    (header, stpl)
                 }
                 Script::CloseBeforeAnyResponse => continue,
                 Script::DeeplyNestedHeader => {
@@ -121,14 +133,18 @@ fn fake_server(scripts: Vec<Script>) -> (SocketAddr, JoinHandle<()>) {
                 }
                 Script::AllocatedAtTheEndOfTime => {
                     plan.iter_allocs.last_mut().unwrap().ts = u64::MAX;
-                    let stpl = encode_plan(&plan);
-                    let header = PlanResponse::PlanBin {
-                        fingerprint,
-                        source: PlanSource::Synthesized,
-                        micros: 1,
-                        bytes: stpl.len() as u64,
+                    binary(fingerprint, &plan)
+                }
+                Script::UnknownDynamicGroup => {
+                    let key = InstanceKey {
+                        module: ModuleId(1),
+                        phase: 1,
                     };
-                    (header, Some(stpl))
+                    let missing = plan.dynamic.groups.len() as u32 + 5;
+                    plan.dynamic
+                        .instance_seq
+                        .push((key, vec![u32::MAX, missing]));
+                    binary(fingerprint, &plan)
                 }
             };
             let json = serde_json::to_string(&response).unwrap();
@@ -161,6 +177,10 @@ fn every_distrust_check_ends_in_a_protocol_error() {
         (
             Script::AllocatedAtTheEndOfTime,
             "sent unsound plan: decision",
+        ),
+        (
+            Script::UnknownDynamicGroup,
+            "sent unsound plan: dynamic arrivals of module 1 phase 1 name group 5",
         ),
     ];
     let (addr, server) = fake_server(scripts.iter().map(|&(script, _)| script).collect());

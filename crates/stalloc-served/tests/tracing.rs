@@ -244,9 +244,9 @@ fn loopback_propagates_the_client_trace_id_end_to_end() {
 }
 
 /// The client span says where a request's time went: on a binary plan
-/// response the six phases add up to (nearly) the total, the client's
+/// response the seven phases add up to (nearly) the total, the client's
 /// soundness check of the received plan included — it is billed to
-/// `Decode`, as that phase documents. Measured on LRU hits, where the
+/// `Validate`, apart from `Decode`. Measured on LRU hits, where the
 /// server's share (`Await`) is smallest and client time nobody clocked
 /// would show most.
 #[test]
@@ -284,6 +284,13 @@ fn client_span_phases_account_for_a_binary_plan_response() {
             span.phase_micros(ClientPhase::Read).is_some(),
             "the plan came as a raw binary frame"
         );
+        for phase in [ClientPhase::Decode, ClientPhase::Validate] {
+            assert!(
+                span.phase_micros(phase).is_some(),
+                "{} is clocked on its own",
+                phase.name()
+            );
+        }
         let clocked: u64 = span.entered().map(|(_, micros)| micros).sum();
         best = best.max(clocked as f64 / span.total_micros as f64);
     }

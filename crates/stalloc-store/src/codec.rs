@@ -172,7 +172,10 @@
 
 use std::fmt;
 
-use stalloc_core::fingerprint::{put_delta, put_instance, put_uvarint, zigzag};
+use stalloc_core::fingerprint::{
+    put_arrivals, put_record, put_request_keys, put_uvarint, put_windows, request_flags, zigzag,
+    Record, MAX_INSTANCE, MAX_REQUEST, MAX_VARINT, MAX_VARINT32,
+};
 use stalloc_core::plan::{DynGroup, DynamicPlan, Plan, PlanStats, PlannedAlloc, StrategyChoice};
 use stalloc_core::{
     EditOp, Fingerprint, InstanceKey, ProfileDelta, ProfiledRequests, RequestEvent,
@@ -389,37 +392,52 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Reads one canonical varint. A one-byte varint — most fields of
+    /// both streams — returns at once; a longer one is decoded from the
+    /// at most [`MAX_VARINT`] bytes it may span. Errors name the varint's
+    /// first byte, except a truncation, which names the offset where the
+    /// input ran out.
+    #[inline]
     fn uvarint(&mut self, context: &'static str) -> Result<u64, CodecError> {
+        match self.bytes.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(byte as u64)
+            }
+            _ => self.uvarint_long(context),
+        }
+    }
+
+    /// [`Self::uvarint`] past its one-byte case.
+    fn uvarint_long(&mut self, context: &'static str) -> Result<u64, CodecError> {
         let start = self.pos;
+        let window = &self.bytes[start..self.bytes.len().min(start + MAX_VARINT)];
         let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let Some(&byte) = self.bytes.get(self.pos) else {
-                return Err(CodecError::Truncated {
-                    offset: self.pos,
-                    context,
-                });
-            };
-            self.pos += 1;
+        for (k, &byte) in window.iter().enumerate() {
             let payload = (byte & 0x7f) as u64;
-            if shift == 63 && payload > 1 {
+            // The tenth byte holds bit 63 alone.
+            if k == MAX_VARINT - 1 && payload > 1 {
                 return Err(CodecError::VarintOverflow { offset: start });
             }
-            out |= payload << shift;
+            out |= payload << (7 * k);
             if byte & 0x80 == 0 {
                 // The encoder never emits a zero terminal byte after a
                 // continuation; such padding would make two distinct
                 // streams decode to the same plan.
-                if payload == 0 && shift > 0 {
+                if payload == 0 && k > 0 {
                     return Err(CodecError::NonCanonicalVarint { offset: start });
                 }
+                self.pos = start + k + 1;
                 return Ok(out);
             }
-            shift += 7;
-            if shift > 63 {
-                return Err(CodecError::VarintOverflow { offset: start });
-            }
         }
+        if window.len() < MAX_VARINT {
+            return Err(CodecError::Truncated {
+                offset: start + window.len(),
+                context,
+            });
+        }
+        Err(CodecError::VarintOverflow { offset: start })
     }
 
     /// Applies a zigzag delta to `prev` (wrapping, mirroring the encoder).
@@ -461,10 +479,12 @@ fn put_allocs(buf: &mut Vec<u8>, allocs: &[PlannedAlloc]) {
     put_uvarint(buf, allocs.len() as u64);
     let (mut size, mut offset, mut ts) = (0u64, 0u64, 0u64);
     for a in allocs {
-        put_delta(buf, size, a.size);
-        put_delta(buf, offset, a.offset);
-        put_delta(buf, ts, a.ts);
-        put_delta(buf, a.ts, a.te);
+        put_record(buf, 4 * MAX_VARINT, |rec| {
+            rec.delta(size, a.size);
+            rec.delta(offset, a.offset);
+            rec.delta(ts, a.ts);
+            rec.delta(a.ts, a.te);
+        });
         size = a.size;
         offset = a.offset;
         ts = a.ts;
@@ -507,46 +527,54 @@ pub fn encode_plan(plan: &Plan) -> Vec<u8> {
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
 
-    put_uvarint(&mut buf, plan.pool_size);
-
     let s = &plan.stats;
-    put_uvarint(&mut buf, s.strategy.index() as u64);
-    put_uvarint(&mut buf, s.static_requests as u64);
-    put_uvarint(&mut buf, s.dynamic_requests as u64);
-    put_uvarint(&mut buf, s.phase_groups as u64);
-    put_uvarint(&mut buf, s.fused_groups as u64);
-    put_uvarint(&mut buf, s.layers as u64);
-    put_uvarint(&mut buf, s.gap_inserted as u64);
-    put_uvarint(&mut buf, s.homolayer_groups as u64);
-    put_uvarint(&mut buf, s.peak_static_demand);
-    put_uvarint(&mut buf, s.pool_size);
+    put_record(&mut buf, 11 * MAX_VARINT, |rec| {
+        rec.uvarint(plan.pool_size);
+        rec.uvarint(s.strategy.index() as u64);
+        rec.uvarint(s.static_requests as u64);
+        rec.uvarint(s.dynamic_requests as u64);
+        rec.uvarint(s.phase_groups as u64);
+        rec.uvarint(s.fused_groups as u64);
+        rec.uvarint(s.layers as u64);
+        rec.uvarint(s.gap_inserted as u64);
+        rec.uvarint(s.homolayer_groups as u64);
+        rec.uvarint(s.peak_static_demand);
+        rec.uvarint(s.pool_size);
+    });
 
     put_allocs(&mut buf, &plan.init_allocs);
     put_allocs(&mut buf, &plan.iter_allocs);
 
     put_uvarint(&mut buf, plan.dynamic.groups.len() as u64);
     for g in &plan.dynamic.groups {
-        put_instance(&mut buf, &g.ls);
-        put_instance(&mut buf, &g.le);
-        put_uvarint(&mut buf, g.t_range.0);
-        put_delta(&mut buf, g.t_range.0, g.t_range.1);
-        put_uvarint(&mut buf, g.intervals.len() as u64);
-        let mut prev_start = 0u64;
-        for &(start, len) in &g.intervals {
-            put_delta(&mut buf, prev_start, start);
-            put_uvarint(&mut buf, len);
-            prev_start = start;
-        }
-        put_uvarint(&mut buf, g.profiled_bytes);
+        // Keys, range, interval count, intervals, profiled bytes.
+        let max = 2 * MAX_INSTANCE + 4 * MAX_VARINT + 2 * MAX_VARINT * g.intervals.len();
+        put_record(&mut buf, max, |rec| {
+            rec.instance(&g.ls);
+            rec.instance(&g.le);
+            rec.uvarint(g.t_range.0);
+            rec.delta(g.t_range.0, g.t_range.1);
+            rec.uvarint(g.intervals.len() as u64);
+            let mut prev_start = 0u64;
+            for &(start, len) in &g.intervals {
+                rec.delta(prev_start, start);
+                rec.uvarint(len);
+                prev_start = start;
+            }
+            rec.uvarint(g.profiled_bytes);
+        });
     }
 
     put_uvarint(&mut buf, plan.dynamic.instance_seq.len() as u64);
     for (key, seq) in &plan.dynamic.instance_seq {
-        put_instance(&mut buf, key);
-        put_uvarint(&mut buf, seq.len() as u64);
-        for &v in seq {
-            put_uvarint(&mut buf, v as u64);
-        }
+        let max = MAX_INSTANCE + MAX_VARINT + MAX_VARINT32 * seq.len();
+        put_record(&mut buf, max, |rec| {
+            rec.instance(key);
+            rec.uvarint(seq.len() as u64);
+            for &v in seq {
+                rec.uvarint(v as u64);
+            }
+        });
     }
 
     buf
@@ -810,29 +838,14 @@ const OP_RESIZE: u8 = 4;
 /// Appends one request with **absolute** fields (no cross-request delta
 /// chain: delta ops interleave with copies, so there is no meaningful
 /// predecessor). `te` still rides as a delta from the request's own `ts`.
-fn put_request_abs(buf: &mut Vec<u8>, r: &RequestEvent) {
-    let mut flags = 0u8;
-    if r.dynamic {
-        flags |= PROFILE_FLAG_DYNAMIC;
-    }
-    if r.ls.is_some() {
-        flags |= PROFILE_FLAG_HAS_LS;
-    }
-    if r.le.is_some() {
-        flags |= PROFILE_FLAG_HAS_LE;
-    }
-    buf.push(flags);
-    put_uvarint(buf, r.size);
-    put_uvarint(buf, r.ts);
-    put_delta(buf, r.ts, r.te);
-    put_uvarint(buf, r.ps as u64);
-    put_uvarint(buf, r.pe as u64);
-    if let Some(ls) = &r.ls {
-        put_instance(buf, ls);
-    }
-    if let Some(le) = &r.le {
-        put_instance(buf, le);
-    }
+fn put_request_abs(rec: &mut Record<'_>, r: &RequestEvent) {
+    rec.byte(request_flags(r));
+    rec.uvarint(r.size);
+    rec.uvarint(r.ts);
+    rec.delta(r.ts, r.te);
+    rec.uvarint(r.ps as u64);
+    rec.uvarint(r.pe as u64);
+    put_request_keys(rec, r);
 }
 
 fn get_request_abs(r: &mut Reader<'_>, context: &'static str) -> Result<RequestEvent, CodecError> {
@@ -867,38 +880,42 @@ fn get_request_abs(r: &mut Reader<'_>, context: &'static str) -> Result<RequestE
     })
 }
 
-fn put_signed(buf: &mut Vec<u8>, v: i64) {
-    put_uvarint(buf, zigzag(v));
+fn put_signed(rec: &mut Record<'_>, v: i64) {
+    rec.uvarint(zigzag(v));
 }
+
+/// Longest encoded op: an `Insert`, its tag byte then one request (plain
+/// `size` and `ts` varints are no longer than deltas).
+const MAX_OP: usize = 1 + MAX_REQUEST;
 
 fn put_ops(buf: &mut Vec<u8>, ops: &[EditOp]) {
     put_uvarint(buf, ops.len() as u64);
     for op in ops {
-        match op {
+        put_record(buf, MAX_OP, |rec| match op {
             EditOp::Copy { count } => {
-                buf.push(OP_COPY);
-                put_uvarint(buf, *count as u64);
+                rec.byte(OP_COPY);
+                rec.uvarint(*count as u64);
             }
             EditOp::Insert { request } => {
-                buf.push(OP_INSERT);
-                put_request_abs(buf, request);
+                rec.byte(OP_INSERT);
+                put_request_abs(rec, request);
             }
             EditOp::Remove { count } => {
-                buf.push(OP_REMOVE);
-                put_uvarint(buf, *count as u64);
+                rec.byte(OP_REMOVE);
+                rec.uvarint(*count as u64);
             }
             EditOp::Retime { dts, dte, dps, dpe } => {
-                buf.push(OP_RETIME);
-                put_signed(buf, *dts);
-                put_signed(buf, *dte);
-                put_signed(buf, *dps);
-                put_signed(buf, *dpe);
+                rec.byte(OP_RETIME);
+                put_signed(rec, *dts);
+                put_signed(rec, *dte);
+                put_signed(rec, *dps);
+                put_signed(rec, *dpe);
             }
             EditOp::Resize { dsize } => {
-                buf.push(OP_RESIZE);
-                put_signed(buf, *dsize);
+                rec.byte(OP_RESIZE);
+                put_signed(rec, *dsize);
             }
-        }
+        });
     }
 }
 
@@ -947,9 +964,11 @@ pub fn encode_profile_delta(delta: &ProfileDelta) -> Vec<u8> {
     buf.extend_from_slice(&DELTA_MAGIC);
     buf.extend_from_slice(&DELTA_FORMAT_VERSION.to_le_bytes());
     buf.extend_from_slice(&delta.base.0);
-    put_uvarint(&mut buf, delta.init_count as u64);
-    put_uvarint(&mut buf, delta.num_phases as u64);
-    put_uvarint(&mut buf, delta.window_len);
+    put_record(&mut buf, 3 * MAX_VARINT, |rec| {
+        rec.uvarint(delta.init_count as u64);
+        rec.uvarint(delta.num_phases as u64);
+        rec.uvarint(delta.window_len);
+    });
     put_ops(&mut buf, &delta.statics);
     put_ops(&mut buf, &delta.dynamics);
 
@@ -957,30 +976,14 @@ pub fn encode_profile_delta(delta: &ProfileDelta) -> Vec<u8> {
         None => buf.push(0),
         Some(windows) => {
             buf.push(1);
-            put_uvarint(&mut buf, windows.len() as u64);
-            let mut prev_start = 0u64;
-            for (k, (start, end)) in windows {
-                put_instance(&mut buf, k);
-                put_delta(&mut buf, prev_start, *start);
-                put_delta(&mut buf, *start, *end);
-                prev_start = *start;
-            }
+            put_windows(&mut buf, windows);
         }
     }
     match &delta.instance_arrivals {
         None => buf.push(0),
         Some(arrivals) => {
             buf.push(1);
-            put_uvarint(&mut buf, arrivals.len() as u64);
-            for (k, seq) in arrivals {
-                put_instance(&mut buf, k);
-                put_uvarint(&mut buf, seq.len() as u64);
-                let mut prev = 0u64;
-                for &i in seq {
-                    put_delta(&mut buf, prev, i as u64);
-                    prev = i as u64;
-                }
-            }
+            put_arrivals(&mut buf, arrivals);
         }
     }
     buf

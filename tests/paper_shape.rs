@@ -4,12 +4,13 @@
 //!
 //! Asserted: every ablation column is strictly worse (a larger pool) than
 //! "full" on at least one row — a mechanism whose removal never costs
-//! anything has no column.
+//! anything has no column; and Table 1 keeps its OOM row — the original
+//! VPP configuration of Qwen2.5-14B runs out of memory under both PyTorch
+//! allocators and fits under STAlloc.
 //!
 //! Still open: STAlloc at least the best baseline in every efficiency
 //! cell, or the cell listed with its reason in one allow-table that may
-//! only shrink; a Figure 1(b) row Torch cannot fit and STAlloc can; Table
-//! 1 keeping its OOM row.
+//! only shrink; a Figure 1(b) row Torch cannot fit and STAlloc can.
 
 #[test]
 fn every_ablation_column_is_worse_than_full_somewhere() {
@@ -32,4 +33,26 @@ fn every_ablation_column_is_worse_than_full_somewhere() {
             table.headers[c]
         );
     }
+}
+
+#[test]
+fn table1_original_vpp_fits_only_under_stalloc() {
+    let table = harness::experiments::table1();
+    let column = |name: &str| {
+        table
+            .headers
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("no {name} column in {:?}", table.headers))
+    };
+    let row = table
+        .rows
+        .iter()
+        .find(|row| row[0] == "Original (VPP)")
+        .expect("Table 1 has its Original (VPP) row");
+    let cells: Vec<&str> = ["PyTorch", "PyTorch ES", "STAlloc"]
+        .iter()
+        .map(|c| row[column(c)].as_str())
+        .collect();
+    assert_eq!(cells, ["OOM", "OOM", "ok"], "Original (VPP) row: {row:?}");
 }

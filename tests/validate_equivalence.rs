@@ -276,6 +276,37 @@ fn validate_is_total() {
         .expect_err("no lifetime starts at u64::MAX");
     assert!(verdict.contains("tick 18446744073709551615"), "{verdict}");
 
+    // A dynamic plan whose arrivals name a group it does not have: the
+    // runtime indexes its groups with these, so the verdict must come
+    // before the training process does. `u32::MAX` names no group.
+    let moe = sound_plans()
+        .iter()
+        .find(|p| !p.dynamic.groups.is_empty() && !p.dynamic.instance_seq.is_empty())
+        .expect("the zoo's MoE job plans dynamic groups");
+    let groups = moe.dynamic.groups.len() as u32;
+    for (index, verdict) in [
+        (u32::MAX, None),
+        (groups - 1, None),
+        (groups, Some(groups)),
+        (groups + 5, Some(groups + 5)),
+        (u32::MAX - 1, Some(u32::MAX - 1)),
+    ] {
+        let mut plan = moe.clone();
+        for (_, seq) in &mut plan.dynamic.instance_seq {
+            seq.iter_mut().for_each(|g| *g = index);
+        }
+        let carried = decode_plan(&encode_plan(&plan)).expect("the codec carries any index");
+        assert_eq!(carried, plan);
+        match (carried.validate(), verdict) {
+            (Ok(()), None) => {}
+            (Err(e), Some(g)) => assert!(
+                e.contains(&format!("name group {g}, but the plan has {groups} groups")),
+                "{e}"
+            ),
+            (got, _) => panic!("group index {index}: {got:?}"),
+        }
+    }
+
     // Every field at its extremes, alone and together: an answer, no panic.
     for (size, offset, ts, te) in [
         (u64::MAX, u64::MAX, 0, 0),
