@@ -1,48 +1,63 @@
 //! Experiment registry: one function per table/figure of the paper's
-//! evaluation (§2 motivation + §9). Each returns renderable [`Table`]s;
-//! [`ALL`] names them, and the `bench` crate's one binary runs them by
-//! name.
+//! evaluation (§2 motivation + §9). Each reads its traces and replays
+//! from one [`Lab`] and returns renderable [`Table`]s; [`ALL`] names
+//! them, and the `bench` crate's one binary runs them by name over one
+//! `Lab`.
 
 use gpu_sim::DeviceSpec;
-use trace_gen::{OptimConfig, TensorCategory, Trace, TraceEvent};
+use trace_gen::{OptimConfig, TensorCategory, TraceEvent, TrainJob};
 
 use crate::configs;
-use crate::runner::{run, run_lineup, AllocatorKind};
+use crate::lab::Lab;
+use crate::runner::AllocatorKind::{
+    self, GmLake, Stalloc, StallocNoReuse, Torch20, Torch23, Torch26, TorchEs,
+};
+use crate::runner::RunResult;
 use crate::table::{gib, pct, Table};
 
 fn a800() -> DeviceSpec {
     DeviceSpec::a800_80g()
 }
 
-type Experiment = fn() -> Vec<Table>;
+type Experiment = fn(&mut Lab) -> Vec<Table>;
+type Job = fn(OptimConfig, bool) -> TrainJob;
+
+/// The three models of Figs. 8 and 12 and Table 2, by the name their rows
+/// carry: `(name, job(optim, vpp))`.
+const MODELS: [(&str, Job); 3] = [
+    ("GPT-2", configs::gpt2_job),
+    ("Llama2-7B", configs::llama2_job),
+    ("Qwen1.5-MoE", configs::moe_job),
+];
 
 /// Every experiment by the name `cargo run -p bench -- NAME` takes, in
 /// the order `-- all` prints them.
 pub const ALL: [(&str, Experiment); 16] = [
-    ("fig1b", || vec![fig1b()]),
-    ("fig2", || vec![fig2()]),
-    ("fig3", || vec![fig3()]),
-    ("fig4", || vec![fig4()]),
+    ("fig1b", |lab| vec![fig1b(lab)]),
+    ("fig2", |lab| vec![fig2(lab)]),
+    ("fig3", |lab| vec![fig3(lab)]),
+    ("fig4", |lab| vec![fig4(lab)]),
     ("fig8", fig8),
     ("fig9", fig9),
-    ("fig10", || vec![fig10()]),
-    ("fig11", || vec![fig11()]),
-    ("fig12", || vec![fig12()]),
-    ("fig13", || vec![fig13()]),
-    ("table1", || vec![table1()]),
-    ("table2", || vec![table2()]),
-    ("table3", || vec![table3()]),
-    ("ablations", || vec![ablations()]),
-    ("strategies", || vec![strategy_comparison()]),
-    ("delta_replan", || vec![delta_replan()]),
+    ("fig10", |lab| vec![fig10(lab)]),
+    ("fig11", |lab| vec![fig11(lab)]),
+    ("fig12", |lab| vec![fig12(lab)]),
+    ("fig13", |lab| vec![fig13(lab)]),
+    ("table1", |lab| vec![table1(lab)]),
+    ("table2", |lab| vec![table2(lab)]),
+    ("table3", |lab| vec![table3(lab)]),
+    ("ablations", |lab| vec![ablations(lab)]),
+    ("strategies", |lab| vec![strategy_comparison(lab)]),
+    // A live plan server, not a replay: it reads nothing from the lab.
+    ("delta_replan", |_| vec![delta_replan()]),
 ];
 
 /// Figure 1(b): memory vs throughput of Llama2-7B configurations on 8 GPUs;
 /// the best configurations are feasible only with STAlloc.
-pub fn fig1b() -> Table {
+pub fn fig1b(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Figure 1(b): Llama2-7B configurations on 8xA800 - memory vs throughput",
-        &[
+        [
             "config",
             "M_a (GiB)",
             "Torch reserved",
@@ -53,48 +68,47 @@ pub fn fig1b() -> Table {
         ],
     );
     for (label, job) in configs::fig1b_jobs() {
-        let trace = job.build_trace().expect("valid job");
-        let torch = run(&trace, &a800(), AllocatorKind::Torch23);
-        let st = run(&trace, &a800(), AllocatorKind::Stalloc);
-        let tput = st
-            .throughput
-            .map(|x| format!("{:.1}", x.tflops))
-            .unwrap_or_else(|| "-".into());
+        let torch = lab.run(&job, &a800(), Torch23);
+        let st = lab.run(&job, &a800(), Stalloc);
         t.push_row(vec![
             label,
             gib(torch.report.peak_requested),
             gib(torch.report.peak_reserved),
-            if torch.report.oom {
-                "OOM".into()
-            } else {
-                "yes".into()
-            },
+            fits_cell(&torch, "yes"),
             gib(st.report.peak_reserved),
-            if st.report.oom {
-                "OOM".into()
-            } else {
-                "yes".into()
-            },
-            tput,
+            fits_cell(&st, "yes"),
+            tflops_cell(&st),
         ]);
     }
     t
 }
 
+/// `"OOM"`, or `fits` when the run fitted the device.
+fn fits_cell(r: &RunResult, fits: &str) -> String {
+    if r.report.oom { "OOM" } else { fits }.to_string()
+}
+
+/// Modelled TFLOPS with one decimal, `"-"` after an OOM.
+fn tflops_cell(r: &RunResult) -> String {
+    r.throughput
+        .map(|x| format!("{:.1}", x.tflops))
+        .unwrap_or_else(|| "-".into())
+}
+
 /// Figure 2: PyTorch memory efficiency of GPT-2 under no optimization,
 /// virtual pipeline, and recomputation.
-pub fn fig2() -> Table {
+pub fn fig2(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Figure 2: GPT-2 memory efficiency under PyTorch (8 GPUs)",
-        &["config", "allocated (GiB)", "reserved (GiB)", "efficiency"],
+        ["config", "allocated (GiB)", "reserved (GiB)", "efficiency"],
     );
     for (label, optim, vpp) in [
         ("1F1B (no opt)", OptimConfig::naive(), false),
         ("Virtual Pipeline", OptimConfig::naive(), true),
         ("Recomputation", OptimConfig::r(), false),
     ] {
-        let trace = configs::gpt2_job(optim, vpp).build_trace().unwrap();
-        let r = run(&trace, &a800(), AllocatorKind::Torch23);
+        let job = configs::gpt2_job(optim, vpp);
+        let r = lab.run(&job, &a800(), Torch23);
         t.push_row(vec![
             label.into(),
             gib(r.report.peak_requested),
@@ -106,10 +120,10 @@ pub fn fig2() -> Table {
 }
 
 /// Figure 3: allocation-size distribution — the spatial regularity.
-pub fn fig3() -> Table {
+pub fn fig3(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Figure 3: distinct allocation sizes >512 B in one iteration (Llama2-7B)",
-        &[
+        [
             "config",
             "requests/iter",
             "distinct sizes",
@@ -121,7 +135,7 @@ pub fn fig3() -> Table {
         ("Recomputation", OptimConfig::r(), false),
         ("Virtual Pipeline", OptimConfig::naive(), true),
     ] {
-        let trace = configs::llama2_job(optim, vpp).build_trace().unwrap();
+        let trace = lab.trace(&configs::llama2_job(optim, vpp));
         let (s, e) = trace.iteration_range(1).unwrap();
         let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         let mut total = 0u64;
@@ -158,10 +172,10 @@ pub fn fig3() -> Table {
 
 /// Figure 4: tensor lifetime classification and the effect of optimization
 /// techniques on it.
-pub fn fig4() -> Table {
+pub fn fig4(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Figure 4: tensor lifetime classes per iteration (GPT-2)",
-        &[
+        [
             "config",
             "persistent (GiB)",
             "scoped (GiB)",
@@ -169,15 +183,10 @@ pub fn fig4() -> Table {
             "scoped share of bytes",
         ],
     );
-    for (label, optim) in [
-        ("Naive", OptimConfig::naive()),
-        ("Recompute", OptimConfig::r()),
-        ("Recompute+Offload", OptimConfig::zor()),
-    ] {
-        let trace = configs::gpt2_job(optim, false).build_trace().unwrap();
-        let (s, e) = trace.iteration_range(1).unwrap();
+    // Allocated bytes per class: persistent, scoped, transient.
+    let class_bytes = |events: &[TraceEvent]| {
         let mut bytes = [0u64; 3];
-        for ev in &trace.events[..e] {
+        for ev in events {
             if let TraceEvent::Alloc { size, category, .. } = ev {
                 let idx = match category {
                     TensorCategory::Persistent => 0,
@@ -187,21 +196,18 @@ pub fn fig4() -> Table {
                 bytes[idx] += size;
             }
         }
+        bytes
+    };
+    for (label, optim) in [
+        ("Naive", OptimConfig::naive()),
+        ("Recompute", OptimConfig::r()),
+        ("Recompute+Offload", OptimConfig::zor()),
+    ] {
+        let trace = lab.trace(&configs::gpt2_job(optim, false));
+        let (s, e) = trace.iteration_range(1).unwrap();
         // Persistent counted from init; scoped/transient from iteration 1.
-        let mut iter_bytes = [0u64; 3];
-        for ev in &trace.events[s..e] {
-            if let TraceEvent::Alloc { size, category, .. } = ev {
-                let idx = match category {
-                    TensorCategory::Persistent => 0,
-                    TensorCategory::Scoped => 1,
-                    TensorCategory::Transient => 2,
-                };
-                iter_bytes[idx] += size;
-            }
-        }
-        let persistent = bytes[0];
-        let scoped = iter_bytes[1];
-        let transient = iter_bytes[2];
+        let persistent = class_bytes(&trace.events[..e])[0];
+        let [_, scoped, transient] = class_bytes(&trace.events[s..e]);
         let share = scoped as f64 / (scoped + transient).max(1) as f64;
         t.push_row(vec![
             label.into(),
@@ -214,27 +220,28 @@ pub fn fig4() -> Table {
     t
 }
 
-fn efficiency_cell(r: &crate::runner::RunResult) -> String {
-    if r.report.oom {
-        "OOM".into()
-    } else {
-        pct(r.report.efficiency())
-    }
+/// Each result's memory efficiency, `"OOM"` where it ran out.
+fn efficiency_row(results: &[RunResult]) -> Vec<String> {
+    let cell = |r: &RunResult| fits_cell(r, &pct(r.report.efficiency()));
+    results.iter().map(cell).collect()
 }
 
-fn lineup_table(title: &str, traces: Vec<(String, Trace)>, spec: &DeviceSpec) -> Table {
+/// One row per `(label, job)` on the A800 and one column per allocator
+/// of the paper lineup; `cells` renders a row from its results.
+fn lineup_table(
+    lab: &mut Lab,
+    title: &str,
+    key: &str,
+    jobs: impl IntoIterator<Item = (String, TrainJob)>,
+    cells: impl Fn(&[RunResult]) -> Vec<String>,
+) -> Table {
     let kinds = AllocatorKind::paper_lineup();
-    let mut headers: Vec<String> = vec!["config".into()];
+    let mut headers = vec![key.to_string()];
     headers.extend(kinds.iter().map(|k| k.label()));
-    let mut t = Table {
-        title: title.into(),
-        headers,
-        rows: Vec::new(),
-    };
-    for (label, trace) in traces {
-        let results = run_lineup(&trace, spec, &kinds);
+    let mut t = Table::new(title, headers);
+    for (label, job) in jobs {
         let mut row = vec![label];
-        row.extend(results.iter().map(efficiency_cell));
+        row.extend(cells(&lab.lineup(&job, &a800(), &kinds)));
         t.push_row(row);
     }
     t
@@ -242,57 +249,36 @@ fn lineup_table(title: &str, traces: Vec<(String, Trace)>, spec: &DeviceSpec) ->
 
 /// Figure 8: memory efficiency of all allocators across the six
 /// optimization combinations, for GPT-2 (a), Llama2-7B (b), Qwen-MoE (c).
-pub fn fig8() -> Vec<Table> {
-    let mut out = Vec::new();
-    let build = |f: &dyn Fn(OptimConfig, bool) -> trace_gen::TrainJob| -> Vec<(String, Trace)> {
-        configs::fig8_configs()
+pub fn fig8(lab: &mut Lab) -> Vec<Table> {
+    let panels = ["(a): GPT-2", "(b): Llama2-7B", "(c): Qwen1.5-MoE-A2.7B"];
+    let tables = panels.into_iter().zip(MODELS).map(|(panel, (_, job))| {
+        let jobs = configs::fig8_configs()
             .into_iter()
-            .map(|(label, optim, vpp)| (label.to_string(), f(optim, vpp).build_trace().unwrap()))
-            .collect()
-    };
-    out.push(lineup_table(
-        "Figure 8(a): GPT-2 memory efficiency",
-        build(&configs::gpt2_job),
-        &a800(),
-    ));
-    out.push(lineup_table(
-        "Figure 8(b): Llama2-7B memory efficiency",
-        build(&configs::llama2_job),
-        &a800(),
-    ));
-    out.push(lineup_table(
-        "Figure 8(c): Qwen1.5-MoE-A2.7B memory efficiency",
-        build(&configs::moe_job),
-        &a800(),
-    ));
-    out
+            .map(|(label, optim, vpp)| (label.to_string(), job(optim, vpp)));
+        let title = format!("Figure 8{panel} memory efficiency");
+        lineup_table(lab, &title, "config", jobs, efficiency_row)
+    });
+    tables.collect()
 }
 
 /// Figure 9: scaling studies on AMD MI210 (a) and NVIDIA H200 (b:
 /// recomputation, c: virtual pipeline).
-pub fn fig9() -> Vec<Table> {
+pub fn fig9(lab: &mut Lab) -> Vec<Table> {
     let mut out = Vec::new();
 
     // (a) AMD: no VMM -> only Torch vs STAlloc, as in the paper.
     let mi210 = DeviceSpec::mi210_64g();
     let mut ta = Table::new(
         "Figure 9(a): AMD MI210, recomputation",
-        &["model", "GPUs", "Torch", "STAlloc"],
+        ["model", "GPUs", "Torch", "STAlloc"],
     );
     for (moe, gpus) in [(false, 32), (false, 64), (true, 32), (true, 64)] {
-        let trace = configs::amd_job(moe, gpus).build_trace().unwrap();
-        let torch = run(&trace, &mi210, AllocatorKind::Torch23);
-        let st = run(&trace, &mi210, AllocatorKind::Stalloc);
-        ta.push_row(vec![
-            if moe {
-                "Qwen1.5-MoE".into()
-            } else {
-                "Llama2-7B".into()
-            },
-            gpus.to_string(),
-            efficiency_cell(&torch),
-            efficiency_cell(&st),
-        ]);
+        let job = configs::amd_job(moe, gpus);
+        let model = if moe { "Qwen1.5-MoE" } else { "Llama2-7B" };
+        let mut row = vec![model.to_string(), gpus.to_string()];
+        let kinds = [Torch23, Stalloc];
+        row.extend(efficiency_row(&lab.lineup(&job, &mi210, &kinds)));
+        ta.push_row(row);
     }
     out.push(ta);
 
@@ -304,29 +290,18 @@ pub fn fig9() -> Vec<Table> {
         (trace_gen::ModelSpec::qwen25_32b(), [32, 64]),
         (trace_gen::ModelSpec::qwen25_72b(), [64, 128]),
     ];
+    let kinds = [Torch26, TorchEs, Stalloc];
     for (recompute, title) in [
         (true, "Figure 9(b): H200 scaling, recomputation"),
         (false, "Figure 9(c): H200 scaling, virtual pipeline"),
     ] {
-        let mut tb = Table::new(
-            title,
-            &["model", "GPUs", "Torch 2.6", "Torch ES", "STAlloc"],
-        );
+        let mut tb = Table::new(title, ["model", "GPUs", "Torch 2.6", "Torch ES", "STAlloc"]);
         for (model, gpu_list) in &scale_models {
             for &gpus in gpu_list {
-                let trace = configs::h200_job(model, gpus, recompute)
-                    .build_trace()
-                    .unwrap();
-                let torch = run(&trace, &h200, AllocatorKind::Torch26);
-                let es = run(&trace, &h200, AllocatorKind::TorchEs);
-                let st = run(&trace, &h200, AllocatorKind::Stalloc);
-                tb.push_row(vec![
-                    model.name.clone(),
-                    gpus.to_string(),
-                    efficiency_cell(&torch),
-                    efficiency_cell(&es),
-                    efficiency_cell(&st),
-                ]);
+                let job = configs::h200_job(model, gpus, recompute);
+                let mut row = vec![model.name.clone(), gpus.to_string()];
+                row.extend(efficiency_row(&lab.lineup(&job, &h200, &kinds)));
+                tb.push_row(row);
             }
         }
         out.push(tb);
@@ -336,122 +311,83 @@ pub fn fig9() -> Vec<Table> {
 
 /// Figure 10: memory efficiency vs micro-batch size (Llama2-7B +
 /// recomputation).
-pub fn fig10() -> Table {
-    let kinds = AllocatorKind::paper_lineup();
-    let mut headers: Vec<String> = vec!["mbs".into()];
-    headers.extend(kinds.iter().map(|k| k.label()));
-    let mut t = Table {
-        title: "Figure 10: Llama2-7B + recomputation, micro-batch sweep".into(),
-        headers,
-        rows: Vec::new(),
-    };
-    for mbs in [1u32, 2, 4, 8, 16, 32, 64] {
-        let trace = configs::mbs_sweep_job(mbs).build_trace().unwrap();
-        let results = run_lineup(&trace, &a800(), &kinds);
-        let mut row = vec![mbs.to_string()];
-        row.extend(results.iter().map(efficiency_cell));
-        t.push_row(row);
-    }
-    t
+pub fn fig10(lab: &mut Lab) -> Table {
+    let jobs =
+        [1u32, 2, 4, 8, 16, 32, 64].map(|mbs| (mbs.to_string(), configs::mbs_sweep_job(mbs)));
+    lineup_table(
+        lab,
+        "Figure 10: Llama2-7B + recomputation, micro-batch sweep",
+        "mbs",
+        jobs,
+        efficiency_row,
+    )
 }
 
 /// Figure 11: Colossal-AI flavour (GPT-2, ZeRO-3 + offload).
-pub fn fig11() -> Table {
-    let traces = vec![
-        (
-            "batch 16".to_string(),
-            configs::colossal_job(16).build_trace().unwrap(),
-        ),
-        (
-            "batch 128".to_string(),
-            configs::colossal_job(128).build_trace().unwrap(),
-        ),
-    ];
+pub fn fig11(lab: &mut Lab) -> Table {
+    let jobs = [16, 128].map(|batch| (format!("batch {batch}"), configs::colossal_job(batch)));
     lineup_table(
+        lab,
         "Figure 11: Colossal-AI (GPT-2, ZeRO-3 + offload) memory efficiency",
-        traces,
-        &a800(),
+        "config",
+        jobs,
+        efficiency_row,
     )
 }
 
 /// Figure 12: normalized training throughput (recomputation configs).
-pub fn fig12() -> Table {
-    let kinds = AllocatorKind::paper_lineup();
-    let mut headers: Vec<String> = vec!["model".into()];
-    headers.extend(kinds.iter().map(|k| k.label()));
-    let mut t = Table {
-        title: "Figure 12: normalized throughput vs PyTorch baseline (R configs)".into(),
-        headers,
-        rows: Vec::new(),
+pub fn fig12(lab: &mut Lab) -> Table {
+    let jobs = MODELS.map(|(name, job)| (name.to_string(), job(OptimConfig::r(), false)));
+    // GMLake normalizes against Torch 2.0; ES/STAlloc against 2.3.
+    let normalized = |results: &[RunResult]| {
+        let tflops = |r: &RunResult| r.throughput.map(|t| t.tflops);
+        let base = |kind| results.iter().find(|r| r.kind == kind).and_then(tflops);
+        let (base20, base23) = (base(Torch20).unwrap_or(1.0), base(Torch23).unwrap_or(1.0));
+        let cell = |r| match (tflops(r), r.kind) {
+            (None, _) => "OOM".into(),
+            (Some(x), Torch20 | GmLake(_)) => pct(x / base20),
+            (Some(x), _) => pct(x / base23),
+        };
+        results.iter().map(cell).collect()
     };
-    let jobs: Vec<(&str, trace_gen::TrainJob)> = vec![
-        ("GPT-2", configs::gpt2_job(OptimConfig::r(), false)),
-        ("Llama2-7B", configs::llama2_job(OptimConfig::r(), false)),
-        ("Qwen1.5-MoE", configs::moe_job(OptimConfig::r(), false)),
-    ];
-    for (label, job) in jobs {
-        let trace = job.build_trace().unwrap();
-        let results = run_lineup(&trace, &a800(), &kinds);
-        // GMLake normalizes against Torch 2.0; ES/STAlloc against 2.3.
-        let base20 = results
-            .iter()
-            .find(|r| r.kind == AllocatorKind::Torch20)
-            .and_then(|r| r.throughput.map(|t| t.tflops))
-            .unwrap_or(1.0);
-        let base23 = results
-            .iter()
-            .find(|r| r.kind == AllocatorKind::Torch23)
-            .and_then(|r| r.throughput.map(|t| t.tflops))
-            .unwrap_or(1.0);
-        let mut row = vec![label.to_string()];
-        for r in &results {
-            let cell = match (r.throughput, r.kind) {
-                (None, _) => "OOM".into(),
-                (Some(tp), AllocatorKind::Torch20) => pct(tp.tflops / base20),
-                (Some(tp), AllocatorKind::GmLake(_)) => pct(tp.tflops / base20),
-                (Some(tp), _) => pct(tp.tflops / base23),
-            };
-            row.push(cell);
-        }
-        t.push_row(row);
-    }
-    t
+    lineup_table(
+        lab,
+        "Figure 12: normalized throughput vs PyTorch baseline (R configs)",
+        "model",
+        jobs,
+        normalized,
+    )
 }
 
 /// Figure 13: performance breakdown of the static and dynamic allocators on
 /// the MoE model.
-pub fn fig13() -> Table {
+pub fn fig13(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Figure 13: Qwen1.5-MoE breakdown - caching vs static-only vs full STAlloc",
-        &[
+        [
             "config",
             "Caching Allocator",
             "STAlloc w/o reuse",
             "STAlloc",
         ],
     );
+    let kinds = [Torch23, StallocNoReuse, Stalloc];
     for (label, optim, vpp) in configs::fig8_configs() {
-        let trace = configs::moe_job(optim, vpp).build_trace().unwrap();
-        let caching = run(&trace, &a800(), AllocatorKind::Torch23);
-        let noreuse = run(&trace, &a800(), AllocatorKind::StallocNoReuse);
-        let full = run(&trace, &a800(), AllocatorKind::Stalloc);
-        t.push_row(vec![
-            label.to_string(),
-            efficiency_cell(&caching),
-            efficiency_cell(&noreuse),
-            efficiency_cell(&full),
-        ]);
+        let job = configs::moe_job(optim, vpp);
+        let mut row = vec![label.to_string()];
+        row.extend(efficiency_row(&lab.lineup(&job, &a800(), &kinds)));
+        t.push_row(row);
     }
     t
 }
 
 /// Table 1: Qwen2.5-14B on 16 GPUs — feasibility and throughput of the
 /// original VPP configuration vs the fallbacks.
-pub fn table1() -> Table {
+pub fn table1(lab: &mut Lab) -> Table {
     let h200 = DeviceSpec::h200_141g();
     let mut t = Table::new(
         "Table 1: Qwen2.5-14B on 16 H200 GPUs",
-        &[
+        [
             "config",
             "PyTorch",
             "PyTorch ES",
@@ -460,31 +396,26 @@ pub fn table1() -> Table {
         ],
     );
     for (label, job) in configs::table1_jobs() {
-        let trace = job.build_trace().unwrap();
-        let torch = run(&trace, &h200, AllocatorKind::Torch26);
-        let es = run(&trace, &h200, AllocatorKind::TorchEs);
-        let st = run(&trace, &h200, AllocatorKind::Stalloc);
-        let ok = |r: &crate::runner::RunResult| {
-            if r.report.oom {
-                "OOM".to_string()
-            } else {
-                "ok".to_string()
-            }
-        };
-        let tput = st
-            .throughput
-            .map(|x| format!("{:.1}", x.tflops))
-            .unwrap_or_else(|| "-".into());
-        t.push_row(vec![label.to_string(), ok(&torch), ok(&es), ok(&st), tput]);
+        let torch = lab.run(&job, &h200, Torch26);
+        let es = lab.run(&job, &h200, TorchEs);
+        let st = lab.run(&job, &h200, Stalloc);
+        t.push_row(vec![
+            label.to_string(),
+            fits_cell(&torch, "ok"),
+            fits_cell(&es, "ok"),
+            fits_cell(&st, "ok"),
+            tflops_cell(&st),
+        ]);
     }
     t
 }
 
-/// Table 2: profiling and plan-synthesis cost vs request count.
-pub fn table2() -> Table {
+/// Table 2: profiling and plan-synthesis cost vs request count. The
+/// traces come from the lab; profiling and synthesis are timed here.
+pub fn table2(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Table 2: profile and plan synthesis cost",
-        &[
+        [
             "config",
             "requests/iter",
             "T_profile (ms)",
@@ -493,31 +424,21 @@ pub fn table2() -> Table {
             "packing eff",
         ],
     );
-    let jobs: Vec<(&str, trace_gen::TrainJob)> = vec![
-        ("GPT-2-N", configs::gpt2_job(OptimConfig::naive(), false)),
-        ("GPT-2-R", configs::gpt2_job(OptimConfig::r(), false)),
-        (
-            "Llama2-7B-N",
-            configs::llama2_job(OptimConfig::naive(), false),
-        ),
-        ("Llama2-7B-R", configs::llama2_job(OptimConfig::r(), false)),
-        (
-            "Qwen1.5-MoE-N",
-            configs::moe_job(OptimConfig::naive(), false),
-        ),
-        ("Qwen1.5-MoE-R", configs::moe_job(OptimConfig::r(), false)),
-    ];
+    let optims = [("N", OptimConfig::naive()), ("R", OptimConfig::r())];
+    let jobs = MODELS.into_iter().flat_map(|(name, job)| {
+        optims.map(|(tag, optim)| (format!("{name}-{tag}"), job(optim, false)))
+    });
     for (label, job) in jobs {
-        let trace = job.build_trace().unwrap();
+        let trace = lab.trace(&job);
         let n = trace.allocs_in_iteration(1);
         let t0 = std::time::Instant::now();
-        let profile = stalloc_core::profile_trace(&trace, 1).unwrap();
+        let profile = stalloc_core::profile_trace(trace, 1).unwrap();
         let t_profile = t0.elapsed();
         let t1 = std::time::Instant::now();
         let plan = stalloc_core::synthesize(&profile, &stalloc_core::SynthConfig::default());
         let t_plan = t1.elapsed();
         t.push_row(vec![
-            label.to_string(),
+            label,
             n.to_string(),
             format!("{:.1}", t_profile.as_secs_f64() * 1e3),
             format!("{:.1}", t_plan.as_secs_f64() * 1e3),
@@ -530,10 +451,10 @@ pub fn table2() -> Table {
 
 /// Table 3: composition of allocation types on the MoE model, with and
 /// without dynamic reuse.
-pub fn table3() -> Table {
+pub fn table3(lab: &mut Lab) -> Table {
     let mut t = Table::new(
         "Table 3: Qwen1.5-MoE allocation composition (GiB)",
-        &[
+        [
             "config",
             "Total",
             "Static",
@@ -542,9 +463,9 @@ pub fn table3() -> Table {
         ],
     );
     for (label, optim, vpp) in configs::fig8_configs() {
-        let trace = configs::moe_job(optim, vpp).build_trace().unwrap();
-        let noreuse = run(&trace, &a800(), AllocatorKind::StallocNoReuse);
-        let full = run(&trace, &a800(), AllocatorKind::Stalloc);
+        let job = configs::moe_job(optim, vpp);
+        let noreuse = lab.run(&job, &a800(), StallocNoReuse);
+        let full = lab.run(&job, &a800(), Stalloc);
         let static_bytes = full.plan_stats.map(|s| s.peak_static_demand).unwrap_or(0);
         t.push_row(vec![
             label.to_string(),
@@ -560,19 +481,18 @@ pub fn table3() -> Table {
 /// Strategy-portfolio comparison: packing efficiency and synthesis time
 /// of every registered solver strategy across the model zoo, plus the
 /// portfolio's (deterministic) winner per workload.
-pub fn strategy_comparison() -> Table {
+pub fn strategy_comparison(lab: &mut Lab) -> Table {
     use stalloc_core::profile_trace;
     use stalloc_solver::registry;
 
     let mut headers: Vec<String> = vec!["workload".into()];
     headers.extend(registry().iter().map(|s| format!("{} eff (ms)", s.name())));
     headers.push("portfolio winner".into());
-    let mut t = Table {
-        title: "Strategy portfolio: packing efficiency per strategy (higher is better)".into(),
+    let mut t = Table::new(
+        "Strategy portfolio: packing efficiency per strategy (higher is better)",
         headers,
-        rows: Vec::new(),
-    };
-    let jobs: Vec<(&str, trace_gen::TrainJob)> = vec![
+    );
+    let jobs = [
         ("GPT-2-N", configs::gpt2_job(OptimConfig::naive(), false)),
         ("GPT-2-VPP", configs::gpt2_job(OptimConfig::naive(), true)),
         ("Llama2-7B-R", configs::llama2_job(OptimConfig::r(), false)),
@@ -582,8 +502,7 @@ pub fn strategy_comparison() -> Table {
         ),
     ];
     for (label, job) in jobs {
-        let trace = job.build_trace().unwrap();
-        let profile = profile_trace(&trace, 1).unwrap();
+        let profile = profile_trace(lab.trace(&job), 1).unwrap();
         let config = stalloc_core::SynthConfig::default();
         // One real race per workload: the table's cells and its winner
         // column come from the same `CandidateReport`s the portfolio
@@ -678,7 +597,7 @@ pub fn delta_replan() -> Table {
     let mut t = Table::new(
         "Incremental re-planning: server-side latency per tier \
          (GPT-2 Chronos stage family, pp=4)",
-        &["tier", "requests", "p50 (µs)", "p90 (µs)", "p99 (µs)"],
+        ["tier", "requests", "p50 (µs)", "p90 (µs)", "p99 (µs)"],
     );
     for tier in &metrics.tiers {
         let Some((p50, p90, p99)) = tier.hist.percentiles() else {
@@ -702,13 +621,13 @@ pub fn delta_replan() -> Table {
 /// printed the flag-independent sweep's pool wherever a switch made the
 /// pipeline worse than it. The sweep has its own column: the shipped
 /// pool is the minimum of "full" and "refine sweep".
-pub fn ablations() -> Table {
+pub fn ablations(lab: &mut Lab) -> Table {
     use stalloc_core::plan::global::{assemble, refine_first_fit};
     use stalloc_core::plan::phase_group::build_phase_groups;
     use stalloc_core::{finish_plan, profile_trace, StrategyChoice, SynthConfig};
     let mut t = Table::new(
         "Ablations: plan pool size under disabled mechanisms (GiB; lower is better)",
-        &[
+        [
             "workload",
             "full",
             "no gap insertion",
@@ -716,14 +635,13 @@ pub fn ablations() -> Table {
             "refine sweep",
         ],
     );
-    let jobs: Vec<(&str, trace_gen::TrainJob)> = vec![
+    let jobs = [
         ("GPT-2-R", configs::gpt2_job(OptimConfig::r(), false)),
         ("Llama2-7B-VR", configs::llama2_job(OptimConfig::r(), true)),
         ("Qwen-MoE-R", configs::moe_job(OptimConfig::r(), false)),
     ];
     for (label, job) in jobs {
-        let trace = job.build_trace().unwrap();
-        let profile = profile_trace(&trace, 1).unwrap();
+        let profile = profile_trace(lab.trace(&job), 1).unwrap();
         let reqs = &profile.statics;
         let groups = build_phase_groups(reqs);
         let pool = |cfg: SynthConfig| -> String {

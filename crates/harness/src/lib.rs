@@ -9,22 +9,28 @@
 //! * [`throughput`] — converts workload metadata + allocator overhead into
 //!   iteration time and TFLOPS;
 //! * [`configs`] — the training jobs behind every table/figure;
+//! * [`lab`] — one result set: each job traced and each (job, device,
+//!   allocator) replayed at most once, for every table to read;
 //! * [`experiments`] — one function per paper table/figure;
 //! * [`plan_cache`] — a process-wide, fingerprint-keyed memo of
 //!   synthesized plans;
 //! * [`table`] — plain-text table rendering.
 
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
+
 pub mod configs;
 pub mod experiments;
+pub mod lab;
 pub mod plan_cache;
 pub mod replay;
 pub mod runner;
 pub mod table;
 pub mod throughput;
 
+pub use lab::Lab;
 pub use plan_cache::PlanCacheStats;
 pub use replay::{replay, ReplayOptions, ReplayReport};
-pub use runner::{build_allocator, run, run_lineup, AllocatorKind, RunResult};
+pub use runner::{build_allocator, run, AllocatorKind, RunResult};
 pub use table::{gib, pct, Table};
 pub use throughput::{estimate, ThroughputReport};
 

@@ -93,14 +93,22 @@ pub fn build_allocator(kind: AllocatorKind, trace: &Trace) -> Box<dyn GpuAllocat
         }
         AllocatorKind::Native => Box::new(NativeAllocator::new()),
         AllocatorKind::Stalloc | AllocatorKind::StallocNoReuse => {
-            let profile = profile_trace(trace, 1).expect("trace has iteration 1");
-            let plan = crate::plan_cache::planned(&profile, &SynthConfig::default());
-            let config = RuntimeConfig {
-                dynamic_reuse: kind == AllocatorKind::Stalloc,
-            };
-            Box::new(StallocAllocator::new(plan, config))
+            Box::new(stalloc_allocator(kind, trace))
         }
     }
+}
+
+/// The STAlloc runtime for `trace`: iteration 1 profiled, the plan
+/// synthesized, and dynamic reuse on for `Stalloc` only. Lineups replay
+/// one trace through several STAlloc kinds; the fingerprint-keyed plan
+/// cache synthesizes the shared plan once.
+fn stalloc_allocator(kind: AllocatorKind, trace: &Trace) -> StallocAllocator {
+    let profile = profile_trace(trace, 1).expect("trace has iteration 1");
+    let plan = crate::plan_cache::planned(&profile, &SynthConfig::default());
+    let config = RuntimeConfig {
+        dynamic_reuse: kind == AllocatorKind::Stalloc,
+    };
+    StallocAllocator::new(plan, config)
 }
 
 /// Replays `trace` with allocator `kind` on `spec` and assembles the result.
@@ -108,19 +116,9 @@ pub fn run(trace: &Trace, spec: &DeviceSpec, kind: AllocatorKind) -> RunResult {
     let opts = ReplayOptions::default();
     let (report, plan_stats, counters) = match kind {
         AllocatorKind::Stalloc | AllocatorKind::StallocNoReuse => {
-            let profile = profile_trace(trace, 1).expect("trace has iteration 1");
-            // Lineups replay one trace through several STAlloc kinds; the
-            // fingerprint-keyed cache synthesizes the shared plan once.
-            let plan = crate::plan_cache::planned(&profile, &SynthConfig::default());
-            let stats = plan.stats;
-            let mut alloc = StallocAllocator::new(
-                plan,
-                RuntimeConfig {
-                    dynamic_reuse: kind == AllocatorKind::Stalloc,
-                },
-            );
+            let mut alloc = stalloc_allocator(kind, trace);
             let report = replay(trace, spec, &mut alloc, &opts);
-            (report, Some(stats), Some(alloc.counters()))
+            (report, Some(alloc.plan().stats), Some(alloc.counters()))
         }
         _ => {
             let mut alloc = build_allocator(kind, trace);
@@ -140,14 +138,4 @@ pub fn run(trace: &Trace, spec: &DeviceSpec, kind: AllocatorKind) -> RunResult {
         plan_stats,
         counters,
     }
-}
-
-/// Runs a lineup of allocators over one trace, skipping VMM-dependent
-/// allocators on platforms without VMM support.
-pub fn run_lineup(trace: &Trace, spec: &DeviceSpec, kinds: &[AllocatorKind]) -> Vec<RunResult> {
-    kinds
-        .iter()
-        .filter(|k| spec.supports_vmm || !k.needs_vmm())
-        .map(|&k| run(trace, spec, k))
-        .collect()
 }

@@ -13,10 +13,13 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub fn new<H: ToString>(
+        title: impl Into<String>,
+        headers: impl IntoIterator<Item = H>,
+    ) -> Self {
         Self {
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.into_iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -76,7 +79,7 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let mut t = Table::new("Demo", &["name", "value"]);
+        let mut t = Table::new("Demo", ["name", "value"]);
         t.push_row(vec!["a".into(), "1".into()]);
         t.push_row(vec!["long-name".into(), "2".into()]);
         let s = t.render();

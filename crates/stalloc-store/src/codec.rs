@@ -518,12 +518,31 @@ fn get_instance(r: &mut Reader<'_>, context: &'static str) -> Result<InstanceKey
     })
 }
 
+/// A typical, not a worst-case, `STPL` length for `plan`, so one
+/// allocation holds the stream: the header; 11 bytes per decision (three
+/// multi-byte varints and a small delta); per dynamic group its keys and
+/// range plus 10 bytes per interval; per instance sequence its key and
+/// length plus 1.5 bytes per value (group indices past 127 take two).
+/// The worst-case record bounds would over-reserve about 7×.
+fn plan_len_guess(plan: &Plan) -> usize {
+    let decisions = plan.init_allocs.len() + plan.iter_allocs.len();
+    let dynamic = &plan.dynamic;
+    let groups: usize = dynamic
+        .groups
+        .iter()
+        .map(|g| 16 + 10 * g.intervals.len())
+        .sum();
+    let seqs: usize = dynamic
+        .instance_seq
+        .iter()
+        .map(|(_, s)| 4 + s.len() * 3 / 2)
+        .sum();
+    64 + 11 * decisions + groups + seqs
+}
+
 /// Encodes a plan to the binary wire format.
 pub fn encode_plan(plan: &Plan) -> Vec<u8> {
-    // Rough pre-size: header + a few bytes per decision.
-    let guess =
-        64 + 6 * (plan.init_allocs.len() + plan.iter_allocs.len()) + 32 * plan.dynamic.groups.len();
-    let mut buf = Vec::with_capacity(guess);
+    let mut buf = Vec::with_capacity(plan_len_guess(plan));
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
 
@@ -1307,11 +1326,13 @@ mod tests {
     }
 
     #[test]
-    fn workload_sized_profiles_encode_without_regrowing() {
-        // The benchmark's `moe-dyn` job (a 260 KB stream, dynamics and
-        // instance tables included) and a dense one: the stream must fit
-        // the buffer `encode_profile` pre-sized, or every request pays a
-        // reallocation and a copy of most of it.
+    fn workload_sized_streams_encode_without_regrowing() {
+        // The benchmark's `moe-dyn` job (a 260 KB profile stream, dynamics
+        // and instance tables included; an 85 KB plan, a quarter of it
+        // instance sequences) and a dense one: each stream must fit the
+        // buffer `encode_profile` / `encode_plan` pre-sized, or every
+        // request pays a reallocation and a copy of most of it. The plan
+        // guess is typical, not worst-case: well under twice the stream.
         use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
         let moe = TrainJob::new(
             ModelSpec::qwen15_moe_a27b(),
@@ -1338,6 +1359,10 @@ mod tests {
                 body <= estimate,
                 "{body} B body outgrew its {estimate} B estimate"
             );
+            let plan = stalloc_core::synthesize(&profile, &stalloc_core::SynthConfig::default());
+            let (len, guess) = (encode_plan(&plan).len(), plan_len_guess(&plan));
+            assert!(len <= guess, "{len} B plan outgrew its {guess} B guess");
+            assert!(guess < 2 * len, "{guess} B guess for a {len} B plan");
         }
     }
 

@@ -4,12 +4,13 @@
 //! Run with: `cargo run --release --example dense_training`
 
 use gpu_sim::DeviceSpec;
-use harness::{run_lineup, AllocatorKind};
+use harness::{AllocatorKind, Lab};
 use trace_gen::{OptimConfig, ParallelConfig, TrainJob};
 
 fn main() {
     let spec = DeviceSpec::a800_80g();
     let kinds = AllocatorKind::paper_lineup();
+    let mut lab = Lab::default();
     println!("Llama2-7B on 8xA800 (TP4 PP2), memory efficiency by optimization combo\n");
     print!("{:<8}", "config");
     for k in &kinds {
@@ -32,9 +33,8 @@ fn main() {
             .with_mbs(4)
             .with_seq(4096)
             .with_microbatches(8);
-        let trace = job.build_trace().unwrap();
         print!("{label:<8}");
-        for r in run_lineup(&trace, &spec, &kinds) {
+        for r in lab.lineup(&job, &spec, &kinds) {
             let cell = if r.report.oom {
                 "OOM".to_string()
             } else {
