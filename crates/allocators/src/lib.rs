@@ -18,6 +18,8 @@
 //! All allocators implement [`GpuAllocator`], the interface the replay
 //! harness and STAlloc's runtime drive.
 
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
+
 pub mod blockpool;
 pub mod caching;
 pub mod expandable;

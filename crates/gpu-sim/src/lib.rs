@@ -24,6 +24,8 @@
 //! assert_eq!(dev.stats().in_use, 0);
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
+
 mod clock;
 mod device;
 mod error;

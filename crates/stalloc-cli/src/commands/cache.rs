@@ -3,7 +3,7 @@
 use std::fmt::Display;
 use std::fs;
 
-use stalloc_store::{decode_plan, is_binary_plan, PlanStore};
+use stalloc_store::{decode_plan, PlanStore, FORMAT_VERSION};
 
 use super::Command;
 use crate::args::{nearest, Args, FlagSpec};
@@ -94,17 +94,16 @@ fn list(store: &PlanStore, long: bool) -> Result<(), String> {
 }
 
 /// `ls --long`'s extra cells. The entry is the summary; the artifact's
-/// own bytes know the strategy, the codec version and their length.
+/// own bytes know the strategy and their length. A plan that decodes
+/// has the one codec version `decode_plan` accepts.
 fn artifact_detail(store: &PlanStore, fingerprint: &str) -> [String; 3] {
     stalloc_core::Fingerprint::from_hex(fingerprint)
         .and_then(|fp| fs::read(store.plan_path(fp)).ok())
-        .filter(|bytes| is_binary_plan(bytes) && bytes.len() >= 6)
         .and_then(|bytes| {
-            let version = u16::from_le_bytes([bytes[4], bytes[5]]);
             let strategy = decode_plan(&bytes).ok()?.stats.strategy.name();
             Some([
                 strategy.to_string(),
-                version.to_string(),
+                FORMAT_VERSION.to_string(),
                 bytes.len().to_string(),
             ])
         })
@@ -115,7 +114,7 @@ fn artifact_detail(store: &PlanStore, fingerprint: &str) -> [String; 3] {
 mod tests {
     use super::super::{argv, dispatch};
     use crate::files::read_plan;
-    use stalloc_store::{is_binary_plan, PlanStore};
+    use stalloc_store::{PlanStore, MAGIC};
     use std::fs;
 
     #[test]
@@ -123,9 +122,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stalloc-cli-bin-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let trace_p = dir.join("t.json").to_string_lossy().to_string();
-        let prof_p = dir.join("p.json").to_string_lossy().to_string();
+        let prof_p = dir.join("p.prof").to_string_lossy().to_string();
         let bin_p = dir.join("pl.stplan").to_string_lossy().to_string();
-        let json_p = dir.join("pl.json").to_string_lossy().to_string();
+        let hit_p = dir.join("pl-hit.stplan").to_string_lossy().to_string();
         let cache_d = dir.join("cache").to_string_lossy().to_string();
 
         dispatch(&argv(&format!(
@@ -138,31 +137,24 @@ mod tests {
         )))
         .unwrap();
 
-        // First cached plan: miss; second: hit. Binary output via the
-        // .stplan extension, JSON via explicit --format.
+        // First cached plan: miss; second: hit.
         dispatch(&argv(&format!(
             "plan --input {prof_p} --output {bin_p} --cache {cache_d}"
         )))
         .unwrap();
         dispatch(&argv(&format!(
-            "plan --input {prof_p} --output {json_p} --format json --cache {cache_d}"
+            "plan --input {prof_p} --output {hit_p} --cache {cache_d}"
         )))
         .unwrap();
         let store = PlanStore::open(&cache_d).unwrap();
         assert_eq!(store.entries().unwrap().len(), 1, "same job cached once");
 
-        // The binary artifact is a real binary plan, much smaller than
-        // JSON, and `show` reads both formats transparently.
+        // The artifact is an STPL plan, the hit wrote the same bytes, and
+        // `show` reads it.
         let bin = fs::read(&bin_p).unwrap();
-        let json = fs::read(&json_p).unwrap();
-        assert!(is_binary_plan(&bin));
-        assert!(
-            bin.len() * 4 <= json.len(),
-            "binary {} vs json {}",
-            bin.len(),
-            json.len()
-        );
-        assert_eq!(read_plan(&bin_p).unwrap(), read_plan(&json_p).unwrap());
+        assert!(bin.starts_with(&MAGIC));
+        assert_eq!(fs::read(&hit_p).unwrap(), bin);
+        read_plan(&bin_p).unwrap();
         dispatch(&argv(&format!("show --input {bin_p} --rows 4 --cols 20"))).unwrap();
 
         // cache ls / ls --long / gc / clear run end to end.

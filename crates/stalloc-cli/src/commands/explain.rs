@@ -15,7 +15,7 @@ pub const SHOW: Command = Command {
     summary: "render a plan's occupancy as ASCII art",
     help: "\
 usage: stalloc show --input PLAN [--rows N] [--cols N]
-  --input PLAN      plan file, binary (.stplan) or JSON — autodetected
+  --input PLAN      STPL plan written by `stalloc plan`
   --rows N          occupancy rows (default 16)
   --cols N          occupancy columns (default 72)",
     spec: FlagSpec {
@@ -31,7 +31,7 @@ pub const EXPLAIN: Command = Command {
               (table, JSON, or SVG memory map)",
     help: "\
 usage: stalloc explain PLAN [--format table|json|svg] [flags]
-  replays the plan's allocations into a fragmentation/occupancy
+  replays the STPL plan's allocations into a fragmentation/occupancy
   timeline: per-tick live bytes, free-gap histogram, and stranded
   memory attributed to the tensors roofing each gap; the reported peak
   and fragmentation agree exactly with the plan's own stats
@@ -187,7 +187,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stalloc-cli-explain-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let trace_p = dir.join("t.json").to_string_lossy().to_string();
-        let prof_p = dir.join("p.json").to_string_lossy().to_string();
+        let prof_p = dir.join("p.prof").to_string_lossy().to_string();
         let plan_p = dir.join("pl.stplan").to_string_lossy().to_string();
         let table_p = dir.join("explain.txt").to_string_lossy().to_string();
         let json_p = dir.join("explain.json").to_string_lossy().to_string();

@@ -333,6 +333,73 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Each artifact command reads one form. A file of another kind — a
+    /// JSON profile, a trace or a plan where a `PROF` profile belongs, a
+    /// JSON plan or a profile where an `STPL` plan belongs — is a
+    /// one-line typed error naming the path and the form expected.
+    #[test]
+    fn wrong_artifact_is_a_typed_error_naming_the_path() {
+        let dir = std::env::temp_dir().join(format!("stalloc-cli-wrong-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().to_string();
+        let (trace_p, prof_p, plan_p) = (path("t.json"), path("p.prof"), path("pl.stplan"));
+        dispatch(&argv(&format!(
+            "trace --model gpt2 --pp 2 --mbs 1 --seq 256 --microbatches 4 \
+             --iterations 2 --output {trace_p}"
+        )))
+        .unwrap();
+        dispatch(&argv(&format!(
+            "profile --input {trace_p} --output {prof_p}"
+        )))
+        .unwrap();
+        dispatch(&argv(&format!("plan --input {prof_p} --output {plan_p}"))).unwrap();
+
+        let json_prof_p = path("profile.json");
+        let profile = crate::files::read_profile(&prof_p).unwrap();
+        fs::write(&json_prof_p, serde_json::to_string(&profile).unwrap()).unwrap();
+        let json_plan_p = path("plan.json");
+        let plan = crate::files::read_plan(&plan_p).unwrap();
+        fs::write(&json_plan_p, plan.to_json()).unwrap();
+
+        let out_p = path("out.stplan");
+        for (line, file, expected) in [
+            (
+                format!("plan --input {json_prof_p} --output {out_p}"),
+                &json_prof_p,
+                "a PROF profile",
+            ),
+            (
+                format!("plan --input {trace_p} --output {out_p}"),
+                &trace_p,
+                "a PROF profile",
+            ),
+            (
+                format!("plan --input {plan_p} --output {out_p}"),
+                &plan_p,
+                "a PROF profile",
+            ),
+            (
+                format!("explain {json_plan_p}"),
+                &json_plan_p,
+                "an STPL plan",
+            ),
+            (
+                format!("show --input {json_plan_p}"),
+                &json_plan_p,
+                "an STPL plan",
+            ),
+            (format!("show --input {prof_p}"), &prof_p, "an STPL plan"),
+        ] {
+            let err = dispatch(&argv(&line)).unwrap_err();
+            assert_eq!(err, format!("{file}: not {expected} (bad magic)"), "{line}");
+        }
+        assert!(
+            !dir.join("out.stplan").exists(),
+            "no plan from a wrong input"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn end_to_end_pipeline_through_files() {
         let dir = std::env::temp_dir().join(format!("stalloc-cli-test-{}", std::process::id()));
@@ -351,6 +418,10 @@ mod tests {
         )))
         .unwrap();
         dispatch(&argv(&format!("plan --input {prof_p} --output {plan_p}"))).unwrap();
+        // A `.json` name holds the one binary form all the same: the form
+        // is never chosen by extension.
+        assert!(fs::read(&prof_p).unwrap().starts_with(b"PROF"));
+        assert!(fs::read(&plan_p).unwrap().starts_with(b"STPL"));
         dispatch(&argv(&format!("show --input {plan_p} --rows 4 --cols 20"))).unwrap();
         dispatch(&argv(&format!(
             "replay --input {trace_p} --allocator torch23 --device a800"

@@ -3,8 +3,7 @@
 //! `stalloc strategies`, the packers it can use.
 
 use stalloc_core::{
-    fingerprint_profile, Plan, PlanSource, ProfileEncoding, ProfiledRequests, StrategyChoice,
-    SynthConfig,
+    fingerprint_profile, Plan, PlanSource, ProfiledRequests, StrategyChoice, SynthConfig,
 };
 use stalloc_obs::chrome::{merged_request_timeline, SpanView};
 use stalloc_served::PlanClient;
@@ -13,7 +12,7 @@ use stalloc_store::{encode_plan, synthesize_cached, CacheOutcome, PlanStore};
 
 use super::Command;
 use crate::args::{nearest, Args, FlagSpec};
-use crate::files::{read_json, read_profile, write_json};
+use crate::files::read_profile;
 use crate::render::{emit, fmt_micros, gib, out};
 
 pub const PLAN: Command = Command {
@@ -24,10 +23,9 @@ pub const PLAN: Command = Command {
               --delta-base BASE to send a PROF-DELTA edit script)",
     help: "\
 usage: stalloc plan --input PROFILE --output FILE [flags]
-  --input PROFILE   profile JSON produced by `stalloc profile`
-  --output FILE     plan destination
-  --format F        bin|json (default: bin when FILE ends in
-                    .stplan/.bin, else json)
+  --input PROFILE   PROF profile written by `stalloc profile`
+  --output FILE     plan destination (binary STPL, whatever the
+                    file's extension)
   --strategy S      packing strategy: baseline|bestfit|tmp-order|
                     lookahead, or `portfolio` to race them all and keep
                     the best plan (default baseline; see
@@ -36,21 +34,17 @@ usage: stalloc plan --input PROFILE --output FILE [flags]
                     the plan is loaded and synthesis is skipped
   --remote ADDR     plan via a `stalloc serve` daemon at ADDR instead of
                     synthesizing locally (mutually exclusive with --cache)
-  --wire W          with --remote: how the profile travels — `bin`
-                    (default: PROF binary codec in a raw frame) or
-                    `json` (inline, for nc/debugging)
   --trace FILE      with --remote: write the request as a merged
                     client+server Chrome trace-event timeline to FILE
                     (load in chrome://tracing or Perfetto; the server's
                     phase spans nest inside the client's await slice,
                     the unaccounted remainder is `net_queue_micros`)
   --delta-base BASE with --remote: send the profile as a PROF-DELTA
-                    edit script against the base profile in file BASE
-                    (JSON or binary PROF) instead of in full — a server
-                    holding the base patches its cached plan in place
-                    of a cold synthesis; against a base the server does
-                    not hold the client transparently retries as a full
-                    request
+                    edit script against the PROF profile in file BASE
+                    instead of in full — a server holding the base
+                    patches its cached plan in place of a cold
+                    synthesis; against a base the server does not hold
+                    the client transparently retries as a full request
   --no-gaps         disable gap insertion (ablation; baseline only)
   --ascending       process size classes ascending (ablation;
                     baseline only)",
@@ -58,11 +52,9 @@ usage: stalloc plan --input PROFILE --output FILE [flags]
         value_flags: &[
             "input",
             "output",
-            "format",
             "strategy",
             "cache",
             "remote",
-            "wire",
             "trace",
             "delta-base",
         ],
@@ -130,17 +122,6 @@ fn ignored_switches_note(config: &SynthConfig) -> Option<String> {
     })
 }
 
-/// Whether `--output` gets the binary `STPL` encoding: what `--format`
-/// says, else what the file's extension does.
-fn wants_binary(args: &Args, output: &str) -> Result<bool, String> {
-    match args.get("format") {
-        Some("bin") => Ok(true),
-        Some("json") => Ok(false),
-        Some(other) => Err(format!("--format: expected bin|json, got '{other}'")),
-        None => Ok(output.ends_with(".stplan") || output.ends_with(".bin")),
-    }
-}
-
 fn plan(args: &Args) -> Result<(), String> {
     let remote = args.get("remote");
     if remote.is_some() && args.get("cache").is_some() {
@@ -154,13 +135,12 @@ fn plan(args: &Args) -> Result<(), String> {
             " (the merged timeline pairs the client's span with a live server's)",
         ),
         ("delta-base", " (local synthesis has no base plan to patch)"),
-        ("wire", ""),
     ] {
         if args.get(flag).is_some() && remote.is_none() {
             return Err(format!("--{flag} only applies to --remote planning{why}"));
         }
     }
-    let profile: ProfiledRequests = read_json(args.require("input")?)?;
+    let profile = read_profile(args.require("input")?)?;
     let strategy = match args.get("strategy") {
         Some(name) => parse_strategy(name)?,
         None => StrategyChoice::Baseline,
@@ -174,7 +154,6 @@ fn plan(args: &Args) -> Result<(), String> {
         eprintln!("{note}");
     }
     let output = args.require("output")?;
-    let binary = wants_binary(args, output)?;
 
     let plan = match remote {
         Some(addr) => plan_remote(args, addr, &profile, &config)?,
@@ -192,11 +171,7 @@ fn plan(args: &Args) -> Result<(), String> {
         s.gap_inserted,
         s.homolayer_groups
     );
-    if binary {
-        emit(Some(output), &encode_plan(&plan), "binary")
-    } else {
-        write_json(output, &plan)
-    }
+    emit(Some(output), &encode_plan(&plan), "STPL")
 }
 
 /// Plans through the `stalloc serve` daemon at `addr`: the profile in
@@ -207,17 +182,8 @@ fn plan_remote(
     profile: &ProfiledRequests,
     config: &SynthConfig,
 ) -> Result<Plan, String> {
-    let (wire, wire_name) = match args.get("wire") {
-        None | Some("bin") => (ProfileEncoding::Binary, "bin"),
-        Some("json") => (ProfileEncoding::Json, "json"),
-        Some(other) => {
-            return Err(format!("--wire must be `bin` or `json`, got '{other}'"));
-        }
-    };
     let remote_err = |e| format!("--remote {addr}: {e}");
-    let mut client = PlanClient::connect(addr)
-        .map_err(remote_err)?
-        .with_profile_encoding(wire);
+    let mut client = PlanClient::connect(addr).map_err(remote_err)?;
     let r = match args.get("delta-base") {
         Some(base_path) => {
             let base = read_profile(base_path)?;
@@ -238,7 +204,7 @@ fn plan_remote(
         "miss"
     };
     eprintln!(
-        "plan server {addr}: {verdict} {} ({:?}, {} µs server-side, profile wire: {wire_name})",
+        "plan server {addr}: {verdict} {} ({:?}, {} µs server-side)",
         r.fingerprint, r.source, r.micros
     );
     if let Some(trace_file) = args.get("trace") {
@@ -362,7 +328,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stalloc-cli-strat-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let trace_p = dir.join("t.json").to_string_lossy().to_string();
-        let prof_p = dir.join("p.json").to_string_lossy().to_string();
+        let prof_p = dir.join("p.prof").to_string_lossy().to_string();
         let base_p = dir.join("base.stplan").to_string_lossy().to_string();
         let port_p = dir.join("port.stplan").to_string_lossy().to_string();
         let port2_p = dir.join("port2.stplan").to_string_lossy().to_string();
@@ -455,7 +421,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stalloc-cli-remote-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let trace_p = dir.join("t.json").to_string_lossy().to_string();
-        let prof_p = dir.join("p.json").to_string_lossy().to_string();
+        let prof_p = dir.join("p.prof").to_string_lossy().to_string();
         let plan_p = dir.join("pl.stplan").to_string_lossy().to_string();
         let store_d = dir.join("served-store");
 
@@ -497,29 +463,19 @@ mod tests {
         let plan = read_plan(&plan_p).unwrap();
         plan.validate().unwrap();
 
-        // A JSON-wire request is the same job:
-        // another cache hit, same artifact.
-        dispatch(&argv(&format!(
-            "plan --input {prof_p} --output {plan_p} --remote {addr} --wire json"
-        )))
-        .unwrap();
-        assert_eq!(server.stats().hits(), 2);
-        assert_eq!(read_plan(&plan_p).unwrap(), plan);
-
-        // --wire is remote-only, and its values are checked.
-        let err = dispatch(&argv(&format!(
-            "plan --input {prof_p} --output {plan_p} --wire json"
-        )))
-        .unwrap_err();
-        assert!(err.contains("--wire"), "{err}");
-        let err = dispatch(&argv(&format!(
-            "plan --input {prof_p} --output {plan_p} --remote {addr} --wire xml"
-        )))
-        .unwrap_err();
-        assert!(err.contains("--wire"), "{err}");
+        // The profile and the plan have one form each: there is no
+        // switch to another.
+        for flag in ["--wire json", "--format json"] {
+            let err = dispatch(&argv(&format!(
+                "plan --input {prof_p} --output {plan_p} --remote {addr} {flag}"
+            )))
+            .unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(err.contains(&format!("unknown flag '{name}'")), "{err}");
+        }
 
         // `stalloc stats` renders the live server's counters and
-        // histograms end to end (one miss + two hits are on the books),
+        // histograms end to end (one miss + one hit are on the books),
         // and `stalloc top --count 1` prints a single dashboard frame.
         dispatch(&argv(&format!("stats {addr}"))).unwrap();
         dispatch(&argv(&format!("stats {addr} --slowest 0"))).unwrap();
@@ -569,7 +525,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stalloc-cli-mtrace-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let trace_p = dir.join("t.json").to_string_lossy().to_string();
-        let prof_p = dir.join("p.json").to_string_lossy().to_string();
+        let prof_p = dir.join("p.prof").to_string_lossy().to_string();
         let plan_p = dir.join("pl.stplan").to_string_lossy().to_string();
         let log_p = dir.join("server-trace.jsonl");
         let merged_p = dir.join("merged.json").to_string_lossy().to_string();
@@ -755,7 +711,7 @@ mod tests {
             dispatch(&argv(&format!(
                 "profile --input {} --output {}",
                 path(&format!("t{stage}.json")),
-                path(&format!("p{stage}.json"))
+                path(&format!("p{stage}.prof"))
             )))
             .unwrap();
         }
@@ -768,12 +724,12 @@ mod tests {
 
         // A cold miss, then its neighbouring stage as a patched delta.
         for (request, marker) in [
-            (format!("--input {}", path("p0.json")), "synthesis"),
+            (format!("--input {}", path("p0.prof")), "synthesis"),
             (
                 format!(
                     "--input {} --delta-base {}",
-                    path("p1.json"),
-                    path("p0.json")
+                    path("p1.prof"),
+                    path("p0.prof")
                 ),
                 "replan",
             ),

@@ -7,7 +7,7 @@ use trace_gen::Trace;
 
 use super::Command;
 use crate::args::{Args, FlagSpec};
-use crate::files::{read_json, read_profile, write_json};
+use crate::files::{read_json, read_profile};
 use crate::render::{emit, out};
 
 pub const PROFILE: Command = Command {
@@ -16,7 +16,8 @@ pub const PROFILE: Command = Command {
     help: "\
 usage: stalloc profile --input TRACE --output FILE [--iteration N]
   --input TRACE     trace JSON produced by `stalloc trace`
-  --output FILE     profile destination (JSON)
+  --output FILE     profile destination (binary PROF, whatever the
+                    file's extension)
   --iteration N     1-based iteration to profile (default 1)",
     spec: FlagSpec {
         value_flags: &["input", "output", "iteration"],
@@ -31,7 +32,7 @@ pub const DIFF_PROF: Command = Command {
               summarize its ops and wire size",
     help: "\
 usage: stalloc diff-prof BASE NEXT [--output FILE]
-  diffs two profiles (JSON or binary PROF, autodetected) into the
+  diffs two PROF profiles (as `stalloc profile` writes them) into the
   PROF-DELTA edit script `stalloc plan --remote --delta-base` puts on
   the wire: prints the base fingerprint, per-op counts, the reused
   share of the request population, and the edit script's wire size
@@ -56,7 +57,11 @@ fn profile(args: &Args) -> Result<(), String> {
         profile.dynamics.len(),
         profile.num_phases
     );
-    write_json(args.require("output")?, &profile)
+    emit(
+        Some(args.require("output")?),
+        &encode_profile(&profile),
+        "PROF",
+    )
 }
 
 fn diff_prof(args: &Args) -> Result<(), String> {
@@ -112,14 +117,14 @@ mod tests {
     #[test]
     fn diff_prof_and_delta_base_remote_plan() {
         use stalloc_served::{PlanServer, ServeConfig};
-        use stalloc_store::is_binary_delta;
+        use stalloc_store::DELTA_MAGIC;
 
         let dir = std::env::temp_dir().join(format!("stalloc-cli-delta-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let t0_p = dir.join("t0.json").to_string_lossy().to_string();
         let t1_p = dir.join("t1.json").to_string_lossy().to_string();
-        let p0_p = dir.join("p0.json").to_string_lossy().to_string();
-        let p1_p = dir.join("p1.json").to_string_lossy().to_string();
+        let p0_p = dir.join("p0.prof").to_string_lossy().to_string();
+        let p1_p = dir.join("p1.prof").to_string_lossy().to_string();
         let d_p = dir.join("d.prfd").to_string_lossy().to_string();
         let pl0_p = dir.join("pl0.stplan").to_string_lossy().to_string();
         let pl1_p = dir.join("pl1.stplan").to_string_lossy().to_string();
@@ -139,7 +144,10 @@ mod tests {
         // diff-prof summarizes the pair and writes a real PRFD frame.
         dispatch(&argv(&format!("diff-prof {p0_p} {p1_p} --output {d_p}"))).unwrap();
         let frame = fs::read(&d_p).unwrap();
-        assert!(is_binary_delta(&frame), "PRFD magic on the artifact");
+        assert!(
+            frame.starts_with(&DELTA_MAGIC),
+            "PRFD magic on the artifact"
+        );
         // Identity diff still works (everything reused).
         dispatch(&argv(&format!("diff-prof {p0_p} {p0_p}"))).unwrap();
 

@@ -191,7 +191,7 @@ mod tests {
         fs::write(
             &b_p,
             concat!(
-                r#"{"seq":1,"verb":"Get","tier":"lru","total_micros":40,"encode":40}"#,
+                r#"{"seq":1,"verb":"ProfileBin","tier":"lru","total_micros":40,"encode":40}"#,
                 "\n"
             ),
         )

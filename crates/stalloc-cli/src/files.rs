@@ -1,10 +1,12 @@
-//! The artifacts commands hand each other through files: traces and
-//! profiles (JSON, or binary `PROF`), plans (JSON or binary `STPL`).
+//! The artifacts commands hand each other through files: traces (JSON),
+//! profiles (`PROF`) and plans (`STPL`). A file of the wrong kind is a
+//! typed codec error naming its path and the form that belongs there,
+//! never a guess at another form.
 
 use std::fs;
 
 use stalloc_core::{Plan, ProfiledRequests};
-use stalloc_store::{decode_plan, decode_profile, is_binary_plan, is_binary_profile};
+use stalloc_store::{decode_plan, decode_profile, CodecError};
 
 use crate::render::emit;
 
@@ -18,30 +20,26 @@ pub fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), Stri
     emit(Some(path), data.as_bytes(), "")
 }
 
-/// Reads a profile from `path`, auto-detecting binary `PROF` vs JSON by
-/// magic (profiles travel as JSON from `stalloc profile`, but the codec
-/// round-trips binary artifacts too).
-pub fn read_profile(path: &str) -> Result<ProfiledRequests, String> {
-    let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if is_binary_profile(&bytes) {
-        decode_profile(&bytes).map_err(|e| format!("{path}: {e}"))
-    } else {
-        let text = String::from_utf8(bytes).map_err(|e| format!("{path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
+/// A decode failure of the file at `path`, where `expected` belongs.
+fn decode_error(path: &str, expected: &str, e: CodecError) -> String {
+    match e {
+        CodecError::BadMagic => format!("{path}: not {expected} (bad magic)"),
+        e => format!("{path}: {e}"),
     }
 }
 
-/// Reads a plan from `path`, auto-detecting binary vs JSON by magic.
-/// The plan is validated: a foreign file that decodes but carries
-/// unsound decisions must not reach downstream consumers.
+/// Reads a `PROF` profile from `path`.
+pub fn read_profile(path: &str) -> Result<ProfiledRequests, String> {
+    let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    decode_profile(&bytes).map_err(|e| decode_error(path, "a PROF profile", e))
+}
+
+/// Reads an `STPL` plan from `path`. The plan is validated: a foreign
+/// file that decodes but carries unsound decisions must not reach
+/// downstream consumers.
 pub fn read_plan(path: &str) -> Result<Plan, String> {
     let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let plan = if is_binary_plan(&bytes) {
-        decode_plan(&bytes).map_err(|e| format!("{path}: {e}"))?
-    } else {
-        let text = String::from_utf8(bytes).map_err(|e| format!("{path}: {e}"))?;
-        Plan::from_json(&text).map_err(|e| format!("{path}: {e}"))?
-    };
+    let plan = decode_plan(&bytes).map_err(|e| decode_error(path, "an STPL plan", e))?;
     plan.validate()
         .map_err(|e| format!("{path}: unsound plan: {e}"))?;
     Ok(plan)

@@ -10,13 +10,13 @@
 //! follow-up `PROF` binary-codec frame (`ProfileBin`, see
 //! [`ProfileEncoding`]) — the next job of a profile family as a
 //! `PROF-DELTA` edit script against a base the server has seen
-//! (`PlanDelta`), a lookup by job [`Fingerprint`](crate::Fingerprint),
-//! the recent spans of one trace (`TraceGet`), a [`ServeStats`] snapshot
-//! request, a [`ServeMetrics`] latency report request, or a liveness
-//! ping. Responses carry the plan plus provenance ([`PlanSource`]: which
-//! cache tier answered, or whether this request rode on another
-//! request's in-flight synthesis), per-request timing, and typed errors
-//! ([`WireErrorKind`]) for protocol violations.
+//! (`PlanDelta`), the recent spans of one trace (`TraceGet`), a
+//! [`ServeMetrics`] report request (counters, latency distributions,
+//! slowest spans), or a liveness ping. Responses carry the plan plus
+//! provenance ([`PlanSource`]: which cache tier answered, or whether
+//! this request rode on another request's in-flight synthesis),
+//! per-request timing, and typed errors ([`WireErrorKind`]) for protocol
+//! violations.
 //!
 //! Client and server are built from one workspace, so there is one
 //! protocol and no version negotiation. Every field is required except
@@ -127,17 +127,6 @@ pub enum PlanRequest {
         /// exactly as on `Plan`.
         trace: Option<TraceContext>,
     },
-    /// Look up a previously planned job by fingerprint only. Never
-    /// synthesizes: answers `NotFound` on a miss.
-    Get {
-        /// Lower-case hex fingerprint, as printed by `Fingerprint::to_hex`.
-        fingerprint: String,
-        /// Response encoding; absent means `Json`.
-        encoding: Option<PlanEncoding>,
-        /// Distributed-tracing context; absent means server-minted ids,
-        /// exactly as on `Plan`.
-        trace: Option<TraceContext>,
-    },
     /// Return the spans of one trace still in the server's recent-span
     /// ring, oldest first (empty once they have been overwritten — the
     /// ring is bounded, so callers query promptly after their request).
@@ -145,31 +134,25 @@ pub enum PlanRequest {
         /// 32-hex-digit trace id, as minted by `stalloc_obs::IdGen`.
         trace_id: String,
     },
-    /// Report the server's cumulative counters.
-    Stats,
-    /// Report the server's latency distributions: per-phase and
-    /// per-cache-tier histograms plus the slowest retained request
-    /// spans, alongside the same counters `Stats` returns.
+    /// Report the server's cumulative counters ([`ServeStats`]) with
+    /// its latency distributions: per-phase and per-cache-tier
+    /// histograms plus the slowest retained request spans.
     Metrics,
     /// Liveness check.
     Ping,
 }
 
 impl PlanRequest {
-    /// The trace context this request carries, if any. `Stats`,
-    /// `Metrics`, `Ping`, and `TraceGet` serialize as bare strings or
+    /// The trace context this request carries, if any. `Metrics`,
+    /// `Ping`, and `TraceGet` serialize as bare strings or
     /// id-only payloads with no room for one, so only the plan-serving
     /// verbs propagate context; the server mints ids for the rest.
     pub fn trace_context(&self) -> Option<TraceContext> {
         match self {
             PlanRequest::Plan { trace, .. }
             | PlanRequest::ProfileBin { trace, .. }
-            | PlanRequest::PlanDelta { trace, .. }
-            | PlanRequest::Get { trace, .. } => *trace,
-            PlanRequest::TraceGet { .. }
-            | PlanRequest::Stats
-            | PlanRequest::Metrics
-            | PlanRequest::Ping => None,
+            | PlanRequest::PlanDelta { trace, .. } => *trace,
+            PlanRequest::TraceGet { .. } | PlanRequest::Metrics | PlanRequest::Ping => None,
         }
     }
 }
@@ -236,16 +219,17 @@ impl std::fmt::Display for WireErrorKind {
     }
 }
 
-/// Cumulative server counters, reported by the `Stats` verb.
+/// Cumulative server counters, the `stats` section of the `Metrics`
+/// verb's payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Total requests decoded (all verbs).
     pub requests: u64,
     /// Planning requests (`Plan`, `ProfileBin`, `PlanDelta`).
     pub plan_requests: u64,
-    /// Planning and `Get` requests answered from the in-process LRU.
+    /// Planning requests answered from the in-process LRU.
     pub lru_hits: u64,
-    /// Planning and `Get` requests answered from the on-disk store.
+    /// Planning requests answered from the on-disk store.
     pub store_hits: u64,
     /// Planning requests that ran the synthesizer (single-flight
     /// leaders).
@@ -338,11 +322,11 @@ pub struct SolverStrategyMetrics {
     pub elapsed: HistogramSnapshot,
 }
 
-/// The `Metrics` verb's payload: everything `Stats` reports plus latency
+/// The `Metrics` verb's payload: the server's counters plus latency
 /// distributions and the slowest retained request spans.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeMetrics {
-    /// Counter snapshot, identical in shape to the `Stats` response.
+    /// Counter snapshot.
     pub stats: ServeStats,
     /// Per-phase request-time distributions, one per
     /// `stalloc_obs::Phase`, recorded only for requests that entered the
@@ -400,17 +384,14 @@ pub enum PlanResponse {
         /// Payload length of the follow-up binary frame.
         bytes: u64,
     },
-    /// `Get` miss: no cached plan under that fingerprint.
+    /// `PlanDelta` miss: the server does not hold the base profile the
+    /// edit script names.
     NotFound {
-        /// The fingerprint that missed.
+        /// The base profile's fingerprint.
         fingerprint: String,
     },
-    /// Counter snapshot.
-    Stats {
-        /// The counters at response time.
-        stats: ServeStats,
-    },
-    /// Latency distributions and slowest spans (the `Metrics` verb).
+    /// Counters, latency distributions and slowest spans (the `Metrics`
+    /// verb).
     Metrics {
         /// The metrics at response time.
         metrics: ServeMetrics,
@@ -443,20 +424,22 @@ mod tests {
     fn requests_roundtrip_through_json() {
         let ids = stalloc_obs::IdGen::seeded(41);
         let reqs = [
-            PlanRequest::Get {
-                fingerprint: "a".repeat(32),
+            PlanRequest::PlanDelta {
+                config: SynthConfig::default(),
                 encoding: Some(PlanEncoding::Json),
+                bytes: 7,
                 trace: None,
             },
-            PlanRequest::Get {
-                fingerprint: "b".repeat(32),
+            PlanRequest::ProfileBin {
+                config: SynthConfig::default(),
                 encoding: Some(PlanEncoding::Binary),
+                bytes: 8,
                 trace: Some(ids.root().child(&ids)),
             },
             PlanRequest::TraceGet {
                 trace_id: ids.root().trace_hex(),
             },
-            PlanRequest::Stats,
+            PlanRequest::Metrics,
             PlanRequest::Ping,
         ];
         for r in reqs {
@@ -496,9 +479,10 @@ mod tests {
         // `encoding` and `trace` may be left out (a hand-written `nc`
         // frame does): the plan then travels as JSON under server-minted
         // ids.
-        let get = r#"{"Get": {"fingerprint": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"}}"#;
-        match serde_json::from_str::<PlanRequest>(get).unwrap() {
-            PlanRequest::Get {
+        let config = serde_json::to_string(&SynthConfig::default()).unwrap();
+        let header = format!(r#"{{"ProfileBin": {{"config": {config}, "bytes": 9}}}}"#);
+        match serde_json::from_str::<PlanRequest>(&header).unwrap() {
+            PlanRequest::ProfileBin {
                 encoding, trace, ..
             } => {
                 assert_eq!(encoding, None);
@@ -516,7 +500,8 @@ mod tests {
         let err = serde_json::from_str::<PlanRequest>(&no_strategy).unwrap_err();
         assert!(err.to_string().contains("`strategy`"), "{err}");
 
-        // Responses too: a `Stats` document short of a counter is rejected.
+        // Responses too: a `ServeStats` document short of a counter is
+        // rejected.
         let err = serde_json::from_str::<ServeStats>(r#"{"requests": 9}"#).unwrap_err();
         assert!(err.to_string().contains("`plan_requests`"), "{err}");
     }
@@ -723,13 +708,14 @@ mod tests {
     fn trace_context_rides_the_plan_serving_verbs() {
         let ids = stalloc_obs::IdGen::seeded(43);
         let ctx = ids.root().child(&ids);
-        let r = PlanRequest::Get {
-            fingerprint: "c".repeat(32),
+        let r = PlanRequest::ProfileBin {
+            config: SynthConfig::default(),
             encoding: None,
+            bytes: 9,
             trace: Some(ctx),
         };
         assert_eq!(r.trace_context(), Some(ctx));
-        assert_eq!(PlanRequest::Stats.trace_context(), None);
+        assert_eq!(PlanRequest::Metrics.trace_context(), None);
         assert_eq!(PlanRequest::Ping.trace_context(), None);
 
         // The wire form is the fixed-width hex object, and it survives a
@@ -737,7 +723,7 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains(&format!("\"trace_id\":\"{}\"", ctx.trace_hex())));
         match serde_json::from_str::<PlanRequest>(&json).unwrap() {
-            PlanRequest::Get { trace, .. } => assert_eq!(trace, Some(ctx)),
+            PlanRequest::ProfileBin { trace, .. } => assert_eq!(trace, Some(ctx)),
             other => panic!("wrong variant: {other:?}"),
         }
 
@@ -752,16 +738,17 @@ mod tests {
     fn unknown_request_fields_are_skipped() {
         // The decoder looks fields up by name and skips the rest, so a
         // key it does not know is no error.
-        let extra = r#"{"Get": {"fingerprint": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
-            "trace": {"trace_id": "000102030405060708090a0b0c0d0e0f",
+        let config = serde_json::to_string(&SynthConfig::default()).unwrap();
+        let extra = format!(
+            r#"{{"ProfileBin": {{"config": {config}, "bytes": 32,
+            "trace": {{"trace_id": "000102030405060708090a0b0c0d0e0f",
                       "span_id": "0001020304050607",
-                      "parent_span_id": "0000000000000000"},
-            "field_nobody_knows": 7}}"#;
-        match serde_json::from_str::<PlanRequest>(extra).unwrap() {
-            PlanRequest::Get {
-                fingerprint, trace, ..
-            } => {
-                assert_eq!(fingerprint.len(), 32);
+                      "parent_span_id": "0000000000000000"}},
+            "field_nobody_knows": 7}}}}"#
+        );
+        match serde_json::from_str::<PlanRequest>(&extra).unwrap() {
+            PlanRequest::ProfileBin { bytes, trace, .. } => {
+                assert_eq!(bytes, 32);
                 let ctx = trace.expect("trace decodes");
                 assert_eq!(ctx.trace_id, 0x000102030405060708090a0b0c0d0e0f);
                 assert_eq!(ctx.span_id, 0x0001020304050607);

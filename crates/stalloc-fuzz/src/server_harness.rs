@@ -89,8 +89,8 @@ pub fn fuzz_server(iters: u64, seed: u64) -> ServerFuzzOutcome {
     let mut framed_plan_req = Vec::new();
     write_frame(&mut framed_plan_req, &plan_req).expect("vec write");
     // Every verb the protocol knows is a mutation seed: corruption near a
-    // short `Metrics`/`Stats`/`Ping` frame probes different decoder
-    // branches than the big `Plan` payload does.
+    // short `Metrics`/`Ping` frame probes different decoder branches
+    // than the big `Plan` payload does.
     // The delta family member the PlanDelta scenarios plan: a couple of
     // grown activations against the base profile above.
     let next_profile = {
@@ -104,7 +104,6 @@ pub fn fuzz_server(iters: u64, seed: u64) -> ServerFuzzOutcome {
     let mut seeds: Vec<Vec<u8>> = vec![framed_plan_req];
     for verb in [
         PlanRequest::Metrics,
-        PlanRequest::Stats,
         PlanRequest::Ping,
         PlanRequest::TraceGet {
             trace_id: ids.root().trace_hex(),
@@ -203,7 +202,6 @@ fn record(seen: &mut BTreeSet<String>, resp: &PlanResponse) {
         PlanResponse::Plan { .. } => "Plan".to_string(),
         PlanResponse::PlanBin { .. } => "PlanBin".to_string(),
         PlanResponse::NotFound { .. } => "NotFound".to_string(),
-        PlanResponse::Stats { .. } => "Stats".to_string(),
         PlanResponse::Metrics { .. } => "Metrics".to_string(),
         PlanResponse::Trace { .. } => "Trace".to_string(),
         PlanResponse::Error { kind, .. } => format!("Error:{kind:?}"),

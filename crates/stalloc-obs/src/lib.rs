@@ -29,6 +29,8 @@
 //! [`SpanSnapshot`]) in its wire types, and `stalloc-served` owns the
 //! live instances.
 
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
+
 pub mod chrome;
 mod client;
 mod context;

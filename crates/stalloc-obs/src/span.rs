@@ -123,7 +123,7 @@ pub struct Span<P: PhaseSet> {
     /// *sent* to the server is its child. All-zero
     /// (`TraceContext::NONE`) only in unit tests and throw-away spans.
     pub trace: TraceContext,
-    /// Request verb name (`"Plan"`, `"Get"`, ...).
+    /// Request verb name (`"ProfileBin"`, `"Metrics"`, ...).
     pub verb: &'static str,
     /// Cache tier that answered (`"lru"`, `"store"`, `"miss"`,
     /// `"coalesced"`), or `""` for verbs that serve no plan and for

@@ -25,7 +25,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use stalloc_core::wire::{
-    PlanEncoding, PlanRequest, PlanResponse, PlanSource, ProfileEncoding, ServeMetrics, ServeStats,
+    PlanEncoding, PlanRequest, PlanResponse, PlanSource, ProfileEncoding, ServeMetrics,
     WireErrorKind,
 };
 use stalloc_core::{diff_profiles, Fingerprint, Plan, ProfiledRequests, SynthConfig};
@@ -146,11 +146,6 @@ impl PlanClient {
         self
     }
 
-    /// How this client's profiles travel.
-    pub fn profile_encoding(&self) -> ProfileEncoding {
-        self.profile_encoding
-    }
-
     /// Tags every request on this client with `trace_id` instead of the
     /// connection-minted one — so a whole experiment's requests, across
     /// connections, share one trace.
@@ -257,8 +252,7 @@ impl PlanClient {
     /// distrusting the server three ways: the raw frame behind a
     /// `PlanBin` header must have the length that header declared — a
     /// mismatch means the stream is unsynchronized; the echoed
-    /// fingerprint must match the one we can compute (or asked for)
-    /// locally — so a server-side mixup cannot hand this job another
+    /// fingerprint must match the one we compute locally — so a server-side mixup cannot hand this job another
     /// job's plan; and the plan must pass the soundness check.
     fn accept(
         &mut self,
@@ -320,7 +314,7 @@ impl PlanClient {
     /// Plans a job remotely: cache hit, coalesced wait, or synthesis —
     /// the server decides; the response says which ([`RemotePlan::source`]).
     ///
-    /// The profile travels per [`Self::profile_encoding`]: inline JSON
+    /// The profile travels per [`Self::with_profile_encoding`]: inline JSON
     /// in a `Plan` request, or (the default) a `ProfileBin` header frame
     /// followed by one raw `PROF` codec frame — the fingerprint, cache
     /// behaviour, and response are identical either way.
@@ -426,31 +420,6 @@ impl PlanClient {
         })
     }
 
-    /// Looks up a cached plan by fingerprint; `Ok(None)` if the server
-    /// has never planned that job.
-    pub fn get(&mut self, fp: Fingerprint) -> Result<Option<RemotePlan>, ClientError> {
-        self.traced("Get", |client, wire, span| {
-            let request = PlanRequest::Get {
-                fingerprint: fp.to_hex(),
-                encoding: Some(client.encoding),
-                trace: Some(wire),
-            };
-            let response = client.exchange(&request, None, span)?;
-            client.accept(fp, response, span)
-        })
-    }
-
-    /// Fetches the server's cumulative counters.
-    pub fn stats(&mut self) -> Result<ServeStats, ClientError> {
-        let response = self.traced("Stats", |client, _, span| {
-            client.exchange(&PlanRequest::Stats, None, span)
-        })?;
-        match response {
-            PlanResponse::Stats { stats } => Ok(stats),
-            other => Err(unexpected("Stats", &other)),
-        }
-    }
-
     /// Fetches the server-side spans the recent ring holds for a trace
     /// id (32 hex digits, e.g. [`TraceContext::trace_hex`]).
     pub fn trace_get(&mut self, trace_id: &str) -> Result<Vec<SpanSnapshot>, ClientError> {
@@ -465,8 +434,8 @@ impl PlanClient {
         }
     }
 
-    /// Fetches the server's latency metrics (per-phase and per-tier
-    /// histograms, slowest spans, plus the `Stats` counters).
+    /// Fetches the server's metrics: its cumulative counters, per-phase
+    /// and per-tier latency histograms, and slowest spans.
     pub fn metrics(&mut self) -> Result<ServeMetrics, ClientError> {
         let response = self.traced("Metrics", |client, _, span| {
             client.exchange(&PlanRequest::Metrics, None, span)

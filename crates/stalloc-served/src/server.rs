@@ -814,8 +814,8 @@ impl std::io::Read for PatientReader<'_> {
 enum Reject {
     /// A typed failure; every one of these bumps `errors`.
     Error(WireErrorKind, String),
-    /// No plan (`Get`) or no delta base (`PlanDelta`) under this
-    /// fingerprint — an answer, not an error.
+    /// No delta base (`PlanDelta`) under this fingerprint — an answer,
+    /// not an error.
     NotFound(String),
 }
 
@@ -993,9 +993,7 @@ fn verb_name(request: &PlanRequest) -> &'static str {
         PlanRequest::Plan { .. } => "Plan",
         PlanRequest::ProfileBin { .. } => "ProfileBin",
         PlanRequest::PlanDelta { .. } => "PlanDelta",
-        PlanRequest::Get { .. } => "Get",
         PlanRequest::TraceGet { .. } => "TraceGet",
-        PlanRequest::Stats => "Stats",
         PlanRequest::Metrics => "Metrics",
         PlanRequest::Ping => "Ping",
     }
@@ -1063,9 +1061,6 @@ fn handle_request(
 ) -> Result<Served, Reject> {
     let response = match request {
         PlanRequest::Ping => PlanResponse::Pong,
-        PlanRequest::Stats => PlanResponse::Stats {
-            stats: shared.snapshot(),
-        },
         PlanRequest::Metrics => {
             shared.counters.metrics_requests.inc();
             PlanResponse::Metrics {
@@ -1084,21 +1079,6 @@ fn handle_request(
                 .map(SpanSnapshot::from)
                 .collect();
             PlanResponse::Trace { trace_id, spans }
-        }
-        PlanRequest::Get {
-            fingerprint,
-            encoding,
-            ..
-        } => {
-            let fp = Fingerprint::from_hex(&fingerprint).ok_or_else(|| {
-                Reject::bad_request(format!("'{fingerprint}' is not a 32-hex-digit fingerprint"))
-            })?;
-            let Some(hit) = lookup_counted(fp, shared, span) else {
-                return Err(Reject::NotFound(fingerprint));
-            };
-            // Absent means the plan travels inline in JSON.
-            let encoding = encoding.unwrap_or(PlanEncoding::Json);
-            return Ok(plan_response(fingerprint, hit, started, encoding, span));
         }
         planning => {
             let job = resolve_job(planning, raw, shared, span)?;

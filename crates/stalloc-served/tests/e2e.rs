@@ -114,9 +114,9 @@ fn concurrent_mixed_load_is_single_flight_and_accounted() {
     );
     assert_eq!(synthesized.len(), configs.len());
 
-    // The stats verb agrees with what the clients saw.
+    // The server's counters agree with what the clients saw.
     let mut stats_client = PlanClient::connect(addr).unwrap();
-    let stats = stats_client.stats().unwrap();
+    let stats = stats_client.metrics().unwrap().stats;
     assert_eq!(stats.plan_requests, CLIENTS as u64);
     assert_eq!(stats.misses, configs.len() as u64);
     assert_eq!(
@@ -124,7 +124,7 @@ fn concurrent_mixed_load_is_single_flight_and_accounted() {
         (CLIENTS - configs.len()) as u64,
         "hits + misses cover every plan request: {stats:?}"
     );
-    assert_eq!(stats.in_flight, 1, "only the stats request is in flight");
+    assert_eq!(stats.in_flight, 1, "only the metrics request is in flight");
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.workers, 8);
 
@@ -250,12 +250,12 @@ fn delta_requests_patch_chain_and_fall_back() {
     );
 
     // Counters and histograms tell the same story.
-    let stats = client.stats().unwrap();
+    let metrics = client.metrics().unwrap();
+    let stats = metrics.stats;
     assert_eq!(stats.delta_requests, 4);
     assert_eq!(stats.delta_patched, 2);
     assert_eq!(stats.delta_hits, 1);
     assert_eq!(stats.errors, 0);
-    let metrics = client.metrics().unwrap();
     assert_eq!(metrics.tier("patched").unwrap().total(), 2);
     assert!(
         metrics.phase("replan").unwrap().total() >= 2,

@@ -164,18 +164,17 @@ fn midstream_disconnect_does_not_poison_worker() {
 }
 
 #[test]
-fn bad_fingerprint_is_bad_request_and_connection_survives() {
+fn bad_trace_id_is_bad_request_and_connection_survives() {
     let server = PlanServer::start(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     })
     .unwrap();
 
-    // The typed client cannot produce a malformed fingerprint, so speak
+    // The typed client cannot produce a malformed trace id, so speak
     // the protocol by hand.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
-    // No `encoding` key: it is optional, and absent means `Json`.
-    stalloc_served::write_frame(&mut raw, br#"{"Get": {"fingerprint": "wat"}}"#).unwrap();
+    stalloc_served::write_frame(&mut raw, br#"{"TraceGet": {"trace_id": "wat"}}"#).unwrap();
     let resp = read_error_frame(&mut raw);
     assert!(resp.contains("BadRequest"), "typed error, got: {resp}");
 
@@ -185,6 +184,29 @@ fn bad_fingerprint_is_bad_request_and_connection_survives() {
     let resp = read_error_frame(&mut raw);
     assert!(resp.contains("Pong"), "connection survives: {resp}");
 
+    server.shutdown();
+}
+
+/// `Stats` and `Get` are not verbs: a peer that still sends one gets a
+/// typed `BadFrame`, as for any other unknown request, and the server
+/// keeps serving.
+#[test]
+fn retired_verbs_are_bad_frames() {
+    let server = PlanServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let fingerprint = "a".repeat(32);
+    let get = format!(r#"{{"Get": {{"fingerprint": "{fingerprint}"}}}}"#);
+    for frame in [r#""Stats""#, get.as_str()] {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        stalloc_served::write_frame(&mut raw, frame.as_bytes()).unwrap();
+        let resp = read_error_frame(&mut raw);
+        assert!(resp.contains("BadFrame"), "{frame}: got {resp}");
+    }
+    assert_still_serving(server.addr());
+    assert_eq!(server.stats().errors, 2);
     server.shutdown();
 }
 
@@ -229,19 +251,15 @@ fn every_wire_encoding_pair_serves_one_cache_entry() {
     let stats = server.stats();
     assert_eq!((stats.misses, stats.hits()), (1, 3), "{stats:?}");
 
-    // Get by fingerprint round-trips through the binary path too, and
-    // the keep-alive connection stays frame-synchronized afterwards.
-    let mut client = first.unwrap();
-    assert_eq!(client.profile_encoding(), ProfileEncoding::Binary);
-    let got = client.get(reference.fingerprint).unwrap().expect("cached");
-    assert_eq!(got.plan, reference.plan);
-    client.ping().unwrap();
+    // The first keep-alive connection stays frame-synchronized after
+    // its binary exchange.
+    first.unwrap().ping().unwrap();
     server.shutdown();
 }
 
 #[test]
 fn profile_bin_length_mismatch_is_typed_and_closes() {
-    use stalloc_core::wire::{PlanRequest, ProfileEncoding};
+    use stalloc_core::wire::PlanRequest;
     use stalloc_served::write_frame;
 
     let server = PlanServer::start(ServeConfig {
@@ -270,7 +288,6 @@ fn profile_bin_length_mismatch_is_typed_and_closes() {
     // The same worker keeps serving, and real binary requests work.
     assert_still_serving(server.addr());
     let mut client = PlanClient::connect(server.addr()).unwrap();
-    assert_eq!(client.profile_encoding(), ProfileEncoding::Binary);
     client
         .plan(&small_profile(), &SynthConfig::default())
         .unwrap();
@@ -344,19 +361,16 @@ fn keep_alive_connection_serves_many_verbs() {
     client.ping().unwrap();
     let first = client.plan(&profile, &config).unwrap();
     assert!(!first.source.is_hit());
-    // Lookup by fingerprint alone finds the cached artifact.
-    let looked_up = client.get(first.fingerprint).unwrap().expect("cached");
-    assert_eq!(looked_up.plan, first.plan);
-    assert!(looked_up.source.is_hit());
-    // Unknown fingerprint is a clean NotFound, not an error.
-    let missing = client.get(stalloc_core::Fingerprint([0x5a; 16])).unwrap();
-    assert!(missing.is_none());
+    // The same job again on the same connection is a cache hit.
+    let again = client.plan(&profile, &config).unwrap();
+    assert_eq!(again.plan, first.plan);
+    assert!(again.source.is_hit());
 
-    let stats = client.stats().unwrap();
+    let stats = client.metrics().unwrap().stats;
     assert_eq!(stats.misses, 1);
     assert!(stats.hits() >= 1);
     assert_eq!(stats.queue_depth, 0);
-    assert_eq!(stats.in_flight, 1, "the stats request itself");
+    assert_eq!(stats.in_flight, 1, "the metrics request itself");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

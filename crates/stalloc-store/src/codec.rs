@@ -182,7 +182,7 @@ use stalloc_core::{
     PROFILE_FLAG_DYNAMIC, PROFILE_FLAG_HAS_LE, PROFILE_FLAG_HAS_LS,
 };
 
-/// File magic identifying a binary plan (`stalloc show` sniffs this).
+/// File magic identifying a binary plan (`STPL`).
 pub const MAGIC: [u8; 4] = *b"STPL";
 
 /// Current plan wire-format version, the only one [`decode_plan`]
@@ -325,21 +325,6 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// Whether `bytes` look like a binary plan (magic sniff only).
-pub fn is_binary_plan(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
-/// Whether `bytes` look like a binary profile (magic sniff only).
-pub fn is_binary_profile(bytes: &[u8]) -> bool {
-    bytes.len() >= PROFILE_MAGIC.len() && bytes[..PROFILE_MAGIC.len()] == PROFILE_MAGIC
-}
-
-/// Whether `bytes` look like a binary profile delta (magic sniff only).
-pub fn is_binary_delta(bytes: &[u8]) -> bool {
-    bytes.len() >= DELTA_MAGIC.len() && bytes[..DELTA_MAGIC.len()] == DELTA_MAGIC
-}
 
 // --- primitive writers -------------------------------------------------
 //
@@ -1153,7 +1138,7 @@ mod tests {
     fn roundtrip_and_stable_reencode() {
         let plan = sample_plan();
         let bytes = encode_plan(&plan);
-        assert!(is_binary_plan(&bytes));
+        assert!(bytes.starts_with(&MAGIC));
         let back = decode_plan(&bytes).unwrap();
         assert_eq!(back, plan);
         assert_eq!(encode_plan(&back), bytes, "re-encode is byte-identical");
@@ -1310,8 +1295,8 @@ mod tests {
     fn profile_roundtrip_and_stable_reencode() {
         let profile = sample_profile();
         let bytes = encode_profile(&profile);
-        assert!(is_binary_profile(&bytes));
-        assert!(!is_binary_plan(&bytes));
+        assert!(bytes.starts_with(&PROFILE_MAGIC));
+        assert_eq!(decode_plan(&bytes), Err(CodecError::BadMagic));
         let back = decode_profile(&bytes).unwrap();
         assert_eq!(back, profile);
         assert_eq!(encode_profile(&back), bytes, "re-encode is byte-identical");
@@ -1548,9 +1533,9 @@ mod tests {
     fn delta_roundtrip_and_stable_reencode() {
         let delta = sample_delta();
         let bytes = encode_profile_delta(&delta);
-        assert!(is_binary_delta(&bytes));
-        assert!(!is_binary_profile(&bytes));
-        assert!(!is_binary_plan(&bytes));
+        assert!(bytes.starts_with(&DELTA_MAGIC));
+        assert_eq!(decode_profile(&bytes), Err(CodecError::BadMagic));
+        assert_eq!(decode_plan(&bytes), Err(CodecError::BadMagic));
         let back = decode_profile_delta(&bytes).unwrap();
         assert_eq!(back, delta);
         assert_eq!(

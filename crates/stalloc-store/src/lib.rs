@@ -64,15 +64,16 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
+
 pub mod codec;
 pub mod lru;
 pub mod store;
 
 pub use codec::{
     decode_plan, decode_profile, decode_profile_delta, delta_base_fingerprint, encode_plan,
-    encode_profile, encode_profile_delta, is_binary_delta, is_binary_plan, is_binary_profile,
-    profile_body, CodecError, DELTA_FORMAT_VERSION, DELTA_MAGIC, FORMAT_VERSION, MAGIC,
-    PROFILE_FORMAT_VERSION, PROFILE_MAGIC,
+    encode_profile, encode_profile_delta, profile_body, CodecError, DELTA_FORMAT_VERSION,
+    DELTA_MAGIC, FORMAT_VERSION, MAGIC, PROFILE_FORMAT_VERSION, PROFILE_MAGIC,
 };
 pub use lru::{ShardedLru, DEFAULT_LRU_SHARDS};
 pub use store::{

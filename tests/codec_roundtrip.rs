@@ -14,8 +14,8 @@ use proptest::prelude::*;
 
 use stalloc_core::{fingerprint_job, fingerprint_job_body, profile_trace, synthesize, SynthConfig};
 use stalloc_store::{
-    decode_plan, decode_profile, encode_plan, encode_profile, is_binary_plan, is_binary_profile,
-    profile_body, CodecError,
+    decode_plan, decode_profile, encode_plan, encode_profile, profile_body, CodecError, MAGIC,
+    PROFILE_MAGIC,
 };
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -76,7 +76,7 @@ proptest! {
         let plan = synthesize(&profile, &synth_config(gaps, ascending));
 
         let bytes = encode_plan(&plan);
-        prop_assert!(is_binary_plan(&bytes));
+        prop_assert!(bytes.starts_with(&MAGIC));
         let decoded = decode_plan(&bytes).map_err(|e| e.to_string())?;
         prop_assert_eq!(&decoded, &plan, "decode(encode(p)) != p");
         prop_assert_eq!(encode_plan(&decoded), bytes, "re-encode not byte-identical");
@@ -101,8 +101,8 @@ proptest! {
         let profile = profile_trace(&trace, 1).map_err(|e| e.to_string())?;
 
         let bytes = encode_profile(&profile);
-        prop_assert!(is_binary_profile(&bytes));
-        prop_assert!(!is_binary_plan(&bytes));
+        prop_assert!(bytes.starts_with(&PROFILE_MAGIC));
+        prop_assert_eq!(decode_plan(&bytes), Err(CodecError::BadMagic));
         let decoded = decode_profile(&bytes).map_err(|e| e.to_string())?;
         prop_assert_eq!(&decoded, &profile, "decode(encode(p)) != p");
         prop_assert_eq!(encode_profile(&decoded), bytes, "re-encode not byte-identical");

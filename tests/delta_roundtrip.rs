@@ -15,8 +15,8 @@ use stalloc_core::{
     apply_delta, diff_profiles, fingerprint_profile, profile_trace, ProfiledRequests, RequestEvent,
 };
 use stalloc_store::{
-    decode_profile_delta, delta_base_fingerprint, encode_profile_delta, is_binary_delta,
-    is_binary_plan, is_binary_profile, CodecError,
+    decode_plan, decode_profile, decode_profile_delta, delta_base_fingerprint,
+    encode_profile_delta, CodecError, DELTA_MAGIC,
 };
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -147,9 +147,9 @@ proptest! {
         // Through the wire codec: decode(encode(d)) == d, canonically,
         // and the 22-byte header peek agrees with the full decode.
         let bytes = encode_profile_delta(&delta);
-        prop_assert!(is_binary_delta(&bytes));
-        prop_assert!(!is_binary_profile(&bytes));
-        prop_assert!(!is_binary_plan(&bytes));
+        prop_assert!(bytes.starts_with(&DELTA_MAGIC));
+        prop_assert_eq!(decode_profile(&bytes), Err(CodecError::BadMagic));
+        prop_assert_eq!(decode_plan(&bytes), Err(CodecError::BadMagic));
         let decoded = decode_profile_delta(&bytes).map_err(|e| e.to_string())?;
         prop_assert_eq!(&decoded, &delta, "decode(encode(d)) != d");
         prop_assert_eq!(
