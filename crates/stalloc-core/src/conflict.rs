@@ -2,8 +2,7 @@
 //! time × address plane: [`first_conflict`], behind
 //! [`Plan::validate`](crate::Plan::validate), the packer's debug checks
 //! and the replay harness's stomp oracle. Re-exported as
-//! `geometry::first_conflict`, beside the packer whose index it borrows
-//! its shape from.
+//! `geometry::first_conflict`, beside the packer.
 //!
 //! A top-level module on purpose. The check shares no code with the
 //! runtime allocator, yet compiled as part of `geometry` — next to
@@ -12,7 +11,11 @@
 //! `codegen-units = 4`; ROADMAP's ledger item has the runs). From here
 //! the rise is 2–3 %.
 
-use crate::geometry::{Rect, CHUNK_CAP};
+use crate::geometry::Rect;
+
+/// Spans per run of a [`LiveSet`]: small enough that an ordered insert is
+/// a short `memmove`, large enough that the run heads stay few.
+const CHUNK_CAP: usize = 64;
 
 /// One entry of a [`LiveSet`]: an address range and the tick it is freed.
 #[derive(Debug, Clone, Copy)]

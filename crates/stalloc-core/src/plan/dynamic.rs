@@ -290,8 +290,8 @@ mod tests {
         /// inputs no sound layout produces too: extents that overlap while
         /// both live, extents of no bytes, `te <= ts`, a group whose `T`
         /// is empty or backwards, and pools that end below, inside and
-        /// above the occupied span. More extents than one index chunk
-        /// holds.
+        /// above the occupied span. Offsets repeat, so index entries hold
+        /// many extents, in and out of time order.
         #[test]
         fn the_index_finds_the_intervals_the_scan_found(
             extents in prop::collection::vec((0u64..60, 0u64..9, 0u64..24, 0u64..24), 0..150),

@@ -153,10 +153,7 @@ pub fn refine_first_fit(reqs: &[RequestEvent]) -> (Vec<u64>, u64) {
     let mut offsets = vec![0u64; reqs.len()];
     for i in order {
         let r = &reqs[i];
-        sweep.advance_to(r.ts, |_, _, _| {});
-        let off = sweep.gaps(r.size).next().expect("the top is a gap");
-        sweep.place(off, r.size, r.window_end());
-        offsets[i] = off;
+        offsets[i] = sweep.pack(r.ts, r.window_end(), r.size);
     }
     (offsets, sweep.height())
 }
@@ -227,16 +224,22 @@ impl<'a> Pool<'a> {
     /// Stage B: member-level scatter — each member may sit in the idle
     /// staircase of ANY existing region (a member is an independent
     /// request; group contiguity is not a constraint). Members that fit
-    /// nowhere are left in `spilled`.
-    fn scatter(&mut self, plan: &LocalPlan) {
+    /// nowhere are left in `spilled`. Regions larger than `asked_above`
+    /// are not probed: [`Self::insert_whole`] has just asked them the
+    /// same question and found no fit.
+    fn scatter(&mut self, plan: &LocalPlan, asked_above: u64) {
         let mut ordered = std::mem::take(&mut self.ordered);
         ordered.clear();
         ordered.extend_from_slice(&plan.members);
         ordered.sort_unstable_by_key(|&(i, _)| self.reqs[i].ts);
         for &(i, _) in &ordered {
             let (w, size) = (self.windows[i], self.reqs[i].size);
-            let mut regions = self.regions.iter().enumerate();
-            match regions.find_map(|(ri, r)| Some((ri, r.fit(w, size)?))) {
+            let regions = self.regions.iter().enumerate();
+            let unasked = |(_, r): &(usize, &Region)| r.size <= asked_above;
+            match regions
+                .filter(unasked)
+                .find_map(|(ri, r)| Some((ri, r.fit(w, size)?)))
+            {
                 Some((ri, off)) => {
                     self.place(ri, i, off);
                     self.layout.gap_inserted += 1;
@@ -287,6 +290,17 @@ impl<'a> Pool<'a> {
 /// `layers` and `gap_inserted` counted, `phase_groups` left to the caller
 /// that built `plans`.
 pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], config: &SynthConfig) -> StaticLayout {
+    assemble_with(plans, reqs, config, true)
+}
+
+/// [`assemble`]; with `skip_asked`, the scatter of a one-member plan
+/// skips the regions its whole-plan insertion has already asked.
+fn assemble_with(
+    plans: &[LocalPlan],
+    reqs: &[RequestEvent],
+    config: &SynthConfig,
+    skip_asked: bool,
+) -> StaticLayout {
     // HomoSize grouping by exact footprint.
     let mut by_size: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, p) in plans.iter().enumerate() {
@@ -309,7 +323,11 @@ pub fn assemble(plans: &[LocalPlan], reqs: &[RequestEvent], config: &SynthConfig
                 if pool.insert_whole(plan, s) {
                     continue;
                 }
-                pool.scatter(plan);
+                // A one-member plan of `s` bytes has its member's window
+                // and size, so `insert_whole` asked every region larger
+                // than `s` what the scatter would.
+                let asked = matches!(plan.members[..], [(only, _)] if reqs[only].size == s);
+                pool.scatter(plan, if skip_asked && asked { s } else { u64::MAX });
             } else {
                 pool.spilled.extend(plan.members.iter().map(|&(i, _)| i));
             }
@@ -341,7 +359,15 @@ mod tests {
         let mut offsets = vec![0u64; reqs.len()];
         for i in order {
             let r = &reqs[i];
-            offsets[i] = packer.pack(r.ts, r.window_end(), r.size);
+            let (t1, len) = (r.window_end(), r.size);
+            let off = packer.find_first_fit(r.ts, t1, len, u64::MAX).unwrap();
+            packer.place_at(Rect {
+                t0: r.ts,
+                t1,
+                off,
+                len,
+            });
+            offsets[i] = off;
         }
         (offsets, packer.height())
     }
@@ -518,6 +544,39 @@ mod tests {
                 prop_assert!(placed.clone().all(|r| r.off + r.len <= layout.pool_size));
                 prop_assert_eq!(first_conflict(placed), None, "{:?}", opts);
                 prop_assert!(layout.pool_size >= peak, "{:?}", opts);
+            }
+        }
+    }
+
+    /// Everything a layout says: offsets, pool, layers and insertions.
+    fn fields(l: StaticLayout) -> (Vec<u64>, u64, usize, usize) {
+        (l.request_offsets, l.pool_size, l.layers, l.gap_inserted)
+    }
+
+    proptest! {
+        /// The scatter of a one-member plan skips the regions its
+        /// whole-plan insertion has just asked, and no offset moves for
+        /// it, under every option.
+        #[test]
+        fn scatter_skip_places_what_a_full_scatter_places(spec in spec()) {
+            let reqs = requests(&spec);
+            let plans = build_phase_groups(&reqs);
+            for opts in all_options() {
+                let skipping = fields(assemble(&plans, &reqs, &opts));
+                let full = fields(assemble_with(&plans, &reqs, &opts, false));
+                prop_assert_eq!(skipping, full, "{:?}", opts);
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_skip_places_what_a_full_scatter_places_on_the_zoo() {
+        for (name, reqs) in zoo() {
+            let plans = build_phase_groups(&reqs);
+            for opts in all_options() {
+                let skipping = fields(assemble(&plans, &reqs, &opts));
+                let full = fields(assemble_with(&plans, &reqs, &opts, false));
+                assert_eq!(skipping, full, "{name} {opts:?}");
             }
         }
     }

@@ -9,17 +9,18 @@
 //! implemented: TMP fusion").
 //!
 //! A [`LocalPlan`] is plain data: its members with their relative offsets
-//! and what follows from them. The [`TimeSpacePacker`] that finds those
-//! offsets lives only as long as one cohort is being packed; the
+//! and what follows from them. A class is placed in arrival order, so the
+//! [`LiveSweep`] that finds those offsets holds only the class's live
+//! members and lives only as long as one cohort is being packed; the
 //! thousands of one-request groups of a profile never see one.
 
 use std::collections::HashMap;
 
-use crate::geometry::TimeSpacePacker;
+use crate::geometry::LiveSweep;
 use crate::profiler::RequestEvent;
 
 /// A local plan: one HomoPhase group with relative offsets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalPlan {
     /// Members: (static-request index, relative offset).
     pub members: Vec<(usize, u64)>,
@@ -63,6 +64,25 @@ impl LocalPlan {
 /// case) this degenerates to the paper's contiguous stacking; for same-phase
 /// transients it additionally reuses space across disjoint lifetimes.
 pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
+    group_with(reqs, |class| {
+        let mut sweep = LiveSweep::new();
+        class
+            .iter()
+            .map(|&i| {
+                let r = &reqs[i];
+                (i, sweep.pack(r.ts, r.window_end(), r.size))
+            })
+            .collect()
+    })
+}
+
+/// The plans of `reqs`: a singleton per same-phase request, then one plan
+/// per (pˢ, pᵉ) class in key order, whose members, in allocation order,
+/// `place` gives their offsets.
+fn group_with(
+    reqs: &[RequestEvent],
+    mut place: impl FnMut(&[usize]) -> Vec<(usize, u64)>,
+) -> Vec<LocalPlan> {
     let mut classes: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
     let mut plans = Vec::with_capacity(reqs.len());
     for (i, r) in reqs.iter().enumerate() {
@@ -80,15 +100,7 @@ pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
 
     for (_, mut idxs) in classes {
         idxs.sort_unstable_by_key(|&i| reqs[i].ts);
-        let mut packer = TimeSpacePacker::new();
-        let members = idxs
-            .into_iter()
-            .map(|i| {
-                let r = &reqs[i];
-                (i, packer.pack(r.ts, r.window_end(), r.size))
-            })
-            .collect();
-        plans.push(LocalPlan::of(members, reqs));
+        plans.push(LocalPlan::of(place(&idxs), reqs));
     }
     plans
 }
@@ -96,6 +108,64 @@ pub fn build_phase_groups(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::{Rect, TimeSpacePacker};
+    use proptest::prelude::*;
+
+    /// The grouping this module shipped before the live-set sweep: each
+    /// class through one `TimeSpacePacker`, whose first fit walks every
+    /// member placed so far. Kept as the oracle [`build_phase_groups`] is
+    /// tested against, offset for offset.
+    fn groups_by_packer(reqs: &[RequestEvent]) -> Vec<LocalPlan> {
+        group_with(reqs, |class| {
+            let mut packer = TimeSpacePacker::new();
+            class
+                .iter()
+                .map(|&i| {
+                    let r = &reqs[i];
+                    let (t0, t1, len) = (r.ts, r.window_end(), r.size);
+                    let off = packer.find_first_fit(t0, t1, len, u64::MAX).unwrap();
+                    packer.place_at(Rect { t0, t1, off, len });
+                    (i, off)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// The live-set sweep groups every profile as the packer did.
+        /// Start ticks are drawn from a narrow range, so arrivals tie;
+        /// `te <= ts` and frees at another member's arrival tick occur.
+        #[test]
+        fn live_sweep_groups_match_packer_groups(
+            spec in prop::collection::vec((0u64..12, 0u64..16, 1u64..6, 1u32..4, 0u32..3), 0..120),
+        ) {
+            let reqs: Vec<RequestEvent> = spec
+                .into_iter()
+                .map(|(ts, te, size, ps, span)| req(size * 512, ts, te, ps, ps + span))
+                .collect();
+            prop_assert_eq!(build_phase_groups(&reqs), groups_by_packer(&reqs));
+        }
+    }
+
+    /// The benchmark's largest profile, Qwen2.5-14B V (7.9k statics).
+    /// GPT-2 VR's groups are pinned by the golden test below.
+    #[test]
+    fn live_sweep_groups_match_packer_groups_on_qwen_14b() {
+        use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+        let trace = TrainJob::new(
+            ModelSpec::qwen25_14b(),
+            ParallelConfig::new(2, 2, 4).with_vpp(3),
+            OptimConfig::naive(),
+        )
+        .with_mbs(2)
+        .with_seq(4096)
+        .with_microbatches(12)
+        .with_iterations(2)
+        .build_trace()
+        .unwrap();
+        let reqs = crate::profiler::profile_trace(&trace, 1).unwrap().statics;
+        assert_eq!(build_phase_groups(&reqs), groups_by_packer(&reqs));
+    }
 
     /// The members' `size × window length`, summed: the TMP numerator.
     /// Wide: GiB-sized requests over ticks past 2⁴⁰ overflow 64 bits.

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use stalloc_core::wire::ServeMetrics;
 use stalloc_core::{profile_trace, ProfiledRequests, SynthConfig};
+use stalloc_obs::{Phase, SpanSnapshot};
 use stalloc_served::{PlanClient, PlanServer, ServeConfig};
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -75,6 +76,8 @@ fn thirty_two_client_run_reports_consistent_metrics() {
         workers: 4,
         queue_depth: CLIENTS * 2,
         lru_capacity: 64,
+        // Room for every request of the run: each miss keeps its span.
+        slowest: 2 * CLIENTS,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -144,12 +147,23 @@ fn thirty_two_client_run_reports_consistent_metrics() {
     let synthesis = metrics.phase("synthesis").expect("synthesis reported");
     assert!(synthesis.total() >= stats.misses);
     // A synthesis is orders of magnitude slower than a cache lookup, and
-    // under any load the phase medians must reflect that.
-    let lookup = metrics.phase("lru_lookup").expect("lru_lookup reported");
-    assert!(
-        synthesis.quantile(0.5) > lookup.quantile(0.5),
-        "a median synthesis must be slower than a median LRU lookup"
-    );
+    // under any load every miss must show it: each one probed the LRU and
+    // then synthesized, and its span carries both phases. Compared within
+    // a span, not as medians of two log2-bucket histograms, which can
+    // share a bucket.
+    let misses: Vec<&SpanSnapshot> = metrics
+        .slowest
+        .iter()
+        .filter(|s| s.tier == "miss")
+        .collect();
+    assert_eq!(misses.len() as u64, stats.misses, "every miss span kept");
+    for s in misses {
+        let micros = |p: Phase| s.phase_micros[p.index()];
+        assert!(
+            micros(Phase::Synthesis) > micros(Phase::LruLookup),
+            "a synthesis must be slower than the LRU lookup before it: {s:?}"
+        );
+    }
 
     // The slowest-span ring retained the expensive requests, each span
     // carrying the full phase vector.

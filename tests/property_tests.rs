@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use allocators::{AllocRequest, CachingAllocator, CachingConfig, GpuAllocator};
 use gpu_sim::{Device, DeviceSpec, LatencyModel};
-use stalloc_core::geometry::{IntervalSet, TimeSpacePacker};
+use stalloc_core::geometry::{IntervalSet, Rect, TimeSpacePacker};
 use stalloc_core::plan::{synthesize, SynthConfig};
 use stalloc_core::profiler::{ProfiledRequests, RequestEvent};
 use trace_gen::TensorId;
@@ -66,7 +66,9 @@ proptest! {
     ) {
         let mut p = TimeSpacePacker::new();
         for (t0, dur, len) in rects {
-            p.pack(t0, t0 + dur, len); // place_at debug-asserts no conflict
+            let t1 = t0 + dur;
+            let off = p.find_first_fit(t0, t1, len, u64::MAX).unwrap();
+            p.place_at(Rect { t0, t1, off, len }); // debug-asserts no conflict
         }
         let placed: Vec<_> = p.rects().collect();
         for i in 0..placed.len() {
