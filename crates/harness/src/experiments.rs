@@ -482,8 +482,7 @@ pub fn table3(lab: &mut Lab) -> Table {
 /// of every registered solver strategy across the model zoo, plus the
 /// portfolio's (deterministic) winner per workload.
 pub fn strategy_comparison(lab: &mut Lab) -> Table {
-    use stalloc_core::profile_trace;
-    use stalloc_solver::registry;
+    use stalloc_core::{profile_trace, registry, Portfolio};
 
     let mut headers: Vec<String> = vec!["workload".into()];
     headers.extend(registry().iter().map(|s| format!("{} eff (ms)", s.name())));
@@ -508,7 +507,7 @@ pub fn strategy_comparison(lab: &mut Lab) -> Table {
         // column come from the same `CandidateReport`s the portfolio
         // itself produced, so the table can never disagree with what
         // `--strategy portfolio` would actually pick.
-        let outcome = stalloc_solver::Portfolio::standard().run(&profile, &config);
+        let outcome = Portfolio::standard().run(&profile, &config);
         let mut row = vec![label.to_string()];
         for c in &outcome.candidates {
             row.push(if c.valid {

@@ -9,8 +9,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use stalloc_core::{fingerprint_job, Fingerprint, Plan, ProfiledRequests, SynthConfig};
-use stalloc_solver::synthesize_strategy;
+use stalloc_core::{fingerprint_job, synthesize, Fingerprint, Plan, ProfiledRequests, SynthConfig};
 
 /// Cumulative memo counters for this process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +45,7 @@ pub fn planned(profile: &ProfiledRequests, config: &SynthConfig) -> Plan {
     }
     // Strategy-aware: a lineup asking for the portfolio gets the raced
     // winner, keyed by its own fingerprint.
-    let plan = synthesize_strategy(profile, config);
+    let plan = synthesize(profile, config);
     let mut s = state().lock().expect("plan cache lock");
     s.stats.synthesized += 1;
     s.memo.insert(fp, plan.clone());
@@ -86,7 +85,7 @@ mod tests {
         let after = stats();
 
         assert_eq!(a, b);
-        assert_eq!(a, synthesize_strategy(&profile, &config));
+        assert_eq!(a, synthesize(&profile, &config));
         // First call either synthesized or (if another test populated the
         // memo already) hit; the second call must be a memo hit.
         assert!(mid.synthesized + mid.memo_hits > before.synthesized + before.memo_hits);

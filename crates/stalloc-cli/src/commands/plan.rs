@@ -3,11 +3,11 @@
 //! `stalloc strategies`, the packers it can use.
 
 use stalloc_core::{
-    fingerprint_profile, Plan, PlanSource, ProfiledRequests, StrategyChoice, SynthConfig,
+    fingerprint_profile, registry, synthesize_reported, CandidateReport, Plan, PlanSource,
+    ProfiledRequests, StrategyChoice, SynthConfig,
 };
 use stalloc_obs::chrome::{merged_request_timeline, SpanView};
 use stalloc_served::PlanClient;
-use stalloc_solver::{registry, synthesize_strategy, Portfolio, PortfolioOutcome};
 use stalloc_store::{encode_plan, synthesize_cached, CacheOutcome, PlanStore};
 
 use super::Command;
@@ -222,25 +222,25 @@ fn plan_local(
 ) -> Result<Plan, String> {
     if let Some(dir) = cache {
         let store = PlanStore::open(dir).map_err(|e| e.to_string())?;
-        let (plan, fp, outcome) = synthesize_cached(profile, config, &store, synthesize_strategy)
-            .map_err(|e| e.to_string())?;
+        let (plan, fp, outcome) =
+            synthesize_cached(profile, config, &store).map_err(|e| e.to_string())?;
         match outcome {
             CacheOutcome::Hit => eprintln!("plan cache: hit {fp} — synthesis skipped"),
             CacheOutcome::Miss => eprintln!("plan cache: miss {fp} — synthesized and stored"),
         }
         Ok(plan)
-    } else if config.strategy == StrategyChoice::Portfolio {
-        let outcome = Portfolio::standard().run(profile, config);
-        report_portfolio(&outcome);
-        Ok(outcome.winner)
     } else {
-        Ok(synthesize_strategy(profile, config))
+        let (plan, candidates) = synthesize_reported(profile, config);
+        if config.strategy == StrategyChoice::Portfolio {
+            report_portfolio(&candidates);
+        }
+        Ok(plan)
     }
 }
 
 /// A local portfolio run reports every candidate, the winner marked.
-fn report_portfolio(outcome: &PortfolioOutcome) {
-    for c in &outcome.candidates {
+fn report_portfolio(candidates: &[CandidateReport]) {
+    for c in candidates {
         let verdict = if !c.valid {
             "invalid".to_string()
         } else {

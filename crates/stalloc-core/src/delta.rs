@@ -18,8 +18,8 @@
 //! The byte form of a [`ProfileDelta`] (`PROF-DELTA` v1, magic `PRFD`)
 //! lives in `stalloc-store::codec`, next to the `PROF` and `STPL`
 //! codecs; plan *patching* — reusing the base plan's placements for
-//! requests the script copies untouched — lives in
-//! `stalloc_solver::patch_plan`.
+//! requests the script copies untouched — is
+//! [`patch_plan`](crate::replan::patch_plan).
 
 use crate::fingerprint::{fingerprint_profile, Fingerprint};
 use crate::profiler::{InstanceKey, ProfiledRequests, RequestEvent};

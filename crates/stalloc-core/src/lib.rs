@@ -11,8 +11,10 @@
 //! * [`profiler`] (§4) characterizes every request of one training
 //!   iteration as `m = (s, tˢ, tᵉ, pˢ, pᵉ, dyn, lˢ, lᵉ)`;
 //! * [`plan`] (§5) synthesizes a near-optimal static layout (HomoPhase
-//!   groups, HomoSize memory-layers, gap insertion) plus Dynamic Reusable
-//!   Space for MoE-style dynamic requests;
+//!   groups, HomoSize memory-layers, gap insertion — or another row of
+//!   the strategy table, or the race of all of them) plus Dynamic
+//!   Reusable Space for MoE-style dynamic requests, and [`replan`]
+//!   patches a plan for a small profile edit;
 //! * [`runtime`] (§6) serves requests at the planned addresses with a
 //!   best-fit dynamic allocator over `A_a ∩ A_i` and a caching-allocator
 //!   fallback.
@@ -48,6 +50,7 @@ pub mod fingerprint;
 pub mod geometry;
 pub mod plan;
 pub mod profiler;
+pub mod replan;
 pub mod runtime;
 pub mod timeline;
 pub mod visualize;
@@ -63,10 +66,13 @@ pub use geometry::{
     best_fit_gap, window_end, IntervalSet, LiveSweep, Rect, TimeAxis, TimeSpacePacker,
 };
 pub use plan::{
-    baseline_layout, finish_plan, synthesize, DynGroup, DynamicPlan, Plan, PlanStats, PlannedAlloc,
-    StaticLayout, StrategyChoice, SynthConfig, SYNTH_ALGO_VERSION,
+    baseline_layout, finish_plan, registry, strategy_for, synthesize, synthesize_reported,
+    CandidateReport, DynGroup, DynamicPlan, Plan, PlanStats, PlannedAlloc, Portfolio,
+    PortfolioOutcome, SolverProfile, StaticLayout, Strategy, StrategyChoice, SynthConfig,
+    SYNTH_ALGO_VERSION,
 };
 pub use profiler::{profile_trace, InstanceKey, ProfileError, ProfiledRequests, RequestEvent};
+pub use replan::{patch_plan, ReplanError, ReplanStats};
 pub use runtime::{RuntimeConfig, RuntimeCounters, StallocAllocator};
 pub use timeline::{analyze_plan, render_svg, PlanTimeline, StrandedTensor, TimelineSample};
 pub use visualize::render_plan;
@@ -124,21 +130,6 @@ mod tests {
             "packing efficiency {:.3}",
             plan.stats.packing_efficiency()
         );
-    }
-
-    /// The pairing guard is an `assert!`, so `cargo test --release`
-    /// reaches it too: a baseline plan must never be returned (and then
-    /// cached) under another strategy's job fingerprint.
-    #[test]
-    #[should_panic(expected = "always runs the baseline pipeline")]
-    fn synthesize_refuses_a_non_baseline_config() {
-        let trace = job().build_trace().unwrap();
-        let profile = profile_trace(&trace, 1).unwrap();
-        let config = SynthConfig {
-            strategy: StrategyChoice::Portfolio,
-            ..SynthConfig::default()
-        };
-        synthesize(&profile, &config);
     }
 
     #[test]

@@ -5,16 +5,30 @@
 //! construction and gap insertion → absolute address assignment → Dynamic
 //! Reusable Space extraction. The paper's TMP-scored fusion of HomoPhase
 //! groups is not implemented (see [`phase_group`]).
+//!
+//! That pipeline is one row, `baseline`, of a [`strategy`] table of
+//! static layout functions; [`synthesize`] runs the row
+//! [`SynthConfig::strategy`] names, or races the whole table
+//! ([`portfolio`]) for [`StrategyChoice::Portfolio`] (ROAM and "Memory
+//! Planning for Deep Neural Networks" both report workload-dependent
+//! winners).
 
 pub mod dynamic;
 pub mod global;
+mod occupancy;
 pub mod phase_group;
+pub mod portfolio;
+pub mod profile;
+pub mod strategy;
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{first_conflict, window_end, Rect};
 use crate::profiler::ProfiledRequests;
 pub use dynamic::{DynGroup, DynamicPlan};
+pub use portfolio::{CandidateReport, Portfolio, PortfolioOutcome};
+pub use profile::SolverProfile;
+pub use strategy::{registry, strategy_for, Strategy};
 
 /// One planned static allocation: the runtime serves the k-th static
 /// request of the (init sequence | iteration sequence) at this offset.
@@ -50,13 +64,10 @@ impl PlannedAlloc {
 
 /// Which packing strategy produced (or should produce) a plan.
 ///
-/// The concrete packers live in `stalloc-solver`; this enum lives here
-/// because it travels everywhere a [`SynthConfig`] does — the job
-/// fingerprint, the wire protocol, and the binary plan codec all carry
-/// it. [`synthesize`] itself always runs the baseline pipeline; callers
-/// wanting another strategy (or the portfolio race) go through
-/// `stalloc_solver::synthesize_strategy`, which dispatches on
-/// [`SynthConfig::strategy`].
+/// It travels everywhere a [`SynthConfig`] does — the job fingerprint,
+/// the wire protocol, and the binary plan codec all carry it — and
+/// [`synthesize`] dispatches on it: a concrete choice runs its
+/// [`strategy`] row, `Portfolio` races them all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StrategyChoice {
     /// The paper pipeline: HomoPhase grouping → HomoSize layering with
@@ -273,9 +284,8 @@ pub struct SynthConfig {
     pub enable_gap_insertion: bool,
     /// Process size classes ascending instead of descending (ablation).
     pub ascending_sizes: bool,
-    /// Which packing strategy to run (part of the job fingerprint).
-    /// [`synthesize`] honours only `Baseline`; the solver crate's
-    /// `synthesize_strategy` dispatches the rest.
+    /// Which packing strategy [`synthesize`] runs (part of the job
+    /// fingerprint).
     pub strategy: StrategyChoice,
 }
 
@@ -390,27 +400,30 @@ pub fn finish_plan(
     }
 }
 
-/// Runs the full plan synthesis on a profile with the baseline pipeline.
-/// Strategy dispatch (and the portfolio race) lives in
-/// `stalloc_solver::synthesize_strategy`, which every cache/server/CLI
-/// path routes through.
-///
-/// # Panics
-///
-/// In every build profile, if [`SynthConfig::strategy`] is not
-/// `Baseline`: the job fingerprint hashes the strategy, so a baseline
-/// plan returned for another strategy's config would be cached under
-/// the wrong identity.
+/// Runs the full plan synthesis on a profile with the strategy
+/// [`SynthConfig::strategy`] names: a concrete strategy runs its row on
+/// the caller's thread, and [`Portfolio`](StrategyChoice::Portfolio)
+/// races the whole [`registry`] and returns the winner. A candidate
+/// must pass [`Plan::validate`] to win; if none does, the baseline
+/// pipeline answers. The job fingerprint hashes the strategy, so the
+/// plan is safe to store content-addressed.
 pub fn synthesize(profile: &ProfiledRequests, config: &SynthConfig) -> Plan {
-    assert_eq!(
-        config.strategy,
-        StrategyChoice::Baseline,
-        "synthesize() always runs the baseline pipeline; dispatch other \
-         strategies through stalloc_solver::synthesize_strategy"
-    );
-    finish_plan(
-        profile,
-        StrategyChoice::Baseline,
-        baseline_layout(profile, config),
-    )
+    synthesize_reported(profile, config).0
+}
+
+/// Like [`synthesize`], but also returns the per-strategy
+/// [`CandidateReport`]s behind the plan: a portfolio run reports every
+/// racer; a concrete strategy is a race of one and reports itself as
+/// the sole (winning) candidate. The serving path aggregates these into
+/// the `Metrics` verb's `solver` section.
+pub fn synthesize_reported(
+    profile: &ProfiledRequests,
+    config: &SynthConfig,
+) -> (Plan, Vec<CandidateReport>) {
+    let rows = match strategy_for(config.strategy) {
+        Some(row) => std::slice::from_ref(row),
+        None => registry().as_slice(),
+    };
+    let outcome = portfolio::race(rows, profile, config);
+    (outcome.winner, outcome.candidates)
 }

@@ -2,11 +2,11 @@
 //! cost set by the time window instead of by the pool.
 //!
 //! Both rows place out of arrival order, so the live-set sweep cannot
-//! serve them, and a [`TimeSpacePacker`](stalloc_core::TimeSpacePacker)
+//! serve them, and a [`TimeSpacePacker`](crate::geometry::TimeSpacePacker)
 //! query walks every placed rect: its index is ordered by offset, and its
 //! per-chunk time summaries do not prune. This tree indexes placements by
 //! time instead. Its leaves are the ranks of a
-//! [`TimeAxis`](stalloc_core::TimeAxis); a placement over ranks `k0..k1`
+//! [`TimeAxis`](crate::geometry::TimeAxis); a placement over ranks `k0..k1`
 //! is recorded at the O(log n) *canonical* nodes whose spans tile
 //! `k0..k1`, and each node holds two sorted, coalesced unions of `[off,
 //! end)` address ranges:
@@ -221,8 +221,9 @@ impl OccupancyTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::{best_fit_gap, Rect, TimeAxis, TimeSpacePacker};
+    use crate::profiler::RequestEvent;
     use proptest::prelude::*;
-    use stalloc_core::{best_fit_gap, Rect, RequestEvent, TimeAxis, TimeSpacePacker};
 
     fn req(size: u64, ts: u64, te: u64) -> RequestEvent {
         RequestEvent {

@@ -6,14 +6,43 @@
 //! fragmentation, strategy name)` — thread finishing order never
 //! influences the result. A race of one row (a concrete
 //! `SynthConfig::strategy`) runs inline on the caller's thread.
+//!
+//! # Example
+//!
+//! ```
+//! use stalloc_core::{profile_trace, synthesize, Portfolio, StrategyChoice, SynthConfig};
+//! use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
+//!
+//! let trace = TrainJob::new(
+//!     ModelSpec::gpt2_345m(),
+//!     ParallelConfig::new(1, 2, 1),
+//!     OptimConfig::naive(),
+//! )
+//! .with_mbs(1)
+//! .with_seq(256)
+//! .with_microbatches(2)
+//! .build_trace()
+//! .unwrap();
+//! let profile = profile_trace(&trace, 1).unwrap();
+//!
+//! let config = SynthConfig {
+//!     strategy: StrategyChoice::Portfolio,
+//!     ..SynthConfig::default()
+//! };
+//! let outcome = Portfolio::standard().run(&profile, &config);
+//! assert!(outcome.winner.validate().is_ok());
+//! // The portfolio can never lose to its own baseline member.
+//! let baseline = synthesize(&profile, &SynthConfig::default());
+//! assert!(outcome.winner.pool_size <= baseline.pool_size);
+//! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use stalloc_core::{Plan, ProfiledRequests, StrategyChoice, SynthConfig};
-
-use crate::profile::SolverProfile;
-use crate::strategy::{registry, Strategy};
+use crate::plan::profile::SolverProfile;
+use crate::plan::strategy::{registry, Strategy};
+use crate::plan::{baseline_layout, finish_plan, Plan, StrategyChoice, SynthConfig};
+use crate::profiler::ProfiledRequests;
 
 /// One strategy's result in a portfolio race.
 #[derive(Debug, Clone)]
@@ -149,14 +178,11 @@ pub(crate) fn race(
             results[ci].0.take().expect("a sound candidate has a plan")
         }
         // Every candidate failed — fall back to the baseline pipeline
-        // inline; it is the reference implementation. Normalized to the
-        // baseline strategy: synthesize() asserts the pairing.
-        None => stalloc_core::synthesize(
+        // inline, outside the race; it is the reference implementation.
+        None => finish_plan(
             profile,
-            &SynthConfig {
-                strategy: StrategyChoice::Baseline,
-                ..*config
-            },
+            StrategyChoice::Baseline,
+            baseline_layout(profile, config),
         ),
     };
     PortfolioOutcome { winner, candidates }
@@ -165,8 +191,8 @@ pub(crate) fn race(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::strategy_for;
-    use stalloc_core::StaticLayout;
+    use crate::plan::strategy::strategy_for;
+    use crate::plan::StaticLayout;
     use std::cell::Cell;
     use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -182,7 +208,7 @@ mod tests {
         .with_iterations(2)
         .build_trace()
         .unwrap();
-        stalloc_core::profile_trace(&trace, 1).unwrap()
+        crate::profile_trace(&trace, 1).unwrap()
     }
 
     #[test]
@@ -191,7 +217,7 @@ mod tests {
         let config = SynthConfig::default();
         let outcome = Portfolio::standard().run(&p, &config);
         outcome.winner.validate().unwrap();
-        let baseline = stalloc_core::synthesize(&p, &config);
+        let baseline = crate::synthesize(&p, &config);
         assert!(outcome.winner.pool_size <= baseline.pool_size);
         assert_eq!(outcome.candidates.len(), StrategyChoice::CONCRETE.len());
         assert_eq!(outcome.candidates.iter().filter(|c| c.winner).count(), 1);
@@ -221,7 +247,35 @@ mod tests {
         let a = Portfolio::standard().run(&p, &config);
         let b = Portfolio::standard().run(&p, &config);
         assert_eq!(a.winner, b.winner);
-        assert_eq!(a.winner.to_json(), b.winner.to_json());
+    }
+
+    /// `synthesize` runs what the config names: a concrete choice is its
+    /// own row alone, reported as the sole winner, and `Portfolio` is the
+    /// whole race.
+    #[test]
+    fn synthesize_honours_every_strategy_choice() {
+        let p = profile();
+        for strategy in StrategyChoice::ALL {
+            let config = SynthConfig {
+                strategy,
+                ..SynthConfig::default()
+            };
+            let (plan, reports) = crate::synthesize_reported(&p, &config);
+            assert_eq!(plan, crate::synthesize(&p, &config), "{strategy}");
+            assert_eq!(reports.iter().filter(|r| r.winner).count(), 1);
+            let Some(row) = strategy_for(strategy) else {
+                assert_eq!(plan, Portfolio::standard().run(&p, &config).winner);
+                assert_eq!(reports.len(), StrategyChoice::CONCRETE.len());
+                continue;
+            };
+            let [report] = &reports[..] else {
+                panic!("{strategy}: expected one report, got {reports:?}");
+            };
+            assert!(report.winner && report.valid, "{strategy}: {report:?}");
+            assert_eq!(report.strategy, strategy);
+            assert_eq!(report.pool_size, plan.pool_size);
+            assert_eq!(plan, row.plan_profiled(&p, &config).0, "{strategy}");
+        }
     }
 
     /// The one test that reaches the race's `catch_unwind`: a row whose

@@ -18,9 +18,11 @@
 //! planning, stats, and validation behave identically: a patched plan
 //! is a first-class [`Plan`], not a special case.
 
-use stalloc_core::{diff_profiles, finish_plan, EditOp, Plan, ProfiledRequests, TimeSpacePacker};
-
-use crate::strategy::{place_in_order, sort_largest_first};
+use crate::delta::{diff_profiles, EditOp};
+use crate::geometry::TimeSpacePacker;
+use crate::plan::strategy::{place_in_order, sort_largest_first};
+use crate::plan::{finish_plan, Plan};
+use crate::profiler::ProfiledRequests;
 
 /// What a [`patch_plan`] run did, for observability and regression
 /// bounds: how much of the base layout survived and how the footprint
@@ -188,7 +190,8 @@ pub fn patch_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stalloc_core::{profile_trace, RequestEvent, StrategyChoice, SynthConfig};
+    use crate::plan::{StrategyChoice, SynthConfig};
+    use crate::profiler::{profile_trace, RequestEvent};
     use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
     fn profile() -> ProfiledRequests {
@@ -208,7 +211,7 @@ mod tests {
     #[test]
     fn identity_patch_reuses_everything() {
         let base = profile();
-        let plan = crate::synthesize_strategy(&base, &SynthConfig::default());
+        let plan = crate::synthesize(&base, &SynthConfig::default());
         let (patched, stats) = patch_plan(&base, &plan, &base).unwrap();
         patched.validate().unwrap();
         assert_eq!(stats.repacked, 0);
@@ -226,7 +229,7 @@ mod tests {
     #[test]
     fn small_edit_patches_clean_and_mostly_reuses() {
         let base = profile();
-        let plan = crate::synthesize_strategy(&base, &SynthConfig::default());
+        let plan = crate::synthesize(&base, &SynthConfig::default());
         let mut next = base.clone();
         // Resize one activation and append a fresh scratch request.
         let i = next.init_count + 3;
@@ -263,7 +266,7 @@ mod tests {
                 strategy,
                 ..SynthConfig::default()
             };
-            let plan = crate::synthesize_strategy(&base, &config);
+            let plan = crate::synthesize(&base, &config);
             let (patched, stats) = patch_plan(&base, &plan, &next).unwrap();
             patched.validate().unwrap();
             assert_eq!(patched.stats.strategy, strategy);
@@ -274,7 +277,7 @@ mod tests {
     #[test]
     fn mismatched_plan_is_rejected() {
         let base = profile();
-        let plan = crate::synthesize_strategy(&base, &SynthConfig::default());
+        let plan = crate::synthesize(&base, &SynthConfig::default());
         let mut truncated = base.clone();
         truncated.statics.pop();
         assert!(matches!(

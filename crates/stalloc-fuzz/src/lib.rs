@@ -21,6 +21,8 @@
 //! Entry point: [`run`] with a [`FuzzConfig`]; the CLI front end is
 //! `stalloc fuzz --iters N --seed N --target prof|stpl|delta|frame|server|all`.
 
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
+
 pub mod corpus;
 pub mod coverage;
 pub mod minimize;
@@ -213,20 +215,26 @@ fn run_server_target(config: &FuzzConfig) -> TargetReport {
 }
 
 /// How one input fared, for the minimization predicate.
+#[derive(PartialEq)]
 enum Fate {
     Clean,
     Violation,
     Panic,
 }
 
-fn classify(target: FuzzTarget, bytes: &[u8], cov: &mut CoverageLedger) -> Fate {
-    let check = match target {
+/// The differential oracle a codec target's inputs run through.
+fn oracle_for(target: FuzzTarget) -> fn(&[u8], &mut CoverageLedger) -> Result<(), String> {
+    match target {
         FuzzTarget::Prof => oracle::check_prof,
         FuzzTarget::Stpl => oracle::check_stpl,
         FuzzTarget::Delta => oracle::check_delta,
         FuzzTarget::Frame => oracle::check_frame,
         FuzzTarget::Server => unreachable!("server target has no byte oracle"),
-    };
+    }
+}
+
+fn classify(target: FuzzTarget, bytes: &[u8], cov: &mut CoverageLedger) -> Fate {
+    let check = oracle_for(target);
     match std::panic::catch_unwind(AssertUnwindSafe(|| check(bytes, cov))) {
         Ok(Ok(())) => Fate::Clean,
         Ok(Err(_)) => Fate::Violation,
@@ -235,10 +243,6 @@ fn classify(target: FuzzTarget, bytes: &[u8], cov: &mut CoverageLedger) -> Fate 
 }
 
 fn run_codec_target(target: FuzzTarget, config: &FuzzConfig) -> TargetReport {
-    let required: &[&str] = match target {
-        FuzzTarget::Frame => oracle::REQUIRED_FRAME_VARIANTS,
-        _ => oracle::REQUIRED_CODEC_VARIANTS,
-    };
     let corpus_dir = config
         .corpus_dir
         .clone()
@@ -247,147 +251,135 @@ fn run_codec_target(target: FuzzTarget, config: &FuzzConfig) -> TargetReport {
         .failure_dir
         .clone()
         .unwrap_or_else(|| PathBuf::from("target/fuzz-failures"));
-
-    let mut cov = CoverageLedger::new();
-    let mut executed = 0u64;
-    let mut panics = 0u64;
-    let mut violations: Vec<String> = Vec::new();
-    let mut failure_no = 0u32;
-
-    let handle_input = |bytes: &[u8],
-                        origin: &str,
-                        cov: &mut CoverageLedger,
-                        panics: &mut u64,
-                        violations: &mut Vec<String>,
-                        failure_no: &mut u32| {
-        let check = match target {
-            FuzzTarget::Prof => oracle::check_prof,
-            FuzzTarget::Stpl => oracle::check_stpl,
-            FuzzTarget::Delta => oracle::check_delta,
-            FuzzTarget::Frame => oracle::check_frame,
-            FuzzTarget::Server => unreachable!(),
-        };
-        match std::panic::catch_unwind(AssertUnwindSafe(|| check(bytes, cov))) {
-            Ok(Ok(())) => {}
-            Ok(Err(msg)) => {
-                let min = minimize::minimize_bytes(
-                    bytes,
-                    |cand| {
-                        let mut scratch = CoverageLedger::new();
-                        matches!(classify(target, cand, &mut scratch), Fate::Violation)
-                    },
-                    2_000,
-                );
-                let path = persist_failure(&failure_dir, target, *failure_no, &min);
-                *failure_no += 1;
-                if violations.len() < 8 {
-                    violations.push(format!(
-                        "{origin}: {msg} (minimized to {} bytes{path})",
-                        min.len()
-                    ));
-                }
-            }
-            Err(_) => {
-                *panics += 1;
-                let min = minimize::minimize_bytes(
-                    bytes,
-                    |cand| {
-                        let mut scratch = CoverageLedger::new();
-                        matches!(classify(target, cand, &mut scratch), Fate::Panic)
-                    },
-                    2_000,
-                );
-                let path = persist_failure(&failure_dir, target, *failure_no, &min);
-                *failure_no += 1;
-                if violations.len() < 8 {
-                    violations.push(format!(
-                        "{origin}: decoder panicked (minimized to {} bytes{path})",
-                        min.len()
-                    ));
-                }
-            }
-        }
-    };
+    let mut run = CodecRun::new(target, failure_dir);
 
     // 1. Replay the committed regression corpus — every required variant
     //    is exercised before a single mutation runs.
     let committed = corpus::committed_seeds(&corpus_dir, target);
     for (path, bytes) in &committed {
-        handle_input(
-            bytes,
-            &format!("corpus {}", path.display()),
-            &mut cov,
-            &mut panics,
-            &mut violations,
-            &mut failure_no,
-        );
-        executed += 1;
+        run.execute(bytes, &format!("corpus {}", path.display()));
     }
 
     // 2. Runtime zoo seeds: large valid artifacts for the oracles and as
     //    mutation base material.
     let seeds = corpus::runtime_seeds(target);
     for (i, bytes) in seeds.iter().enumerate() {
-        handle_input(
-            bytes,
-            &format!("zoo seed {i}"),
-            &mut cov,
-            &mut panics,
-            &mut violations,
-            &mut failure_no,
-        );
-        executed += 1;
+        run.execute(bytes, &format!("zoo seed {i}"));
     }
 
-    // 3. The mutation loop. Pool evolves: inputs reaching new decoder
-    //    branches join the base material (classic coverage-guided shape,
-    //    with the typed-rejection ledger standing in for edge coverage).
-    let mut pool: Vec<Vec<u8>> = committed.into_iter().map(|(_, b)| b).chain(seeds).collect();
-    if pool.is_empty() {
-        pool.push(Vec::new());
-    }
-    let mut mutator = Mutator::new(config.seed ^ fnv1a(target.name().as_bytes()));
-    for i in 0..config.iters {
-        let pick = pool[mutator.pick_index(pool.len())].clone();
-        // Every 8th mutant is structure-aware: decode → tweak → re-encode
-        // keeps it on the valid path, where the differential oracles live.
-        let input = if i % 8 == 3 {
-            match target {
-                FuzzTarget::Prof => mutate::structured_profile_mutant(&mut mutator, &pick),
-                FuzzTarget::Stpl => mutate::structured_plan_mutant(&mut mutator, &pick),
-                FuzzTarget::Delta => mutate::structured_delta_mutant(&mut mutator, &pick),
-                _ => None,
-            }
-            .unwrap_or_else(|| mutator.mutate(&pick))
-        } else {
-            mutator.mutate(&pick)
-        };
+    // 3. The mutation loop, from everything above.
+    let pool = committed.into_iter().map(|(_, b)| b).chain(seeds).collect();
+    run.mutate_from(pool, config);
+    run.report()
+}
 
-        // Peek at coverage growth to decide pool admission.
-        let before = (cov.variants(), cov.contexts());
-        handle_input(
-            &input,
-            &format!("iter {i}"),
-            &mut cov,
-            &mut panics,
-            &mut violations,
-            &mut failure_no,
-        );
-        executed += 1;
-        if (cov.variants(), cov.contexts()) != before && pool.len() < 256 {
-            pool.push(input);
+/// One codec target's run: the coverage ledger, and what failed so far.
+struct CodecRun {
+    target: FuzzTarget,
+    failure_dir: PathBuf,
+    cov: CoverageLedger,
+    executed: u64,
+    panics: u64,
+    violations: Vec<String>,
+    failure_no: u32,
+}
+
+impl CodecRun {
+    fn new(target: FuzzTarget, failure_dir: PathBuf) -> Self {
+        CodecRun {
+            target,
+            failure_dir,
+            cov: CoverageLedger::new(),
+            executed: 0,
+            panics: 0,
+            violations: Vec::new(),
+            failure_no: 0,
         }
     }
 
-    TargetReport {
-        target: target.name(),
-        executed,
-        ok_decodes: cov.ok_decodes(),
-        panics,
-        violations,
-        missing_variants: cov.missing(required),
-        variants_seen: cov.variants(),
-        branches_seen: cov.contexts(),
+    /// Runs one input through the target's oracle. A violation or a
+    /// panic is minimized (to an input that fails the same way),
+    /// persisted and reported.
+    fn execute(&mut self, bytes: &[u8], origin: &str) {
+        self.executed += 1;
+        let check = oracle_for(self.target);
+        let cov = &mut self.cov;
+        let (fate, what) = match std::panic::catch_unwind(AssertUnwindSafe(|| check(bytes, cov))) {
+            Ok(Ok(())) => return,
+            Ok(Err(msg)) => (Fate::Violation, msg),
+            Err(_) => {
+                self.panics += 1;
+                (Fate::Panic, "decoder panicked".to_string())
+            }
+        };
+        let target = self.target;
+        let min = minimize::minimize_bytes(
+            bytes,
+            |cand| {
+                let mut scratch = CoverageLedger::new();
+                classify(target, cand, &mut scratch) == fate
+            },
+            2_000,
+        );
+        let path = persist_failure(&self.failure_dir, target, self.failure_no, &min);
+        self.failure_no += 1;
+        if self.violations.len() < 8 {
+            self.violations.push(format!(
+                "{origin}: {what} (minimized to {} bytes{path})",
+                min.len()
+            ));
+        }
+    }
+
+    /// The mutation loop. The pool evolves: inputs reaching new decoder
+    /// branches join the base material (classic coverage-guided shape,
+    /// with the typed-rejection ledger standing in for edge coverage).
+    fn mutate_from(&mut self, mut pool: Vec<Vec<u8>>, config: &FuzzConfig) {
+        let target = self.target;
+        if pool.is_empty() {
+            pool.push(Vec::new());
+        }
+        let mut mutator = Mutator::new(config.seed ^ fnv1a(target.name().as_bytes()));
+        for i in 0..config.iters {
+            let pick = pool[mutator.pick_index(pool.len())].clone();
+            // Every 8th mutant is structure-aware: decode → tweak → re-encode
+            // keeps it on the valid path, where the differential oracles live.
+            let input = if i % 8 == 3 {
+                match target {
+                    FuzzTarget::Prof => mutate::structured_profile_mutant(&mut mutator, &pick),
+                    FuzzTarget::Stpl => mutate::structured_plan_mutant(&mut mutator, &pick),
+                    FuzzTarget::Delta => mutate::structured_delta_mutant(&mut mutator, &pick),
+                    _ => None,
+                }
+                .unwrap_or_else(|| mutator.mutate(&pick))
+            } else {
+                mutator.mutate(&pick)
+            };
+
+            // Peek at coverage growth to decide pool admission.
+            let before = (self.cov.variants(), self.cov.contexts());
+            self.execute(&input, &format!("iter {i}"));
+            if (self.cov.variants(), self.cov.contexts()) != before && pool.len() < 256 {
+                pool.push(input);
+            }
+        }
+    }
+
+    fn report(self) -> TargetReport {
+        let required: &[&str] = match self.target {
+            FuzzTarget::Frame => oracle::REQUIRED_FRAME_VARIANTS,
+            _ => oracle::REQUIRED_CODEC_VARIANTS,
+        };
+        TargetReport {
+            target: self.target.name(),
+            executed: self.executed,
+            ok_decodes: self.cov.ok_decodes(),
+            panics: self.panics,
+            violations: self.violations,
+            missing_variants: self.cov.missing(required),
+            variants_seen: self.cov.variants(),
+            branches_seen: self.cov.contexts(),
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 use crate::mutate::Mutator;
 use rand::{Rng, SeedableRng, StdRng};
 use stalloc_core::wire::{PlanEncoding, PlanRequest, PlanResponse, WireErrorKind};
-use stalloc_core::{diff_profiles, fingerprint_job, SynthConfig};
-use stalloc_served::{read_frame, write_frame, PlanServer, ServeConfig};
+use stalloc_core::{diff_profiles, fingerprint_job, ProfiledRequests, SynthConfig};
+use stalloc_served::{read_frame, write_frame, PlanServer, ServeConfig, ServeError, ServerHandle};
 use stalloc_store::{encode_profile, encode_profile_delta};
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -45,7 +45,35 @@ pub struct ServerFuzzOutcome {
 /// Runs the loopback harness for `iters` scenarios (capped at 256 — each
 /// is a real TCP round trip). Deterministic for a given seed.
 pub fn fuzz_server(iters: u64, seed: u64) -> ServerFuzzOutcome {
-    let handle = match PlanServer::start(ServeConfig {
+    let handle = match start_server() {
+        Ok(h) => h,
+        Err(e) => {
+            return ServerFuzzOutcome {
+                executed: 0,
+                violations: vec![format!("server failed to start: {e}")],
+                missing: REQUIRED_RESPONSES.iter().map(|s| s.to_string()).collect(),
+            }
+        }
+    };
+    let fixture = Fixture::new(seed);
+    let n = iters.clamp(1, 256);
+    let (seen, violations) = run_scenarios(handle.addr(), n, seed, &fixture);
+    handle.shutdown();
+    let missing = REQUIRED_RESPONSES
+        .iter()
+        .filter(|r| !seen.contains(**r))
+        .map(|r| r.to_string())
+        .collect();
+    ServerFuzzOutcome {
+        executed: n,
+        violations,
+        missing,
+    }
+}
+
+/// The daemon under test: loopback, two workers, no disk store.
+fn start_server() -> Result<ServerHandle, ServeError> {
+    PlanServer::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
@@ -58,75 +86,102 @@ pub fn fuzz_server(iters: u64, seed: u64) -> ServerFuzzOutcome {
         trace_log_max_bytes: None,
         slowest: 16,
         metrics_addr: None,
-    }) {
-        Ok(h) => h,
-        Err(e) => {
-            return ServerFuzzOutcome {
-                executed: 0,
-                violations: vec![format!("server failed to start: {e}")],
-                missing: REQUIRED_RESPONSES.iter().map(|s| s.to_string()).collect(),
-            }
-        }
-    };
-    let addr = handle.addr();
-
-    // One tiny job, synthesized once server-side then a cache hit.
-    let profile = crate::corpus::zoo_profile(0);
-    let config = SynthConfig::default();
-    let expected_fp = fingerprint_job(&profile, &config).to_hex();
-    let prof_bytes = encode_profile(&profile);
-    // Deterministic trace ids: the seed frames carry a wire trace
-    // context so mutation probes the trace-field decode path too.
-    let ids = stalloc_obs::IdGen::seeded(seed ^ 0x7ace_7ace);
-    let plan_req = serde_json::to_string(&PlanRequest::Plan {
-        profile: profile.clone(),
-        config,
-        encoding: Some(PlanEncoding::Json),
-        trace: Some(ids.root().child(&ids)),
     })
-    .expect("request serializes")
-    .into_bytes();
-    let mut framed_plan_req = Vec::new();
-    write_frame(&mut framed_plan_req, &plan_req).expect("vec write");
-    // Every verb the protocol knows is a mutation seed: corruption near a
-    // short `Metrics`/`Ping` frame probes different decoder branches
-    // than the big `Plan` payload does.
-    // The delta family member the PlanDelta scenarios plan: a couple of
-    // grown activations against the base profile above.
-    let next_profile = {
-        let mut p = profile.clone();
-        for r in p.statics.iter_mut().skip(p.init_count).take(2) {
-            r.size += 4096;
-        }
-        p
-    };
-    let delta_bytes = encode_profile_delta(&diff_profiles(&profile, &next_profile));
-    let mut seeds: Vec<Vec<u8>> = vec![framed_plan_req];
-    for verb in [
-        PlanRequest::Metrics,
-        PlanRequest::Ping,
-        PlanRequest::TraceGet {
-            trace_id: ids.root().trace_hex(),
-        },
-        // The PlanDelta header + its PRFD frame as one stream: mutation
-        // probes both the header decode and the edit-script decode.
-        PlanRequest::PlanDelta {
+}
+
+/// What the scenarios send: one tiny job (synthesized once server-side,
+/// then a cache hit), its delta family member, and the framed mutation
+/// seeds.
+struct Fixture {
+    profile: ProfiledRequests,
+    config: SynthConfig,
+    expected_fp: String,
+    prof_bytes: Vec<u8>,
+    ids: stalloc_obs::IdGen,
+    plan_req: Vec<u8>,
+    next_profile: ProfiledRequests,
+    delta_bytes: Vec<u8>,
+    seeds: Vec<Vec<u8>>,
+}
+
+impl Fixture {
+    fn new(seed: u64) -> Self {
+        let profile = crate::corpus::zoo_profile(0);
+        let config = SynthConfig::default();
+        let expected_fp = fingerprint_job(&profile, &config).to_hex();
+        let prof_bytes = encode_profile(&profile);
+        // Deterministic trace ids: the seed frames carry a wire trace
+        // context so mutation probes the trace-field decode path too.
+        let ids = stalloc_obs::IdGen::seeded(seed ^ 0x7ace_7ace);
+        let plan_req = serde_json::to_string(&PlanRequest::Plan {
+            profile: profile.clone(),
             config,
             encoding: Some(PlanEncoding::Json),
-            bytes: delta_bytes.len() as u64,
-            trace: None,
-        },
-    ] {
-        let mut framed = Vec::new();
-        let payload = serde_json::to_string(&verb).expect("verb serializes");
-        write_frame(&mut framed, payload.as_bytes()).expect("vec write");
-        if matches!(verb, PlanRequest::PlanDelta { .. }) {
-            write_frame(&mut framed, &delta_bytes).expect("vec write");
+            trace: Some(ids.root().child(&ids)),
+        })
+        .expect("request serializes")
+        .into_bytes();
+        let mut framed_plan_req = Vec::new();
+        write_frame(&mut framed_plan_req, &plan_req).expect("vec write");
+        // Every verb the protocol knows is a mutation seed: corruption near a
+        // short `Metrics`/`Ping` frame probes different decoder branches
+        // than the big `Plan` payload does.
+        // The delta family member the PlanDelta scenarios plan: a couple of
+        // grown activations against the base profile above.
+        let next_profile = {
+            let mut p = profile.clone();
+            for r in p.statics.iter_mut().skip(p.init_count).take(2) {
+                r.size += 4096;
+            }
+            p
+        };
+        let delta_bytes = encode_profile_delta(&diff_profiles(&profile, &next_profile));
+        let mut seeds: Vec<Vec<u8>> = vec![framed_plan_req];
+        for verb in [
+            PlanRequest::Metrics,
+            PlanRequest::Ping,
+            PlanRequest::TraceGet {
+                trace_id: ids.root().trace_hex(),
+            },
+            // The PlanDelta header + its PRFD frame as one stream: mutation
+            // probes both the header decode and the edit-script decode.
+            PlanRequest::PlanDelta {
+                config,
+                encoding: Some(PlanEncoding::Json),
+                bytes: delta_bytes.len() as u64,
+                trace: None,
+            },
+        ] {
+            let mut framed = Vec::new();
+            let payload = serde_json::to_string(&verb).expect("verb serializes");
+            write_frame(&mut framed, payload.as_bytes()).expect("vec write");
+            if matches!(verb, PlanRequest::PlanDelta { .. }) {
+                write_frame(&mut framed, &delta_bytes).expect("vec write");
+            }
+            seeds.push(framed);
         }
-        seeds.push(framed);
+        Fixture {
+            profile,
+            config,
+            expected_fp,
+            prof_bytes,
+            ids,
+            plan_req,
+            next_profile,
+            delta_bytes,
+            seeds,
+        }
     }
+}
 
-    let n = iters.clamp(1, 256);
+/// Runs `n` seeded scenarios against the server at `addr`; returns the
+/// response shapes seen and the first few violations.
+fn run_scenarios(
+    addr: SocketAddr,
+    n: u64,
+    seed: u64,
+    fx: &Fixture,
+) -> (BTreeSet<String>, Vec<String>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5e4e_5e4e);
     let mut mutator = Mutator::new(seed ^ 0x00ba_df00);
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -134,24 +189,31 @@ pub fn fuzz_server(iters: u64, seed: u64) -> ServerFuzzOutcome {
 
     for i in 0..n {
         let scenario = rng.gen_range(0u32..10);
+        let seen = &mut seen;
         let result = match scenario {
-            0 => garbage_then_recover(addr, &mut mutator, &seeds, &mut seen),
-            1 => bad_payload_is_typed(addr, &mut seen),
-            2 => oversized_header_is_typed(addr, &mut seen),
-            3 => corrupt_profile_keeps_connection(addr, &prof_bytes, &config, &mut seen),
-            4 => valid_plan_request(addr, &plan_req, &expected_fp, &mut seen),
-            5 => metrics_is_consistent(addr, &plan_req, &mut seen),
-            6 => valid_profile_bin(addr, &prof_bytes, &config, &expected_fp, &mut seen),
+            0 => garbage_then_recover(addr, &mut mutator, &fx.seeds, seen),
+            1 => bad_payload_is_typed(addr, seen),
+            2 => oversized_header_is_typed(addr, seen),
+            3 => corrupt_profile_keeps_connection(addr, &fx.prof_bytes, &fx.config, seen),
+            4 => valid_plan_request(addr, &fx.plan_req, &fx.expected_fp, seen),
+            5 => metrics_is_consistent(addr, &fx.plan_req, seen),
+            6 => valid_profile_bin(addr, &fx.prof_bytes, &fx.config, &fx.expected_fp, seen),
             7 => plan_delta_patches(
                 addr,
-                &plan_req,
-                &next_profile,
-                &delta_bytes,
-                &config,
-                &mut seen,
+                &fx.plan_req,
+                &fx.next_profile,
+                &fx.delta_bytes,
+                &fx.config,
+                seen,
             ),
-            8 => delta_unknown_base_is_not_found(addr, &profile, &next_profile, &config, &mut seen),
-            _ => trace_get_finds_the_span(addr, &profile, &config, &ids, &mut seen),
+            8 => delta_unknown_base_is_not_found(
+                addr,
+                &fx.profile,
+                &fx.next_profile,
+                &fx.config,
+                seen,
+            ),
+            _ => trace_get_finds_the_span(addr, &fx.profile, &fx.config, &fx.ids, seen),
         };
         if let Err(v) = result {
             violations.push(format!("iter {i} scenario {scenario}: {v}"));
@@ -160,18 +222,7 @@ pub fn fuzz_server(iters: u64, seed: u64) -> ServerFuzzOutcome {
             }
         }
     }
-
-    handle.shutdown();
-    let missing = REQUIRED_RESPONSES
-        .iter()
-        .filter(|r| !seen.contains(**r))
-        .map(|r| r.to_string())
-        .collect();
-    ServerFuzzOutcome {
-        executed: n,
-        violations,
-        missing,
-    }
+    (seen, violations)
 }
 
 fn connect(addr: SocketAddr) -> Result<TcpStream, String> {

@@ -12,7 +12,8 @@
 //!   bounded accept queue with `Busy` backpressure, four tiers walked in
 //!   order (sharded in-process LRU → shared disk store → in-process
 //!   patch of a cached base plan for `PlanDelta` → strategy-aware
-//!   synthesis via `stalloc_solver`, portfolio included), and
+//!   synthesis via `stalloc_core::synthesize_reported`, portfolio
+//!   included), and
 //!   single-flight deduplication of concurrent identical jobs. Binary
 //!   (`ProfileBin`) requests are fingerprinted from their canonical
 //!   `PROF` bytes, so a cache hit never decodes the profile; cache

@@ -38,13 +38,13 @@ use stalloc_core::wire::{
     SolverStrategyMetrics, WireErrorKind,
 };
 use stalloc_core::{
-    apply_delta, BodyDigest, Fingerprint, Plan, ProfiledRequests, StrategyChoice, SynthConfig,
+    apply_delta, patch_plan, synthesize_reported, BodyDigest, CandidateReport, Fingerprint, Plan,
+    ProfiledRequests, StrategyChoice, SynthConfig,
 };
 use stalloc_obs::{
     parse_trace_id, IdGen, LatencyHistogram, Phase, RequestSpan, ShardedCounter, SpanRing,
     SpanSnapshot, TraceLog, PHASE_COUNT,
 };
-use stalloc_solver::{patch_plan, synthesize_strategy_reported, CandidateReport};
 use stalloc_store::{
     decode_profile, decode_profile_delta, encode_plan, encode_profile, profile_body, PlanStore,
     ShardedLru,
@@ -1394,12 +1394,12 @@ fn synthesis_tier(job: &Job, shared: &Shared, span: &mut RequestSpan) -> Result<
     // Leader: synthesize behind a panic guard — a worker must survive any
     // pathological profile. (Followers are safe either way: whatever
     // unwinds from here on, `leader` lands the flight as it drops.)
-    // `synthesize_strategy_reported` honours the request's strategy
-    // choice, including the portfolio race, and its candidate reports
-    // feed the per-strategy solver aggregates.
+    // `synthesize_reported` honours the request's strategy choice,
+    // including the portfolio race, and its candidate reports feed the
+    // per-strategy solver aggregates.
     let synth_start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        synthesize_strategy_reported(profile, &job.config)
+        synthesize_reported(profile, &job.config)
     }))
     .map(|(plan, reports)| {
         shared.obs.solver.record(&reports);

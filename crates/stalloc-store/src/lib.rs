@@ -50,15 +50,12 @@
 //! let plan = synthesize(&profile, &SynthConfig::default());
 //! let bytes = encode_plan(&plan);
 //! assert_eq!(decode_plan(&bytes).unwrap(), plan);
-//! assert!(bytes.len() < plan.to_json().len() / 4);
 //!
 //! // Cached planning: second call skips synthesis.
 //! let dir = std::env::temp_dir().join(format!("stalloc-doc-{}", std::process::id()));
 //! let store = PlanStore::open(&dir).unwrap();
-//! let (_, _, first) =
-//!     synthesize_cached(&profile, &SynthConfig::default(), &store, synthesize).unwrap();
-//! let (_, _, second) =
-//!     synthesize_cached(&profile, &SynthConfig::default(), &store, synthesize).unwrap();
+//! let (_, _, first) = synthesize_cached(&profile, &SynthConfig::default(), &store).unwrap();
+//! let (_, _, second) = synthesize_cached(&profile, &SynthConfig::default(), &store).unwrap();
 //! assert_eq!(first, CacheOutcome::Miss);
 //! assert_eq!(second, CacheOutcome::Hit);
 //! std::fs::remove_dir_all(&dir).ok();

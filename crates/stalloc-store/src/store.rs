@@ -18,8 +18,8 @@
 //! without a lock.
 //!
 //! [`synthesize_cached`] is the integration point: look the job up by
-//! fingerprint, and only on a miss run the (comparatively expensive) plan
-//! synthesizer and persist the result. Corrupt or unreadable cache
+//! fingerprint, and only on a miss run the (comparatively expensive)
+//! [`synthesize`] and persist the result. Corrupt or unreadable cache
 //! entries are treated as misses and overwritten, so the cache is
 //! self-healing.
 
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, UNIX_EPOCH};
 
-use stalloc_core::plan::{Plan, SynthConfig};
+use stalloc_core::plan::{synthesize, Plan, SynthConfig};
 use stalloc_core::{fingerprint_job, Fingerprint, ProfiledRequests};
 
 use crate::codec::{decode_plan, encode_plan, CodecError};
@@ -376,25 +376,18 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// Plans a job through the cache: O(1) fingerprint lookup on a hit, full
-/// synthesis + [`PlanStore::put`] on a miss. A corrupt, unreadable, or
-/// decodable-but-unsound entry counts as a miss and is overwritten.
+/// Plans a job through the cache: O(1) fingerprint lookup on a hit,
+/// [`synthesize`] + [`PlanStore::put`] on a miss. A corrupt, unreadable,
+/// or decodable-but-unsound entry counts as a miss and is overwritten.
 ///
-/// The synthesizer is *injected*: this crate is the artifact layer and
-/// deliberately does not know how plans are computed (`stalloc-core`'s
-/// `synthesize`, `stalloc-solver`'s strategy-aware
-/// `synthesize_strategy`, a test stub — the caller decides). The
-/// fingerprint incorporates every [`SynthConfig`] switch including the
-/// strategy, so a job planned by the portfolio and the same profile
-/// planned by one concrete strategy are distinct cache entries that can
-/// never serve each other — but only if `synth` itself honours
-/// `config.strategy`; callers with the solver in scope should pass
-/// `stalloc_solver::synthesize_strategy`.
+/// The fingerprint incorporates every [`SynthConfig`] switch including
+/// the strategy, and `synthesize` honours it, so a job planned by the
+/// portfolio and the same profile planned by one concrete strategy are
+/// distinct cache entries that can never serve each other.
 pub fn synthesize_cached(
     profile: &ProfiledRequests,
     config: &SynthConfig,
     store: &PlanStore,
-    synth: impl FnOnce(&ProfiledRequests, &SynthConfig) -> Plan,
 ) -> Result<(Plan, Fingerprint, CacheOutcome), StoreError> {
     let fp = fingerprint_job(profile, config);
     // A bit flip past the header can decode to a *different* plan, so a
@@ -404,7 +397,7 @@ pub fn synthesize_cached(
             return Ok((plan, fp, CacheOutcome::Hit));
         }
     }
-    let plan = synth(profile, config);
+    let plan = synthesize(profile, config);
     store.put(fp, &plan)?;
     Ok((plan, fp, CacheOutcome::Miss))
 }
@@ -460,11 +453,9 @@ mod tests {
         let p = profile();
         let config = SynthConfig::default();
 
-        let (plan1, fp1, out1) =
-            synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
+        let (plan1, fp1, out1) = synthesize_cached(&p, &config, &store).unwrap();
         assert_eq!(out1, CacheOutcome::Miss);
-        let (plan2, fp2, out2) =
-            synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
+        let (plan2, fp2, out2) = synthesize_cached(&p, &config, &store).unwrap();
         assert_eq!(out2, CacheOutcome::Hit);
         assert_eq!(fp1, fp2);
         assert_eq!(plan1, plan2);
@@ -474,8 +465,7 @@ mod tests {
             enable_gap_insertion: false,
             ..config
         };
-        let (_, fp3, out3) =
-            synthesize_cached(&p, &other, &store, stalloc_core::synthesize).unwrap();
+        let (_, fp3, out3) = synthesize_cached(&p, &other, &store).unwrap();
         assert_eq!(out3, CacheOutcome::Miss);
         assert_ne!(fp1, fp3);
         assert_eq!(store.entries().unwrap().len(), 2);
@@ -486,10 +476,8 @@ mod tests {
     #[test]
     fn strategies_key_distinct_cache_entries() {
         // The strategy choice is part of the fingerprint, so a portfolio
-        // job and a baseline job are distinct cache entries even when
-        // the injected synthesizer is the same. (End-to-end coverage
-        // with the real solver dispatch lives in `tests/determinism.rs`,
-        // above this crate in the DAG.)
+        // job and a baseline job are distinct cache entries, and the
+        // portfolio entry holds the race's winner.
         use stalloc_core::StrategyChoice;
         let store = temp_store("strategies");
         let p = profile();
@@ -499,51 +487,24 @@ mod tests {
             strategy: StrategyChoice::Portfolio,
             ..SynthConfig::default()
         };
-        // `stalloc_core::synthesize` only runs the baseline pipeline;
-        // stand in for the solver's dispatch by normalizing the strategy
-        // (the real dispatch is exercised in `tests/determinism.rs`).
-        let stub = |p: &ProfiledRequests, c: &SynthConfig| {
-            stalloc_core::synthesize(
-                p,
-                &SynthConfig {
-                    strategy: StrategyChoice::Baseline,
-                    ..*c
-                },
-            )
-        };
-        let (base_plan, base_fp, o1) = synthesize_cached(&p, &base_cfg, &store, stub).unwrap();
-        let (port_plan, port_fp, o2) = synthesize_cached(&p, &port_cfg, &store, stub).unwrap();
+        let (base_plan, base_fp, o1) = synthesize_cached(&p, &base_cfg, &store).unwrap();
+        let (port_plan, port_fp, o2) = synthesize_cached(&p, &port_cfg, &store).unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Miss);
         assert_ne!(base_fp, port_fp);
         assert_eq!(store.entries().unwrap().len(), 2);
         assert_eq!(base_plan.stats.strategy, StrategyChoice::Baseline);
+        assert_eq!(port_plan, stalloc_core::synthesize(&p, &port_cfg));
+        assert!(StrategyChoice::CONCRETE.contains(&port_plan.stats.strategy));
+        assert_eq!(store.get(port_fp).unwrap(), Some(port_plan.clone()));
 
         // Both entries hit on repeat, returning the identical plan.
-        let (again, _, o3) =
-            synthesize_cached(&p, &port_cfg, &store, stalloc_core::synthesize).unwrap();
+        let (again, _, o3) = synthesize_cached(&p, &port_cfg, &store).unwrap();
         assert_eq!(o3, CacheOutcome::Hit);
         assert_eq!(again, port_plan);
-
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn injected_synthesizer_runs_only_on_miss() {
-        use std::cell::Cell;
-        let store = temp_store("inject");
-        let p = profile();
-        let config = SynthConfig::default();
-        let calls = Cell::new(0u32);
-        let synth = |profile: &ProfiledRequests, config: &SynthConfig| {
-            calls.set(calls.get() + 1);
-            stalloc_core::synthesize(profile, config)
-        };
-
-        synthesize_cached(&p, &config, &store, synth).unwrap();
-        assert_eq!(calls.get(), 1);
-        synthesize_cached(&p, &config, &store, synth).unwrap();
-        assert_eq!(calls.get(), 1, "a hit must not run the synthesizer");
+        let (again, _, o4) = synthesize_cached(&p, &base_cfg, &store).unwrap();
+        assert_eq!(o4, CacheOutcome::Hit);
+        assert_eq!(again, base_plan);
 
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -553,8 +514,7 @@ mod tests {
         let store = temp_store("rawbytes");
         let p = profile();
         let config = SynthConfig::default();
-        let (plan, fp, _) =
-            synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
+        let (plan, fp, _) = synthesize_cached(&p, &config, &store).unwrap();
 
         let (decoded, bytes) = store.get_with_bytes(fp).unwrap().unwrap();
         assert_eq!(decoded, plan);
@@ -577,12 +537,11 @@ mod tests {
         let store = temp_store("heal");
         let p = profile();
         let config = SynthConfig::default();
-        let (_, fp, _) = synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
+        let (_, fp, _) = synthesize_cached(&p, &config, &store).unwrap();
 
         fs::write(store.plan_path(fp), b"garbage").unwrap();
         assert!(store.get(fp).is_err(), "corrupt artifact surfaces as error");
-        let (plan, _, outcome) =
-            synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
+        let (plan, _, outcome) = synthesize_cached(&p, &config, &store).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(store.get(fp).unwrap(), Some(plan));
 
@@ -594,7 +553,7 @@ mod tests {
         let store = temp_store("gc");
         let p = profile();
         let config = SynthConfig::default();
-        let (_, fp, _) = synthesize_cached(&p, &config, &store, stalloc_core::synthesize).unwrap();
+        let (_, fp, _) = synthesize_cached(&p, &config, &store).unwrap();
 
         // A valid artifact nobody `put` (say, copied in from another
         // store), a garbage artifact, and a temp file.
@@ -727,13 +686,7 @@ mod tests {
     fn clear_empties_the_store() {
         let store = temp_store("clear");
         let p = profile();
-        synthesize_cached(
-            &p,
-            &SynthConfig::default(),
-            &store,
-            stalloc_core::synthesize,
-        )
-        .unwrap();
+        synthesize_cached(&p, &SynthConfig::default(), &store).unwrap();
         synthesize_cached(
             &p,
             &SynthConfig {
@@ -741,7 +694,6 @@ mod tests {
                 ..SynthConfig::default()
             },
             &store,
-            stalloc_core::synthesize,
         )
         .unwrap();
         let in_flight = store.dir().join(".tmp-1-0");

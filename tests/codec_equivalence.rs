@@ -26,10 +26,9 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use stalloc_core::plan::{DynGroup, DynamicPlan, PlanStats};
 use stalloc_core::{
-    profile_trace, InstanceKey, Plan, PlannedAlloc, ProfiledRequests, RequestEvent, StrategyChoice,
-    SynthConfig,
+    profile_trace, synthesize, InstanceKey, Plan, PlannedAlloc, ProfiledRequests, RequestEvent,
+    StrategyChoice, SynthConfig,
 };
-use stalloc_solver::synthesize_strategy;
 use stalloc_store::codec::{decode_plan, decode_profile, encode_plan, encode_profile};
 use trace_gen::{ModelSpec, ModuleId, OptimConfig, ParallelConfig, TrainJob};
 
@@ -84,7 +83,7 @@ fn zoo_plans() -> &'static [Plan] {
                         strategy,
                         ..SynthConfig::default()
                     };
-                    synthesize_strategy(p, &config)
+                    synthesize(p, &config)
                 })
             })
             .collect()

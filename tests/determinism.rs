@@ -5,6 +5,7 @@
 //! scheduling) shows up here as a serialized-plan mismatch.
 
 use stalloc_core::{fingerprint_job, profile_trace, synthesize, SynthConfig};
+use stalloc_store::encode_plan;
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
 fn synth_configs() -> Vec<SynthConfig> {
@@ -25,8 +26,8 @@ fn assert_deterministic(job: TrainJob, label: &str) {
     let trace = job.build_trace().unwrap();
     let profile = profile_trace(&trace, 1).unwrap();
     for (ci, config) in synth_configs().into_iter().enumerate() {
-        let first = synthesize(&profile, &config).to_json();
-        let second = synthesize(&profile, &config).to_json();
+        let first = encode_plan(&synthesize(&profile, &config));
+        let second = encode_plan(&synthesize(&profile, &config));
         assert_eq!(
             first, second,
             "{label}: config #{ci} produced two different plans from one profile"
@@ -102,11 +103,17 @@ fn rebuilt_traces_profile_identically() {
     };
     let plan_a = {
         let trace = job().build_trace().unwrap();
-        synthesize(&profile_trace(&trace, 1).unwrap(), &SynthConfig::default()).to_json()
+        encode_plan(&synthesize(
+            &profile_trace(&trace, 1).unwrap(),
+            &SynthConfig::default(),
+        ))
     };
     let plan_b = {
         let trace = job().build_trace().unwrap();
-        synthesize(&profile_trace(&trace, 1).unwrap(), &SynthConfig::default()).to_json()
+        encode_plan(&synthesize(
+            &profile_trace(&trace, 1).unwrap(),
+            &SynthConfig::default(),
+        ))
     };
     assert_eq!(plan_a, plan_b, "two builds of the same seeded job diverged");
 }
@@ -142,20 +149,8 @@ fn portfolio_cached_plans_are_byte_identical() {
     let store_a = PlanStore::open(base.join("a")).unwrap();
     let store_b = PlanStore::open(base.join("b")).unwrap();
 
-    let (plan_a, fp_a, out_a) = synthesize_cached(
-        &profile,
-        &config,
-        &store_a,
-        stalloc_solver::synthesize_strategy,
-    )
-    .unwrap();
-    let (plan_b, fp_b, out_b) = synthesize_cached(
-        &profile,
-        &config,
-        &store_b,
-        stalloc_solver::synthesize_strategy,
-    )
-    .unwrap();
+    let (plan_a, fp_a, out_a) = synthesize_cached(&profile, &config, &store_a).unwrap();
+    let (plan_b, fp_b, out_b) = synthesize_cached(&profile, &config, &store_b).unwrap();
     assert_eq!(out_a, CacheOutcome::Miss);
     assert_eq!(out_b, CacheOutcome::Miss);
     assert_eq!(fp_a, fp_b, "portfolio jobs fingerprint identically");

@@ -16,8 +16,10 @@
 //! cargo test --test plan_golden -- --nocapture
 //! ```
 
-use stalloc_core::{profile_trace, ProfiledRequests, RequestEvent, StrategyChoice, SynthConfig};
-use stalloc_solver::{patch_plan, synthesize_strategy};
+use stalloc_core::{
+    patch_plan, profile_trace, synthesize, ProfiledRequests, RequestEvent, StrategyChoice,
+    SynthConfig,
+};
 use stalloc_store::codec::encode_plan;
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -149,7 +151,7 @@ fn encoded_plans_match_the_golden_table() {
                 strategy,
                 ..SynthConfig::default()
             };
-            let plan = synthesize_strategy(&profile, &config);
+            let plan = synthesize(&profile, &config);
             let bytes = encode_plan(&plan);
             actual.push((name, strategy.name(), bytes.len(), fnv1a(&bytes)));
             if strategy == StrategyChoice::Baseline {

@@ -19,9 +19,9 @@
 //! pair is the expensive step, so the zoo stays small and seeded.
 
 use stalloc_core::{
-    analyze_plan, profile_trace, ProfiledRequests, RequestEvent, StrategyChoice, SynthConfig,
+    analyze_plan, patch_plan, profile_trace, synthesize, ProfiledRequests, RequestEvent,
+    StrategyChoice, SynthConfig,
 };
-use stalloc_solver::{patch_plan, synthesize_strategy};
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
 fn model_zoo(idx: u64) -> (&'static str, ModelSpec, ParallelConfig, OptimConfig) {
@@ -95,7 +95,7 @@ fn patched_plans_are_equivalent_to_cold_synthesis_across_zoo_and_strategies() {
                 strategy,
                 ..SynthConfig::default()
             };
-            let base_plan = synthesize_strategy(&base, &config);
+            let base_plan = synthesize(&base, &config);
             base_plan.validate().unwrap();
 
             let (patched, stats) = patch_plan(&base, &base_plan, &next)
@@ -115,7 +115,7 @@ fn patched_plans_are_equivalent_to_cold_synthesis_across_zoo_and_strategies() {
 
             // Oracle 3: peak demand is profile-determined, so the
             // patched plan and a cold synthesis of `next` agree exactly.
-            let cold = synthesize_strategy(&next, &config);
+            let cold = synthesize(&next, &config);
             assert_eq!(
                 patched.stats.peak_static_demand, cold.stats.peak_static_demand,
                 "{name}/{strategy:?}: patched peak != cold peak"
@@ -158,7 +158,7 @@ fn patched_plans_are_equivalent_to_cold_synthesis_across_zoo_and_strategies() {
 fn identity_patch_reuses_everything() {
     let (_, base) = zoo_profile(0);
     let config = SynthConfig::default();
-    let base_plan = synthesize_strategy(&base, &config);
+    let base_plan = synthesize(&base, &config);
     let (patched, stats) = patch_plan(&base, &base_plan, &base).unwrap();
     patched.validate().unwrap();
     assert_eq!(stats.repacked, 0);
@@ -183,7 +183,7 @@ fn shrinking_patch_is_sound_and_accounted() {
         next.statics.pop();
     }
     let config = SynthConfig::default();
-    let base_plan = synthesize_strategy(&base, &config);
+    let base_plan = synthesize(&base, &config);
     let (patched, stats) = patch_plan(&base, &base_plan, &next).unwrap();
     patched.validate().unwrap();
     assert_eq!(stats.removed, dropped);

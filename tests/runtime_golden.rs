@@ -25,8 +25,9 @@
 use allocators::{AllocError, AllocRequest, Allocation, AllocatorStats, GpuAllocator};
 use gpu_sim::{Device, DeviceSpec};
 use harness::{configs, replay, ReplayOptions};
-use stalloc_core::{profile_trace, RuntimeConfig, RuntimeCounters, StallocAllocator, SynthConfig};
-use stalloc_solver::synthesize_strategy;
+use stalloc_core::{
+    profile_trace, synthesize, RuntimeConfig, RuntimeCounters, StallocAllocator, SynthConfig,
+};
 use trace_gen::{ModelSpec, ModuleId, OptimConfig, PhaseId, PhaseInfo, TensorId, TrainJob};
 
 /// What one replay decided: the allocator's counters in declaration
@@ -156,7 +157,7 @@ fn replay_all() -> Vec<Row> {
             );
             let trace = job.build_trace().unwrap();
             let profile = profile_trace(&trace, 1).unwrap();
-            let plan = synthesize_strategy(&profile, &SynthConfig::default());
+            let plan = synthesize(&profile, &SynthConfig::default());
             let mut alloc = Recorded {
                 inner: StallocAllocator::new(plan, RuntimeConfig { dynamic_reuse }),
                 served: 0xcbf2_9ce4_8422_2325,

@@ -10,8 +10,8 @@
 use gpu_sim::DeviceSpec;
 use harness::{run, AllocatorKind};
 use proptest::prelude::*;
-use stalloc_core::{profile_trace, StrategyChoice, SynthConfig};
-use stalloc_solver::{registry, synthesize_strategy, Portfolio};
+use stalloc_core::{profile_trace, registry, synthesize, Portfolio, StrategyChoice, SynthConfig};
+use stalloc_store::encode_plan;
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
 /// The four-model test zoo (dense small, dense + virtual pipeline +
@@ -195,8 +195,8 @@ fn huge_ticks_plan_like_their_rank_compressed_twin() {
             strategy,
             ..SynthConfig::default()
         };
-        let plan = synthesize_strategy(&huge, &config);
-        let twin = synthesize_strategy(&compressed, &config);
+        let plan = synthesize(&huge, &config);
+        let twin = synthesize(&compressed, &config);
         plan.validate().unwrap();
         assert!(plan.iter_allocs.iter().all(|d| d.ts >= 1 << 40));
         assert_eq!(plan.pool_size, twin.pool_size, "{strategy}");
@@ -217,16 +217,16 @@ fn portfolio_beats_or_matches_baseline_across_zoo() {
     for (label, job) in zoo() {
         let trace = job.build_trace().unwrap();
         let profile = profile_trace(&trace, 1).unwrap();
-        let baseline = synthesize_strategy(&profile, &SynthConfig::default());
+        let baseline = synthesize(&profile, &SynthConfig::default());
         let portfolio_cfg = SynthConfig {
             strategy: StrategyChoice::Portfolio,
             ..SynthConfig::default()
         };
-        let a = synthesize_strategy(&profile, &portfolio_cfg);
-        let b = synthesize_strategy(&profile, &portfolio_cfg);
+        let a = synthesize(&profile, &portfolio_cfg);
+        let b = synthesize(&profile, &portfolio_cfg);
         assert_eq!(
-            a.to_json(),
-            b.to_json(),
+            encode_plan(&a),
+            encode_plan(&b),
             "{label}: portfolio winner is not deterministic"
         );
         // Same profile ⇒ same peak, so efficiency ordering is pool

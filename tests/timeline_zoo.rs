@@ -6,8 +6,9 @@
 //! `stalloc explain` is only trustworthy if this replay is not an
 //! estimate.
 
-use stalloc_core::{analyze_plan, profile_trace, render_svg, StrategyChoice, SynthConfig};
-use stalloc_solver::synthesize_strategy;
+use stalloc_core::{
+    analyze_plan, profile_trace, render_svg, synthesize, StrategyChoice, SynthConfig,
+};
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
 fn zoo() -> Vec<(&'static str, TrainJob)> {
@@ -73,7 +74,7 @@ fn timeline_peak_and_fragmentation_agree_exactly_with_plan_stats() {
                 strategy,
                 ..SynthConfig::default()
             };
-            let plan = synthesize_strategy(&profile, &config);
+            let plan = synthesize(&profile, &config);
             plan.validate().unwrap();
             let t = analyze_plan(&plan, 5);
 

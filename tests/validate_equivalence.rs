@@ -24,9 +24,9 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use stalloc_core::{
-    profile_trace, IntervalSet, Plan, PlannedAlloc, ProfiledRequests, StrategyChoice, SynthConfig,
+    patch_plan, profile_trace, synthesize, IntervalSet, Plan, PlannedAlloc, ProfiledRequests,
+    StrategyChoice, SynthConfig,
 };
-use stalloc_solver::{patch_plan, synthesize_strategy};
 use stalloc_store::codec::{decode_plan, encode_plan};
 use trace_gen::{ModelSpec, OptimConfig, ParallelConfig, TrainJob};
 
@@ -144,7 +144,7 @@ fn sound_plans() -> &'static [Plan] {
                     strategy,
                     ..SynthConfig::default()
                 };
-                plans.push(synthesize_strategy(&base, &config));
+                plans.push(synthesize(&base, &config));
             }
             let mut next = base.clone();
             for r in next.statics.iter_mut().skip(base.init_count).take(3) {
